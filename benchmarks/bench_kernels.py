@@ -1,7 +1,7 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the numba coupling kernel against the pure-numpy fallback.
 
-Times the two block-operator kernels and a full Taylor step on lifted
-states of increasing size.  Run from the repository root:
+Times the coupling-block kernel and a full Taylor step on lifted states of
+increasing size.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeats 50]
 
@@ -15,9 +15,8 @@ import time
 import numpy as np
 
 from carleman_fourier import _kernels
-from carleman_fourier.linearize import LinearOperatorLN, total_size
+from carleman_fourier.linearize import LiftedState, LinearOperatorLN, total_size
 from carleman_fourier.taylor import TaylorConfig, apply_Vk
-from carleman_fourier.linearize import LiftedState
 
 
 def time_call(fn, *args, repeats):
@@ -36,17 +35,10 @@ def bench_kernels(repeats):
           f"{'numpy':>12s} {'numba':>12s} {'speedup':>8s}")
     cases = [(2, 6), (2, 10), (2, 14), (3, 6), (3, 9), (4, 7)]
     for n, j in cases:
-        f0 = rng.normal(size=n) + 1j * rng.normal(size=n)
         f1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        v0 = rng.normal(size=n ** j) + 1j * rng.normal(size=n ** j)
         v1 = rng.normal(size=n ** (j + 1)) + 1j * rng.normal(size=n ** (j + 1))
-        t_np0 = time_call(_kernels.apply_b0_numpy, n, j, f0, v0, repeats=repeats)
-        t_nb0 = time_call(_kernels.apply_b0_numba, n, j, f0, v0, repeats=repeats)
         t_np1 = time_call(_kernels.apply_b1_numpy, n, j, f1, v1, repeats=repeats)
         t_nb1 = time_call(_kernels.apply_b1_numba, n, j, f1, v1, repeats=repeats)
-        print(f"{'b0':8s} {n:3d} {j:3d} {n ** j:9d} "
-              f"{t_np0 * 1e6:10.1f}us {t_nb0 * 1e6:10.1f}us "
-              f"{t_np0 / t_nb0:7.1f}x")
         print(f"{'b1':8s} {n:3d} {j:3d} {n ** (j + 1):9d} "
               f"{t_np1 * 1e6:10.1f}us {t_nb1 * 1e6:10.1f}us "
               f"{t_np1 / t_nb1:7.1f}x")
@@ -62,15 +54,13 @@ def bench_taylor_step(repeats):
         op = LinearOperatorLN(order=order, n=n, f0=f0, f1=f1)
         size = total_size(n, order)
         vec = rng.normal(size=size) + 1j * rng.normal(size=size)
-        state = LiftedState.from_vector(n, order, vec)
+        state = LiftedState(n, order, vec)
         cfg = TaylorConfig(m=1, h=0.01, k=12)
         times = {}
         for backend in ("numpy", "numba"):
-            _kernels.apply_b0 = getattr(_kernels, f"apply_b0_{backend}")
             _kernels.apply_b1 = getattr(_kernels, f"apply_b1_{backend}")
-            # linearize holds its own references; patch them too
+            # linearize holds its own reference; patch it too
             import carleman_fourier.linearize as lin
-            lin._apply_b0_kernel = _kernels.apply_b0
             lin._apply_b1_kernel = _kernels.apply_b1
             times[backend] = time_call(apply_Vk, op, cfg, state,
                                        repeats=max(3, repeats // 10))
@@ -83,7 +73,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=50)
     args = parser.parse_args()
-    if not hasattr(_kernels, "apply_b0_numba"):
+    if not hasattr(_kernels, "apply_b1_numba"):
         raise SystemExit("numba backend unavailable; nothing to compare")
     print(f"selected backend at import: {_kernels.BACKEND}\n")
     bench_kernels(args.repeats)

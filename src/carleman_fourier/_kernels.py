@@ -1,15 +1,15 @@
-"""Hot kernels for the matrix-free block operators.
+"""Hot kernel for the matrix-free coupling blocks.
 
-Both operators act on a length-n^j block through its base-n digit string
+B_{j+1}^(1) acts on a length-n^{j+1} block through its base-n digit string
 (most significant digit first):
 
-  b0:  out[l_1..l_j]  = i (sum_a F0[l_a]) v[l_1..l_j]        (diagonal)
-  b1:  out[l_1..l_j] += i sum_a sum_s F1[l_a, s] v[l_1..l_{a-1}, l_a, s, l_{a+1}..l_j]
+  out[l_1..l_j] = i sum_a sum_s F1[l_a, s] v[l_1..l_{a-1}, l_a, s, l_{a+1}..l_j]
 
-b1 consumes a length-n^{j+1} block: position a of the output digit string
-pairs with digits (a, a+1) of the input.
+so position a of the output digit string pairs with digits (a, a+1) of the
+input.  (The diagonal blocks B_j^(0) need no kernel: the generator keeps
+their diagonal as one precomputed vector, see linearize.b0_diagonal.)
 
-Two implementations are provided: numba @njit loops (default when numba
+Two implementations are provided: a numba @njit loop (default when numba
 imports) and a pure-numpy reshape/einsum path.  Selection happens once at
 import time via the CFL_BACKEND environment variable:
 
@@ -30,21 +30,9 @@ from .errors import ConfigError
 
 __all__ = [
     "BACKEND",
-    "apply_b0",
     "apply_b1",
-    "apply_b0_numpy",
     "apply_b1_numpy",
 ]
-
-
-def apply_b0_numpy(n: int, j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diagonal block action: multiply entry l by i (count(l) . F0)."""
-    weight = np.zeros((n,) * j, dtype=complex)
-    for a in range(j):
-        shape = [1] * j
-        shape[a] = n
-        weight += f0.reshape(shape)
-    return 1j * weight.reshape(-1) * v
 
 
 def apply_b1_numpy(n: int, j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -77,18 +65,6 @@ if _requested in ("auto", "numba"):
 if _numba_ok:
 
     @njit(cache=True)
-    def _b0_kernel(n, j, f0, v, out):  # pragma: no cover - jitted
-        for a in range(j):
-            lead = n ** a
-            trail = n ** (j - 1 - a)
-            for p in range(lead):
-                for r in range(n):
-                    c = 1j * f0[r]
-                    base = (p * n + r) * trail
-                    for q in range(trail):
-                        out[base + q] += c * v[base + q]
-
-    @njit(cache=True)
     def _b1_kernel(n, j, f1, v, out):  # pragma: no cover - jitted
         for a in range(j):
             lead = n ** a
@@ -103,12 +79,6 @@ if _numba_ok:
                         for q in range(trail):
                             out[base_out + q] += c * v[off + q]
 
-    def apply_b0_numba(n: int, j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(n ** j, dtype=np.complex128)
-        _b0_kernel(n, j, np.ascontiguousarray(f0, dtype=np.complex128),
-                   np.ascontiguousarray(v, dtype=np.complex128), out)
-        return out
-
     def apply_b1_numba(n: int, j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros(n ** j, dtype=np.complex128)
         _b1_kernel(n, j, np.ascontiguousarray(f1, dtype=np.complex128),
@@ -116,9 +86,7 @@ if _numba_ok:
         return out
 
     BACKEND = "numba"
-    apply_b0 = apply_b0_numba
     apply_b1 = apply_b1_numba
 else:
     BACKEND = "numpy"
-    apply_b0 = apply_b0_numpy
     apply_b1 = apply_b1_numpy

@@ -33,14 +33,15 @@ from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import CflError, ConfigError, HypothesisViolation
 from .linearize import LinearOperatorLN, dense_LN, dense_budget, lift_initial, total_size
-from .norms import op_norm
-from .oracle import integrate, measure_eta, propagate_dense
-from .params import (ParamSet, end_to_end_error_budget, select_dissipative,
-                     select_nondissipative)
+from .norms import op_norm, vector_p_norm
+from .oracle import integrate, propagate_dense
+from .params import (ParamSet, default_nu, end_to_end_error_budget,
+                     select_dissipative, select_nondissipative)
 from .problem import FourierOde, ReadoutSpec, eval_readout, expand_coeff_vector, rescale
 from .taylor import TaylorConfig, forward_solve, readout_value
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
+OVERRIDE_KEYS = ("N", "k", "m", "nu")
 
 # automatic dense diagnostics (lifting/Taylor error split, eta measurement)
 # stay below this size even when CFL_DENSE_BUDGET allows more: the dense
@@ -70,10 +71,37 @@ def fmt(x) -> str:
 
 # ----------------------------------------------------------------- config
 
+def _real(value, where: str, finite: bool = True) -> float:
+    """float(value); anything else, NaN, or (with finite) an infinity is a
+    ConfigError naming the field."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if math.isnan(out) or (finite and math.isinf(out)):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return out
+
+
+def _integer(value, where: str) -> int:
+    """int(value) for a value that is a whole number; a fraction such as 4.7
+    is refused, not truncated."""
+    try:
+        out = int(value)
+        if out != float(value):
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+    return out
+
+
 def _complex_from(pair, where: str) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ConfigError(f"{where}: complex values are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: malformed complex value {pair!r}") from exc
 
 
 def _complex_array(data, where: str) -> np.ndarray:
@@ -141,19 +169,26 @@ def parse_readout(cfg: dict) -> ReadoutSpec:
 
 def parse_run(cfg: dict) -> dict:
     run = dict(cfg["run"])
+
+    def real(key, default=None, finite=True):
+        value = run.get(key, default)
+        if value is None and default is None:
+            return None
+        return _real(value, f"run.{key}", finite)
+
     out = {
-        "T": float(run.get("T", 1.0)),
-        "epsilon": float(run.get("epsilon", 1e-3)),
-        "p": float(run.get("p", 2)),
+        "T": real("T", 1.0),
+        "epsilon": real("epsilon", 1e-3),
+        "p": real("p", 2, finite=False),  # p = inf is a valid norm
         "regime": str(run.get("regime", "auto")),
-        "alpha": None if run.get("alpha") is None else float(run["alpha"]),
-        "beta": None if run.get("beta") is None else float(run["beta"]),
-        "r": float(run.get("r", 5.0)),
-        "nu": None if run.get("nu") is None else float(run["nu"]),
-        "oracle_tol": float(run.get("oracle_tol", 1e-11)),
-        "samples": int(run.get("samples", 101)),
-        "expected_mu0": run.get("expected_mu0"),
-        "expected_r_p": run.get("expected_r_p"),
+        "alpha": real("alpha"),
+        "beta": real("beta"),
+        "r": real("r", 5.0),
+        "nu": real("nu"),
+        "oracle_tol": real("oracle_tol", 1e-11),
+        "samples": _integer(run.get("samples", 101), "run.samples"),
+        "expected_mu0": real("expected_mu0"),
+        "expected_r_p": real("expected_r_p"),
     }
     if out["regime"] not in ("auto", "dissipative", "nondissipative"):
         raise ConfigError(f"run.regime must be auto|dissipative|nondissipative, "
@@ -164,6 +199,8 @@ def parse_run(cfg: dict) -> dict:
         raise ConfigError("run.epsilon must be positive")
     if out["nu"] is not None and out["nu"] <= 0:
         raise ConfigError("run.nu must be positive")
+    if out["samples"] < 2:
+        raise ConfigError("run.samples must be >= 2")
     return out
 
 
@@ -175,7 +212,6 @@ def _cross_check(run: dict, ode: FourierOde, p: float) -> None:
         expected = run.get(key)
         if expected is None:
             continue
-        expected = float(expected)
         if not math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-12):
             raise ConfigError(
                 f"run.{key} = {expected} disagrees with recomputed value {actual}"
@@ -191,48 +227,61 @@ def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
         regime = ("dissipative"
                   if bounds_mod.check_dissipative(ode, run["p"]).dissipative
                   else "nondissipative")
-    if regime == "dissipative":
-        ps = select_dissipative(ode, readout, run["epsilon"], run["T"],
-                                p=run["p"], alpha=run["alpha"], beta=run["beta"])
-    else:
-        ps = select_nondissipative(ode, readout, run["epsilon"], run["T"],
-                                   p=run["p"], alpha=run["alpha"],
-                                   beta=run["beta"], r=run["r"], nu=run["nu"])
+    ps = select_regime(ode, readout, run, regime)
     return apply_overrides(ps, overrides, readout)
+
+
+def select_regime(ode: FourierOde, readout: ReadoutSpec, run: dict,
+                  regime: str) -> ParamSet:
+    """The parameter recipe of one regime, fed from the run section."""
+    if regime == "dissipative":
+        return select_dissipative(ode, readout, run["epsilon"], run["T"],
+                                  p=run["p"], alpha=run["alpha"],
+                                  beta=run["beta"])
+    return select_nondissipative(ode, readout, run["epsilon"], run["T"],
+                                 p=run["p"], alpha=run["alpha"],
+                                 beta=run["beta"], r=run["r"], nu=run["nu"])
+
+
+def _override_value(key: str, value):
+    """N, k and m are integers, nu a finite number."""
+    if key == "nu":
+        return _real(value, "override nu")
+    return _integer(value, f"override {key}")
 
 
 def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet:
     """Replace N, k, m or nu and recompute the dependent step grid."""
     if not overrides:
         return ps
-    allowed = {"N", "k", "m", "nu"}
-    unknown = set(overrides) - allowed
+    unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigError(f"unknown override keys {sorted(unknown)}; "
-                          f"allowed: {sorted(allowed)}")
+                          f"allowed: {sorted(OVERRIDE_KEYS)}")
+    overrides = {key: _override_value(key, value) for key, value in overrides.items()}
     changes = {}
     if "nu" in overrides:
-        nu = float(overrides["nu"])
+        nu = overrides["nu"]
         if nu <= 0:
             raise ConfigError("override nu must be positive")
         changes["nu"] = nu
         changes["gamma"] = ps.gamma * ps.nu / nu
         changes["s"] = max(nu, nu ** readout.degree)
     if "N" in overrides:
-        order = int(overrides["N"])
+        order = overrides["N"]
         if order < readout.degree:
             raise ConfigError(
                 f"override N={order} is below the readout degree {readout.degree}"
             )
         changes["order"] = order
     if "k" in overrides:
-        k = int(overrides["k"])
+        k = overrides["k"]
         if k < 1:
             raise ConfigError("override k must be >= 1")
         changes["taylor_order"] = k
     order = changes.get("order", ps.order)
     if "m" in overrides:
-        steps = int(overrides["m"])
+        steps = overrides["m"]
         if steps < 1:
             raise ConfigError("override m must be >= 1")
     elif "N" in overrides:
@@ -270,7 +319,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     timings["oracle_s"] = time.perf_counter() - t0
 
     total_error = abs(estimate - reference)
-    koopman_err = taylor_err = None
+    koopman_err = taylor_err = psi_lin = None
     dense_ok = total_size(op.n, ps.order) <= diag_dense_cap()
     if dense_ok:
         t0 = time.perf_counter()
@@ -292,6 +341,8 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         "taylor_error": taylor_err,
         "residual": result.residual,
         "oracle_global_error": traj.est_global_error,
+        "trajectory": traj,
+        "psi_lin": psi_lin,  # exp(L T) psi0 from the dense path, None above the cap
         "timings": timings,
         "rescaled": rescaled,
         "operator": op,
@@ -458,12 +509,11 @@ def _sweep_row(ode, readout, run, base_overrides, axis, value) -> dict:
     bound_vals = _bound_values(ode, readout, run, ps)
 
     eta1_measured = None
-    if total_size(ode.n, ps.order) <= diag_dense_cap():
-        rescaled = outcome["rescaled"]
-        traj = integrate(rescaled, run["T"], tol=run["oracle_tol"])
-        dense = dense_LN(outcome["operator"])
-        psi_lin = propagate_dense(dense, lift_initial(rescaled, ps.order), run["T"])
-        eta1_measured = measure_eta(traj, psi_lin, 1, run["T"], ps.p)
+    if outcome["psi_lin"] is not None:
+        # x = u + i ln(nu), so the exact Psi_1(T) = e^{i x(T)} = e^{i u(T)}/nu
+        u_final = outcome["trajectory"].state_at(run["T"])
+        eta1_measured = vector_p_norm(
+            np.exp(1j * u_final) / ps.nu - outcome["psi_lin"].blocks[0], ps.p)
 
     return {
         "N": ps.order, "k": ps.taylor_order, "m": ps.steps, "nu": ps.nu,
@@ -488,15 +538,7 @@ def cmd_estimate(args) -> int:
     produced = 0
     for regime in ("dissipative", "nondissipative"):
         try:
-            if regime == "dissipative":
-                ps = select_dissipative(ode, readout, run["epsilon"], run["T"],
-                                        p=run["p"], alpha=run["alpha"],
-                                        beta=run["beta"])
-            else:
-                ps = select_nondissipative(ode, readout, run["epsilon"],
-                                           run["T"], p=run["p"],
-                                           alpha=run["alpha"], beta=run["beta"],
-                                           r=run["r"], nu=run["nu"])
+            ps = select_regime(ode, readout, run, regime)
             resource = estimator_mod.query_counts(
                 ps, improved_encoding=args.improved_encoding)
             entry = {"params": ps.as_dict(),
@@ -517,10 +559,7 @@ def cmd_estimate(args) -> int:
                 try:
                     nu_probe = run["nu"]
                     if nu_probe is None:
-                        w = np.exp(1j * ode.u0)
-                        from .norms import vector_p_norm
-                        nu_probe = max(run["r"] * vector_p_norm(w, run["p"]),
-                                       math.sqrt(2) * vector_p_norm(w, 2)) * (1 + 1e-6)
+                        nu_probe = default_nu(ode, run["r"], run["p"])
                     rescaled = rescale(ode, readout, nu_probe)
                     detail["t_max"] = bounds_mod.t_max_nondissipative(
                         rescaled, run["r"], run["p"],
@@ -587,12 +626,9 @@ def parse_override_arg(text) -> dict:
             raise ConfigError(f"malformed override {chunk!r}; expected key=value")
         key, _, value = chunk.partition("=")
         key = key.strip()
-        if key in ("N", "k", "m"):
-            out[key] = int(value)
-        elif key == "nu":
-            out[key] = float(value)
-        else:
+        if key not in OVERRIDE_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
+        out[key] = _override_value(key, value)
     return out
 
 
@@ -604,7 +640,8 @@ def parse_values_arg(text, axis) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        values.append(int(chunk) if axis in ("N", "k") else float(chunk))
+        values.append(_integer(chunk, "--values entry") if axis in ("N", "k")
+                      else _real(chunk, "--values entry"))
     return values
 
 

@@ -1,12 +1,14 @@
 """Lifted state and the matrix-free truncated lifted operator.
 
 Lifting replaces the nonlinear ODE in x by a linear ODE on the blocks
-Psi_j = (e^{ix})^{tensor j}, j = 1..N.  The generator is block upper
-bidiagonal: block j of d Psi/dt equals B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}
-(the last block drops the coupling term).  B_j^(0) is diagonal in the tensor
-enumeration and B_{j+1}^(1) inserts the stacked-row coupling matrix at each
-of the j digit positions; both are applied matrix-free through the kernels
-in _kernels (numba by default, pure numpy fallback via CFL_BACKEND=numpy).
+Psi_j = (e^{ix})^{tensor j}, j = 1..N, stored back to back in one flat
+vector (block j starts at offset sum_{i<j} n^i).  The generator is block
+upper bidiagonal: block j of d Psi/dt equals B_j^(0) Psi_j + B_{j+1}^(1)
+Psi_{j+1} (the last block drops the coupling term).  B_j^(0) is diagonal in
+the tensor enumeration, so the operator keeps the whole B^(0) diagonal as
+one vector; B_{j+1}^(1) inserts the stacked-row coupling matrix at each of
+the j digit positions and is applied matrix-free through the kernel in
+_kernels (numba by default, pure numpy fallback via CFL_BACKEND=numpy).
 
 Dense assembly is a test/diagnostic path guarded by a size budget
 (CFL_DENSE_BUDGET, default 4096 total rows).
@@ -15,11 +17,10 @@ Dense assembly is a test/diagnostic path guarded by a size budget
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import apply_b0 as _apply_b0_kernel
 from ._kernels import apply_b1 as _apply_b1_kernel
 from .errors import BudgetError, ConfigError
 from .norms import vector_p_norm
@@ -42,57 +43,53 @@ def dense_budget() -> int:
     return value
 
 
+def block_offsets(n: int, order: int) -> tuple:
+    """Offsets of blocks 1..N in the flat state, then its length: block j
+    occupies [offsets[j-1], offsets[j]), with offsets[j-1] = sum_{i<j} n^i."""
+    offsets = [0]
+    for j in range(1, order + 1):
+        offsets.append(offsets[-1] + n ** j)
+    return tuple(offsets)
+
+
 def total_size(n: int, order: int) -> int:
-    """sum_{j=1..N} n^j, the length of the concatenated (unpadded) state."""
-    return sum(n ** j for j in range(1, order + 1))
+    """sum_{j=1..N} n^j, the length of the flat (unpadded) state."""
+    return block_offsets(n, order)[-1]
 
 
 @dataclass
 class LiftedState:
-    """Blocks Psi_j in C^{n^j}, j = 1..N, in tensor enumeration."""
+    """Blocks Psi_j in C^{n^j}, j = 1..N, in tensor enumeration, stored back
+    to back in one contiguous complex vector."""
 
+    n: int
     order: int
-    blocks: list
+    vector: np.ndarray
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError("LiftedState: order must be >= 1")
-        if len(self.blocks) != self.order:
-            raise ConfigError("LiftedState: expected one block per level")
-        n = self.n
-        for j, block in enumerate(self.blocks, start=1):
-            if block.shape != (n ** j,):
-                raise ConfigError(
-                    f"LiftedState: block {j} has length {block.shape}, "
-                    f"expected {n ** j}"
-                )
+        self.vector = np.asarray(self.vector, dtype=complex)
+        if self.n < 1 or self.order < 1:
+            raise ConfigError("LiftedState: need n >= 1 and order >= 1")
+        if self.vector.shape != (total_size(self.n, self.order),):
+            raise ConfigError(
+                f"LiftedState: vector has shape {self.vector.shape}, expected "
+                f"({total_size(self.n, self.order)},)"
+            )
 
     @property
-    def n(self) -> int:
-        return int(self.blocks[0].shape[0])
+    def blocks(self) -> list:
+        """Views of the blocks Psi_1..Psi_N into the flat vector."""
+        offsets = block_offsets(self.n, self.order)
+        return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
 
     def copy(self) -> "LiftedState":
-        return LiftedState(self.order, [b.copy() for b in self.blocks])
-
-    def to_vector(self) -> np.ndarray:
-        """Concatenated unpadded layout (lengths n^j)."""
-        return np.concatenate(self.blocks)
+        return LiftedState(self.n, self.order, self.vector.copy())
 
     def norm(self, p: float = 2) -> float:
-        return vector_p_norm(self.to_vector(), p)
+        return vector_p_norm(self.vector, p)
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self.blocks)
-
-    @classmethod
-    def from_vector(cls, n: int, order: int, vec: np.ndarray) -> "LiftedState":
-        if vec.shape != (total_size(n, order),):
-            raise ConfigError("from_vector: length mismatch")
-        blocks, at = [], 0
-        for j in range(1, order + 1):
-            blocks.append(np.asarray(vec[at:at + n ** j], dtype=complex))
-            at += n ** j
-        return cls(order, blocks)
+        return bool(np.isfinite(self.vector).all())
 
 
 def padded_index(n: int, order: int, level: int, tensor_index: int) -> int:
@@ -132,19 +129,30 @@ def lift_initial(rescaled: RescaledProblem, order: int,
             f"lift_initial: state size {total_size(n, order)} exceeds "
             f"budget {state_budget}"
         )
-    blocks = [rescaled.w0.copy()]
-    for _ in range(order - 1):
-        blocks.append(np.kron(blocks[-1], rescaled.w0))
-    return LiftedState(order, blocks)
+    return lift_point(rescaled.w0, order)
 
 
 def lift_point(w: np.ndarray, order: int) -> LiftedState:
     """Lift an arbitrary point w = e^{ix} (tensor powers of w)."""
     w = np.asarray(w, dtype=complex).ravel()
-    blocks = [w.copy()]
-    for _ in range(order - 1):
-        blocks.append(np.kron(blocks[-1], w))
-    return LiftedState(order, blocks)
+    offsets = block_offsets(w.shape[0], order)
+    vec = np.empty(offsets[-1], dtype=complex)
+    vec[:offsets[1]] = w
+    for j in range(1, order):
+        vec[offsets[j]:offsets[j + 1]] = np.kron(vec[offsets[j - 1]:offsets[j]], w)
+    return LiftedState(w.shape[0], order, vec)
+
+
+def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:
+    """Diagonal of B^(0) over blocks 1..N in the flat layout: entry l of
+    block j is i (count(l) . F0) = i (F0[l_1] + ... + F0[l_j])."""
+    f0 = np.asarray(f0, dtype=complex).ravel()
+    weights, level = [], np.zeros(1, dtype=complex)
+    for _ in range(order):
+        # appending digit s to every string of the previous block
+        level = (level[:, None] + f0[None, :]).ravel()
+        weights.append(level)
+    return 1j * np.concatenate(weights)
 
 
 def apply_B0(j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -154,7 +162,7 @@ def apply_B0(j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if v.shape != (n ** j,):
         raise ConfigError(f"apply_B0: block must have length n^j = {n ** j}")
-    return _apply_b0_kernel(n, j, f0, v)
+    return b0_diagonal(j, f0)[-n ** j:] * v
 
 
 def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,12 +180,14 @@ def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearOperatorLN:
-    """Matrix-free truncated lifted generator (block upper bidiagonal)."""
+    """Matrix-free truncated lifted generator (block upper bidiagonal); the
+    B^(0) diagonal is built once, at construction."""
 
     order: int
     n: int
     f0: np.ndarray
     f1: np.ndarray
+    diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=complex).ravel()
@@ -186,6 +196,7 @@ class LinearOperatorLN:
             raise ConfigError("LinearOperatorLN: order must be >= 1")
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
+        self.diag = b0_diagonal(self.order, self.f0)
 
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
@@ -203,17 +214,15 @@ def apply_LN(op: LinearOperatorLN, state: LiftedState) -> LiftedState:
     """Action of the truncated generator: block j of the output is
     B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}, with the coupling term dropped on
     the last block."""
-    if state.order != op.order:
-        raise ConfigError("apply_LN: state and operator order differ")
-    if state.n != op.n:
-        raise ConfigError("apply_LN: state and operator dimension differ")
-    out = []
-    for j in range(1, op.order + 1):
-        block = apply_B0(j, op.f0, state.blocks[j - 1])
-        if j < op.order:
-            block = block + apply_B1(j, op.f1, state.blocks[j])
-        out.append(block)
-    return LiftedState(op.order, out)
+    if state.order != op.order or state.n != op.n:
+        raise ConfigError("apply_LN: state and operator shapes differ")
+    v = state.vector
+    out = op.diag * v
+    offsets = block_offsets(op.n, op.order)
+    for j in range(1, op.order):
+        out[offsets[j - 1]:offsets[j]] += _apply_b1_kernel(
+            op.n, j, op.f1, v[offsets[j]:offsets[j + 1]])
+    return LiftedState(op.n, op.order, out)
 
 
 def dense_f1_tilde(f1: np.ndarray) -> np.ndarray:
@@ -225,15 +234,6 @@ def dense_f1_tilde(f1: np.ndarray) -> np.ndarray:
     for r in range(n):
         out[r, r * n:(r + 1) * n] = f1[r]
     return out
-
-
-def apply_b0_diag(n: int, j: int, f0: np.ndarray) -> np.ndarray:
-    weight = np.zeros((n,) * j, dtype=complex)
-    for a in range(j):
-        shape = [1] * j
-        shape[a] = n
-        weight += f0.reshape(shape)
-    return 1j * weight.reshape(-1)
 
 
 def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
@@ -261,12 +261,8 @@ def dense_LN(op: LinearOperatorLN, budget: int | None = None) -> np.ndarray:
             f"dense_LN: size {size} exceeds dense budget {cap} "
             "(override with CFL_DENSE_BUDGET)"
         )
-    n = op.n
-    out = np.zeros((size, size), dtype=complex)
-    offsets = np.cumsum([0] + [n ** j for j in range(1, op.order + 1)])
-    for j in range(1, op.order + 1):
-        r0, r1 = offsets[j - 1], offsets[j]
-        out[r0:r1, r0:r1] = np.diag(apply_b0_diag(n, j, op.f0))
-        if j < op.order:
-            out[r0:r1, r1:offsets[j + 1]] = dense_B1(j, op.f1)
+    out = np.diag(op.diag)
+    offsets = block_offsets(op.n, op.order)
+    for j in range(1, op.order):
+        out[offsets[j - 1]:offsets[j], offsets[j]:offsets[j + 1]] = dense_B1(j, op.f1)
     return out

@@ -169,8 +169,7 @@ def measure_eta_vector(traj: Trajectory, truncated, t: float,
     """p-norm of the concatenated truncation error over all N blocks."""
     state = _truncated_state_at(truncated, t)
     exact = exact_lifted(traj, state.order, t)
-    diff = exact.to_vector() - state.to_vector()
-    return vector_p_norm(diff, p)
+    return vector_p_norm(exact.vector - state.vector, p)
 
 
 def propagate_dense(dense_l: np.ndarray, psi0: LiftedState, t: float) -> LiftedState:
@@ -178,5 +177,4 @@ def propagate_dense(dense_l: np.ndarray, psi0: LiftedState, t: float) -> LiftedS
     the matrix_exp accuracy cap)."""
     from .norms import expm_at
 
-    vec = expm_at(dense_l, t) @ psi0.to_vector()
-    return LiftedState.from_vector(psi0.n, psi0.order, vec)
+    return LiftedState(psi0.n, psi0.order, expm_at(dense_l, t) @ psi0.vector)

@@ -184,6 +184,16 @@ def s_scale(nu: float, degree: int) -> float:
     return max(nu, nu ** degree)
 
 
+def default_nu(ode: FourierOde, r: float, p: float = 2) -> float:
+    """The non-dissipative recipe's nu when none is given:
+    e^l r ||e^{iu0}||_p with l = 1, kept above sqrt(2) ||e^{iu0}||_2.  A
+    barely-above-floor nu makes the admissible time window collapse like
+    ln(nu / floor)."""
+    eiu0 = np.exp(1j * ode.u0)
+    return max(E * r * vector_p_norm(eiu0, p),
+               math.sqrt(2.0) * vector_p_norm(eiu0, 2) * (1.0 + 1e-6))
+
+
 def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
                           epsilon: float, horizon: float, p: float = 2,
                           alpha: float | None = None,
@@ -208,9 +218,7 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
     eiu0_2 = vector_p_norm(eiu0, 2)
     nu_floor = max(r * eiu0_p, math.sqrt(2.0) * eiu0_2)
     if nu is None:
-        # nu = e^l r ||e^{iu0}||_p with l = 1: a barely-above-floor nu makes
-        # the admissible time window collapse like ln(nu / floor)
-        nu = max(E * r * eiu0_p, math.sqrt(2.0) * eiu0_2 * (1.0 + 1e-6))
+        nu = default_nu(ode, r, p)
     if nu <= nu_floor:
         raise HypothesisViolation(
             f"select_nondissipative: nu = {nu} must exceed "

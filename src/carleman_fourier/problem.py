@@ -45,6 +45,8 @@ class FourierOde:
             raise ConfigError(f"FourierOde: G1 must be {self.n}x{self.n}")
         if self.u0.shape != (self.n,):
             raise ConfigError(f"FourierOde: u0 must have length n={self.n}")
+        if not all(np.isfinite(a).all() for a in (self.g0, self.g1, self.u0)):
+            raise ConfigError("FourierOde: G0, G1 and u0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class ReadoutSpec:
                     f"outside 1..{self.degree}"
                 )
             clean[key] = complex(val)
+            if not np.isfinite(clean[key]):
+                raise ConfigError(f"ReadoutSpec: coefficient of {key} is not finite")
         object.__setattr__(self, "coeffs", clean)
 
     @property

@@ -71,17 +71,16 @@ class SolveResult:
 
 def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, v: LiftedState) -> LiftedState:
     """Degree-k Taylor polynomial of exp(L h) applied to v, by Horner:
-    u <- v; for i = k..1: u <- v + (h/i) L u."""
+    u <- v; for i = k..1: u <- v + (h/i) L u.  v itself is left untouched."""
     if v.order != op.order or v.n != op.n:
         raise ConfigError("apply_Vk: state and operator shapes differ")
-    u = v.copy()
+    u = v
     for i in range(cfg.k, 0, -1):
+        # apply_LN returns a fresh vector, so it is updated in place
         lu = apply_LN(op, u)
-        scale = cfg.h / i
-        u = LiftedState(
-            v.order,
-            [v.blocks[b] + scale * lu.blocks[b] for b in range(v.order)],
-        )
+        lu.vector *= cfg.h / i
+        lu.vector += v.vector
+        u = lu
     return u
 
 
@@ -89,17 +88,13 @@ def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
                      v: LiftedState) -> LiftedState:
     """Term-by-term evaluation of the same polynomial (independent of the
     Horner ordering; used for the residual check)."""
-    acc = v.copy()
+    acc = v.vector.copy()
     term = v
     for i in range(1, cfg.k + 1):
-        lterm = apply_LN(op, term)
-        term = LiftedState(
-            v.order, [(cfg.h / i) * b for b in lterm.blocks]
-        )
-        acc = LiftedState(
-            v.order, [acc.blocks[b] + term.blocks[b] for b in range(v.order)]
-        )
-    return acc
+        term = apply_LN(op, term)
+        term.vector *= cfg.h / i
+        acc += term.vector
+    return LiftedState(v.n, v.order, acc)
 
 
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
@@ -132,8 +127,8 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             # can overflow inside the norm as well
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = _apply_Vk_direct(op, cfg, phis[-1])
-                num = np.linalg.norm(nxt.to_vector() - ref.to_vector())
-                den = max(np.linalg.norm(phis[-1].to_vector()), 1e-300)
+                num = np.linalg.norm(nxt.vector - ref.vector)
+                den = max(np.linalg.norm(phis[-1].vector), 1e-300)
                 ratio = float(num / den)
             if math.isfinite(ratio):
                 residual = max(residual, ratio)

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import carleman_fourier as cf
+from carleman_fourier import cli
 from carleman_fourier.cli import main
+from carleman_fourier.params import default_nu
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -89,6 +91,43 @@ def test_solve_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("solve", bad, "--out", tmp_path) == 2
+
+
+def _with(section, key, value):
+    def edit(cfg):
+        cfg[section][key] = value
+    return edit
+
+
+def _nan_in_g0(cfg):
+    cfg["ode"]["g0"][0][0] = float("nan")  # json writes the NaN literal
+
+
+@pytest.mark.parametrize("command,edit,extra", [
+    ("solve", _with("run", "T", "abc"), []),
+    ("solve", _with("run", "epsilon", [1]), []),
+    ("solve", _nan_in_g0, []),
+    ("solve", _with("overrides", "N", "x"), []),
+    ("solve", _with("overrides", "N", 4.7), []),
+    ("oracle", _with("run", "samples", -3), []),
+    ("solve", None, ["--param-overrides", "N=abc"]),
+    ("sweep", None, ["--axis", "N", "--values", "3,x"]),
+], ids=["T-text", "epsilon-list", "g0-nan", "override-N-text",
+        "override-N-fraction", "negative-samples", "param-override-text", "sweep-value-text"])
+def test_malformed_numbers_exit_2_with_one_json_error(tmp_path, capsys,
+                                                      command, edit, extra):
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    cfg.setdefault("overrides", {})
+    if edit is not None:
+        edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run_cli(command, path, *extra, "--out", tmp_path / "out")
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
 
 
 def test_solve_hypothesis_violation_exit_3(tmp_path):
@@ -187,6 +226,20 @@ def test_estimate_both_regimes(tmp_path):
     assert diss["alpha_LN_dense_check"] is True
     assert diss["resource_estimate"]["alpha_LN"] >= diss["dense_norm_2"]
     assert "error" in data["nondissipative"]  # T exceeds the window here
+
+
+def test_estimate_window_uses_the_recipe_default_nu(tmp_path):
+    # the failure detail evaluates T_max at the nu the recipe would pick
+    assert run_cli("estimate", CONFIGS / "dissipative_n2.json",
+                   "--out", tmp_path) == 0
+    nd = json.loads((tmp_path / "estimate.json").read_text())["nondissipative"]
+    cfg = cli.load_config(CONFIGS / "dissipative_n2.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    nu = default_nu(ode, run["r"], run["p"])
+    expected = cf.t_max_nondissipative(cf.rescale(ode, readout, nu), run["r"],
+                                       run["p"], float(max(abs(ode.g0))))
+    assert nd["t_max"] == expected
+    assert 0.1 < nd["t_max"] < run["T"]
 
 
 def test_estimate_refuses_r_equal_e(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 import carleman_fourier as cf
 from carleman_fourier import _kernels
 from carleman_fourier.errors import BudgetError, ConfigError
-from carleman_fourier.linearize import dense_B1, dense_f1_tilde, total_size
+from carleman_fourier.linearize import (block_offsets, dense_B1, dense_f1_tilde,
+                                        total_size)
 
 from conftest import complex_uniform, make_rescaled
 
@@ -54,6 +55,30 @@ def test_lift_memory_budget(rng):
     rp = make_rescaled(rng, 3)
     with pytest.raises(BudgetError):
         cf.lift_initial(rp, 8, state_budget=1000)
+
+
+# ------------------------------------------------------------ flat layout
+
+def test_blocks_are_views_at_block_offsets(rng):
+    v = complex_uniform(rng, total_size(3, 3))
+    state = cf.LiftedState(3, 3, v)
+    assert block_offsets(3, 3) == (0, 3, 12, 39)
+    assert [b.size for b in state.blocks] == [3, 9, 27]
+    assert all(np.shares_memory(b, state.vector) for b in state.blocks)
+    np.testing.assert_array_equal(state.blocks[1], v[3:12])
+    with pytest.raises(ConfigError):
+        cf.LiftedState(3, 3, v[:-1])
+
+
+def test_one_b0_diagonal_behind_apply_and_dense(rng):
+    rp = make_rescaled(rng, 3)
+    op = cf.LinearOperatorLN.from_rescaled(rp, 3)
+    assert np.diag(cf.dense_LN(op)).tobytes() == op.diag.tobytes()
+    offsets = block_offsets(3, 3)
+    for j in range(1, 4):
+        v = complex_uniform(rng, 3 ** j)
+        assert cf.apply_B0(j, rp.f0, v).tobytes() == \
+            (op.diag[offsets[j - 1]:offsets[j]] * v).tobytes()
 
 
 # ----------------------------------------------------------------- apply_B0
@@ -145,8 +170,8 @@ def test_apply_ln_scalar_bidiagonal(rng):
         [0, 0, 3j * f0],
     ])
     v = complex_uniform(rng, 3)
-    state = cf.LiftedState(3, [v[:1], v[1:2], v[2:3]])
-    out = cf.apply_LN(op, state).to_vector()
+    state = cf.LiftedState(1, 3, v)
+    out = cf.apply_LN(op, state).vector
     np.testing.assert_allclose(out, dense @ v, atol=1e-14)
     np.testing.assert_allclose(cf.dense_LN(op), dense, atol=1e-15)
 
@@ -165,8 +190,8 @@ def test_dense_matches_matrix_free(rng):
         dense = cf.dense_LN(op)
         for _ in range(3):
             v = complex_uniform(rng, total_size(n, order))
-            state = cf.LiftedState.from_vector(n, order, v)
-            out = cf.apply_LN(op, state).to_vector()
+            state = cf.LiftedState(n, order, v)
+            out = cf.apply_LN(op, state).vector
             np.testing.assert_allclose(out, dense @ v, rtol=1e-13, atol=1e-13)
 
 
@@ -235,7 +260,7 @@ def test_padded_layout_roundtrip(rng):
             assert padded[at] == state.blocks[level - 1][idx]
     # blockwise and padded dot products agree
     coeffs = [complex_uniform(rng, 2 ** j) for j in range(1, 4)]
-    padded_coeffs = cf.to_padded(cf.LiftedState(3, coeffs))
+    padded_coeffs = cf.to_padded(cf.LiftedState(2, 3, np.concatenate(coeffs)))
     blockwise = sum(np.dot(c, b) for c, b in zip(coeffs, state.blocks))
     assert np.dot(padded_coeffs, padded) == pytest.approx(blockwise, rel=1e-13)
 
@@ -244,13 +269,8 @@ def test_padded_layout_roundtrip(rng):
 
 def test_numpy_and_selected_backend_agree(rng):
     for n, j in [(1, 1), (2, 3), (3, 2), (4, 1)]:
-        f0 = complex_uniform(rng, n)
         f1 = complex_uniform(rng, (n, n))
-        v0 = complex_uniform(rng, n ** j)
         v1 = complex_uniform(rng, n ** (j + 1))
-        np.testing.assert_allclose(
-            _kernels.apply_b0(n, j, f0, v0),
-            _kernels.apply_b0_numpy(n, j, f0, v0), rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(
             _kernels.apply_b1(n, j, f1, v1),
             _kernels.apply_b1_numpy(n, j, f1, v1), rtol=1e-13, atol=1e-13)

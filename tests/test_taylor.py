@@ -21,9 +21,9 @@ def stable_operator(rng, n, order, r_target=0.5):
 def test_apply_vk_zero_operator(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=1, h=0.3, k=6)
-    v = cf.LiftedState(2, [complex_uniform(rng, 2), complex_uniform(rng, 4)])
+    v = cf.LiftedState(2, 2, complex_uniform(rng, 6))
     out = cf.apply_Vk(op, cfg, v)
-    np.testing.assert_allclose(out.to_vector(), v.to_vector(), atol=1e-15)
+    np.testing.assert_allclose(out.vector, v.vector, atol=1e-15)
 
 
 def test_apply_vk_scalar_exponential(rng):
@@ -31,7 +31,7 @@ def test_apply_vk_scalar_exponential(rng):
     op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
     h = 0.37
     cfg = cf.TaylorConfig(m=1, h=h, k=20)
-    v = cf.LiftedState(1, [np.array([1.0 + 0.5j])])
+    v = cf.LiftedState(1, 1, [1.0 + 0.5j])
     out = cf.apply_Vk(op, cfg, v)
     expected = np.exp(1j * f0 * h) * v.blocks[0]
     np.testing.assert_allclose(out.blocks[0], expected, rtol=1e-14)
@@ -54,8 +54,8 @@ def test_apply_vk_matches_dense_polynomial(rng):
     cfg = cf.TaylorConfig(m=1, h=0.15, k=7)
     dense = dense_Vk(op, cfg)
     v = complex_uniform(rng, total_size(2, 4))
-    state = cf.LiftedState.from_vector(2, 4, v)
-    np.testing.assert_allclose(cf.apply_Vk(op, cfg, state).to_vector(),
+    state = cf.LiftedState(2, 4, v)
+    np.testing.assert_allclose(cf.apply_Vk(op, cfg, state).vector,
                                dense @ v, rtol=1e-13, atol=1e-13)
 
 
@@ -64,11 +64,11 @@ def test_apply_vk_matches_dense_polynomial(rng):
 def test_forward_solve_identity_when_l_zero(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=5, h=0.1, k=4)
-    v = cf.LiftedState(2, [complex_uniform(rng, 2), complex_uniform(rng, 4)])
+    v = cf.LiftedState(2, 2, complex_uniform(rng, 6))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
     for phi in res.phis:
-        np.testing.assert_allclose(phi.to_vector(), v.to_vector(), atol=1e-15)
+        np.testing.assert_allclose(phi.vector, v.vector, atol=1e-15)
 
 
 def test_forward_solve_single_step(rng):
@@ -77,7 +77,7 @@ def test_forward_solve_single_step(rng):
     psi0 = cf.lift_initial(rp, 3)
     res = cf.forward_solve(op, cfg, psi0)
     ref = cf.apply_Vk(op, cfg, psi0)
-    np.testing.assert_allclose(res.final.to_vector(), ref.to_vector(),
+    np.testing.assert_allclose(res.final.vector, ref.vector,
                                rtol=1e-14)
 
 
@@ -91,10 +91,25 @@ def test_forward_solve_tracks_dense_exponential(rng):
     dense = cf.dense_LN(op)
     env = cf.growth_envelope(dense, horizon, 9)
     for j in (1, m // 2, m):
-        exact = cf.expm_at(dense, j * cfg.h) @ psi0.to_vector()
-        err = np.linalg.norm(res.phis[j].to_vector() - exact)
+        exact = cf.expm_at(dense, j * cfg.h) @ psi0.vector
+        err = np.linalg.norm(res.phis[j].vector - exact)
         cap = cf.taylor_truncation_bound(j, k, env.envelope, psi0.norm(2))
         assert err <= cap + 1e-12
+
+
+def test_forward_solve_leaves_inputs_and_history_unchanged(rng):
+    # stepping updates vectors in place; only fresh ones may be touched
+    rp, op = stable_operator(rng, 2, 3)
+    cfg = cf.TaylorConfig(m=4, h=0.2, k=6)
+    psi0 = cf.lift_initial(rp, 3)
+    before = psi0.vector.tobytes()
+    res = cf.forward_solve(op, cfg, psi0)
+    assert psi0.vector.tobytes() == before
+    assert res.phis[0].vector.tobytes() == before
+    assert not np.shares_memory(res.phis[0].vector, psi0.vector)
+    for j in range(cfg.m):
+        step = cf.apply_Vk(op, cfg, res.phis[j])
+        assert step.vector.tobytes() == res.phis[j + 1].vector.tobytes()
 
 
 def test_forward_solve_residual_small(rng):
@@ -107,7 +122,7 @@ def test_forward_solve_residual_small(rng):
 def test_forward_solve_divergence_error():
     op = cf.LinearOperatorLN(order=1, n=1, f0=[-100j], f1=[[0.0]])
     cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
-    psi0 = cf.LiftedState(1, [np.array([1.0 + 0j])])
+    psi0 = cf.LiftedState(1, 1, [1.0 + 0j])
     with pytest.raises(DivergenceError) as err:
         cf.forward_solve(op, cfg, psi0)
     assert err.value.step is not None
@@ -130,7 +145,7 @@ def test_readout_linear_problem_closed_form(rng):
     op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
     horizon = 1.3
     cfg = cf.TaylorConfig.for_horizon(horizon, 8, 14)
-    psi0 = cf.LiftedState(1, [np.array([np.exp(1j * x0)])])
+    psi0 = cf.LiftedState(1, 1, [np.exp(1j * x0)])
     res = cf.forward_solve(op, cfg, psi0)
     value = cf.readout_value(res, [np.array([1.0 + 0j])])
     expected = np.exp(1j * f0 * horizon) * np.exp(1j * x0)
@@ -196,8 +211,8 @@ def test_remainder_shrinks_with_k(rng):
     psi0 = cf.lift_initial(rp, 3)
     for k in (2, 4, 8, 12):
         cfg = cf.TaylorConfig(m=1, h=h, k=k)
-        err = np.linalg.norm(cf.apply_Vk(op, cfg, psi0).to_vector()
-                             - exact @ psi0.to_vector())
+        err = np.linalg.norm(cf.apply_Vk(op, cfg, psi0).vector
+                             - exact @ psi0.vector)
         if prev is not None:
             assert err <= prev + 1e-15
         prev = err
