@@ -2,12 +2,12 @@
 
 Pipeline: rescale the Fourier-nonlinear ODE, lift it to a block
 bidiagonal linear ODE on tensor powers of e^{ix}, step it with a truncated
-Taylor propagator, read the Fourier observable off the final block state,
+Taylor propagator in monomial coordinates (the symmetric part of each
+tensor power), read the Fourier observable off the final block state,
 and check every step against an adaptive Runge-Kutta oracle and the
 analytic error bounds.
 """
 
-from ._kernels import BACKEND
 from .bounds import (BoundReport, DissipativityReport, check_dissipative,
                      eta_bound_dissipative, eta_bound_finite_time,
                      stability_certificate, t_max_nondissipative,

@@ -340,6 +340,12 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         "koopman_error": koopman_err,
         "taylor_error": taylor_err,
         "residual": result.residual,
+        "lifted_state": {
+            "basis": "monomial",
+            "tensor_dim": op.size,
+            "monomial_dim": op.monomial_size,
+            "generator_applies": result.generator_applies,
+        },
         "oracle_global_error": traj.est_global_error,
         "trajectory": traj,
         "psi_lin": psi_lin,  # exp(L T) psi0 from the dense path, None above the cap
@@ -413,6 +419,7 @@ def cmd_solve(args) -> int:
         "bounds": bound_vals,
         "error_budget": None if budget is None else [list(l) for l in budget.lines],
         "resource_estimate": None if resource is None else resource.as_dict(),
+        "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2,

@@ -1,14 +1,22 @@
-"""Lifted state and the matrix-free truncated lifted operator.
+"""Lifted state and the truncated lifted operator.
 
 Lifting replaces the nonlinear ODE in x by a linear ODE on the blocks
 Psi_j = (e^{ix})^{tensor j}, j = 1..N, stored back to back in one flat
 vector (block j starts at offset sum_{i<j} n^i).  The generator is block
 upper bidiagonal: block j of d Psi/dt equals B_j^(0) Psi_j + B_{j+1}^(1)
 Psi_{j+1} (the last block drops the coupling term).  B_j^(0) is diagonal in
-the tensor enumeration, so the operator keeps the whole B^(0) diagonal as
-one vector; B_{j+1}^(1) inserts the stacked-row coupling matrix at each of
-the j digit positions and is applied matrix-free through the kernel in
-_kernels (numba by default, pure numpy fallback via CFL_BACKEND=numpy).
+the tensor enumeration; B_{j+1}^(1) inserts the stacked-row coupling matrix
+at each of the j digit positions.
+
+Every Psi_j is a symmetric tensor: its entry at digit string l depends only
+on the count vector c of l (c_r = how often symbol r occurs), and equals the
+monomial w^c.  The generator maps symmetric tensors to symmetric tensors, so
+time stepping runs on the monomial coordinates psi_c, |c| = j, with
+C(n+j-1, j) entries per block instead of n^j (the monomial form of Carleman
+linearization).  In them the generator is one sparse matrix: diagonal
+i c.F0, and c couples to c + e_s with i sum_r c_r F1[r, s].  LinearOperatorLN
+builds it once, with the maps between the two layouts; the tensor layout
+stays the public format of lifted states.
 
 Dense assembly is a test/diagnostic path guarded by a size budget
 (CFL_DENSE_BUDGET, default 4096 total rows).
@@ -18,10 +26,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse
 
-from ._kernels import apply_b1 as _apply_b1_kernel
 from .errors import BudgetError, ConfigError
 from .norms import vector_p_norm
 from .problem import RescaledProblem
@@ -82,9 +91,6 @@ class LiftedState:
         offsets = block_offsets(self.n, self.order)
         return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
 
-    def copy(self) -> "LiftedState":
-        return LiftedState(self.n, self.order, self.vector.copy())
-
     def norm(self, p: float = 2) -> float:
         return vector_p_norm(self.vector, p)
 
@@ -117,6 +123,64 @@ def to_padded(state: LiftedState) -> np.ndarray:
     return out
 
 
+class MonomialBasis(NamedTuple):
+    """Monomials w^c, |c| = j, of blocks 1..N; see monomial_basis."""
+
+    offsets: tuple
+    counts: np.ndarray
+    parent: np.ndarray
+    symbol: np.ndarray
+    up: np.ndarray
+    classes: np.ndarray
+    slots: np.ndarray
+
+
+def monomial_basis(n: int, order: int) -> MonomialBasis:
+    """Monomials of blocks 1..N, block by block; inside a block ordered by
+    canonical slot (the digits of c in ascending order, the smallest tensor
+    index with count c).  With M monomials and T = total_size(n, order):
+
+      offsets  block j holds monomials [offsets[j-1], offsets[j]);
+      counts   (M, n) count vectors c;
+      parent, symbol  (M,) the canonical slot of c is that of its parent
+               c - e_s followed by digit s = symbol (parent -1 on block 1);
+      up       (M_<N, n) index of c + e_s, for the monomials below block N;
+      classes  (T,) monomial of every entry of the flat tensor state;
+      slots    (M,) flat index of the canonical slot of every monomial.
+    """
+    if n < 1 or order < 1:
+        raise ConfigError("monomial_basis: need n >= 1 and order >= 1")
+    tensor_offsets = block_offsets(n, order)
+    eye = np.eye(n, dtype=np.int64)
+    # block-local monomial counts, canonical slots and tensor classes
+    counts, slots, classes = eye, np.arange(n), np.arange(n)
+    offsets = [0, n]
+    out = {"counts": [counts], "parent": [np.full(n, -1)],
+           "symbol": [np.arange(n)], "up": [np.zeros((0, n), dtype=np.intp)],
+           "classes": [classes], "slots": [slots]}
+    for j in range(2, order + 1):
+        # canonical slot of c + e_s: digit s goes in after the p digits <= s,
+        # so the last j-1-p digits of the slot of c move one place down
+        tail = n ** (j - 1 - np.cumsum(counts, axis=1))
+        keys = ((slots[:, None] // tail) * n + np.arange(n)) * tail \
+            + slots[:, None] % tail
+        slots, first, inverse = np.unique(keys, return_index=True,
+                                          return_inverse=True)
+        up = inverse.reshape(keys.shape)
+        parent, symbol = np.divmod(first, n)
+        counts = counts[parent] + eye[symbol]
+        classes = up[classes].ravel()
+        out["counts"].append(counts)
+        out["parent"].append(offsets[-2] + parent)
+        out["symbol"].append(symbol)
+        out["up"].append(offsets[-1] + up)
+        out["classes"].append(offsets[-1] + classes)
+        out["slots"].append(tensor_offsets[j - 1] + slots)
+        offsets.append(offsets[-1] + slots.size)
+    return MonomialBasis(tuple(offsets),
+                         **{key: np.concatenate(parts) for key, parts in out.items()})
+
+
 def lift_initial(rescaled: RescaledProblem, order: int,
                  state_budget: int = DEFAULT_STATE_BUDGET) -> LiftedState:
     """Initial lifted state: block j is the j-th Kronecker power of w0
@@ -133,14 +197,17 @@ def lift_initial(rescaled: RescaledProblem, order: int,
 
 
 def lift_point(w: np.ndarray, order: int) -> LiftedState:
-    """Lift an arbitrary point w = e^{ix} (tensor powers of w)."""
+    """Lift an arbitrary point w = e^{ix} (tensor powers of w).  Each
+    monomial w^c is computed once, as the Kronecker product does at its
+    canonical slot, and copied to every slot of count c, so the state is
+    exactly symmetric."""
     w = np.asarray(w, dtype=complex).ravel()
-    offsets = block_offsets(w.shape[0], order)
-    vec = np.empty(offsets[-1], dtype=complex)
-    vec[:offsets[1]] = w
-    for j in range(1, order):
-        vec[offsets[j]:offsets[j + 1]] = np.kron(vec[offsets[j - 1]:offsets[j]], w)
-    return LiftedState(w.shape[0], order, vec)
+    basis = monomial_basis(w.shape[0], order)
+    mono = np.empty(basis.offsets[-1], dtype=complex)
+    mono[:basis.offsets[1]] = w
+    for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
+        mono[lo:hi] = mono[basis.parent[lo:hi]] * w[basis.symbol[lo:hi]]
+    return LiftedState(w.shape[0], order, mono[basis.classes])
 
 
 def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:
@@ -166,8 +233,12 @@ def apply_B0(j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coupling action C^{n^{j+1}} -> C^{n^j}: the stacked-row matrix built
-    from F1 is inserted at each of the j digit positions and summed."""
+    """Coupling action C^{n^{j+1}} -> C^{n^j} on a tensor block: the
+    stacked-row matrix built from F1 is contracted into each of the j digit
+    positions and summed,
+
+      out[l_1..l_j] = i sum_a sum_s F1[l_a, s] v[l_1..l_a, s, l_{a+1}..l_j].
+    """
     f1 = np.atleast_2d(np.asarray(f1, dtype=complex))
     n = f1.shape[0]
     v = np.asarray(v, dtype=complex).ravel()
@@ -175,19 +246,28 @@ def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"apply_B1: block must have length n^(j+1) = {n ** (j + 1)}"
         )
-    return _apply_b1_kernel(n, j, f1, v)
+    out = np.zeros(n ** j, dtype=complex)
+    for a in range(j):
+        block = v.reshape(n ** a, n, n, n ** (j - 1 - a))
+        out += 1j * np.einsum("rs,prsq->prq", f1, block).reshape(-1)
+    return out
 
 
 @dataclass
 class LinearOperatorLN:
-    """Matrix-free truncated lifted generator (block upper bidiagonal); the
-    B^(0) diagonal is built once, at construction."""
+    """Truncated lifted generator.  Built once, at construction: the maps
+    between the tensor and the monomial layout (`classes`: monomial of every
+    tensor entry; `slots`: canonical tensor slot of every monomial), the
+    multinomial weights and the sparse generator on monomial coordinates."""
 
     order: int
     n: int
     f0: np.ndarray
     f1: np.ndarray
-    diag: np.ndarray = field(init=False, repr=False)
+    classes: np.ndarray = field(init=False, repr=False)
+    slots: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    generator: scipy.sparse.csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=complex).ravel()
@@ -196,33 +276,55 @@ class LinearOperatorLN:
             raise ConfigError("LinearOperatorLN: order must be >= 1")
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
-        self.diag = b0_diagonal(self.order, self.f0)
+        basis = monomial_basis(self.n, self.order)
+        self.classes, self.slots = basis.classes, basis.slots
+        # multinom(j; c): the number of tensor slots of count c
+        self.weights = np.bincount(basis.classes).astype(float)
+        size, coupled = basis.slots.size, basis.up.shape[0]
+        rows = np.concatenate([np.arange(size), np.repeat(np.arange(coupled), self.n)])
+        cols = np.concatenate([np.arange(size), basis.up.ravel()])
+        values = np.concatenate([1j * (basis.counts @ self.f0),
+                                 1j * (basis.counts[:coupled] @ self.f1).ravel()])
+        self.generator = scipy.sparse.csr_array((values, (rows, cols)),
+                                                shape=(size, size))
 
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
         return cls(order=order, n=rescaled.n, f0=rescaled.f0, f1=rescaled.f1)
 
-    def apply(self, state: LiftedState) -> LiftedState:
-        return apply_LN(self, state)
-
     @property
     def size(self) -> int:
+        """Length of the flat tensor state."""
         return total_size(self.n, self.order)
 
+    @property
+    def monomial_size(self) -> int:
+        """Number of monomial coordinates, sum_j C(n+j-1, j)."""
+        return self.slots.size
 
-def apply_LN(op: LinearOperatorLN, state: LiftedState) -> LiftedState:
-    """Action of the truncated generator: block j of the output is
-    B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}, with the coupling term dropped on
-    the last block."""
-    if state.order != op.order or state.n != op.n:
-        raise ConfigError("apply_LN: state and operator shapes differ")
-    v = state.vector
-    out = op.diag * v
-    offsets = block_offsets(op.n, op.order)
-    for j in range(1, op.order):
-        out[offsets[j - 1]:offsets[j]] += _apply_b1_kernel(
-            op.n, j, op.f1, v[offsets[j]:offsets[j + 1]])
-    return LiftedState(op.n, op.order, out)
+    def monomials(self, state: LiftedState) -> np.ndarray:
+        """Monomial coordinates of a symmetric tensor state (one gather)."""
+        return state.vector[self.slots]
+
+    def expand(self, x: np.ndarray) -> LiftedState:
+        """Tensor state of monomial coordinates x (one gather)."""
+        return LiftedState(self.n, self.order, x[self.classes])
+
+    def tensor_norm(self, x: np.ndarray) -> float:
+        """2-norm of expand(x): ||Psi||_2^2 = sum_c multinom(j; c) |psi_c|^2."""
+        return float(np.sqrt(np.dot(self.weights, x.real ** 2 + x.imag ** 2)))
+
+
+def apply_LN(op: LinearOperatorLN, x: np.ndarray) -> np.ndarray:
+    """Action of the truncated generator on monomial coordinates x, one
+    sparse matvec; expanded, it is block j = B_j^(0) Psi_j + B_{j+1}^(1)
+    Psi_{j+1}, with the coupling term dropped on the last block."""
+    if np.shape(x) != (op.monomial_size,):
+        raise ConfigError(
+            f"apply_LN: expected {op.monomial_size} monomial coordinates, "
+            f"got shape {np.shape(x)}"
+        )
+    return op.generator @ x
 
 
 def dense_f1_tilde(f1: np.ndarray) -> np.ndarray:
@@ -251,8 +353,9 @@ def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
 def dense_LN(op: LinearOperatorLN, budget: int | None = None) -> np.ndarray:
     """Explicit matrix of the truncated generator in the unpadded layout.
 
-    Guarded by the dense budget; the matrix-free path is the primary
-    representation and this assembly exists for diagnostics and oracles.
+    Guarded by the dense budget; the sparse monomial generator is the
+    primary representation and this assembly exists for diagnostics and
+    oracles.
     """
     cap = dense_budget() if budget is None else budget
     size = op.size
@@ -261,7 +364,7 @@ def dense_LN(op: LinearOperatorLN, budget: int | None = None) -> np.ndarray:
             f"dense_LN: size {size} exceeds dense budget {cap} "
             "(override with CFL_DENSE_BUDGET)"
         )
-    out = np.diag(op.diag)
+    out = np.diag(b0_diagonal(op.order, op.f0))
     offsets = block_offsets(op.n, op.order)
     for j in range(1, op.order):
         out[offsets[j - 1]:offsets[j], offsets[j]:offsets[j + 1]] = dense_B1(j, op.f1)

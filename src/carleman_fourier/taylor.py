@@ -1,7 +1,8 @@
 """Truncated-Taylor time stepping for the lifted linear ODE.
 
 The propagator over one step h is approximated by the degree-k Taylor
-polynomial V_k of exp(L h), applied matrix-free via Horner evaluation.  The
+polynomial V_k of exp(L h), applied by Horner evaluation to the monomial
+coordinates of the lifted state (one sparse generator matvec per stage).  The
 whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
 exactly, so the returned residual only detects implementation drift.  The
@@ -52,11 +53,13 @@ class TaylorConfig:
 
 @dataclass
 class SolveResult:
-    """History Phi_0..Phi_m, the verified system residual and the readout."""
+    """History Phi_0..Phi_m, the verified system residual, the number of
+    generator applies spent and the readout."""
 
     config: TaylorConfig
     phis: list
     residual: float
+    generator_applies: int = 0
     readout_value: complex | None = None
 
     @property
@@ -69,32 +72,31 @@ class SolveResult:
         return self.phis[j]
 
 
-def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, v: LiftedState) -> LiftedState:
-    """Degree-k Taylor polynomial of exp(L h) applied to v, by Horner:
-    u <- v; for i = k..1: u <- v + (h/i) L u.  v itself is left untouched."""
-    if v.order != op.order or v.n != op.n:
-        raise ConfigError("apply_Vk: state and operator shapes differ")
-    u = v
+def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarray:
+    """Degree-k Taylor polynomial of exp(L h) applied to monomial coordinates
+    x, by Horner: u <- x; for i = k..1: u <- x + (h/i) L u.  x itself is
+    left untouched."""
+    u = x
     for i in range(cfg.k, 0, -1):
         # apply_LN returns a fresh vector, so it is updated in place
         lu = apply_LN(op, u)
-        lu.vector *= cfg.h / i
-        lu.vector += v.vector
+        lu *= cfg.h / i
+        lu += x
         u = lu
     return u
 
 
 def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
-                     v: LiftedState) -> LiftedState:
+                     x: np.ndarray) -> np.ndarray:
     """Term-by-term evaluation of the same polynomial (independent of the
     Horner ordering; used for the residual check)."""
-    acc = v.vector.copy()
-    term = v
+    acc = x.copy()
+    term = x
     for i in range(1, cfg.k + 1):
         term = apply_LN(op, term)
-        term.vector *= cfg.h / i
-        acc += term.vector
-    return LiftedState(v.n, v.order, acc)
+        term *= cfg.h / i
+        acc += term
+    return acc
 
 
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
@@ -102,21 +104,30 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     """Exact forward substitution on the block-bidiagonal time-step system:
     Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j.
 
-    Any non-finite intermediate aborts with the first offending step.  When
-    verify is set, each step is re-evaluated with a different summation
-    order and the worst relative discrepancy is reported as the residual.
+    psi0 must be a symmetric tensor (a lifted point is one), since stepping
+    runs on its monomial coordinates; every step is expanded back to a
+    tensor state.  Any non-finite intermediate aborts with the first
+    offending step.  When verify is set, each step is re-evaluated with a
+    different summation order and the worst relative discrepancy, in the
+    tensor 2-norm, is reported as the residual.
     """
     if psi0.order != op.order or psi0.n != op.n:
         raise ConfigError("forward_solve: state and operator shapes differ")
     if not psi0.all_finite():
         raise DivergenceError("forward_solve: initial state is not finite", step=0)
-    phis = [psi0.copy()]
+    history = np.empty((cfg.m + 1, op.monomial_size), dtype=complex)
+    history[0] = op.monomials(psi0)
+    if not np.array_equal(history[0][op.classes], psi0.vector):
+        raise ConfigError(
+            "forward_solve: psi0 is not a symmetric tensor (entries with "
+            "equal digit counts differ); lift it with lift_point"
+        )
     residual = 0.0
     for j in range(cfg.m):
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = apply_Vk(op, cfg, phis[-1])
-        if not nxt.all_finite():
+            nxt = apply_Vk(op, cfg, history[j])
+        if not np.isfinite(nxt).all():
             raise DivergenceError(
                 f"forward_solve: non-finite values at step {j + 1} "
                 f"(t = {(j + 1) * cfg.h:g}); parameters are unstable",
@@ -126,14 +137,16 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             # on the way to a detected divergence, intermediate magnitudes
             # can overflow inside the norm as well
             with np.errstate(over="ignore", invalid="ignore"):
-                ref = _apply_Vk_direct(op, cfg, phis[-1])
-                num = np.linalg.norm(nxt.vector - ref.vector)
-                den = max(np.linalg.norm(phis[-1].vector), 1e-300)
-                ratio = float(num / den)
+                ref = _apply_Vk_direct(op, cfg, history[j])
+                num = op.tensor_norm(nxt - ref)
+                den = max(op.tensor_norm(history[j]), 1e-300)
+                ratio = num / den
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
-        phis.append(nxt)
-    return SolveResult(config=cfg, phis=phis, residual=residual)
+        history[j + 1] = nxt
+    phis = [LiftedState(op.n, op.order, row) for row in history[:, op.classes]]
+    return SolveResult(config=cfg, phis=phis, residual=residual,
+                       generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 
 
 def readout_value(result: SolveResult, coeff_blocks: list) -> complex:

@@ -297,6 +297,21 @@ def test_manifest_carries_budget_and_resources(tmp_path):
     assert manifest["wall_times_s"]["solve_s"] > 0
 
 
+def test_manifest_records_the_lifted_state(tmp_path):
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json",
+                   "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    params = manifest["params"]
+    assert params["order"] == 7
+    # n = 2, N = 7: sum 2^j = 254 tensor entries, sum (j + 1) = 35 monomials
+    assert manifest["lifted_state"] == {
+        "basis": "monomial",
+        "tensor_dim": 254,
+        "monomial_dim": 35,
+        "generator_applies": params["steps"] * params["taylor_order"] * 2,
+    }
+
+
 def test_sweep_r_axis_records_per_row_errors(tmp_path):
     # r = 3 shrinks the admissible window below the configured horizon: the
     # row records the violation and the sweep continues

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import carleman_fourier as cf
-from carleman_fourier import _kernels
 from carleman_fourier.errors import BudgetError, ConfigError
-from carleman_fourier.linearize import (block_offsets, dense_B1, dense_f1_tilde,
-                                        total_size)
+from carleman_fourier.linearize import (b0_diagonal, block_offsets, dense_B1,
+                                        dense_f1_tilde, monomial_basis, total_size)
+from carleman_fourier.taylor import dense_Vk
 
 from conftest import complex_uniform, make_rescaled
 
@@ -73,12 +76,16 @@ def test_blocks_are_views_at_block_offsets(rng):
 def test_one_b0_diagonal_behind_apply_and_dense(rng):
     rp = make_rescaled(rng, 3)
     op = cf.LinearOperatorLN.from_rescaled(rp, 3)
-    assert np.diag(cf.dense_LN(op)).tobytes() == op.diag.tobytes()
+    diag = b0_diagonal(3, rp.f0)
+    assert np.diag(cf.dense_LN(op)).tobytes() == diag.tobytes()
     offsets = block_offsets(3, 3)
     for j in range(1, 4):
         v = complex_uniform(rng, 3 ** j)
         assert cf.apply_B0(j, rp.f0, v).tobytes() == \
-            (op.diag[offsets[j - 1]:offsets[j]] * v).tobytes()
+            (diag[offsets[j - 1]:offsets[j]] * v).tobytes()
+    # the monomial generator's diagonal is B^(0) at the canonical slots
+    np.testing.assert_allclose(op.generator.diagonal(), diag[op.slots],
+                               rtol=1e-15, atol=0)
 
 
 # ----------------------------------------------------------------- apply_B0
@@ -145,7 +152,7 @@ def test_apply_ln_diagonal_when_uncoupled(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN(order=3, n=2, f0=rp.f0, f1=np.zeros((2, 2)))
     state = cf.lift_initial(rp, 3)
-    out = cf.apply_LN(op, state)
+    out = op.expand(cf.apply_LN(op, op.monomials(state)))
     for j in range(1, 4):
         np.testing.assert_allclose(out.blocks[j - 1],
                                    cf.apply_B0(j, rp.f0, state.blocks[j - 1]),
@@ -156,7 +163,7 @@ def test_apply_ln_order_one(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN.from_rescaled(rp, 1)
     state = cf.lift_initial(rp, 1)
-    np.testing.assert_allclose(cf.apply_LN(op, state).blocks[0],
+    np.testing.assert_allclose(cf.apply_LN(op, op.monomials(state)),
                                cf.apply_B0(1, rp.f0, state.blocks[0]),
                                rtol=1e-14)
 
@@ -169,9 +176,9 @@ def test_apply_ln_scalar_bidiagonal(rng):
         [0, 2j * f0, 2j * f1],
         [0, 0, 3j * f0],
     ])
+    # for n = 1 every tensor entry is its own monomial
     v = complex_uniform(rng, 3)
-    state = cf.LiftedState(1, 3, v)
-    out = cf.apply_LN(op, state).vector
+    out = cf.apply_LN(op, v)
     np.testing.assert_allclose(out, dense @ v, atol=1e-14)
     np.testing.assert_allclose(cf.dense_LN(op), dense, atol=1e-15)
 
@@ -189,10 +196,10 @@ def test_dense_matches_matrix_free(rng):
         op = cf.LinearOperatorLN.from_rescaled(rp, order)
         dense = cf.dense_LN(op)
         for _ in range(3):
-            v = complex_uniform(rng, total_size(n, order))
-            state = cf.LiftedState(n, order, v)
-            out = cf.apply_LN(op, state).vector
-            np.testing.assert_allclose(out, dense @ v, rtol=1e-13, atol=1e-13)
+            x = complex_uniform(rng, op.monomial_size)
+            out = op.expand(cf.apply_LN(op, x)).vector
+            np.testing.assert_allclose(out, dense @ op.expand(x).vector,
+                                       rtol=1e-13, atol=1e-13)
 
 
 def test_dense_ln_norm_bound(rng):
@@ -265,19 +272,64 @@ def test_padded_layout_roundtrip(rng):
     assert np.dot(padded_coeffs, padded) == pytest.approx(blockwise, rel=1e-13)
 
 
-# ------------------------------------------------------------ kernel paths
+# ----------------------------------------------------------- monomial basis
 
-def test_numpy_and_selected_backend_agree(rng):
-    for n, j in [(1, 1), (2, 3), (3, 2), (4, 1)]:
-        f1 = complex_uniform(rng, (n, n))
-        v1 = complex_uniform(rng, n ** (j + 1))
-        np.testing.assert_allclose(
-            _kernels.apply_b1(n, j, f1, v1),
-            _kernels.apply_b1_numpy(n, j, f1, v1), rtol=1e-13, atol=1e-13)
+def test_monomial_basis_slots_and_classes():
+    for n, order in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+        basis = monomial_basis(n, order)
+        offsets = block_offsets(n, order)
+        assert basis.offsets[-1] == sum(math.comb(n + j - 1, j)
+                                        for j in range(1, order + 1))
+        for mono, count in enumerate(basis.counts):
+            j = int(count.sum())
+            assert basis.offsets[j - 1] <= mono < basis.offsets[j]
+            assert basis.slots[mono] == offsets[j - 1] + cf.canonical_slot(count)
+            if j > 1:
+                # the canonical slot is the parent's followed by one digit
+                parent = basis.parent[mono]
+                assert basis.slots[mono] - offsets[j - 1] == n * (
+                    basis.slots[parent] - offsets[j - 2]) + basis.symbol[mono]
+            if j < order:
+                for s in range(n):
+                    up = basis.up[mono, s]
+                    np.testing.assert_array_equal(basis.counts[up],
+                                                  count + np.eye(n, dtype=int)[s])
+        for j in range(1, order + 1):
+            codec = cf.MultiIndexCodec(n=n, k=j)
+            for idx in range(n ** j):
+                mono = basis.classes[offsets[j - 1] + idx]
+                assert tuple(basis.counts[mono]) == cf.tensor_to_count(codec, idx)
 
 
-def test_backend_flag_exposed():
-    assert _kernels.BACKEND in ("numba", "numpy")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_monomial_generator_and_step_match_tensor(n, order, seed):
+    # the gate for stepping in monomial coordinates: expanded, the sparse
+    # generator and one Taylor step equal the dense tensor operators
+    rng = np.random.default_rng(seed)
+    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
+                             f1=complex_uniform(rng, (n, n)))
+    x = complex_uniform(rng, op.monomial_size)
+    tensor = op.expand(x).vector
+    dense = cf.dense_LN(op)
+    expected = dense @ tensor
+    got = op.expand(cf.apply_LN(op, x)).vector
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    cfg = cf.TaylorConfig(m=1, h=0.5 / max(cf.op_norm(dense, 2), 1e-3), k=6)
+    expected = dense_Vk(op, cfg) @ tensor
+    got = op.expand(cf.apply_Vk(op, cfg, x)).vector
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    assert op.tensor_norm(x) == pytest.approx(np.linalg.norm(tensor), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_lift_point_is_bitwise_symmetric(n, order, seed):
+    rng = np.random.default_rng(seed)
+    state = cf.lift_point(complex_uniform(rng, n), order)
+    basis = monomial_basis(n, order)
+    symmetric = state.vector[basis.slots][basis.classes]
+    assert state.vector.tobytes() == symmetric.tobytes()
 
 
 def test_dense_budget_env_override(monkeypatch):

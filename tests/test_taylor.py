@@ -5,7 +5,6 @@ import pytest
 
 import carleman_fourier as cf
 from carleman_fourier.errors import ConfigError, DivergenceError
-from carleman_fourier.linearize import total_size
 from carleman_fourier.taylor import dense_Vk, step_count_for
 
 from conftest import complex_uniform, make_rescaled
@@ -21,9 +20,9 @@ def stable_operator(rng, n, order, r_target=0.5):
 def test_apply_vk_zero_operator(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=1, h=0.3, k=6)
-    v = cf.LiftedState(2, 2, complex_uniform(rng, 6))
-    out = cf.apply_Vk(op, cfg, v)
-    np.testing.assert_allclose(out.vector, v.vector, atol=1e-15)
+    x = complex_uniform(rng, op.monomial_size)
+    out = cf.apply_Vk(op, cfg, x)
+    np.testing.assert_allclose(out, x, atol=1e-15)
 
 
 def test_apply_vk_scalar_exponential(rng):
@@ -31,32 +30,28 @@ def test_apply_vk_scalar_exponential(rng):
     op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
     h = 0.37
     cfg = cf.TaylorConfig(m=1, h=h, k=20)
-    v = cf.LiftedState(1, 1, [1.0 + 0.5j])
-    out = cf.apply_Vk(op, cfg, v)
-    expected = np.exp(1j * f0 * h) * v.blocks[0]
-    np.testing.assert_allclose(out.blocks[0], expected, rtol=1e-14)
+    x = np.array([1.0 + 0.5j])
+    out = cf.apply_Vk(op, cfg, x)
+    expected = np.exp(1j * f0 * h) * x
+    np.testing.assert_allclose(out, expected, rtol=1e-14)
 
 
 def test_apply_vk_first_order(rng):
     rp, op = stable_operator(rng, 2, 3)
     cfg = cf.TaylorConfig(m=1, h=0.2, k=1)
-    v = cf.lift_initial(rp, 3)
-    lv = cf.apply_LN(op, v)
-    out = cf.apply_Vk(op, cfg, v)
-    for j in range(3):
-        np.testing.assert_allclose(out.blocks[j],
-                                   v.blocks[j] + 0.2 * lv.blocks[j],
-                                   rtol=1e-14)
+    x = op.monomials(cf.lift_initial(rp, 3))
+    lx = cf.apply_LN(op, x)
+    out = cf.apply_Vk(op, cfg, x)
+    np.testing.assert_allclose(out, x + 0.2 * lx, rtol=1e-14)
 
 
 def test_apply_vk_matches_dense_polynomial(rng):
     rp, op = stable_operator(rng, 2, 4)
     cfg = cf.TaylorConfig(m=1, h=0.15, k=7)
     dense = dense_Vk(op, cfg)
-    v = complex_uniform(rng, total_size(2, 4))
-    state = cf.LiftedState(2, 4, v)
-    np.testing.assert_allclose(cf.apply_Vk(op, cfg, state).vector,
-                               dense @ v, rtol=1e-13, atol=1e-13)
+    x = complex_uniform(rng, op.monomial_size)
+    np.testing.assert_allclose(op.expand(cf.apply_Vk(op, cfg, x)).vector,
+                               dense @ op.expand(x).vector, rtol=1e-13, atol=1e-13)
 
 
 # -------------------------------------------------------------- forward_solve
@@ -64,7 +59,7 @@ def test_apply_vk_matches_dense_polynomial(rng):
 def test_forward_solve_identity_when_l_zero(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=5, h=0.1, k=4)
-    v = cf.LiftedState(2, 2, complex_uniform(rng, 6))
+    v = op.expand(complex_uniform(rng, op.monomial_size))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
     for phi in res.phis:
@@ -76,7 +71,7 @@ def test_forward_solve_single_step(rng):
     cfg = cf.TaylorConfig(m=1, h=0.25, k=8)
     psi0 = cf.lift_initial(rp, 3)
     res = cf.forward_solve(op, cfg, psi0)
-    ref = cf.apply_Vk(op, cfg, psi0)
+    ref = op.expand(cf.apply_Vk(op, cfg, op.monomials(psi0)))
     np.testing.assert_allclose(res.final.vector, ref.vector,
                                rtol=1e-14)
 
@@ -108,8 +103,29 @@ def test_forward_solve_leaves_inputs_and_history_unchanged(rng):
     assert res.phis[0].vector.tobytes() == before
     assert not np.shares_memory(res.phis[0].vector, psi0.vector)
     for j in range(cfg.m):
-        step = cf.apply_Vk(op, cfg, res.phis[j])
+        step = op.expand(cf.apply_Vk(op, cfg, op.monomials(res.phis[j])))
         assert step.vector.tobytes() == res.phis[j + 1].vector.tobytes()
+
+
+def test_forward_solve_refuses_non_symmetric_psi0(rng):
+    rp, op = stable_operator(rng, 2, 3)
+    cfg = cf.TaylorConfig(m=2, h=0.1, k=4)
+    psi0 = cf.lift_initial(rp, 3)
+    # tensor slots 1 and 2 of block 2 (digit strings 01 and 10) share a count
+    psi0.vector[2 + 2] *= 1 + 1e-15
+    assert psi0.vector[2 + 2] != psi0.vector[2 + 1]
+    with pytest.raises(ConfigError):
+        cf.forward_solve(op, cfg, psi0)
+    with pytest.raises(ConfigError):
+        cf.forward_solve(op, cfg, cf.LiftedState(2, 3, complex_uniform(rng, 14)))
+
+
+def test_forward_solve_counts_generator_applies(rng):
+    rp, op = stable_operator(rng, 2, 3)
+    cfg = cf.TaylorConfig(m=3, h=0.1, k=5)
+    psi0 = cf.lift_initial(rp, 3)
+    assert cf.forward_solve(op, cfg, psi0).generator_applies == 30
+    assert cf.forward_solve(op, cfg, psi0, verify=False).generator_applies == 15
 
 
 def test_forward_solve_residual_small(rng):
@@ -211,7 +227,7 @@ def test_remainder_shrinks_with_k(rng):
     psi0 = cf.lift_initial(rp, 3)
     for k in (2, 4, 8, 12):
         cfg = cf.TaylorConfig(m=1, h=h, k=k)
-        err = np.linalg.norm(cf.apply_Vk(op, cfg, psi0).vector
+        err = np.linalg.norm(op.expand(cf.apply_Vk(op, cfg, op.monomials(psi0))).vector
                              - exact @ psi0.vector)
         if prev is not None:
             assert err <= prev + 1e-15
