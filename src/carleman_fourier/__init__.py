@@ -24,7 +24,8 @@ from .norms import (GrowthEnvelope, NormKind, conjugate_exponent, gamma_growth_b
                     growth_envelope, log_norm_2, matrix_exp, expm_at, op_norm,
                     row_q_norm, vector_p_norm)
 from .oracle import (Trajectory, closed_form_1d, exact_lifted, integrate,
-                     measure_eta, measure_eta_vector, propagate_dense)
+                     measure_eta, measure_eta_vector, propagate,
+                     propagate_dense)
 from .params import (ErrorBudget, ParamSet, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import (FourierOde, MultiIndexCodec, ReadoutSpec,

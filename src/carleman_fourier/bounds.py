@@ -241,6 +241,7 @@ def t_max_nondissipative(rescaled: RescaledProblem, r: float, p: float,
             f"t_max_nondissipative: nu = {nu} does not exceed "
             f"r ||e^(i u0)||_p = {r * eiu0_p}"
         )
-    first = math.log(ratio) / (max(alpha, f1_row_q) * (1.0 + 1.0 / r))
+    rate = max(alpha, f1_row_q) * (1.0 + 1.0 / r)
+    first = math.log(ratio) / rate if rate > 0 else math.inf
     second = math.log(r / E) / (alpha + f1_row_q) if alpha + f1_row_q > 0 else math.inf
     return min(first, second)

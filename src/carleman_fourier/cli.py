@@ -19,6 +19,7 @@ violation, 4 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -32,9 +33,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import CflError, ConfigError, HypothesisViolation
-from .linearize import LinearOperatorLN, dense_LN, dense_budget, lift_initial, total_size
+from .linearize import (LinearOperatorLN, dense_LN, dense_budget, lift_initial,
+                        size_within)
 from .norms import op_norm, vector_p_norm
-from .oracle import integrate, propagate_dense
+from .oracle import integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import FourierOde, ReadoutSpec, eval_readout, expand_coeff_vector, rescale
@@ -43,9 +45,10 @@ from .taylor import TaylorConfig, forward_solve, readout_value
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
 OVERRIDE_KEYS = ("N", "k", "m", "nu")
 
-# automatic dense diagnostics (lifting/Taylor error split, eta measurement)
-# stay below this size even when CFL_DENSE_BUDGET allows more: the dense
-# exponential grows cubically and would dominate every solve and sweep row
+# the Koopman/Taylor error split and eta measurement of solve and sweep, and
+# the 2-norm check of estimate, run only up to this tensor size, even when
+# CFL_DENSE_BUDGET allows more.  The split itself exponentiates the much
+# smaller monomial generator; the cap keeps it on the same runs as before.
 DIAG_DENSE_CAP = 1024
 
 
@@ -111,7 +114,7 @@ def _complex_array(data, where: str) -> np.ndarray:
             if data and isinstance(data[0][0], (list, tuple))
             else [_complex_from(v, where) for v in data]
         )
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, KeyError, ValueError) as exc:
         raise ConfigError(f"{where}: malformed complex array") from exc
     return arr
 
@@ -124,10 +127,16 @@ def load_config(path) -> dict:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     for section in ("ode", "readout", "run"):
         if section not in raw:
             raise ConfigError(f"config is missing the {section!r} section")
-    raw.setdefault("overrides", {})
+    if raw.get("overrides") is None:
+        raw["overrides"] = {}
+    for section in ("ode", "readout", "run", "overrides"):
+        if not isinstance(raw[section], dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     raw["_digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
     raw["_path"] = str(path)
     return raw
@@ -135,10 +144,7 @@ def load_config(path) -> dict:
 
 def parse_ode(cfg: dict) -> FourierOde:
     ode = cfg["ode"]
-    try:
-        n = int(ode["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("ode.n must be an integer") from exc
+    n = _integer(ode.get("n"), "ode.n")
     g0 = _complex_array(ode.get("g0"), "ode.g0")
     g1 = _complex_array(ode.get("g1"), "ode.g1")
     u0 = _complex_array(ode.get("u0"), "ode.u0")
@@ -147,19 +153,16 @@ def parse_ode(cfg: dict) -> FourierOde:
 
 def parse_readout(cfg: dict) -> ReadoutSpec:
     ro = cfg["readout"]
-    try:
-        degree = int(ro["K"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("readout.K must be an integer") from exc
+    degree = _integer(ro.get("K"), "readout.K")
     entries = ro.get("coeffs")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("readout.coeffs must be a non-empty list")
     coeffs = {}
     for item in entries:
         try:
-            key = tuple(int(v) for v in item["j"])
+            key = tuple(_integer(v, "readout.coeffs[].j") for v in item["j"])
             val = _complex_from(item["d"], "readout.coeffs[].d")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(
                 "each readout coefficient needs a multi-index 'j' and value 'd'"
             ) from exc
@@ -228,19 +231,32 @@ def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   if bounds_mod.check_dissipative(ode, run["p"]).dissipative
                   else "nondissipative")
     ps = select_regime(ode, readout, run, regime)
-    return apply_overrides(ps, overrides, readout)
+    with _float_range("parameter overrides"):
+        return apply_overrides(ps, overrides, readout)
 
 
 def select_regime(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   regime: str) -> ParamSet:
     """The parameter recipe of one regime, fed from the run section."""
-    if regime == "dissipative":
-        return select_dissipative(ode, readout, run["epsilon"], run["T"],
-                                  p=run["p"], alpha=run["alpha"],
-                                  beta=run["beta"])
-    return select_nondissipative(ode, readout, run["epsilon"], run["T"],
-                                 p=run["p"], alpha=run["alpha"],
-                                 beta=run["beta"], r=run["r"], nu=run["nu"])
+    with _float_range(f"{regime} parameter selection"):
+        if regime == "dissipative":
+            return select_dissipative(ode, readout, run["epsilon"], run["T"],
+                                      p=run["p"], alpha=run["alpha"],
+                                      beta=run["beta"])
+        return select_nondissipative(ode, readout, run["epsilon"], run["T"],
+                                     p=run["p"], alpha=run["alpha"],
+                                     beta=run["beta"], r=run["r"], nu=run["nu"])
+
+
+@contextlib.contextmanager
+def _float_range(layer: str):
+    """An overflow, a division by zero or a NaN cast to int inside `layer`
+    becomes a ConfigError naming it: the problem's numbers leave the double
+    range there (a coupling of 1e-300 pins nu near 1e300, say)."""
+    try:
+        yield
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"{layer}: a number left the floating-point range: {exc}") from exc
 
 
 def _override_value(key: str, value):
@@ -320,11 +336,9 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
 
     total_error = abs(estimate - reference)
     koopman_err = taylor_err = psi_lin = None
-    dense_ok = total_size(op.n, ps.order) <= diag_dense_cap()
-    if dense_ok:
+    if op.size <= diag_dense_cap():
         t0 = time.perf_counter()
-        dense = dense_LN(op)
-        psi_lin = propagate_dense(dense, psi0, run["T"])
+        psi_lin = propagate(op, psi0, run["T"])
         lin_readout = 0j
         for level, coeffs in enumerate(coeff_blocks):
             lin_readout += np.dot(coeffs, psi_lin.blocks[level])
@@ -348,7 +362,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         },
         "oracle_global_error": traj.est_global_error,
         "trajectory": traj,
-        "psi_lin": psi_lin,  # exp(L T) psi0 from the dense path, None above the cap
+        "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
         "timings": timings,
         "rescaled": rescaled,
         "operator": op,
@@ -389,7 +403,8 @@ def cmd_solve(args) -> int:
 
     resource = None
     try:
-        resource = estimator_mod.query_counts(ps)
+        with _float_range("resource estimate"):
+            resource = estimator_mod.query_counts(ps)
     except CflError:
         pass
     budget = None
@@ -422,8 +437,8 @@ def cmd_solve(args) -> int:
         "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                     default=_json_default))
+    _write_output(outdir / "manifest.json",
+                  json.dumps(manifest, indent=2, default=_json_default))
     columns = [
         ("regime", ps.regime),
         ("N", ps.order), ("k", ps.taylor_order), ("m", ps.steps),
@@ -446,7 +461,7 @@ def cmd_solve(args) -> int:
                         else getattr(resource, name)))
     header = ",".join(name for name, _ in columns)
     row = ",".join(fmt(value) for _, value in columns)
-    (outdir / "result.csv").write_text(header + "\n" + row + "\n")
+    _write_output(outdir / "result.csv", header + "\n" + row + "\n")
     print(f"estimate = {outcome['estimate']:.12g}, "
           f"reference = {outcome['reference']:.12g}, "
           f"|error| = {outcome['total_error']:.3e} "
@@ -494,7 +509,7 @@ def cmd_sweep(args) -> int:
             else:
                 rendered.append(fmt(val))
         lines.append(",".join(rendered))
-    (outdir / "result.csv").write_text("\n".join(lines) + "\n")
+    _write_output(outdir / "result.csv", "\n".join(lines) + "\n")
     print(f"wrote {outdir / 'result.csv'} ({len(rows)} rows)")
     return 0
 
@@ -546,12 +561,13 @@ def cmd_estimate(args) -> int:
     for regime in ("dissipative", "nondissipative"):
         try:
             ps = select_regime(ode, readout, run, regime)
-            resource = estimator_mod.query_counts(
-                ps, improved_encoding=args.improved_encoding)
+            with _float_range("resource estimate"):
+                resource = estimator_mod.query_counts(
+                    ps, improved_encoding=args.improved_encoding)
             entry = {"params": ps.as_dict(),
                      "resource_estimate": resource.as_dict()}
             # dense diagnostic: the encoding factor must dominate ||L||_2
-            if total_size(ode.n, ps.order) <= diag_dense_cap():
+            if size_within(ode.n, ps.order, diag_dense_cap()):
                 rescaled = rescale(ode, readout, ps.nu)
                 op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
                 norm2 = op_norm(dense_LN(op), 2)
@@ -578,7 +594,7 @@ def cmd_estimate(args) -> int:
     text = json.dumps(out, indent=2, default=_json_default)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "estimate.json").write_text(text)
+    _write_output(outdir / "estimate.json", text)
     print(text)
     if produced == 0:
         raise HypothesisViolation("no regime admits this problem; see output")
@@ -602,13 +618,26 @@ def cmd_oracle(args) -> int:
         for val in state:
             cells += [fmt(val.real), fmt(val.imag)]
         lines.append(",".join(cells))
-    (outdir / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    _write_output(outdir / "trajectory.csv", "\n".join(lines) + "\n")
     print(f"wrote {outdir / 'trajectory.csv'} "
           f"(est. global error {traj.est_global_error:.3e})")
     return 0
 
 
 # ------------------------------------------------------------------ plumbing
+
+def _write_output(path: Path, text: str) -> None:
+    """Write text to a new file at path, removing any old one first.
+
+    Rewriting a file whose data already sits on disk in place can cost tens
+    of milliseconds on some file systems (ext4 mounted with discard), where
+    creating a file costs well under one.  After a crash the output may be
+    missing rather than stale, and a symlink at path is replaced, not
+    written through.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
 
 def _json_default(obj):
     if isinstance(obj, (np.integer,)):

@@ -66,6 +66,20 @@ def total_size(n: int, order: int) -> int:
     return block_offsets(n, order)[-1]
 
 
+def size_within(n: int, order: int, cap: int) -> bool:
+    """total_size(n, order) <= cap, decided without forming n^N, so that an
+    order picked by a parameter recipe can be checked however large it is."""
+    if n == 1 or order > cap:  # every block holds at least one entry
+        return order <= cap
+    total, block = 0, 1
+    for _ in range(order):
+        block *= n
+        total += block
+        if total > cap:
+            return False
+    return True
+
+
 @dataclass
 class LiftedState:
     """Blocks Psi_j in C^{n^j}, j = 1..N, in tensor enumeration, stored back
@@ -188,10 +202,10 @@ def lift_initial(rescaled: RescaledProblem, order: int,
     if order < 1:
         raise ConfigError("lift_initial: order must be >= 1")
     n = rescaled.n
-    if total_size(n, order) > state_budget:
+    if not size_within(n, order, state_budget):
         raise BudgetError(
-            f"lift_initial: state size {total_size(n, order)} exceeds "
-            f"budget {state_budget}"
+            f"lift_initial: the state of n={n}, N={order} exceeds the "
+            f"budget of {state_budget} entries"
         )
     return lift_point(rescaled.w0, order)
 
@@ -276,6 +290,12 @@ class LinearOperatorLN:
             raise ConfigError("LinearOperatorLN: order must be >= 1")
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
+        # the layout maps below hold one entry per tensor slot
+        if not size_within(self.n, self.order, DEFAULT_STATE_BUDGET):
+            raise BudgetError(
+                f"LinearOperatorLN: the state of n={self.n}, N={self.order} "
+                f"exceeds the budget of {DEFAULT_STATE_BUDGET} entries"
+            )
         basis = monomial_basis(self.n, self.order)
         self.classes, self.slots = basis.classes, basis.slots
         # multinom(j; c): the number of tensor slots of count c

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DivergenceError
-from .linearize import LiftedState, lift_point
+from .linearize import LiftedState, LinearOperatorLN, lift_point
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
 
@@ -152,7 +152,7 @@ def measure_eta(traj: Trajectory, truncated, k: int, t: float,
 
     `truncated` is the lifted state of the *truncated linear* system at time
     t.  Pass a LiftedState obtained from the dense exponential of the
-    truncated generator (see propagate_dense) to isolate the lifting
+    truncated generator (see propagate) to isolate the lifting
     truncation error from time-stepping error; a SolveResult folds Taylor
     error in as well (t must then sit on the step grid).
     """
@@ -173,8 +173,19 @@ def measure_eta_vector(traj: Trajectory, truncated, t: float,
 
 
 def propagate_dense(dense_l: np.ndarray, psi0: LiftedState, t: float) -> LiftedState:
-    """exp(L t) psi0 through the dense exponential (time-split to respect
-    the matrix_exp accuracy cap)."""
+    """exp(L t) psi0 through the dense exponential of the tensor matrix
+    dense_l (time-split to respect the matrix_exp accuracy cap); the
+    reference that propagate is checked against."""
     from .norms import expm_at
 
     return LiftedState(psi0.n, psi0.order, expm_at(dense_l, t) @ psi0.vector)
+
+
+def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:
+    """exp(L t) psi0 on monomial coordinates: the dense exponential of the
+    sparse monomial generator (sum_j C(n+j-1, j) rows instead of the
+    sum_j n^j of dense_LN), applied to the monomials of the symmetric psi0
+    and expanded back to a tensor state."""
+    from .norms import expm_at
+
+    return op.expand(expm_at(op.generator.toarray(), t) @ op.monomials(psi0))

@@ -53,23 +53,26 @@ class TaylorConfig:
 
 @dataclass
 class SolveResult:
-    """History Phi_0..Phi_m, the verified system residual, the number of
-    generator applies spent and the readout."""
+    """History Phi_0..Phi_m in monomial coordinates (row j holds step j of
+    the operator's basis), the verified system residual, the number of
+    generator applies spent and the readout.  Tensor states are expanded on
+    demand, one row at a time."""
 
     config: TaylorConfig
-    phis: list
+    operator: LinearOperatorLN
+    history: np.ndarray  # (m + 1, operator.monomial_size)
     residual: float
     generator_applies: int = 0
     readout_value: complex | None = None
 
     @property
     def final(self) -> LiftedState:
-        return self.phis[-1]
+        return self.operator.expand(self.history[-1])
 
     def state_at_step(self, j: int) -> LiftedState:
         if not 0 <= j <= self.config.m:
             raise ConfigError(f"step {j} outside 0..{self.config.m}")
-        return self.phis[j]
+        return self.operator.expand(self.history[j])
 
 
 def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarray:
@@ -105,11 +108,11 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j.
 
     psi0 must be a symmetric tensor (a lifted point is one), since stepping
-    runs on its monomial coordinates; every step is expanded back to a
-    tensor state.  Any non-finite intermediate aborts with the first
-    offending step.  When verify is set, each step is re-evaluated with a
-    different summation order and the worst relative discrepancy, in the
-    tensor 2-norm, is reported as the residual.
+    runs on its monomial coordinates; the history stays in them.  Any
+    non-finite intermediate aborts with the first offending step.  When
+    verify is set, each step is re-evaluated with a different summation
+    order and the worst relative discrepancy, in the tensor 2-norm, is
+    reported as the residual.
     """
     if psi0.order != op.order or psi0.n != op.n:
         raise ConfigError("forward_solve: state and operator shapes differ")
@@ -144,8 +147,8 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
         history[j + 1] = nxt
-    phis = [LiftedState(op.n, op.order, row) for row in history[:, op.classes]]
-    return SolveResult(config=cfg, phis=phis, residual=residual,
+    return SolveResult(config=cfg, operator=op, history=history,
+                       residual=residual,
                        generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 
 

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carleman_fourier as cf
@@ -67,6 +68,46 @@ def test_solve_is_bitwise_deterministic(tmp_path):
             (out_b / "result.csv").read_bytes()
 
 
+def test_second_solve_into_the_same_out_matches_the_first(tmp_path):
+    # outputs are written to fresh files; a rerun leaves the same bytes
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path) == 0
+    csv_a = (tmp_path / "result.csv").read_bytes()
+    manifest_a = json.loads((tmp_path / "manifest.json").read_text())
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path) == 0
+    assert (tmp_path / "result.csv").read_bytes() == csv_a
+    manifest_b = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest_a["wall_times_s"], manifest_b["wall_times_s"]
+    assert manifest_b == manifest_a
+
+
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_pipeline_error_split_matches_the_tensor_path(name, monkeypatch):
+    # run_pipeline exponentiates the monomial generator and builds no dense
+    # tensor matrix; the test recomputes the split with that matrix
+    import carleman_fourier.linearize as linearize
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense_LN called")
+
+    cfg = cli.load_config(CONFIGS / f"{name}.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
+    monkeypatch.setattr(cli, "dense_LN", refuse)
+    monkeypatch.setattr(linearize, "dense_LN", refuse)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    monkeypatch.undo()
+    rescaled = outcome["rescaled"]
+    psi_lin = cf.propagate_dense(cf.dense_LN(outcome["operator"]),
+                                 cf.lift_initial(rescaled, ps.order), run["T"])
+    coeffs = cf.expand_coeff_vector(readout, rescaled, ps.order)
+    lin_readout = sum(np.dot(c, b) for c, b in zip(coeffs, psi_lin.blocks))
+    assert abs(outcome["koopman_error"]
+               - abs(lin_readout - outcome["reference"])) <= 1e-13
+    assert abs(outcome["taylor_error"]
+               - abs(outcome["estimate"] - lin_readout)) <= 1e-13
+
+
 def test_solve_respects_param_overrides(tmp_path):
     code = run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path,
                    "--param-overrides", "N=4,k=12")
@@ -128,6 +169,50 @@ def test_malformed_numbers_exit_2_with_one_json_error(tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+def _scalar(g0, g1, u0, coeffs, run):
+    return {"ode": {"n": 1, "g0": [g0], "g1": [[g1]], "u0": [u0]},
+            "readout": {"K": 2, "coeffs": [{"j": [j], "d": d} for j, d in coeffs]},
+            "run": run}
+
+
+# inputs that ended in a traceback before the config fuzz test found them
+@pytest.mark.parametrize("document,code", [
+    ("null", 2),
+    (dict(json.loads((CONFIGS / "dissipative_n2.json").read_text()), run=math.nan), 2),
+    (_scalar({}, [0.1, 0], [0, 0], [(1, [1, 0])], {"T": 0.1}), 2),
+    ({"ode": {"n": 2, "g0": [[0, 1], [0, 1]], "g1": [[[0, 0], [0, 0]], []],
+              "u0": [[0, 0], [0, 0]]},
+      "readout": {"K": 1, "coeffs": [{"j": [1, 0], "d": [1, 0]}]},
+      "run": {"T": 0.1}}, 2),
+    (_scalar([0, 1], [0.1, 0], [0, 0], [(-math.inf, [1, 0])], {"T": 0.1}), 2),
+    # no dynamics at all: the admissible window is unbounded, not 0/0
+    (_scalar([0, 0], [0, 0], [0, 0], [(1, [0, 0])], {"T": 0.25, "epsilon": 0.1}), 2),
+    # a coupling of 1e-216 pins nu near 1e205, so nu^K overflows
+    (_scalar([0, 1e-11], [0, 3e-216], [0, 0], [(1, [-0.86, 0])],
+             {"T": 0.28, "regime": "dissipative"}), 2),
+    # the resource estimate overflows; the solve goes on without it
+    (_scalar([0, 0], [1.6e-251, 0], [0, 0], [(2, [1.2e-75, 0]), (1, [0, 0])],
+             {"T": 0.01, "epsilon": 0.1}), 0),
+    # a recipe order far above the state budget
+    (dict(json.loads((CONFIGS / "dissipative_n2.json").read_text()),
+          overrides={"N": 10 ** 11}), 2),
+], ids=["top-level-null", "run-not-object", "g0-object-entry", "g1-ragged",
+        "j-infinite", "zero-problem", "tiny-coupling", "estimate-overflow",
+        "order-above-budget"])
+def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document, code):
+    path = tmp_path / "case.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    capsys.readouterr()
+    assert run_cli("solve", path, "--out", tmp_path / "out") == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code == 0:
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["resource_estimate"] is None
+    else:
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] in ("ConfigError", "BudgetError")
 
 
 def test_solve_hypothesis_violation_exit_3(tmp_path):

@@ -1,13 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carleman_fourier as cf
+from carleman_fourier import cli
 from carleman_fourier.errors import ConfigError, DivergenceError
 
 from conftest import (complex_uniform, make_nondissipative_rescaled,
                       make_rescaled)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+BUNDLED = sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
 
 
 # ---------------------------------------------------------------- integrate
@@ -229,3 +236,38 @@ def test_measure_eta_accepts_solve_result(rng):
     assert via_solve == pytest.approx(via_dense, rel=1e-6)
     with pytest.raises(ConfigError):
         cf.measure_eta(traj, res, 1, 0.55 * horizon, 2)  # off the step grid
+
+
+# ---------------------------------------------------------------- propagate
+
+def _relative_gap(got, expected):
+    return np.linalg.norm(got.vector - expected.vector) / np.linalg.norm(expected.vector)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_propagate_matches_dense_tensor_path(n, order, seed):
+    # the gate for the Koopman/Taylor split on monomial coordinates: the
+    # exponential of the sparse generator, expanded, equals the exponential
+    # of the dense tensor matrix applied to the lifted point
+    rng = np.random.default_rng(seed)
+    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
+                             f1=complex_uniform(rng, (n, n)))
+    psi0 = cf.lift_point(complex_uniform(rng, n, scale=0.7), order)
+    t = float(rng.uniform(0.0, 1.0))
+    got = cf.propagate(op, psi0, t)
+    expected = cf.propagate_dense(cf.dense_LN(op), psi0, t)
+    assert _relative_gap(got, expected) <= 1e-13
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_propagate_matches_dense_tensor_path_on_configs(name):
+    cfg = cli.load_config(CONFIG_DIR / f"{name}.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
+    rescaled = cf.rescale(ode, readout, ps.nu)
+    op = cf.LinearOperatorLN.from_rescaled(rescaled, ps.order)
+    psi0 = cf.lift_initial(rescaled, ps.order)
+    got = cf.propagate(op, psi0, run["T"])
+    expected = cf.propagate_dense(cf.dense_LN(op), psi0, run["T"])
+    assert _relative_gap(got, expected) <= 1e-13

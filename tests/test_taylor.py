@@ -62,8 +62,9 @@ def test_forward_solve_identity_when_l_zero(rng):
     v = op.expand(complex_uniform(rng, op.monomial_size))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
-    for phi in res.phis:
-        np.testing.assert_allclose(phi.vector, v.vector, atol=1e-15)
+    for j in range(cfg.m + 1):
+        np.testing.assert_allclose(res.state_at_step(j).vector, v.vector,
+                                   atol=1e-15)
 
 
 def test_forward_solve_single_step(rng):
@@ -87,7 +88,7 @@ def test_forward_solve_tracks_dense_exponential(rng):
     env = cf.growth_envelope(dense, horizon, 9)
     for j in (1, m // 2, m):
         exact = cf.expm_at(dense, j * cfg.h) @ psi0.vector
-        err = np.linalg.norm(res.phis[j].vector - exact)
+        err = np.linalg.norm(res.state_at_step(j).vector - exact)
         cap = cf.taylor_truncation_bound(j, k, env.envelope, psi0.norm(2))
         assert err <= cap + 1e-12
 
@@ -100,11 +101,27 @@ def test_forward_solve_leaves_inputs_and_history_unchanged(rng):
     before = psi0.vector.tobytes()
     res = cf.forward_solve(op, cfg, psi0)
     assert psi0.vector.tobytes() == before
-    assert res.phis[0].vector.tobytes() == before
-    assert not np.shares_memory(res.phis[0].vector, psi0.vector)
+    assert res.state_at_step(0).vector.tobytes() == before
+    assert not np.shares_memory(res.history, psi0.vector)
     for j in range(cfg.m):
-        step = op.expand(cf.apply_Vk(op, cfg, op.monomials(res.phis[j])))
-        assert step.vector.tobytes() == res.phis[j + 1].vector.tobytes()
+        step = op.expand(cf.apply_Vk(op, cfg, op.monomials(res.state_at_step(j))))
+        assert step.vector.tobytes() == res.state_at_step(j + 1).vector.tobytes()
+
+
+def test_forward_solve_keeps_history_in_monomials(rng):
+    rp, op = stable_operator(rng, 2, 3)
+    cfg = cf.TaylorConfig(m=4, h=0.2, k=6)
+    psi0 = cf.lift_initial(rp, 3)
+    res = cf.forward_solve(op, cfg, psi0)
+    # 9 monomials per step instead of 14 tensor entries
+    assert res.history.shape == (cfg.m + 1, op.monomial_size) == (5, 9)
+    assert res.operator is op
+    for j in range(cfg.m + 1):
+        assert res.state_at_step(j).vector.tobytes() == \
+            res.history[j][op.classes].tobytes()
+    assert res.final.vector.tobytes() == res.state_at_step(cfg.m).vector.tobytes()
+    with pytest.raises(ConfigError):
+        res.state_at_step(cfg.m + 1)
 
 
 def test_forward_solve_refuses_non_symmetric_psi0(rng):
