@@ -321,7 +321,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
     op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
-    psi0 = lift_initial(rescaled, ps.order)
+    psi0 = lift_initial(rescaled, ps.order, op=op)
     coeff_blocks = expand_coeff_vector(readout, rescaled, ps.order)
     cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
     result = forward_solve(op, cfg, psi0)

@@ -24,6 +24,7 @@ Dense assembly is a test/diagnostic path guarded by a size budget
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -196,9 +197,10 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
 
 
 def lift_initial(rescaled: RescaledProblem, order: int,
-                 state_budget: int = DEFAULT_STATE_BUDGET) -> LiftedState:
+                 state_budget: int = DEFAULT_STATE_BUDGET,
+                 op: LinearOperatorLN | None = None) -> LiftedState:
     """Initial lifted state: block j is the j-th Kronecker power of w0
-    (leftmost factor most significant)."""
+    (leftmost factor most significant).  See lift_point for `op`."""
     if order < 1:
         raise ConfigError("lift_initial: order must be >= 1")
     n = rescaled.n
@@ -207,21 +209,38 @@ def lift_initial(rescaled: RescaledProblem, order: int,
             f"lift_initial: the state of n={n}, N={order} exceeds the "
             f"budget of {state_budget} entries"
         )
-    return lift_point(rescaled.w0, order)
+    return lift_point(rescaled.w0, order, op)
 
 
-def lift_point(w: np.ndarray, order: int) -> LiftedState:
+def lift_point(w: np.ndarray, order: int,
+               op: LinearOperatorLN | None = None) -> LiftedState:
     """Lift an arbitrary point w = e^{ix} (tensor powers of w).  Each
     monomial w^c is computed once, as the Kronecker product does at its
     canonical slot, and copied to every slot of count c, so the state is
-    exactly symmetric."""
+    exactly symmetric.  The layout maps `slots` and `classes` are those of
+    `op`, an operator of the same n and N, or of monomial_basis(n, N) built
+    here."""
     w = np.asarray(w, dtype=complex).ravel()
-    basis = monomial_basis(w.shape[0], order)
-    mono = np.empty(basis.offsets[-1], dtype=complex)
-    mono[:basis.offsets[1]] = w
-    for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
-        mono[lo:hi] = mono[basis.parent[lo:hi]] * w[basis.symbol[lo:hi]]
-    return LiftedState(w.shape[0], order, mono[basis.classes])
+    n = w.shape[0]
+    if op is None:
+        basis = monomial_basis(n, order)
+        slots, classes = basis.slots, basis.classes
+    elif (op.n, op.order) == (n, order):
+        slots, classes = op.slots, op.classes
+    else:
+        raise ConfigError(f"lift_point: the operator is not one of n={n}, N={order}")
+    tensor_offsets = block_offsets(n, order)
+    mono = np.empty(slots.size, dtype=complex)
+    mono[:n] = w
+    lo = n
+    for j in range(2, order + 1):
+        hi = lo + math.comb(n + j - 1, j)
+        # the canonical slot of w^c is that of its parent w^(c - e_s)
+        # followed by digit s, the largest digit of the slot
+        parent, symbol = np.divmod(slots[lo:hi] - tensor_offsets[j - 1], n)
+        mono[lo:hi] = mono[classes[tensor_offsets[j - 2] + parent]] * w[symbol]
+        lo = hi
+    return LiftedState(n, order, mono[classes])
 
 
 def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:

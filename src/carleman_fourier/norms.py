@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError
 
@@ -136,6 +135,9 @@ def matrix_exp(a) -> np.ndarray:
             f"matrix_exp: ||A||_2 exceeds accuracy cap {EXPM_NORM_CAP}; "
             "split the time interval (see expm_at)"
         )
+    # imported here: the stepping path never needs scipy.linalg
+    import scipy.linalg
+
     return scipy.linalg.expm(a)
 
 

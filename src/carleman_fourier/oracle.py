@@ -1,11 +1,16 @@
 """Ground-truth solutions of the nonlinear ODE.
 
-The reference integrator is an embedded adaptive Runge-Kutta 5(4) pair on
-the complex vector field (scipy's RK45 with its 4th-order continuous
-extension for dense output).  A global-error estimate comes from a
-verification pass at a tolerance two orders tighter; when an oracle value
-backs a bound check, its error budget is therefore far below the bound
-under test.
+The reference integrator is the embedded adaptive Runge-Kutta 5(4) pair of
+Dormand and Prince on the complex vector field, with Shampine's 4th-order
+continuous extension for dense output.  It is implemented here, step for
+step as scipy.integrate's RK45 (the same tableau, starting step, step
+control and interpolant, in the same floating-point order), so its results
+are bitwise equal to solve_ivp(..., method="RK45"); the tests gate that
+against the installed scipy.  Keeping it in the package keeps
+scipy.integrate, and the optimizer and quadrature code it loads, off the
+import path.  A global-error estimate comes from a verification pass at a
+tolerance two orders tighter; when an oracle value backs a bound check, its
+error budget is therefore far below the bound under test.
 
 For n = 1 there is a closed form: with w = e^{ix} the equation becomes the
 Riccati-type dw/dt = i f0 w + i f1 w^2, and z = 1/w satisfies the linear
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, DivergenceError
 from .linearize import LiftedState, LinearOperatorLN, lift_point
@@ -55,6 +59,154 @@ class Trajectory:
         return np.asarray(self._interpolant(t), dtype=complex).ravel()
 
 
+# Dormand-Prince 5(4) tableau with Shampine's dense-output matrix P, as in
+# scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+# Shampine, Math. Comp. 46, 1986)
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error order 4 + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, y0, f0, t_bound, rtol, atol):
+    """Starting step for error order 4 (Hairer, Norsett & Wanner, Solving
+    ODEs I, Sec. II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    f1 = fun(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_bound)
+
+
+def _rk_step(fun, t, y, f, h, K):
+    """One Dormand-Prince step; the stages go into K, the last row holds
+    f(t + h, y_new)."""
+    K[0] = f
+    for s in range(1, 6):
+        dy = np.dot(K[:s].T, _A[s, :s]) * h
+        K[s] = fun(t + _C[s] * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, _B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+class _DenseOutput:
+    """Continuous extension of the accepted steps: the quartic interpolant
+    of the step that holds t (at a step boundary, the earlier step)."""
+
+    def __init__(self, ts: list, steps: list):
+        self.ts = np.asarray(ts)
+        self.steps = steps  # (t_old, h, y_old, Q) per accepted step
+
+    def __call__(self, t: float) -> np.ndarray:
+        i = np.searchsorted(self.ts, t, side="left")
+        t_old, h, y_old, q = self.steps[min(max(i - 1, 0), len(self.steps) - 1)]
+        y = h * np.dot(q, np.cumprod(np.tile((t - t_old) / h, 4)))
+        y += y_old
+        return y
+
+
+def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
+             t_eval: np.ndarray) -> tuple:
+    """Adaptive RK 5(4) from t = 0 to t_bound > 0 with rtol = atol = tol.
+    Returns the states at the increasing points t_eval, shape
+    (n, len(t_eval)), and the dense output over [0, t_bound].
+
+    One deliberate difference from scipy: a NaN step size (the field is
+    NaN at the start) is a step-size failure, where scipy never stops."""
+    rtol = atol = tol
+    if rtol < _RTOL_FLOOR:
+        rtol = _RTOL_FLOOR
+    t, y = 0.0, y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+    K = np.empty((7, y.size), dtype=complex)
+    ts, steps, outputs, next_eval = [t], [], [], 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also true for a NaN step
+                raise DivergenceError(
+                    f"integrate: step-size failure near t={t:g} (Required "
+                    "step size is less than spacing between numbers.); the "
+                    "solution likely blows up"
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        step = (t, h, y, K.T.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        steps.append(step)
+        # the points of t_eval up to and including t, from this step's
+        # interpolant evaluated on all of them at once
+        stop = np.searchsorted(t_eval, t, side="right")
+        if stop > next_eval:
+            t_old, h, y_old, q = step
+            x = (t_eval[next_eval:stop] - t_old) / h
+            out = h * np.dot(q, np.cumprod(np.tile(x, (4, 1)), axis=0))
+            out += y_old[:, None]
+            outputs.append(out)
+            next_eval = stop
+    return np.hstack(outputs), _DenseOutput(ts, steps)
+
+
 def _coefficients(problem) -> tuple:
     if isinstance(problem, RescaledProblem):
         return problem.f0, problem.f1, problem.x0
@@ -81,25 +233,14 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
         states = x0[None, :].copy()
         return Trajectory(times, states, tol, 0.0, _interpolant=lambda _t: x0)
 
+    horizon = float(horizon)
     t_eval = np.linspace(0.0, horizon, samples)
-    sols = []
+    coarse, _ = _dopri45(rhs, horizon, x0, tol, t_eval)
     # verification pass two orders tighter, floored at the solver's rtol cap
-    for pass_tol in (tol, max(tol * 1e-2, 2.3e-14)):
-        sol = solve_ivp(rhs, (0.0, horizon), x0, method="RK45",
-                        rtol=pass_tol, atol=pass_tol,
-                        dense_output=True, t_eval=t_eval)
-        if not sol.success:
-            reached = sol.t[-1] if sol.t.size else 0.0
-            raise DivergenceError(
-                f"integrate: step-size failure near t={reached:g} "
-                f"({sol.message}); the solution likely blows up"
-            )
-        sols.append(sol)
-    coarse, fine = sols
-    err = float(np.max(np.abs(coarse.y - fine.y)))
-    states = np.ascontiguousarray(fine.y.T)
-    return Trajectory(times=t_eval, states=states, tol=tol,
-                      est_global_error=err, _interpolant=fine.sol)
+    fine, dense = _dopri45(rhs, horizon, x0, max(tol * 1e-2, 2.3e-14), t_eval)
+    err = float(np.max(np.abs(coarse - fine)))
+    return Trajectory(times=t_eval, states=np.ascontiguousarray(fine.T), tol=tol,
+                      est_global_error=err, _interpolant=dense)
 
 
 def _phi1(s: complex) -> complex:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .linearize import LiftedState, LinearOperatorLN, apply_LN, dense_LN
+from .errors import BudgetError, ConfigError, DivergenceError
+from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
+                        apply_LN, dense_LN)
 from .norms import op_norm
 
 
@@ -108,16 +109,23 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j.
 
     psi0 must be a symmetric tensor (a lifted point is one), since stepping
-    runs on its monomial coordinates; the history stays in them.  Any
-    non-finite intermediate aborts with the first offending step.  When
-    verify is set, each step is re-evaluated with a different summation
-    order and the worst relative discrepancy, in the tensor 2-norm, is
-    reported as the residual.
+    runs on its monomial coordinates; the history stays in them.  A history
+    of more than DEFAULT_STATE_BUDGET entries is refused with BudgetError
+    before it is allocated.  Any non-finite intermediate aborts with the
+    first offending step.  When verify is set, each step is re-evaluated
+    with a different summation order and the worst relative discrepancy, in
+    the tensor 2-norm, is reported as the residual.
     """
     if psi0.order != op.order or psi0.n != op.n:
         raise ConfigError("forward_solve: state and operator shapes differ")
     if not psi0.all_finite():
         raise DivergenceError("forward_solve: initial state is not finite", step=0)
+    if (cfg.m + 1) * op.monomial_size > DEFAULT_STATE_BUDGET:
+        raise BudgetError(
+            f"forward_solve: the history of m={cfg.m} steps of "
+            f"{op.monomial_size} monomials (n={op.n}, N={op.order}) exceeds "
+            f"the budget of {DEFAULT_STATE_BUDGET} entries"
+        )
     history = np.empty((cfg.m + 1, op.monomial_size), dtype=complex)
     history[0] = op.monomials(psi0)
     if not np.array_equal(history[0][op.classes], psi0.vector):

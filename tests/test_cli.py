@@ -108,6 +108,30 @@ def test_pipeline_error_split_matches_the_tensor_path(name, monkeypatch):
                - abs(outcome["estimate"] - lin_readout)) <= 1e-13
 
 
+def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
+    # the operator builds the basis and the lift reuses its layout maps
+    import carleman_fourier.linearize as linearize
+
+    calls = []
+    build = linearize.monomial_basis
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    cfg = cli.load_config(CONFIGS / "dissipative_n2.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
+    monkeypatch.setattr(linearize, "monomial_basis", counted)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    monkeypatch.undo()
+    assert calls == [(ode.n, ps.order)]
+    # lifting with the operator's layout maps gives the same bits as without
+    rescaled, op = outcome["rescaled"], outcome["operator"]
+    shared = cf.lift_initial(rescaled, ps.order, op=op)
+    assert shared.vector.tobytes() == cf.lift_initial(rescaled, ps.order).vector.tobytes()
+
+
 def test_solve_respects_param_overrides(tmp_path):
     code = run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path,
                    "--param-overrides", "N=4,k=12")
@@ -177,35 +201,41 @@ def _scalar(g0, g1, u0, coeffs, run):
             "run": run}
 
 
+_DISSIPATIVE_N2 = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+
+
 # inputs that ended in a traceback before the config fuzz test found them
-@pytest.mark.parametrize("document,code", [
-    ("null", 2),
-    (dict(json.loads((CONFIGS / "dissipative_n2.json").read_text()), run=math.nan), 2),
-    (_scalar({}, [0.1, 0], [0, 0], [(1, [1, 0])], {"T": 0.1}), 2),
+@pytest.mark.parametrize("document,code,extra", [
+    ("null", 2, []),
+    (dict(_DISSIPATIVE_N2, run=math.nan), 2, []),
+    (_scalar({}, [0.1, 0], [0, 0], [(1, [1, 0])], {"T": 0.1}), 2, []),
     ({"ode": {"n": 2, "g0": [[0, 1], [0, 1]], "g1": [[[0, 0], [0, 0]], []],
               "u0": [[0, 0], [0, 0]]},
       "readout": {"K": 1, "coeffs": [{"j": [1, 0], "d": [1, 0]}]},
-      "run": {"T": 0.1}}, 2),
-    (_scalar([0, 1], [0.1, 0], [0, 0], [(-math.inf, [1, 0])], {"T": 0.1}), 2),
+      "run": {"T": 0.1}}, 2, []),
+    (_scalar([0, 1], [0.1, 0], [0, 0], [(-math.inf, [1, 0])], {"T": 0.1}), 2, []),
     # no dynamics at all: the admissible window is unbounded, not 0/0
-    (_scalar([0, 0], [0, 0], [0, 0], [(1, [0, 0])], {"T": 0.25, "epsilon": 0.1}), 2),
+    (_scalar([0, 0], [0, 0], [0, 0], [(1, [0, 0])], {"T": 0.25, "epsilon": 0.1}), 2, []),
     # a coupling of 1e-216 pins nu near 1e205, so nu^K overflows
     (_scalar([0, 1e-11], [0, 3e-216], [0, 0], [(1, [-0.86, 0])],
-             {"T": 0.28, "regime": "dissipative"}), 2),
+             {"T": 0.28, "regime": "dissipative"}), 2, []),
     # the resource estimate overflows; the solve goes on without it
     (_scalar([0, 0], [1.6e-251, 0], [0, 0], [(2, [1.2e-75, 0]), (1, [0, 0])],
-             {"T": 0.01, "epsilon": 0.1}), 0),
+             {"T": 0.01, "epsilon": 0.1}), 0, []),
     # a recipe order far above the state budget
-    (dict(json.loads((CONFIGS / "dissipative_n2.json").read_text()),
-          overrides={"N": 10 ** 11}), 2),
+    (dict(_DISSIPATIVE_N2, overrides={"N": 10 ** 11}), 2, []),
+    # step histories far above the state budget: a huge m, a huge horizon
+    (_DISSIPATIVE_N2, 2, ["--param-overrides", "m=100000000"]),
+    (dict(_DISSIPATIVE_N2, run=dict(_DISSIPATIVE_N2["run"], T=1e9)), 2, []),
 ], ids=["top-level-null", "run-not-object", "g0-object-entry", "g1-ragged",
         "j-infinite", "zero-problem", "tiny-coupling", "estimate-overflow",
-        "order-above-budget"])
-def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document, code):
+        "order-above-budget", "steps-above-budget", "horizon-above-budget"])
+def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document,
+                                                  code, extra):
     path = tmp_path / "case.json"
     path.write_text(document if isinstance(document, str) else json.dumps(document))
     capsys.readouterr()
-    assert run_cli("solve", path, "--out", tmp_path / "out") == code
+    assert run_cli("solve", path, "--out", tmp_path / "out", *extra) == code
     err = capsys.readouterr().err.strip().splitlines()
     if code == 0:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())

@@ -332,6 +332,25 @@ def test_lift_point_is_bitwise_symmetric(n, order, seed):
     assert state.vector.tobytes() == symmetric.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_lift_point_with_an_operator_matches_its_own_basis(n, order, seed):
+    rng = np.random.default_rng(seed)
+    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
+                             f1=complex_uniform(rng, (n, n)))
+    w = complex_uniform(rng, n)
+    assert cf.lift_point(w, order, op).vector.tobytes() \
+        == cf.lift_point(w, order).vector.tobytes()
+
+
+def test_lift_point_refuses_an_operator_of_another_shape(rng):
+    op = cf.LinearOperatorLN(order=4, n=3, f0=complex_uniform(rng, 3),
+                             f1=complex_uniform(rng, (3, 3)))
+    for n, order in ((3, 3), (2, 4)):
+        with pytest.raises(ConfigError):
+            cf.lift_point(complex_uniform(rng, n), order, op)
+
+
 def test_dense_budget_env_override(monkeypatch):
     from carleman_fourier.linearize import dense_budget
     monkeypatch.setenv("CFL_DENSE_BUDGET", "64")

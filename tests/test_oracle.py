@@ -69,6 +69,70 @@ def test_trajectory_rejects_extrapolation(rng):
         traj.state_at(1.5)
 
 
+def _solve_ivp_reference(ode, horizon, tol, samples=65):
+    """integrate's two passes through scipy's RK45: the states at t_eval,
+    the global-error estimate and the dense solution of the fine pass, or
+    None when a pass fails."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(_t, x):
+        return ode.g0 + ode.g1 @ np.exp(1j * x)
+
+    t_eval = np.linspace(0.0, horizon, samples)
+    coarse, fine = (solve_ivp(rhs, (0.0, horizon), np.asarray(ode.u0, dtype=complex),
+                              method="RK45", rtol=pass_tol, atol=pass_tol,
+                              dense_output=True, t_eval=t_eval)
+                    for pass_tol in (tol, max(tol * 1e-2, 2.3e-14)))
+    if not (coarse.success and fine.success):
+        return None
+    return (np.ascontiguousarray(fine.y.T),
+            float(np.max(np.abs(coarse.y - fine.y))), fine.sol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.01, 2.0), st.floats(-13.0, -4.0))
+def test_integrate_is_bitwise_scipy_rk45(n, seed, horizon, log_tol):
+    # the in-package Dormand-Prince integrator repeats scipy's RK45 step for
+    # step: the sampled states, the error estimate and the dense output
+    # agree to the last bit.  Fast, strongly coupled fields make the step
+    # control reject steps often; a draw that blows up must fail on both.
+    rng = np.random.default_rng(seed)
+    ode = cf.FourierOde(n=n, g0=complex_uniform(rng, n, scale=5.0) + 1j,
+                        g1=complex_uniform(rng, (n, n), scale=rng.uniform(0, 3)),
+                        u0=complex_uniform(rng, n, scale=0.5))
+    tol = 10.0 ** log_tol
+    reference = _solve_ivp_reference(ode, horizon, tol)
+    if reference is None:
+        with pytest.raises(DivergenceError):
+            cf.integrate(ode, horizon, tol=tol)
+        return
+    traj = cf.integrate(ode, horizon, tol=tol)
+    states, err, dense = reference
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.est_global_error == err
+    for t in [*rng.uniform(0.0, horizon, 6), *dense.ts, horizon]:
+        t = float(t)
+        assert traj.state_at(t).tobytes() == np.asarray(dense(t)).tobytes()
+
+
+def test_package_import_loads_no_scipy_integrate_or_linalg():
+    # the oracle carries its own RK45 and matrix_exp imports scipy.linalg
+    # when called, so importing the package and its CLI loads neither
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, carleman_fourier, carleman_fourier.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------- closed form
 
 def test_closed_form_no_coupling():
@@ -212,6 +276,15 @@ def test_gronwall_envelope(rng):
         for t in np.linspace(0, t_r, 15):
             val = cf.vector_p_norm(np.exp(1j * traj.state_at(t)), p)
             assert val <= psi0 * math.exp(lam * (1 + 1 / r) * t) + 1e-9
+
+
+def test_integrate_stops_on_a_field_that_is_nan_at_the_start():
+    # e^{ix0} overflows, so F1 e^{ix0} is NaN and so is the starting step;
+    # scipy's RK45 loops forever on it, the oracle reports a step failure
+    ode = cf.FourierOde(n=2, g0=[1j, 1j], g1=[[0, 0], [1, 0]], u0=[-1000j, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="step-size failure near t=0"):
+            cf.integrate(ode, 1.0)
 
 
 def test_integrate_blowup_raises():
