@@ -36,7 +36,7 @@ from .errors import CflError, ConfigError, HypothesisViolation
 from .linearize import (LinearOperatorLN, dense_LN, dense_budget, lift_initial,
                         size_within)
 from .norms import op_norm, vector_p_norm
-from .oracle import integrate, propagate
+from .oracle import Trajectory, integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import FourierOde, ReadoutSpec, eval_readout, expand_coeff_vector, rescale
@@ -315,33 +315,34 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
 # ------------------------------------------------------------ pipeline run
 
 def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                 ps: ParamSet) -> dict:
-    """rescale -> lift -> step -> read out -> compare to the oracle."""
+                 ps: ParamSet, traj: Trajectory | None = None) -> dict:
+    """rescale -> lift -> step -> read out -> compare to the oracle.  `traj`
+    is integrate(ode, run["T"], tol=run["oracle_tol"]) when the caller
+    already has it (a sweep integrates once for all rows)."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
     op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
     psi0 = lift_initial(rescaled, ps.order, op=op)
-    coeff_blocks = expand_coeff_vector(readout, rescaled, ps.order)
+    coeffs = expand_coeff_vector(readout, rescaled, ps.order)
     cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
     result = forward_solve(op, cfg, psi0)
-    estimate = readout_value(result, coeff_blocks)
+    estimate = readout_value(result, coeffs)
     timings["solve_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    traj = integrate(ode, run["T"], tol=run["oracle_tol"])
+    if traj is None:
+        traj = integrate(ode, run["T"], tol=run["oracle_tol"])
     u_final = traj.state_at(run["T"])
     reference = eval_readout(readout, u_final)
     timings["oracle_s"] = time.perf_counter() - t0
 
     total_error = abs(estimate - reference)
     koopman_err = taylor_err = psi_lin = None
-    if op.size <= diag_dense_cap():
+    if size_within(op.n, op.order, diag_dense_cap()):
         t0 = time.perf_counter()
         psi_lin = propagate(op, psi0, run["T"])
-        lin_readout = 0j
-        for level, coeffs in enumerate(coeff_blocks):
-            lin_readout += np.dot(coeffs, psi_lin.blocks[level])
+        lin_readout = complex(np.dot(coeffs, psi_lin.vector))
         koopman_err = abs(lin_readout - reference)
         taylor_err = abs(estimate - lin_readout)
         timings["dense_check_s"] = time.perf_counter() - t0
@@ -361,7 +362,6 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "generator_applies": result.generator_applies,
         },
         "oracle_global_error": traj.est_global_error,
-        "trajectory": traj,
         "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
         "timings": timings,
         "rescaled": rescaled,
@@ -486,12 +486,21 @@ def cmd_sweep(args) -> int:
                "eta_bound_finite_time", "total_error",
                "estimate_re", "estimate_im", "reference_re", "reference_im",
                "runtime_s", "error"]
+    # no sweep axis changes the ODE, run.T or oracle_tol: one oracle serves
+    # every row, and a row's runtime_s leaves it out
+    traj = oracle_error = None
+    try:
+        traj = integrate(ode, run["T"], tol=run["oracle_tol"])
+    except CflError as exc:
+        oracle_error = f"{type(exc).__name__}: {exc}"
     rows = []
     for value in values:
-        row = {"axis": axis, "value": value, "error": ""}
+        row = {"axis": axis, "value": value, "error": oracle_error or ""}
         t0 = time.perf_counter()
         try:
-            row.update(_sweep_row(ode, readout, run, base_overrides, axis, value))
+            if traj is not None:
+                row.update(_sweep_row(ode, readout, run, base_overrides, axis,
+                                      value, traj))
         except CflError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
         row["runtime_s"] = time.perf_counter() - t0
@@ -514,7 +523,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_row(ode, readout, run, base_overrides, axis, value) -> dict:
+def _sweep_row(ode, readout, run, base_overrides, axis, value, traj) -> dict:
     run = dict(run)
     overrides = dict(base_overrides)
     if axis == "epsilon":
@@ -527,13 +536,13 @@ def _sweep_row(ode, readout, run, base_overrides, axis, value) -> dict:
     elif axis == "nu":
         overrides["nu"] = float(value)
     ps = select_params(ode, readout, run, overrides)
-    outcome = run_pipeline(ode, readout, run, ps)
+    outcome = run_pipeline(ode, readout, run, ps, traj)
     bound_vals = _bound_values(ode, readout, run, ps)
 
     eta1_measured = None
     if outcome["psi_lin"] is not None:
         # x = u + i ln(nu), so the exact Psi_1(T) = e^{i x(T)} = e^{i u(T)}/nu
-        u_final = outcome["trajectory"].state_at(run["T"])
+        u_final = traj.state_at(run["T"])
         eta1_measured = vector_p_norm(
             np.exp(1j * u_final) / ps.nu - outcome["psi_lin"].blocks[0], ps.p)
 

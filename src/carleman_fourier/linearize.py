@@ -1,9 +1,8 @@
 """Lifted state and the truncated lifted operator.
 
 Lifting replaces the nonlinear ODE in x by a linear ODE on the blocks
-Psi_j = (e^{ix})^{tensor j}, j = 1..N, stored back to back in one flat
-vector (block j starts at offset sum_{i<j} n^i).  The generator is block
-upper bidiagonal: block j of d Psi/dt equals B_j^(0) Psi_j + B_{j+1}^(1)
+Psi_j = (e^{ix})^{tensor j}, j = 1..N.  The generator is block upper
+bidiagonal: block j of d Psi/dt equals B_j^(0) Psi_j + B_{j+1}^(1)
 Psi_{j+1} (the last block drops the coupling term).  B_j^(0) is diagonal in
 the tensor enumeration; B_{j+1}^(1) inserts the stacked-row coupling matrix
 at each of the j digit positions.
@@ -11,20 +10,22 @@ at each of the j digit positions.
 Every Psi_j is a symmetric tensor: its entry at digit string l depends only
 on the count vector c of l (c_r = how often symbol r occurs), and equals the
 monomial w^c.  The generator maps symmetric tensors to symmetric tensors, so
-time stepping runs on the monomial coordinates psi_c, |c| = j, with
-C(n+j-1, j) entries per block instead of n^j (the monomial form of Carleman
-linearization).  In them the generator is one sparse matrix: diagonal
-i c.F0, and c couples to c + e_s with i sum_r c_r F1[r, s].  LinearOperatorLN
-builds it once, with the maps between the two layouts; the tensor layout
-stays the public format of lifted states.
+a lifted state is held in its monomial coordinates psi_c, |c| = j, with
+C(n+j-1, j) entries per block instead of n^j (the symmetric reduction of
+Carleman linearization), in one flat vector ordered as in
+problem.monomial_index.  In them the generator is one sparse matrix:
+diagonal i c.F0, and c couples to c + e_s with i sum_r c_r F1[r, s].
+LinearOperatorLN builds it once, on the basis of monomial_basis.
 
-Dense assembly is a test/diagnostic path guarded by a size budget
-(CFL_DENSE_BUDGET, default 4096 total rows).
+The tensor layout (block j in C^{n^j}, blocks back to back from offset
+sum_{i<j} n^i) is the reference the monomial path is checked against:
+LiftedState.tensor() expands a state into it, and dense_LN, apply_B1 and
+b0_diagonal act on it.  Dense assembly is a test/diagnostic path guarded by
+a size budget (CFL_DENSE_BUDGET, default 4096 total rows).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,10 +35,12 @@ import scipy.sparse
 
 from .errors import BudgetError, ConfigError
 from .norms import vector_p_norm
-from .problem import RescaledProblem
+from .problem import RescaledProblem, monomial_count
 
 DEFAULT_DENSE_BUDGET = 4096
-DEFAULT_STATE_BUDGET = 1 << 22  # total complex entries across all blocks
+# entries of the monomial basis' generator (and so of a lifted state), and
+# of the tensor reference and of a step history
+DEFAULT_STATE_BUDGET = 1 << 22
 
 
 def dense_budget() -> int:
@@ -54,8 +57,9 @@ def dense_budget() -> int:
 
 
 def block_offsets(n: int, order: int) -> tuple:
-    """Offsets of blocks 1..N in the flat state, then its length: block j
-    occupies [offsets[j-1], offsets[j]), with offsets[j-1] = sum_{i<j} n^i."""
+    """Offsets of blocks 1..N in the flat tensor layout, then its length:
+    block j occupies [offsets[j-1], offsets[j]), with offsets[j-1] =
+    sum_{i<j} n^i."""
     offsets = [0]
     for j in range(1, order + 1):
         offsets.append(offsets[-1] + n ** j)
@@ -63,8 +67,8 @@ def block_offsets(n: int, order: int) -> tuple:
 
 
 def total_size(n: int, order: int) -> int:
-    """sum_{j=1..N} n^j, the length of the flat (unpadded) state."""
-    return block_offsets(n, order)[-1]
+    """sum_{j=1..N} n^j, the length of the flat tensor state."""
+    return order if n == 1 else (n ** (order + 1) - n) // (n - 1)
 
 
 def size_within(n: int, order: int, cap: int) -> bool:
@@ -81,10 +85,16 @@ def size_within(n: int, order: int, cap: int) -> bool:
     return True
 
 
+def generator_entries(n: int, order: int) -> int:
+    """Stored entries of the monomial generator: the diagonal, and n
+    couplings for every monomial below block N."""
+    return monomial_count(n, order) + n * monomial_count(n, order - 1)
+
+
 @dataclass
-class LiftedState:
-    """Blocks Psi_j in C^{n^j}, j = 1..N, in tensor enumeration, stored back
-    to back in one contiguous complex vector."""
+class _Blocks:
+    """Blocks Psi_1..Psi_N of a lifted state, back to back in one contiguous
+    complex vector; _offsets() gives where each block starts."""
 
     n: int
     order: int
@@ -92,155 +102,163 @@ class LiftedState:
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=complex)
+        name = type(self).__name__
         if self.n < 1 or self.order < 1:
-            raise ConfigError("LiftedState: need n >= 1 and order >= 1")
-        if self.vector.shape != (total_size(self.n, self.order),):
+            raise ConfigError(f"{name}: need n >= 1 and order >= 1")
+        size = self._offsets()[-1]
+        if self.vector.shape != (size,):
             raise ConfigError(
-                f"LiftedState: vector has shape {self.vector.shape}, expected "
-                f"({total_size(self.n, self.order)},)"
-            )
+                f"{name}: vector has shape {self.vector.shape}, expected ({size},)")
 
     @property
     def blocks(self) -> list:
         """Views of the blocks Psi_1..Psi_N into the flat vector."""
-        offsets = block_offsets(self.n, self.order)
+        offsets = self._offsets()
         return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
-
-    def norm(self, p: float = 2) -> float:
-        return vector_p_norm(self.vector, p)
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.vector).all())
 
 
-def padded_index(n: int, order: int, level: int, tensor_index: int) -> int:
-    """Index of entry `tensor_index` of block `level` in the zero-padded
-    N n^N register layout used for dimensional bookkeeping.
+class LiftedState(_Blocks):
+    """A symmetric lifted state: block j holds the monomials psi_c, |c| = j,
+    of Psi_j (see problem.monomial_index)."""
 
-    Block j sits in segment [(j-1) n^N, j n^N); inside the segment the
-    leading N-j digits are pinned to symbol 0, so the entry keeps its flat
-    tensor offset.
-    """
-    if not 1 <= level <= order:
-        raise ConfigError(f"padded_index: level {level} outside 1..{order}")
-    if not 0 <= tensor_index < n ** level:
-        raise ConfigError("padded_index: tensor index out of range")
-    return (level - 1) * n ** order + tensor_index
+    def _offsets(self) -> list:
+        return [monomial_count(self.n, j) for j in range(self.order + 1)]
+
+    def norm(self, p: float = 2) -> float:
+        """Tensor p-norm: (sum_c multinom(|c|; c) |psi_c|^p)^(1/p)."""
+        weights = monomial_basis(self.n, self.order).weights
+        return vector_p_norm(self.vector, p, weights)
+
+    def tensor(self) -> TensorState:
+        """The same state in the tensor layout, every monomial copied to
+        each slot of its count; refused above DEFAULT_STATE_BUDGET entries."""
+        if not size_within(self.n, self.order, DEFAULT_STATE_BUDGET):
+            raise BudgetError(
+                f"LiftedState.tensor: the tensor state of n={self.n}, "
+                f"N={self.order} exceeds the budget of {DEFAULT_STATE_BUDGET} "
+                "entries"
+            )
+        up = monomial_basis(self.n, self.order).up
+        # string l followed by digit s has the monomial of l times w_s
+        level = np.arange(self.n)
+        classes = [level]
+        for _ in range(1, self.order):
+            level = up[level].ravel()
+            classes.append(level)
+        return TensorState(self.n, self.order, self.vector[np.concatenate(classes)])
 
 
-def to_padded(state: LiftedState) -> np.ndarray:
-    """Embed the unpadded blocks into the N n^N padded register layout."""
-    n, order = state.n, state.order
-    out = np.zeros(order * n ** order, dtype=complex)
-    for level, block in enumerate(state.blocks, start=1):
-        base = (level - 1) * n ** order
-        out[base:base + block.shape[0]] = block
-    return out
+class TensorState(_Blocks):
+    """Blocks Psi_j in C^{n^j} in tensor enumeration, any tensor, symmetric
+    or not: the reference layout of dense diagnostics (see propagate_dense)."""
+
+    def _offsets(self) -> tuple:
+        return block_offsets(self.n, self.order)
+
+    def norm(self, p: float = 2) -> float:
+        return vector_p_norm(self.vector, p)
 
 
 class MonomialBasis(NamedTuple):
-    """Monomials w^c, |c| = j, of blocks 1..N; see monomial_basis."""
+    """Monomials w^c, 1 <= |c| <= N; see monomial_basis."""
 
     offsets: tuple
     counts: np.ndarray
     parent: np.ndarray
     symbol: np.ndarray
     up: np.ndarray
-    classes: np.ndarray
-    slots: np.ndarray
+    weights: np.ndarray
 
 
 def monomial_basis(n: int, order: int) -> MonomialBasis:
-    """Monomials of blocks 1..N, block by block; inside a block ordered by
-    canonical slot (the digits of c in ascending order, the smallest tensor
-    index with count c).  With M monomials and T = total_size(n, order):
+    """Monomials of blocks 1..N, block by block; inside a block in
+    canonical-slot order (see problem.monomial_index).  With M monomials:
 
       offsets  block j holds monomials [offsets[j-1], offsets[j]);
       counts   (M, n) count vectors c;
-      parent, symbol  (M,) the canonical slot of c is that of its parent
-               c - e_s followed by digit s = symbol (parent -1 on block 1);
+      parent, symbol  (M,) c = parent + e_symbol, symbol the largest digit
+               of c (parent -1 on block 1);
       up       (M_<N, n) index of c + e_s, for the monomials below block N;
-      classes  (T,) monomial of every entry of the flat tensor state;
-      slots    (M,) flat index of the canonical slot of every monomial.
+      weights  (M,) multinom(|c|; c), the number of tensor slots of count
+               c, as floats (exact below 2^53).
+
+    Refused with BudgetError when the generator on it would store more than
+    DEFAULT_STATE_BUDGET entries; that is decided in closed form.
     """
     if n < 1 or order < 1:
         raise ConfigError("monomial_basis: need n >= 1 and order >= 1")
-    tensor_offsets = block_offsets(n, order)
+    entries = generator_entries(n, order)
+    if entries > DEFAULT_STATE_BUDGET:
+        raise BudgetError(
+            f"the lifted state of n={n}, N={order} has "
+            f"{monomial_count(n, order)} monomials and {entries} generator "
+            f"entries, above the budget of {DEFAULT_STATE_BUDGET}"
+        )
     eye = np.eye(n, dtype=np.int64)
-    # block-local monomial counts, canonical slots and tensor classes
-    counts, slots, classes = eye, np.arange(n), np.arange(n)
+    digits = np.arange(n)
+    counts, last, weights = eye, digits, np.ones(n)
+    # block-local: parent of each monomial and the up map of the block
+    # before; block 1 hangs off the empty monomial, whose e_s is monomial s
+    parent, up_before = np.zeros(n, dtype=np.intp), digits[None, :]
     offsets = [0, n]
-    out = {"counts": [counts], "parent": [np.full(n, -1)],
-           "symbol": [np.arange(n)], "up": [np.zeros((0, n), dtype=np.intp)],
-           "classes": [classes], "slots": [slots]}
+    out = {"counts": [counts], "parent": [np.full(n, -1)], "symbol": [digits],
+           "up": [np.zeros((0, n), dtype=np.intp)], "weights": [weights]}
     for j in range(2, order + 1):
-        # canonical slot of c + e_s: digit s goes in after the p digits <= s,
-        # so the last j-1-p digits of the slot of c move one place down
-        tail = n ** (j - 1 - np.cumsum(counts, axis=1))
-        keys = ((slots[:, None] // tail) * n + np.arange(n)) * tail \
-            + slots[:, None] % tail
-        slots, first, inverse = np.unique(keys, return_index=True,
-                                          return_inverse=True)
-        up = inverse.reshape(keys.shape)
-        parent, symbol = np.divmod(first, n)
-        counts = counts[parent] + eye[symbol]
-        classes = up[classes].ravel()
+        # the children of c are c + e_s, s >= last(c), in that order
+        fan = n - last
+        first = np.cumsum(fan) - fan
+        child_parent = np.repeat(np.arange(last.size), fan)
+        child_symbol = np.arange(child_parent.size) - first[child_parent] \
+            + last[child_parent]
+        # c + e_s for s < last(c) is the child (q, last(c)) of
+        # q = c - e_last + e_s = up_before[parent(c), s]
+        q = up_before[parent]
+        up = np.where(digits >= last[:, None],
+                      first[:, None] + digits - last[:, None],
+                      first[q] + last[:, None] - last[q])
+        counts = counts[child_parent] + eye[child_symbol]
+        weights = weights[child_parent] * j / counts[np.arange(counts.shape[0]),
+                                                     child_symbol]
         out["counts"].append(counts)
-        out["parent"].append(offsets[-2] + parent)
-        out["symbol"].append(symbol)
+        out["parent"].append(offsets[-2] + child_parent)
+        out["symbol"].append(child_symbol)
         out["up"].append(offsets[-1] + up)
-        out["classes"].append(offsets[-1] + classes)
-        out["slots"].append(tensor_offsets[j - 1] + slots)
-        offsets.append(offsets[-1] + slots.size)
+        out["weights"].append(weights)
+        offsets.append(offsets[-1] + child_parent.size)
+        parent, last, up_before = child_parent, child_symbol, up
     return MonomialBasis(tuple(offsets),
                          **{key: np.concatenate(parts) for key, parts in out.items()})
 
 
 def lift_initial(rescaled: RescaledProblem, order: int,
-                 state_budget: int = DEFAULT_STATE_BUDGET,
                  op: LinearOperatorLN | None = None) -> LiftedState:
-    """Initial lifted state: block j is the j-th Kronecker power of w0
-    (leftmost factor most significant).  See lift_point for `op`."""
-    if order < 1:
-        raise ConfigError("lift_initial: order must be >= 1")
-    n = rescaled.n
-    if not size_within(n, order, state_budget):
-        raise BudgetError(
-            f"lift_initial: the state of n={n}, N={order} exceeds the "
-            f"budget of {state_budget} entries"
-        )
+    """Initial lifted state: block j holds the monomials of w0 of degree j,
+    the entries of its j-th Kronecker power.  See lift_point for `op`."""
     return lift_point(rescaled.w0, order, op)
 
 
 def lift_point(w: np.ndarray, order: int,
                op: LinearOperatorLN | None = None) -> LiftedState:
-    """Lift an arbitrary point w = e^{ix} (tensor powers of w).  Each
-    monomial w^c is computed once, as the Kronecker product does at its
-    canonical slot, and copied to every slot of count c, so the state is
-    exactly symmetric.  The layout maps `slots` and `classes` are those of
-    `op`, an operator of the same n and N, or of monomial_basis(n, N) built
-    here."""
+    """Lift an arbitrary point w = e^{ix}: each monomial w^c is its
+    parent's times w_symbol, the product the Kronecker power forms at the
+    canonical slot of c.  The basis is that of `op`, an operator of the
+    same n and N, or monomial_basis(n, N) built here."""
     w = np.asarray(w, dtype=complex).ravel()
     n = w.shape[0]
     if op is None:
         basis = monomial_basis(n, order)
-        slots, classes = basis.slots, basis.classes
     elif (op.n, op.order) == (n, order):
-        slots, classes = op.slots, op.classes
+        basis = op.basis
     else:
         raise ConfigError(f"lift_point: the operator is not one of n={n}, N={order}")
-    tensor_offsets = block_offsets(n, order)
-    mono = np.empty(slots.size, dtype=complex)
+    mono = np.empty(basis.offsets[-1], dtype=complex)
     mono[:n] = w
-    lo = n
-    for j in range(2, order + 1):
-        hi = lo + math.comb(n + j - 1, j)
-        # the canonical slot of w^c is that of its parent w^(c - e_s)
-        # followed by digit s, the largest digit of the slot
-        parent, symbol = np.divmod(slots[lo:hi] - tensor_offsets[j - 1], n)
-        mono[lo:hi] = mono[classes[tensor_offsets[j - 2] + parent]] * w[symbol]
-        lo = hi
-    return LiftedState(n, order, mono[classes])
+    for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
+        mono[lo:hi] = mono[basis.parent[lo:hi]] * w[basis.symbol[lo:hi]]
+    return LiftedState(n, order, mono)
 
 
 def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:
@@ -253,16 +271,6 @@ def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:
         level = (level[:, None] + f0[None, :]).ravel()
         weights.append(level)
     return 1j * np.concatenate(weights)
-
-
-def apply_B0(j: int, f0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Diagonal block action: entry l is scaled by i (count(l) . F0)."""
-    f0 = np.asarray(f0, dtype=complex).ravel()
-    n = f0.shape[0]
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.shape != (n ** j,):
-        raise ConfigError(f"apply_B0: block must have length n^j = {n ** j}")
-    return b0_diagonal(j, f0)[-n ** j:] * v
 
 
 def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -288,18 +296,14 @@ def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearOperatorLN:
-    """Truncated lifted generator.  Built once, at construction: the maps
-    between the tensor and the monomial layout (`classes`: monomial of every
-    tensor entry; `slots`: canonical tensor slot of every monomial), the
-    multinomial weights and the sparse generator on monomial coordinates."""
+    """Truncated lifted generator on monomial coordinates.  Built once, at
+    construction: the monomial basis and the sparse CSR generator on it."""
 
     order: int
     n: int
     f0: np.ndarray
     f1: np.ndarray
-    classes: np.ndarray = field(init=False, repr=False)
-    slots: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
+    basis: MonomialBasis = field(init=False, repr=False)
     generator: scipy.sparse.csr_array = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -309,17 +313,8 @@ class LinearOperatorLN:
             raise ConfigError("LinearOperatorLN: order must be >= 1")
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
-        # the layout maps below hold one entry per tensor slot
-        if not size_within(self.n, self.order, DEFAULT_STATE_BUDGET):
-            raise BudgetError(
-                f"LinearOperatorLN: the state of n={self.n}, N={self.order} "
-                f"exceeds the budget of {DEFAULT_STATE_BUDGET} entries"
-            )
-        basis = monomial_basis(self.n, self.order)
-        self.classes, self.slots = basis.classes, basis.slots
-        # multinom(j; c): the number of tensor slots of count c
-        self.weights = np.bincount(basis.classes).astype(float)
-        size, coupled = basis.slots.size, basis.up.shape[0]
+        basis = self.basis = monomial_basis(self.n, self.order)
+        size, coupled = basis.offsets[-1], basis.up.shape[0]
         rows = np.concatenate([np.arange(size), np.repeat(np.arange(coupled), self.n)])
         cols = np.concatenate([np.arange(size), basis.up.ravel()])
         values = np.concatenate([1j * (basis.counts @ self.f0),
@@ -333,25 +328,13 @@ class LinearOperatorLN:
 
     @property
     def size(self) -> int:
-        """Length of the flat tensor state."""
+        """Length of the flat tensor state (the dense reference's rows)."""
         return total_size(self.n, self.order)
 
     @property
     def monomial_size(self) -> int:
         """Number of monomial coordinates, sum_j C(n+j-1, j)."""
-        return self.slots.size
-
-    def monomials(self, state: LiftedState) -> np.ndarray:
-        """Monomial coordinates of a symmetric tensor state (one gather)."""
-        return state.vector[self.slots]
-
-    def expand(self, x: np.ndarray) -> LiftedState:
-        """Tensor state of monomial coordinates x (one gather)."""
-        return LiftedState(self.n, self.order, x[self.classes])
-
-    def tensor_norm(self, x: np.ndarray) -> float:
-        """2-norm of expand(x): ||Psi||_2^2 = sum_c multinom(j; c) |psi_c|^2."""
-        return float(np.sqrt(np.dot(self.weights, x.real ** 2 + x.imag ** 2)))
+        return self.basis.offsets[-1]
 
 
 def apply_LN(op: LinearOperatorLN, x: np.ndarray) -> np.ndarray:
@@ -390,7 +373,7 @@ def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
 
 
 def dense_LN(op: LinearOperatorLN, budget: int | None = None) -> np.ndarray:
-    """Explicit matrix of the truncated generator in the unpadded layout.
+    """Explicit matrix of the truncated generator in the tensor layout.
 
     Guarded by the dense budget; the sparse monomial generator is the
     primary representation and this assembly exists for diagnostics and

@@ -56,8 +56,9 @@ class NormKind:
         return conjugate_exponent(self.p)
 
 
-def vector_p_norm(a, p: float) -> float:
-    """p-norm (sum_j |a_j|^p)^(1/p) of a complex vector; p = inf gives max."""
+def vector_p_norm(a, p: float, weights=None) -> float:
+    """p-norm (sum_j |a_j|^p)^(1/p) of a complex vector; p = inf gives max.
+    Positive `weights` w_j give (sum_j w_j |a_j|^p)^(1/p) instead."""
     a = np.asarray(a)
     if a.size == 0:
         raise ConfigError("vector_p_norm: empty vector")
@@ -68,7 +69,9 @@ def vector_p_norm(a, p: float) -> float:
     if math.isinf(p) or top == 0.0:
         return top
     # factor out the max so large p does not overflow
-    return top * float(np.sum((mags / top) ** p)) ** (1.0 / p)
+    terms = (mags / top) ** p
+    total = np.sum(terms) if weights is None else np.dot(weights, terms)
+    return top * float(total) ** (1.0 / p)
 
 
 def row_q_norm(a, q: float) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .linearize import LiftedState, LinearOperatorLN, lift_point
+from .linearize import LiftedState, LinearOperatorLN, TensorState, lift_point
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
 
@@ -269,11 +269,14 @@ def exact_lifted(traj: Trajectory, order: int, t: float) -> LiftedState:
     return lift_point(np.exp(1j * x), order)
 
 
-def _truncated_state_at(truncated, t: float):
-    """Accept either a LiftedState at time t or a SolveResult whose step
-    grid contains t (the latter folds Taylor-stepping error into eta)."""
-    if isinstance(truncated, LiftedState):
+def _truncated_state_at(truncated, t: float) -> TensorState:
+    """The tensor layout of a LiftedState or TensorState at time t, or of
+    the step of a SolveResult whose step grid contains t (the latter folds
+    Taylor-stepping error into eta)."""
+    if isinstance(truncated, TensorState):
         return truncated
+    if isinstance(truncated, LiftedState):
+        return truncated.tensor()
     config = getattr(truncated, "config", None)
     if config is not None:
         step = int(round(t / config.h))
@@ -281,7 +284,7 @@ def _truncated_state_at(truncated, t: float):
             raise ConfigError(
                 f"measure_eta: t={t} is not on the step grid (h={config.h})"
             )
-        return truncated.state_at_step(step)
+        return truncated.state_at_step(step).tensor()
     raise ConfigError(
         f"measure_eta: unsupported truncated-solution type {type(truncated)!r}"
     )
@@ -289,44 +292,48 @@ def _truncated_state_at(truncated, t: float):
 
 def measure_eta(traj: Trajectory, truncated, k: int, t: float,
                 p: float = 2) -> float:
-    """||Psi_k(t) - Psi_k^(N)(t)||_p: truncation error of block k.
+    """||Psi_k(t) - Psi_k^(N)(t)||_p: truncation error of block k, in the
+    tensor layout.
 
     `truncated` is the lifted state of the *truncated linear* system at time
-    t.  Pass a LiftedState obtained from the dense exponential of the
-    truncated generator (see propagate) to isolate the lifting
+    t.  Pass a state obtained from the exponential of the truncated
+    generator (see propagate, propagate_dense) to isolate the lifting
     truncation error from time-stepping error; a SolveResult folds Taylor
     error in as well (t must then sit on the step grid).
     """
     state = _truncated_state_at(truncated, t)
     if not 1 <= k <= state.order:
         raise ConfigError(f"measure_eta: block {k} outside 1..{state.order}")
-    exact = exact_lifted(traj, k, t)
+    exact = exact_lifted(traj, k, t).tensor()
     diff = exact.blocks[k - 1] - state.blocks[k - 1]
     return vector_p_norm(diff, p)
 
 
 def measure_eta_vector(traj: Trajectory, truncated, t: float,
                        p: float = 2) -> float:
-    """p-norm of the concatenated truncation error over all N blocks."""
+    """p-norm of the concatenated truncation error over all N blocks, in the
+    tensor layout."""
     state = _truncated_state_at(truncated, t)
-    exact = exact_lifted(traj, state.order, t)
+    exact = exact_lifted(traj, state.order, t).tensor()
     return vector_p_norm(exact.vector - state.vector, p)
 
 
-def propagate_dense(dense_l: np.ndarray, psi0: LiftedState, t: float) -> LiftedState:
+def propagate_dense(dense_l: np.ndarray, psi0, t: float) -> TensorState:
     """exp(L t) psi0 through the dense exponential of the tensor matrix
-    dense_l (time-split to respect the matrix_exp accuracy cap); the
-    reference that propagate is checked against."""
+    dense_l (time-split to respect the matrix_exp accuracy cap); psi0 is a
+    TensorState or a LiftedState, expanded first.  The reference that
+    propagate is checked against."""
     from .norms import expm_at
 
-    return LiftedState(psi0.n, psi0.order, expm_at(dense_l, t) @ psi0.vector)
+    if isinstance(psi0, LiftedState):
+        psi0 = psi0.tensor()
+    return TensorState(psi0.n, psi0.order, expm_at(dense_l, t) @ psi0.vector)
 
 
 def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:
     """exp(L t) psi0 on monomial coordinates: the dense exponential of the
     sparse monomial generator (sum_j C(n+j-1, j) rows instead of the
-    sum_j n^j of dense_LN), applied to the monomials of the symmetric psi0
-    and expanded back to a tensor state."""
+    sum_j n^j of dense_LN) applied to psi0."""
     from .norms import expm_at
 
-    return op.expand(expm_at(op.generator.toarray(), t) @ op.monomials(psi0))
+    return LiftedState(op.n, op.order, expm_at(op.generator.toarray(), t) @ psi0.vector)

@@ -1,4 +1,4 @@
-"""Problem data model, tensor-index combinatorics, rescaling, and direct
+"""Problem data model, monomial combinatorics, rescaling, and direct
 readout evaluation.
 
 The input problem is du/dt = G0 + G1 e^{iu} with readout
@@ -6,16 +6,18 @@ g(u) = sum_j d_j e^{iu.j} over multi-indices j with 1 <= |j| <= K.
 Rescaling shifts every variable by i ln(nu), which divides e^{iu} by nu,
 multiplies G1 by nu and multiplies each readout coefficient by nu^{|j|}.
 
-Blocks of the lifted state live in C^{n^k} under a tensor enumeration:
-index l in [0, n^k) is read as k base-n digits (leftmost digit most
-significant), and count(l) is the n-vector counting how often each symbol
-occurs.  Multi-indices therefore appear with multiplicity; readout
-coefficients are placed on the lexicographically smallest slot with the
-right count (the canonical slot).
+The lifted state holds the monomials w^c, w = e^{ix}, 1 <= |c| <= N: block
+by block in |c|, and inside a block in the order of canonical slots.  The
+canonical slot of a count vector c is the smallest index, read as |c|
+base-n digits (leftmost digit most significant), whose digits occur c
+times each: the digits of c in ascending order.  It is where the tensor
+layout of block |c|, (e^{ix})^{tensor |c|}, holds w^c first.  A readout
+coefficient d_j sits on the monomial w^j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,60 +147,6 @@ def rescale(ode: FourierOde, readout: ReadoutSpec | None, nu: float) -> Rescaled
     )
 
 
-@dataclass(frozen=True)
-class MultiIndexCodec:
-    """Tensor enumeration of C^{n^k}: flat index <-> base-n digit string.
-
-    Digits are read most-significant first, so flat index l has digits
-    (l_1, ..., l_k) with l = sum_a l_a n^(k-a).  Symbols are 0-based here
-    (symbol 0 plays the role of coordinate 1).
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ConfigError("MultiIndexCodec: need n >= 1 and k >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.n ** self.k
-
-    def digits(self, tensor_index: int) -> tuple:
-        """Base-n digit string of a flat index, most significant first."""
-        if not 0 <= tensor_index < self.size:
-            raise ConfigError(
-                f"tensor index {tensor_index} out of range [0, {self.size})"
-            )
-        out = []
-        rem = tensor_index
-        for _ in range(self.k):
-            rem, dig = divmod(rem, self.n)
-            out.append(dig)
-        return tuple(reversed(out))
-
-    def flat(self, digits) -> int:
-        """Inverse of digits()."""
-        if len(digits) != self.k:
-            raise ConfigError("digit string has wrong length")
-        idx = 0
-        for d in digits:
-            if not 0 <= d < self.n:
-                raise ConfigError(f"digit {d} out of range [0, {self.n})")
-            idx = idx * self.n + d
-        return idx
-
-
-def tensor_to_count(codec: MultiIndexCodec, tensor_index: int) -> tuple:
-    """Count vector of the base-n digits of a tensor index: entry i counts
-    how often symbol i occurs, so the counts always sum to k."""
-    counts = [0] * codec.n
-    for d in codec.digits(tensor_index):
-        counts[d] += 1
-    return tuple(counts)
-
-
 def canonical_slot(count) -> int:
     """Lexicographically smallest tensor index whose digit counts equal the
     given count vector: the digits sorted in ascending order."""
@@ -210,6 +158,30 @@ def canonical_slot(count) -> int:
     for d in digits:
         idx = idx * n + d
     return idx
+
+
+def monomial_count(n: int, order: int) -> int:
+    """Number of monomials w^c with 1 <= |c| <= order in n variables:
+    sum_j C(n+j-1, j) = C(n+order, order) - 1."""
+    return math.comb(n + order, order) - 1
+
+
+def monomial_index(count) -> int:
+    """Position of the monomial w^c in the lifted state: after the
+    monomials of lower degree, then in canonical-slot order inside block
+    |c|.  Each digit d of the canonical slot, with r digits after it and
+    the previous digit `low`, is preceded by the C(n-v+r-1, r) strings that
+    put a digit v in [low, d) there instead."""
+    n, left = len(count), int(sum(count))
+    index, low = monomial_count(n, left - 1), 0
+    for digit in range(n):
+        for _ in range(int(count[digit])):
+            left -= 1
+            # sum over v in [low, digit) of C(n-v+left-1, left)
+            index += math.comb(n - low + left, left + 1) \
+                - math.comb(n - digit + left, left + 1)
+            low = digit
+    return index
 
 
 def eval_readout(readout: ReadoutSpec, u) -> complex:
@@ -226,28 +198,27 @@ def eval_readout(readout: ReadoutSpec, u) -> complex:
 
 
 def expand_coeff_vector(readout: ReadoutSpec, rescaled: RescaledProblem,
-                        order: int) -> list:
-    """Blocks c_1..c_N with c_l in C^{n^l}: rescaled coefficient c_j sits on
-    the canonical slot of block |j|, all other slots (and all blocks above
-    the readout degree) are zero.
+                        order: int) -> np.ndarray:
+    """Coefficient vector c on the monomials of blocks 1..N: the rescaled
+    coefficient c_j sits on the monomial w^j, every other entry is zero.
 
-    Because every tensor slot with equal count carries an equal entry of the
-    lifted state, the block-wise dot product c . Psi reproduces f(x) exactly
-    regardless of how a coefficient is spread over duplicated slots; the
-    canonical-slot choice pins down the norms used by the parameter recipes.
+    The monomial w^c stands for every tensor entry of count c.  In the
+    tensor layout c_j sits on one of them, the canonical slot, so the dot
+    product c . Psi with the monomial vector equals the blockwise tensor
+    dot product; the canonical-slot choice pins down the norms used by the
+    parameter recipes.
     """
     if order < readout.degree:
         raise ConfigError(
             f"expand_coeff_vector: order N={order} below readout degree "
             f"K={readout.degree}"
         )
-    n = readout.n
-    blocks = [np.zeros(n ** level, dtype=complex) for level in range(1, order + 1)]
+    out = np.zeros(monomial_count(readout.n, order), dtype=complex)
     for key in readout.coeffs:
         if key not in rescaled.c_coeffs:
             raise ConfigError(
                 f"expand_coeff_vector: rescaled problem carries no "
                 f"coefficient for {key}; rescale with this readout"
             )
-        blocks[sum(key) - 1][canonical_slot(key)] += rescaled.c_coeffs[key]
-    return blocks
+        out[monomial_index(key)] += rescaled.c_coeffs[key]
+    return out

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
                         apply_LN, dense_LN)
-from .norms import op_norm
+from .norms import op_norm, vector_p_norm
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class TaylorConfig:
 class SolveResult:
     """History Phi_0..Phi_m in monomial coordinates (row j holds step j of
     the operator's basis), the verified system residual, the number of
-    generator applies spent and the readout.  Tensor states are expanded on
-    demand, one row at a time."""
+    generator applies spent and the readout."""
 
     config: TaylorConfig
     operator: LinearOperatorLN
@@ -68,12 +67,12 @@ class SolveResult:
 
     @property
     def final(self) -> LiftedState:
-        return self.operator.expand(self.history[-1])
+        return self.state_at_step(self.config.m)
 
     def state_at_step(self, j: int) -> LiftedState:
         if not 0 <= j <= self.config.m:
             raise ConfigError(f"step {j} outside 0..{self.config.m}")
-        return self.operator.expand(self.history[j])
+        return LiftedState(self.operator.n, self.operator.order, self.history[j])
 
 
 def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarray:
@@ -108,14 +107,16 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     """Exact forward substitution on the block-bidiagonal time-step system:
     Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j.
 
-    psi0 must be a symmetric tensor (a lifted point is one), since stepping
-    runs on its monomial coordinates; the history stays in them.  A history
+    Stepping and the history are in psi0's monomial coordinates.  A history
     of more than DEFAULT_STATE_BUDGET entries is refused with BudgetError
     before it is allocated.  Any non-finite intermediate aborts with the
     first offending step.  When verify is set, each step is re-evaluated
     with a different summation order and the worst relative discrepancy, in
     the tensor 2-norm, is reported as the residual.
     """
+    if not isinstance(psi0, LiftedState):
+        raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
+                          "with lift_point")
     if psi0.order != op.order or psi0.n != op.n:
         raise ConfigError("forward_solve: state and operator shapes differ")
     if not psi0.all_finite():
@@ -127,12 +128,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             f"the budget of {DEFAULT_STATE_BUDGET} entries"
         )
     history = np.empty((cfg.m + 1, op.monomial_size), dtype=complex)
-    history[0] = op.monomials(psi0)
-    if not np.array_equal(history[0][op.classes], psi0.vector):
-        raise ConfigError(
-            "forward_solve: psi0 is not a symmetric tensor (entries with "
-            "equal digit counts differ); lift it with lift_point"
-        )
+    history[0] = psi0.vector
     residual = 0.0
     for j in range(cfg.m):
         # overflow surfaces as inf/nan and is reported as DivergenceError
@@ -149,8 +145,9 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             # can overflow inside the norm as well
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = _apply_Vk_direct(op, cfg, history[j])
-                num = op.tensor_norm(nxt - ref)
-                den = max(op.tensor_norm(history[j]), 1e-300)
+                weights = op.basis.weights
+                num = vector_p_norm(nxt - ref, 2, weights)
+                den = max(vector_p_norm(history[j], 2, weights), 1e-300)
                 ratio = num / den
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
@@ -160,22 +157,20 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                        generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 
 
-def readout_value(result: SolveResult, coeff_blocks: list) -> complex:
-    """Blockwise (bilinear) dot product of the coefficient blocks with the
-    final state: sum_l c_l . (Phi_m)_l.
+def readout_value(result: SolveResult, coeffs: np.ndarray) -> complex:
+    """Dot product (bilinear) of the monomial coefficient vector of
+    problem.expand_coeff_vector with the final state, c . Phi_m.
 
     This equals the full time-grid contraction with weight 1/m over the m
     final-state copies, since the copies are identical.
     """
-    final = result.final
-    if len(coeff_blocks) > final.order:
-        raise ConfigError("readout_value: more coefficient blocks than state blocks")
-    total = 0j
-    for level, coeffs in enumerate(coeff_blocks):
-        if coeffs.shape != final.blocks[level].shape:
-            raise ConfigError(f"readout_value: block {level + 1} length mismatch")
-        total += np.dot(coeffs, final.blocks[level])
-    result.readout_value = complex(total)
+    final = result.final.vector
+    if np.shape(coeffs) != final.shape:
+        raise ConfigError(
+            f"readout_value: {np.shape(coeffs)} coefficients for a state of "
+            f"{final.shape[0]} monomials"
+        )
+    result.readout_value = complex(np.dot(coeffs, final))
     return result.readout_value
 
 

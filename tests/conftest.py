@@ -78,6 +78,16 @@ def random_readout(rng, n, degree, count=3):
     return cf.ReadoutSpec(degree=degree, coeffs=coeffs)
 
 
+def tensor_coeff_blocks(readout, rescaled, order):
+    """The tensor-layout reference of expand_coeff_vector: blocks c_l in
+    C^{n^l}, with c_j on the canonical slot of block |j|."""
+    n = readout.n
+    blocks = [np.zeros(n ** level, dtype=complex) for level in range(1, order + 1)]
+    for key, value in rescaled.c_coeffs.items():
+        blocks[sum(key) - 1][cf.canonical_slot(key)] += value
+    return blocks
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 import carleman_fourier as cf
 from carleman_fourier import cli
 from carleman_fourier.cli import main
+from carleman_fourier.errors import DivergenceError
 from carleman_fourier.params import default_nu
+
+from conftest import tensor_coeff_blocks
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -100,12 +104,52 @@ def test_pipeline_error_split_matches_the_tensor_path(name, monkeypatch):
     rescaled = outcome["rescaled"]
     psi_lin = cf.propagate_dense(cf.dense_LN(outcome["operator"]),
                                  cf.lift_initial(rescaled, ps.order), run["T"])
-    coeffs = cf.expand_coeff_vector(readout, rescaled, ps.order)
+    coeffs = tensor_coeff_blocks(readout, rescaled, ps.order)
     lin_readout = sum(np.dot(c, b) for c, b in zip(coeffs, psi_lin.blocks))
     assert abs(outcome["koopman_error"]
                - abs(lin_readout - outcome["reference"])) <= 1e-13
     assert abs(outcome["taylor_error"]
                - abs(outcome["estimate"] - lin_readout)) <= 1e-13
+
+
+def _pipeline_inputs(name, **overrides):
+    cfg = cli.load_config(CONFIGS / f"{name}.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    ps = cli.select_params(ode, readout, run, dict(cfg["overrides"], **overrides))
+    return ode, readout, run, ps
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("dissipative_n1", {}), ("dissipative_n2", {}), ("linear_n1", {}),
+    ("nondissipative_n2", {}), ("dissipative_n2", {"N": 20})])
+def test_run_pipeline_never_forms_the_tensor_layout(name, overrides, monkeypatch):
+    import carleman_fourier.linearize as linearize
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("tensor layout formed")
+
+    inputs = _pipeline_inputs(name, **overrides)
+    monkeypatch.setattr(linearize.LiftedState, "tensor", refuse)
+    monkeypatch.setattr(linearize.TensorState, "__post_init__", refuse)
+    for module, attr in ((cli, "dense_LN"), (linearize, "dense_LN"),
+                         (linearize, "b0_diagonal"), (linearize, "apply_B1")):
+        monkeypatch.setattr(module, attr, refuse)
+    outcome = cli.run_pipeline(*inputs)
+    assert outcome["within_epsilon"]
+
+
+def test_run_pipeline_at_order_20_stays_small():
+    # n = 2, N = 20: 230 monomials; the tensor layout has 2^21 - 2 entries
+    inputs = _pipeline_inputs("dissipative_n2", N=20)
+    tracemalloc.start()
+    try:
+        outcome = cli.run_pipeline(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome["lifted_state"]["monomial_dim"] == 230
+    assert outcome["within_epsilon"]
+    assert peak < 5e6
 
 
 def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
@@ -126,7 +170,7 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     assert calls == [(ode.n, ps.order)]
-    # lifting with the operator's layout maps gives the same bits as without
+    # lifting with the operator's basis gives the same bits as without
     rescaled, op = outcome["rescaled"], outcome["operator"]
     shared = cf.lift_initial(rescaled, ps.order, op=op)
     assert shared.vector.tobytes() == cf.lift_initial(rescaled, ps.order).vector.tobytes()
@@ -329,6 +373,42 @@ def test_sweep_records_row_errors_and_continues(tmp_path):
     rows = read_csv_rows(tmp_path / "result.csv")
     assert "ConfigError" in rows[0]["error"]
     assert rows[1]["error"] == ""
+
+
+def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
+    calls = []
+    integrate = cli.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "N",
+                   "--values", "4,5,6,7,8", "--out", tmp_path)
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 1
+    # every row matches a pipeline run with its own oracle
+    for row in read_csv_rows(tmp_path / "result.csv"):
+        assert row["error"] == ""
+        outcome = cli.run_pipeline(*_pipeline_inputs("nondissipative_n2",
+                                                     N=int(row["N"])))
+        assert float(row["estimate_re"]) == outcome["estimate"].real
+        assert float(row["reference_re"]) == outcome["reference"].real
+
+
+def test_sweep_oracle_failure_fills_every_row(tmp_path, monkeypatch):
+    def diverge(*_args, **_kwargs):
+        raise DivergenceError("integrate: step-size failure near t=0.1")
+
+    monkeypatch.setattr(cli, "integrate", diverge)
+    code = run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "N",
+                   "--values", "3,4,5", "--out", tmp_path)
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "result.csv")
+    assert len(rows) == 3
+    assert all(row["error"].startswith("DivergenceError: integrate") for row in rows)
 
 
 # ----------------------------------------------------------------- estimate

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier.errors import BudgetError, ConfigError
-from carleman_fourier.linearize import (b0_diagonal, block_offsets, dense_B1,
-                                        dense_f1_tilde, monomial_basis, total_size)
+from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, b0_diagonal,
+                                        block_offsets, dense_B1, dense_f1_tilde,
+                                        generator_entries, monomial_basis,
+                                        total_size)
 from carleman_fourier.taylor import dense_Vk
 
 from conftest import complex_uniform, make_rescaled
@@ -27,7 +29,9 @@ def test_lift_block_two_entries(rng):
         np.exp(1j * (x[0] + x[1])),
         np.exp(2j * x[1]),
     ])
-    np.testing.assert_allclose(state.blocks[1], expected, rtol=1e-13)
+    np.testing.assert_allclose(state.tensor().blocks[1], expected, rtol=1e-13)
+    # one monomial per count, in canonical-slot order
+    np.testing.assert_allclose(state.blocks[1], expected[[0, 1, 3]], rtol=1e-13)
 
 
 def test_lift_first_block_is_w0(rng):
@@ -39,38 +43,76 @@ def test_lift_first_block_is_w0(rng):
 def test_lift_norm_is_gamma_power(rng):
     rp = make_rescaled(rng, 2)
     state = cf.lift_initial(rp, 5)
+    tensor = state.tensor()
     for j in range(1, 6):
-        assert np.linalg.norm(state.blocks[j - 1]) == pytest.approx(
+        assert np.linalg.norm(tensor.blocks[j - 1]) == pytest.approx(
             rp.gamma ** j, rel=1e-12)
+    assert state.norm(2) == pytest.approx(tensor.norm(2), rel=1e-14)
 
 
 def test_lift_entries_match_count_decode(rng):
     rp = make_rescaled(rng, 2)
-    state = cf.lift_initial(rp, 3)
-    codec = cf.MultiIndexCodec(n=2, k=3)
+    block = cf.lift_initial(rp, 3).tensor().blocks[2]
     for idx in range(8):
-        count = cf.tensor_to_count(codec, idx)
-        expected = np.exp(1j * np.dot(rp.x0, np.asarray(count)))
-        assert state.blocks[2][idx] == pytest.approx(expected, rel=1e-12)
+        count = np.bincount(np.unravel_index(idx, (2,) * 3), minlength=2)
+        expected = np.exp(1j * np.dot(rp.x0, count))
+        assert block[idx] == pytest.approx(expected, rel=1e-12)
 
 
 def test_lift_memory_budget(rng):
+    # n = 3, N = 300: 4.6M monomials, above the default budget
     rp = make_rescaled(rng, 3)
     with pytest.raises(BudgetError):
-        cf.lift_initial(rp, 8, state_budget=1000)
+        cf.lift_initial(rp, 300)
+
+
+def test_order_70_lifts_and_steps_without_the_tensor_layout(rng):
+    # n = 2, N = 70: 2555 monomials; the tensor state would hold 2^71 - 2
+    # entries, and a tensor index of block 70 overflows int64
+    rp = make_rescaled(rng, 2)
+    op = cf.LinearOperatorLN.from_rescaled(rp, 70)
+    assert op.monomial_size == 2555 and op.size > 2 ** 63
+    psi0 = cf.lift_initial(rp, 70, op=op)
+    exact = np.exp(1j * (op.basis.counts @ rp.x0))
+    assert np.max(np.abs(psi0.vector - exact) / np.abs(exact)) <= 1e-13
+    # a short step: block 1 follows the oracle's e^{ix(t)}
+    horizon = 0.01
+    res = cf.forward_solve(op, cf.TaylorConfig(m=4, h=horizon / 4, k=12), psi0)
+    assert res.final.all_finite()
+    w_t = np.exp(1j * cf.integrate(rp, horizon, tol=1e-12).state_at(horizon))
+    np.testing.assert_allclose(res.final.blocks[0], w_t, rtol=1e-9)
+
+
+def test_budget_counts_generator_entries():
+    # n = 200, N = 3: 1.37M monomials, but 5.4M generator entries
+    assert cf.monomial_count(200, 3) == 1373700 < DEFAULT_STATE_BUDGET
+    assert generator_entries(200, 3) == 5433700 > DEFAULT_STATE_BUDGET
+    with pytest.raises(BudgetError):
+        cf.LinearOperatorLN(order=3, n=200, f0=np.ones(200), f1=np.eye(200))
+    # decided in closed form, without a loop over 10^11 blocks
+    with pytest.raises(BudgetError):
+        cf.LinearOperatorLN(order=10 ** 11, n=2, f0=np.ones(2), f1=np.eye(2))
 
 
 # ------------------------------------------------------------ flat layout
 
 def test_blocks_are_views_at_block_offsets(rng):
     v = complex_uniform(rng, total_size(3, 3))
-    state = cf.LiftedState(3, 3, v)
+    state = cf.TensorState(3, 3, v)
     assert block_offsets(3, 3) == (0, 3, 12, 39)
     assert [b.size for b in state.blocks] == [3, 9, 27]
     assert all(np.shares_memory(b, state.vector) for b in state.blocks)
     np.testing.assert_array_equal(state.blocks[1], v[3:12])
     with pytest.raises(ConfigError):
-        cf.LiftedState(3, 3, v[:-1])
+        cf.TensorState(3, 3, v[:-1])
+    # a lifted state's blocks hold C(n+j-1, j) monomials each
+    state = cf.LiftedState(3, 3, v[:19])
+    assert monomial_basis(3, 3).offsets == (0, 3, 9, 19)
+    assert [b.size for b in state.blocks] == [3, 6, 10]
+    assert all(np.shares_memory(b, state.vector) for b in state.blocks)
+    np.testing.assert_array_equal(state.blocks[1], v[3:9])
+    with pytest.raises(ConfigError):
+        cf.LiftedState(3, 3, v[:18])
 
 
 def test_one_b0_diagonal_behind_apply_and_dense(rng):
@@ -78,45 +120,41 @@ def test_one_b0_diagonal_behind_apply_and_dense(rng):
     op = cf.LinearOperatorLN.from_rescaled(rp, 3)
     diag = b0_diagonal(3, rp.f0)
     assert np.diag(cf.dense_LN(op)).tobytes() == diag.tobytes()
-    offsets = block_offsets(3, 3)
-    for j in range(1, 4):
-        v = complex_uniform(rng, 3 ** j)
-        assert cf.apply_B0(j, rp.f0, v).tobytes() == \
-            (diag[offsets[j - 1]:offsets[j]] * v).tobytes()
     # the monomial generator's diagonal is B^(0) at the canonical slots
-    np.testing.assert_allclose(op.generator.diagonal(), diag[op.slots],
+    offsets = block_offsets(3, 3)
+    slots = [offsets[sum(c) - 1] + cf.canonical_slot(c) for c in op.basis.counts]
+    np.testing.assert_allclose(op.generator.diagonal(), diag[slots],
                                rtol=1e-15, atol=0)
 
 
-# ----------------------------------------------------------------- apply_B0
+# ------------------------------------------------------------ b0_diagonal
+
+def apply_b0(j, f0, v):
+    """B_j^(0) v on a tensor block: block j of the B^(0) diagonal times v."""
+    return b0_diagonal(j, f0)[-len(v):] * v
+
 
 def test_apply_b0_scalar_levels(rng):
     f0 = np.array([0.7 - 0.2j])
     v = complex_uniform(rng, 1)
-    np.testing.assert_allclose(cf.apply_B0(1, f0, v), 1j * f0 * v, rtol=1e-15)
-    np.testing.assert_allclose(cf.apply_B0(2, f0, v), 2j * f0 * v, rtol=1e-15)
+    np.testing.assert_allclose(apply_b0(1, f0, v), 1j * f0 * v, rtol=1e-15)
+    np.testing.assert_allclose(apply_b0(2, f0, v), 2j * f0 * v, rtol=1e-15)
 
 
 def test_apply_b0_diagonal_n2(rng):
     f0 = np.array([1.0 + 2j, -0.5 + 1j])
     v = complex_uniform(rng, 2)
-    np.testing.assert_allclose(cf.apply_B0(1, f0, v),
+    np.testing.assert_allclose(apply_b0(1, f0, v),
                                np.diag(1j * f0) @ v, rtol=1e-14)
 
 
 def test_apply_b0_commutes_with_masks(rng):
-    # a diagonal operator commutes with elementwise masking
+    # entry l of block 3 is i (F0[l_1] + F0[l_2] + F0[l_3])
     f0 = complex_uniform(rng, 3)
-    v = complex_uniform(rng, 27)
-    mask = rng.integers(0, 2, 27).astype(float)
-    left = cf.apply_B0(3, f0, mask * v)
-    right = mask * cf.apply_B0(3, f0, v)
-    np.testing.assert_allclose(left, right, atol=1e-15)
-
-
-def test_apply_b0_rejects_bad_length(rng):
-    with pytest.raises(ConfigError):
-        cf.apply_B0(2, np.ones(2), np.ones(3, dtype=complex))
+    block = b0_diagonal(3, f0)[-27:]
+    for idx in range(27):
+        digits = np.unravel_index(idx, (3,) * 3)
+        assert block[idx] == pytest.approx(1j * f0[list(digits)].sum(), rel=1e-14)
 
 
 # ----------------------------------------------------------------- apply_B1
@@ -152,10 +190,10 @@ def test_apply_ln_diagonal_when_uncoupled(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN(order=3, n=2, f0=rp.f0, f1=np.zeros((2, 2)))
     state = cf.lift_initial(rp, 3)
-    out = op.expand(cf.apply_LN(op, op.monomials(state)))
+    out = cf.LiftedState(2, 3, cf.apply_LN(op, state.vector)).tensor()
     for j in range(1, 4):
         np.testing.assert_allclose(out.blocks[j - 1],
-                                   cf.apply_B0(j, rp.f0, state.blocks[j - 1]),
+                                   apply_b0(j, rp.f0, state.tensor().blocks[j - 1]),
                                    rtol=1e-14)
 
 
@@ -163,8 +201,8 @@ def test_apply_ln_order_one(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN.from_rescaled(rp, 1)
     state = cf.lift_initial(rp, 1)
-    np.testing.assert_allclose(cf.apply_LN(op, op.monomials(state)),
-                               cf.apply_B0(1, rp.f0, state.blocks[0]),
+    np.testing.assert_allclose(cf.apply_LN(op, state.vector),
+                               apply_b0(1, rp.f0, state.blocks[0]),
                                rtol=1e-14)
 
 
@@ -197,9 +235,10 @@ def test_dense_matches_matrix_free(rng):
         dense = cf.dense_LN(op)
         for _ in range(3):
             x = complex_uniform(rng, op.monomial_size)
-            out = op.expand(cf.apply_LN(op, x)).vector
-            np.testing.assert_allclose(out, dense @ op.expand(x).vector,
-                                       rtol=1e-13, atol=1e-13)
+            out = cf.LiftedState(n, order, cf.apply_LN(op, x)).tensor().vector
+            np.testing.assert_allclose(
+                out, dense @ cf.LiftedState(n, order, x).tensor().vector,
+                rtol=1e-13, atol=1e-13)
 
 
 def test_dense_ln_norm_bound(rng):
@@ -242,11 +281,11 @@ def test_recurrence_consistency_along_trajectory(rng):
         for j in (1, 2, 4):
             errs = []
             for dt in (1e-3, 5e-4):
-                plus = cf.exact_lifted(traj, j + 1, t0 + dt)
-                minus = cf.exact_lifted(traj, j + 1, t0 - dt)
-                mid = cf.exact_lifted(traj, j + 1, t0)
+                plus = cf.exact_lifted(traj, j + 1, t0 + dt).tensor()
+                minus = cf.exact_lifted(traj, j + 1, t0 - dt).tensor()
+                mid = cf.exact_lifted(traj, j + 1, t0).tensor()
                 fd = (plus.blocks[j - 1] - minus.blocks[j - 1]) / (2 * dt)
-                rhs = (cf.apply_B0(j, rp.f0, mid.blocks[j - 1])
+                rhs = (apply_b0(j, rp.f0, mid.blocks[j - 1])
                        + cf.apply_B1(j, rp.f1, mid.blocks[j]))
                 errs.append(np.max(np.abs(fd - rhs)))
             assert errs[0] < 1e-4
@@ -254,51 +293,43 @@ def test_recurrence_consistency_along_trajectory(rng):
             assert errs[1] < errs[0] / 2.5
 
 
-# ------------------------------------------------------------ padded layout
-
-def test_padded_layout_roundtrip(rng):
-    rp = make_rescaled(rng, 2)
-    state = cf.lift_initial(rp, 3)
-    padded = cf.to_padded(state)
-    assert padded.shape == (3 * 2 ** 3,)
-    for level in range(1, 4):
-        for idx in range(2 ** level):
-            at = cf.padded_index(2, 3, level, idx)
-            assert padded[at] == state.blocks[level - 1][idx]
-    # blockwise and padded dot products agree
-    coeffs = [complex_uniform(rng, 2 ** j) for j in range(1, 4)]
-    padded_coeffs = cf.to_padded(cf.LiftedState(2, 3, np.concatenate(coeffs)))
-    blockwise = sum(np.dot(c, b) for c, b in zip(coeffs, state.blocks))
-    assert np.dot(padded_coeffs, padded) == pytest.approx(blockwise, rel=1e-13)
-
-
 # ----------------------------------------------------------- monomial basis
 
 def test_monomial_basis_slots_and_classes():
     for n, order in [(1, 3), (2, 4), (3, 3), (4, 2)]:
         basis = monomial_basis(n, order)
-        offsets = block_offsets(n, order)
         assert basis.offsets[-1] == sum(math.comb(n + j - 1, j)
                                         for j in range(1, order + 1))
+        assert basis.offsets[-1] == cf.monomial_count(n, order)
         for mono, count in enumerate(basis.counts):
             j = int(count.sum())
             assert basis.offsets[j - 1] <= mono < basis.offsets[j]
-            assert basis.slots[mono] == offsets[j - 1] + cf.canonical_slot(count)
+            assert cf.monomial_index(count) == mono
+            if mono > basis.offsets[j - 1]:
+                # in a block, monomials are in canonical-slot order
+                assert cf.canonical_slot(basis.counts[mono - 1]) \
+                    < cf.canonical_slot(count)
+            # multinom(j; c), the number of tensor slots of count c
+            assert basis.weights[mono] == math.factorial(j) / math.prod(
+                math.factorial(int(c)) for c in count)
             if j > 1:
                 # the canonical slot is the parent's followed by one digit
                 parent = basis.parent[mono]
-                assert basis.slots[mono] - offsets[j - 1] == n * (
-                    basis.slots[parent] - offsets[j - 2]) + basis.symbol[mono]
+                assert cf.canonical_slot(count) == n * cf.canonical_slot(
+                    basis.counts[parent]) + basis.symbol[mono]
             if j < order:
                 for s in range(n):
                     up = basis.up[mono, s]
                     np.testing.assert_array_equal(basis.counts[up],
                                                   count + np.eye(n, dtype=int)[s])
-        for j in range(1, order + 1):
-            codec = cf.MultiIndexCodec(n=n, k=j)
-            for idx in range(n ** j):
-                mono = basis.classes[offsets[j - 1] + idx]
-                assert tuple(basis.counts[mono]) == cf.tensor_to_count(codec, idx)
+        # the tensor expansion puts at index l the monomial of count(l)
+        counts = cf.LiftedState(n, order, np.arange(basis.offsets[-1])).tensor()
+        for j, block in enumerate(counts.blocks, start=1):
+            for idx, mono in enumerate(block.real.astype(int)):
+                digits = np.unravel_index(idx, (n,) * j)
+                np.testing.assert_array_equal(basis.counts[mono],
+                                              np.bincount(digits, minlength=n))
+                assert basis.weights[mono] == np.sum(block.real == mono)
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,26 +341,39 @@ def test_monomial_generator_and_step_match_tensor(n, order, seed):
     op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
                              f1=complex_uniform(rng, (n, n)))
     x = complex_uniform(rng, op.monomial_size)
-    tensor = op.expand(x).vector
+
+    def tensor(v):
+        return cf.LiftedState(n, order, v).tensor().vector
+
     dense = cf.dense_LN(op)
-    expected = dense @ tensor
-    got = op.expand(cf.apply_LN(op, x)).vector
+    expected = dense @ tensor(x)
+    got = tensor(cf.apply_LN(op, x))
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
     cfg = cf.TaylorConfig(m=1, h=0.5 / max(cf.op_norm(dense, 2), 1e-3), k=6)
-    expected = dense_Vk(op, cfg) @ tensor
-    got = op.expand(cf.apply_Vk(op, cfg, x)).vector
+    expected = dense_Vk(op, cfg) @ tensor(x)
+    got = tensor(cf.apply_Vk(op, cfg, x))
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
-    assert op.tensor_norm(x) == pytest.approx(np.linalg.norm(tensor), rel=1e-14)
+    for p in (1, 2, 3, math.inf):
+        assert cf.LiftedState(n, order, x).norm(p) == pytest.approx(
+            cf.vector_p_norm(tensor(x), p), rel=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_lift_point_is_bitwise_symmetric(n, order, seed):
+    # every tensor slot of count c holds the one monomial w^c, which is the
+    # Kronecker power's entry at the canonical slot, bit for bit
     rng = np.random.default_rng(seed)
-    state = cf.lift_point(complex_uniform(rng, n), order)
-    basis = monomial_basis(n, order)
-    symmetric = state.vector[basis.slots][basis.classes]
-    assert state.vector.tobytes() == symmetric.tobytes()
+    w = complex_uniform(rng, n)
+    tensor = cf.lift_point(w, order).tensor()
+    power = w
+    for j, block in enumerate(tensor.blocks, start=1):
+        if j > 1:
+            power = np.kron(power, w)
+        for idx in range(n ** j):
+            count = np.bincount(np.unravel_index(idx, (n,) * j), minlength=n)
+            assert block[idx].tobytes() == power[cf.canonical_slot(count)].tobytes()
+        np.testing.assert_allclose(block, power, rtol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,18 @@
 """Cross-regime pipeline regressions at shapes the acceptance suite does
-not touch (n = 3, p = 1, scalar non-dissipative)."""
+not touch (n = 3, p = 1, scalar non-dissipative), and the monomial pipeline
+against its tensor-layout reference."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import carleman_fourier as cf
+from carleman_fourier.linearize import total_size
+from carleman_fourier.taylor import dense_Vk
 
-from conftest import complex_uniform, make_dissipative_ode, random_readout
+from conftest import (complex_uniform, make_dissipative_ode, random_readout,
+                      tensor_coeff_blocks)
 
 
 def run_pipeline(ode, readout, ps):
@@ -61,3 +67,51 @@ def test_pipeline_scale_invariance(rng):
         values.append(value)
     assert values[1] == pytest.approx(values[0], abs=1e-6)
     assert values[2] == pytest.approx(values[0], abs=1e-6)
+
+
+def _relative_gap(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_monomial_pipeline_matches_the_tensor_reference(n, order, seed):
+    # lift -> forward_solve -> readout_value and propagate, all in monomial
+    # coordinates, against Kronecker powers, dense_Vk, propagate_dense and
+    # the blockwise dot with canonical-slot coefficients; up to 400 tensor
+    # entries, so that the dense reference stays small
+    assume(total_size(n, order) <= 400)
+    rng = np.random.default_rng(seed)
+    w0 = complex_uniform(rng, n, scale=0.7)
+    ode = cf.FourierOde(n=n, g0=complex_uniform(rng, n),
+                        g1=complex_uniform(rng, (n, n)), u0=-1j * np.log(w0))
+    readout = random_readout(rng, n, int(rng.integers(1, order + 1)))
+    rescaled = cf.rescale(ode, readout, 1.0)
+    op = cf.LinearOperatorLN.from_rescaled(rescaled, order)
+
+    psi0 = cf.lift_initial(rescaled, order, op=op)
+    powers = [rescaled.w0]
+    for _ in range(order - 1):
+        powers.append(np.kron(powers[-1], rescaled.w0))
+    tensor0 = np.concatenate(powers)
+    assert _relative_gap(psi0.tensor().vector, tensor0) <= 1e-13
+
+    dense = cf.dense_LN(op)
+    cfg = cf.TaylorConfig(m=3, h=0.5 / max(cf.op_norm(dense, 2), 1e-3), k=6)
+    result = cf.forward_solve(op, cfg, psi0)
+    vk = dense_Vk(op, cfg)
+    final = tensor0
+    for _ in range(cfg.m):
+        final = vk @ final
+    assert _relative_gap(result.final.tensor().vector, final) <= 1e-13
+
+    estimate = cf.readout_value(result, cf.expand_coeff_vector(readout, rescaled, order))
+    terms = [c * b for c, b in zip(tensor_coeff_blocks(readout, rescaled, order),
+                                   cf.TensorState(n, order, final).blocks)]
+    reference = sum(t.sum() for t in terms)
+    assert abs(estimate - reference) <= 1e-13 * sum(np.abs(t).sum() for t in terms)
+
+    t = float(rng.uniform(0.0, 1.0))
+    got = cf.propagate(op, psi0, t).tensor().vector
+    expected = cf.propagate_dense(dense, cf.TensorState(n, order, tensor0), t).vector
+    assert _relative_gap(got, expected) <= 1e-13

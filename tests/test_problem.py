@@ -5,6 +5,7 @@ import pytest
 
 import carleman_fourier as cf
 from carleman_fourier.errors import ConfigError
+from carleman_fourier.linearize import monomial_basis
 
 from conftest import complex_uniform, make_dissipative_ode, random_readout
 
@@ -58,50 +59,57 @@ def test_rescale_coefficient_powers(rng):
 
 # --------------------------------------------------------- tensor indexing
 
-def test_count_enumeration_n3_k2():
-    codec = cf.MultiIndexCodec(n=3, k=2)
-    counts = [cf.tensor_to_count(codec, i) for i in range(9)]
-    assert counts == [(2, 0, 0), (1, 1, 0), (1, 0, 1),
-                      (1, 1, 0), (0, 2, 0), (0, 1, 1),
-                      (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+def test_count_enumeration_n3_k2(rng):
+    # tensor index l of block 2 holds the monomial of the digit counts of l
+    counts = [(2, 0, 0), (1, 1, 0), (1, 0, 1),
+              (1, 1, 0), (0, 2, 0), (0, 1, 1),
+              (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    assert [tuple(np.bincount(np.unravel_index(i, (3, 3)), minlength=3))
+            for i in range(9)] == counts
+    w = complex_uniform(rng, 3)
+    block = cf.lift_point(w, 2).tensor().blocks[1]
+    np.testing.assert_allclose(block, [np.prod(w ** np.array(c)) for c in counts],
+                               rtol=1e-14)
 
 
-def test_count_degree_one():
-    codec = cf.MultiIndexCodec(n=4, k=1)
+def test_count_degree_one(rng):
+    w = complex_uniform(rng, 4)
+    state = cf.lift_point(w, 1)
     for digit in range(4):
         expected = tuple(1 if i == digit else 0 for i in range(4))
-        assert cf.tensor_to_count(codec, digit) == expected
+        assert cf.monomial_index(expected) == digit
+        assert state.tensor().vector[digit] == state.vector[digit] == w[digit]
 
 
-def test_count_base2_example():
+def test_count_base2_example(rng):
     # flat index 5 with k=3 has digits (1, 0, 1): one zero, two ones
-    codec = cf.MultiIndexCodec(n=2, k=3)
-    assert codec.digits(5) == (1, 0, 1)
-    assert cf.tensor_to_count(codec, 5) == (1, 2)
+    assert np.unravel_index(5, (2, 2, 2)) == (1, 0, 1)
+    w = complex_uniform(rng, 2)
+    state = cf.lift_point(w, 3)
+    assert state.tensor().blocks[2][5] == state.vector[cf.monomial_index((1, 2))]
+    assert state.vector[cf.monomial_index((1, 2))] == pytest.approx(
+        w[0] * w[1] ** 2, rel=1e-14)
 
 
 def test_count_sums_and_cardinality():
+    # block j holds C(n+j-1, j) distinct counts summing to j, and the
+    # multinomial weights count all n^j tensor slots
     for n, k in [(2, 3), (3, 2), (4, 2)]:
-        codec = cf.MultiIndexCodec(n=n, k=k)
-        counts = [cf.tensor_to_count(codec, i) for i in range(codec.size)]
-        assert len(counts) == n ** k
-        assert all(sum(c) == k for c in counts)
-
-
-def test_count_rejects_out_of_range():
-    codec = cf.MultiIndexCodec(n=2, k=2)
-    with pytest.raises(ConfigError):
-        cf.tensor_to_count(codec, 4)
-    with pytest.raises(ConfigError):
-        cf.tensor_to_count(codec, -1)
+        basis = monomial_basis(n, k)
+        block = slice(basis.offsets[k - 1], basis.offsets[k])
+        counts = basis.counts[block]
+        assert len(counts) == math.comb(n + k - 1, k)
+        assert len({tuple(c) for c in counts}) == len(counts)
+        assert all(c.sum() == k for c in counts)
+        assert basis.weights[block].sum() == n ** k
 
 
 def test_canonical_slot_is_smallest_matching_index():
-    codec = cf.MultiIndexCodec(n=3, k=3)
     for count in [(3, 0, 0), (1, 1, 1), (0, 2, 1), (2, 0, 1)]:
         slot = cf.canonical_slot(count)
-        matching = [i for i in range(codec.size)
-                    if cf.tensor_to_count(codec, i) == count]
+        matching = [i for i in range(27)
+                    if tuple(np.bincount(np.unravel_index(i, (3,) * 3),
+                                         minlength=3)) == count]
         assert slot == min(matching)
 
 
@@ -142,20 +150,22 @@ def test_expand_coeff_vector_degree_one(rng):
     ode = make_dissipative_ode(rng, 2)
     ro = cf.ReadoutSpec(degree=1, coeffs={(1, 0): 2.0, (0, 1): 3j})
     rp = cf.rescale(ode, ro, 1.0)
-    blocks = cf.expand_coeff_vector(ro, rp, 3)
-    np.testing.assert_allclose(blocks[0], [2.0, 3j])
-    assert all(np.all(b == 0) for b in blocks[1:])
+    coeffs = cf.expand_coeff_vector(ro, rp, 3)
+    assert coeffs.shape == (cf.monomial_count(2, 3),)
+    np.testing.assert_allclose(coeffs[:2], [2.0, 3j])
+    assert np.all(coeffs[2:] == 0)
 
 
 def test_expand_coeff_vector_canonical_slot(rng):
     ode = make_dissipative_ode(rng, 2)
     ro = cf.ReadoutSpec(degree=2, coeffs={(1, 1): 1.0})
     rp = cf.rescale(ode, ro, 1.0)
-    blocks = cf.expand_coeff_vector(ro, rp, 2)
-    # digits (0, 1) is flat index 1; the duplicated slot (1, 0) = 2 stays 0
-    assert blocks[1][1] == pytest.approx(1.0)
-    assert blocks[1][2] == 0.0
-    assert blocks[1][0] == 0.0 and blocks[1][3] == 0.0
+    coeffs = cf.expand_coeff_vector(ro, rp, 2)
+    # block 2 holds w0^2, w0 w1, w1^2: the coefficient sits on w0 w1, whose
+    # canonical slot, digits (0, 1), is tensor index 1
+    assert cf.canonical_slot((1, 1)) == 1
+    assert coeffs[2 + 1] == pytest.approx(1.0)
+    assert np.count_nonzero(coeffs) == 1
 
 
 def test_expand_coeff_vector_requires_order_at_least_degree(rng):
@@ -174,11 +184,10 @@ def test_coeff_dot_lift_reproduces_readout(rng):
             nu = float(rng.uniform(0.5, 2.0))
             rp = cf.rescale(ode, ro, nu)
             order = degree + 1
-            blocks = cf.expand_coeff_vector(ro, rp, order)
+            coeffs = cf.expand_coeff_vector(ro, rp, order)
             x = rng.uniform(-2, 2, n) + 1j * rng.uniform(-0.5, 0.5, n)
             state = cf.lift_point(np.exp(1j * x), order)
-            f_val = sum(np.dot(blocks[l], state.blocks[l])
-                        for l in range(order))
+            f_val = np.dot(coeffs, state.vector)
             # f evaluated via coefficients c at x equals g at u = x - i ln nu
             u = x - 1j * math.log(nu)
             assert f_val == pytest.approx(cf.eval_readout(ro, u), abs=1e-12)
@@ -202,11 +211,13 @@ def test_rescaled_readout_invariant(rng):
 def test_lifted_norm_multiplicativity(rng):
     w = complex_uniform(rng, 3, scale=0.8)
     state = cf.lift_point(w, 4)
+    tensor = state.tensor()
     for p in (1, 2, 3, math.inf):
         base = cf.vector_p_norm(w, p)
         for k in range(1, 5):
-            assert cf.vector_p_norm(state.blocks[k - 1], p) == pytest.approx(
+            assert cf.vector_p_norm(tensor.blocks[k - 1], p) == pytest.approx(
                 base ** k, rel=1e-12)
+        assert state.norm(p) == pytest.approx(tensor.norm(p), rel=1e-13)
 
 
 from hypothesis import given, settings
@@ -216,18 +227,19 @@ from hypothesis import strategies as st
 @settings(max_examples=60)
 @given(st.integers(1, 4), st.integers(1, 5), st.data())
 def test_codec_roundtrip_property(n, k, data):
-    codec = cf.MultiIndexCodec(n=n, k=k)
-    idx = data.draw(st.integers(0, codec.size - 1))
-    digits = codec.digits(idx)
-    assert len(digits) == k
-    assert codec.flat(digits) == idx
-    count = cf.tensor_to_count(codec, idx)
-    assert sum(count) == k
-    assert len(count) == n
+    idx = data.draw(st.integers(0, n ** k - 1))
+    digits = np.unravel_index(idx, (n,) * k)
+    assert np.ravel_multi_index(digits, (n,) * k) == idx
+    count = np.bincount(digits, minlength=n)
+    assert count.sum() == k
     # the canonical slot is a valid representative of the same count
     slot = cf.canonical_slot(count)
-    assert cf.tensor_to_count(codec, slot) == count
+    assert np.array_equal(np.bincount(np.unravel_index(slot, (n,) * k),
+                                      minlength=n), count)
     assert slot <= idx
+    # and the monomial of that count sits at monomial_index
+    basis = monomial_basis(n, k)
+    np.testing.assert_array_equal(basis.counts[cf.monomial_index(count)], count)
 
 
 @settings(max_examples=40)
@@ -236,7 +248,7 @@ def test_codec_roundtrip_property(n, k, data):
        st.integers(1, 4), st.sampled_from([1.0, 2.0, 3.0, math.inf]))
 def test_lift_norm_power_property(pairs, order, p):
     w = np.array([complex(re, im) for re, im in pairs])
-    state = cf.lift_point(w, order)
+    state = cf.lift_point(w, order).tensor()
     base = cf.vector_p_norm(w, p)
     for j in range(1, order + 1):
         assert cf.vector_p_norm(state.blocks[j - 1], p) == pytest.approx(

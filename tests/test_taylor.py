@@ -39,7 +39,7 @@ def test_apply_vk_scalar_exponential(rng):
 def test_apply_vk_first_order(rng):
     rp, op = stable_operator(rng, 2, 3)
     cfg = cf.TaylorConfig(m=1, h=0.2, k=1)
-    x = op.monomials(cf.lift_initial(rp, 3))
+    x = cf.lift_initial(rp, 3).vector
     lx = cf.apply_LN(op, x)
     out = cf.apply_Vk(op, cfg, x)
     np.testing.assert_allclose(out, x + 0.2 * lx, rtol=1e-14)
@@ -50,8 +50,12 @@ def test_apply_vk_matches_dense_polynomial(rng):
     cfg = cf.TaylorConfig(m=1, h=0.15, k=7)
     dense = dense_Vk(op, cfg)
     x = complex_uniform(rng, op.monomial_size)
-    np.testing.assert_allclose(op.expand(cf.apply_Vk(op, cfg, x)).vector,
-                               dense @ op.expand(x).vector, rtol=1e-13, atol=1e-13)
+
+    def tensor(v):
+        return cf.LiftedState(2, 4, v).tensor().vector
+
+    np.testing.assert_allclose(tensor(cf.apply_Vk(op, cfg, x)),
+                               dense @ tensor(x), rtol=1e-13, atol=1e-13)
 
 
 # -------------------------------------------------------------- forward_solve
@@ -59,7 +63,7 @@ def test_apply_vk_matches_dense_polynomial(rng):
 def test_forward_solve_identity_when_l_zero(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=5, h=0.1, k=4)
-    v = op.expand(complex_uniform(rng, op.monomial_size))
+    v = cf.LiftedState(2, 2, complex_uniform(rng, op.monomial_size))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
     for j in range(cfg.m + 1):
@@ -72,9 +76,8 @@ def test_forward_solve_single_step(rng):
     cfg = cf.TaylorConfig(m=1, h=0.25, k=8)
     psi0 = cf.lift_initial(rp, 3)
     res = cf.forward_solve(op, cfg, psi0)
-    ref = op.expand(cf.apply_Vk(op, cfg, op.monomials(psi0)))
-    np.testing.assert_allclose(res.final.vector, ref.vector,
-                               rtol=1e-14)
+    ref = cf.apply_Vk(op, cfg, psi0.vector)
+    np.testing.assert_allclose(res.final.vector, ref, rtol=1e-14)
 
 
 def test_forward_solve_tracks_dense_exponential(rng):
@@ -104,8 +107,8 @@ def test_forward_solve_leaves_inputs_and_history_unchanged(rng):
     assert res.state_at_step(0).vector.tobytes() == before
     assert not np.shares_memory(res.history, psi0.vector)
     for j in range(cfg.m):
-        step = op.expand(cf.apply_Vk(op, cfg, op.monomials(res.state_at_step(j))))
-        assert step.vector.tobytes() == res.state_at_step(j + 1).vector.tobytes()
+        step = cf.apply_Vk(op, cfg, res.state_at_step(j).vector)
+        assert step.tobytes() == res.state_at_step(j + 1).vector.tobytes()
 
 
 def test_forward_solve_keeps_history_in_monomials(rng):
@@ -117,8 +120,7 @@ def test_forward_solve_keeps_history_in_monomials(rng):
     assert res.history.shape == (cfg.m + 1, op.monomial_size) == (5, 9)
     assert res.operator is op
     for j in range(cfg.m + 1):
-        assert res.state_at_step(j).vector.tobytes() == \
-            res.history[j][op.classes].tobytes()
+        assert res.state_at_step(j).vector.tobytes() == res.history[j].tobytes()
     assert res.final.vector.tobytes() == res.state_at_step(cfg.m).vector.tobytes()
     with pytest.raises(ConfigError):
         res.state_at_step(cfg.m + 1)
@@ -127,14 +129,15 @@ def test_forward_solve_keeps_history_in_monomials(rng):
 def test_forward_solve_refuses_non_symmetric_psi0(rng):
     rp, op = stable_operator(rng, 2, 3)
     cfg = cf.TaylorConfig(m=2, h=0.1, k=4)
-    psi0 = cf.lift_initial(rp, 3)
+    # a non-symmetric tensor can only be a TensorState, which is refused:
     # tensor slots 1 and 2 of block 2 (digit strings 01 and 10) share a count
-    psi0.vector[2 + 2] *= 1 + 1e-15
-    assert psi0.vector[2 + 2] != psi0.vector[2 + 1]
+    tensor = cf.lift_initial(rp, 3).tensor()
+    tensor.vector[2 + 2] *= 1 + 1e-15
+    assert tensor.vector[2 + 2] != tensor.vector[2 + 1]
     with pytest.raises(ConfigError):
-        cf.forward_solve(op, cfg, psi0)
+        cf.forward_solve(op, cfg, tensor)
     with pytest.raises(ConfigError):
-        cf.forward_solve(op, cfg, cf.LiftedState(2, 3, complex_uniform(rng, 14)))
+        cf.forward_solve(op, cfg, cf.LiftedState(2, 2, complex_uniform(rng, 5)))
 
 
 def test_forward_solve_counts_generator_applies(rng):
@@ -167,7 +170,8 @@ def test_readout_picks_component(rng):
     rp, op = stable_operator(rng, 2, 2)
     cfg = cf.TaylorConfig(m=3, h=0.1, k=6)
     res = cf.forward_solve(op, cfg, cf.lift_initial(rp, 2))
-    coeffs = [np.array([0.0, 1.0], dtype=complex), np.zeros(4, dtype=complex)]
+    coeffs = np.zeros(op.monomial_size, dtype=complex)
+    coeffs[1] = 1.0
     assert cf.readout_value(res, coeffs) == pytest.approx(
         res.final.blocks[0][1])
 
@@ -180,7 +184,7 @@ def test_readout_linear_problem_closed_form(rng):
     cfg = cf.TaylorConfig.for_horizon(horizon, 8, 14)
     psi0 = cf.LiftedState(1, 1, [np.exp(1j * x0)])
     res = cf.forward_solve(op, cfg, psi0)
-    value = cf.readout_value(res, [np.array([1.0 + 0j])])
+    value = cf.readout_value(res, np.array([1.0 + 0j]))
     expected = np.exp(1j * f0 * horizon) * np.exp(1j * x0)
     cap = cf.taylor_remainder_bound(8, 14) * abs(np.exp(1j * x0))
     assert abs(value - expected) <= cap + 1e-13
@@ -191,13 +195,10 @@ def test_readout_equals_time_grid_contraction(rng):
     rp, op = stable_operator(rng, 2, 3)
     cfg = cf.TaylorConfig(m=4, h=0.1, k=6)
     res = cf.forward_solve(op, cfg, cf.lift_initial(rp, 3))
-    coeffs = [complex_uniform(rng, 2 ** j) for j in range(1, 4)]
+    coeffs = complex_uniform(rng, op.monomial_size)
     direct = cf.readout_value(res, coeffs)
-    copies = sum(
-        (1.0 / cfg.m) * sum(np.dot(c, b) for c, b in
-                            zip(coeffs, res.final.blocks))
-        for _ in range(cfg.m)
-    )
+    copies = sum((1.0 / cfg.m) * np.dot(coeffs, res.final.vector)
+                 for _ in range(cfg.m))
     assert direct == pytest.approx(copies, rel=1e-12)
 
 
@@ -206,7 +207,7 @@ def test_readout_shape_mismatch(rng):
     cfg = cf.TaylorConfig(m=1, h=0.1, k=3)
     res = cf.forward_solve(op, cfg, cf.lift_initial(rp, 2))
     with pytest.raises(ConfigError):
-        cf.readout_value(res, [np.zeros(3, dtype=complex)])
+        cf.readout_value(res, np.zeros(3, dtype=complex))
 
 
 # ----------------------------------------------------------- W_{l,k} norms
@@ -244,8 +245,8 @@ def test_remainder_shrinks_with_k(rng):
     psi0 = cf.lift_initial(rp, 3)
     for k in (2, 4, 8, 12):
         cfg = cf.TaylorConfig(m=1, h=h, k=k)
-        err = np.linalg.norm(op.expand(cf.apply_Vk(op, cfg, op.monomials(psi0))).vector
-                             - exact @ psi0.vector)
+        # n = 1: every tensor entry is its own monomial
+        err = np.linalg.norm(cf.apply_Vk(op, cfg, psi0.vector) - exact @ psi0.vector)
         if prev is not None:
             assert err <= prev + 1e-15
         prev = err
