@@ -195,8 +195,7 @@ def taylor_truncation_bound(j: int, k: int, c_estimate: float,
     return taylor_remainder_bound(j, k) * c_estimate * psi0_norm
 
 
-def stability_certificate(op: LinearOperatorLN,
-                          budget: int | None = None) -> BoundReport:
+def stability_certificate(op: LinearOperatorLN) -> BoundReport:
     """Certify sup_t ||exp(L t)||_2 <= 1 via the logarithmic norm.
 
     The certificate is mu2(L) <= 0 (within STABILITY_TOL); the grid-sampled
@@ -204,7 +203,7 @@ def stability_certificate(op: LinearOperatorLN,
     envelope max_j{-j mu0 + (2j-1)/2 ||F1||_row,2} is evaluated alongside
     and checked to dominate mu2.
     """
-    dense = dense_LN(op, budget=budget)
+    dense = dense_LN(op)
     mu2 = log_norm_2(dense)
     mu0 = float(np.min(np.imag(op.f0)))
     f1_tilde_2 = row_q_norm(op.f1, 2)

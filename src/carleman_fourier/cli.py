@@ -33,27 +33,23 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import CflError, ConfigError, HypothesisViolation
-from .linearize import (LinearOperatorLN, dense_LN, dense_budget, lift_initial,
-                        size_within)
+from .linearize import LinearOperatorLN, dense_LN, lift_initial, size_within
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
-from .problem import FourierOde, ReadoutSpec, eval_readout, expand_coeff_vector, rescale
-from .taylor import TaylorConfig, forward_solve, readout_value
+from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
+                      expand_coeff_vector, rescale)
+from .taylor import TaylorConfig, forward_solve, readout_value, step_count_for
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
 OVERRIDE_KEYS = ("N", "k", "m", "nu")
 
 # the Koopman/Taylor error split and eta measurement of solve and sweep, and
-# the 2-norm check of estimate, run only up to this tensor size, even when
-# CFL_DENSE_BUDGET allows more.  The split itself exponentiates the much
-# smaller monomial generator; the cap keeps it on the same runs as before.
+# the 2-norm check of estimate, run only up to this tensor size.  The split
+# itself exponentiates the much smaller monomial generator; the cap keeps it
+# on the same runs as before.
 DIAG_DENSE_CAP = 1024
-
-
-def diag_dense_cap() -> int:
-    return min(dense_budget(), DIAG_DENSE_CAP)
 
 
 def fmt(x) -> str:
@@ -304,7 +300,7 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
         nu = changes.get("nu", ps.nu)
         rate = (ps.alpha + ps.mu0 if ps.regime == "dissipative"
                 else ps.alpha + nu * ps.g1_row_q)
-        steps = max(1, math.ceil(ps.horizon * order * rate))
+        steps = step_count_for(ps.horizon, order, rate)
     else:
         steps = ps.steps
     changes["steps"] = steps
@@ -339,7 +335,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
 
     total_error = abs(estimate - reference)
     koopman_err = taylor_err = psi_lin = None
-    if size_within(op.n, op.order, diag_dense_cap()):
+    if size_within(op.n, op.order, DIAG_DENSE_CAP):
         t0 = time.perf_counter()
         psi_lin = propagate(op, psi0, run["T"])
         lin_readout = complex(np.dot(coeffs, psi_lin.vector))
@@ -371,9 +367,9 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
 
 
 def _bound_values(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  ps: ParamSet) -> dict:
-    """Evaluate the truncation bounds that apply to this run."""
-    rescaled = rescale(ode, readout, ps.nu)
+                  ps: ParamSet, rescaled: RescaledProblem) -> dict:
+    """Evaluate the truncation bounds that apply to this run; rescaled is
+    rescale(ode, readout, ps.nu), as run_pipeline returns it."""
     out = {}
     report = bounds_mod.check_dissipative(ode, ps.p)
     if report.dissipative:
@@ -399,7 +395,7 @@ def cmd_solve(args) -> int:
     overrides.update(parse_override_arg(args.param_overrides))
     ps = select_params(ode, readout, run, overrides)
     outcome = run_pipeline(ode, readout, run, ps)
-    bound_vals = _bound_values(ode, readout, run, ps)
+    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"])
 
     resource = None
     try:
@@ -510,14 +506,7 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [",".join(columns)]
     for row in rows:
-        rendered = []
-        for col in columns:
-            val = row.get(col)
-            if col in ("axis", "error"):
-                rendered.append(str(val if val is not None else ""))
-            else:
-                rendered.append(fmt(val))
-        lines.append(",".join(rendered))
+        lines.append(",".join(fmt(row.get(col)) for col in columns))
     _write_output(outdir / "result.csv", "\n".join(lines) + "\n")
     print(f"wrote {outdir / 'result.csv'} ({len(rows)} rows)")
     return 0
@@ -537,7 +526,7 @@ def _sweep_row(ode, readout, run, base_overrides, axis, value, traj) -> dict:
         overrides["nu"] = float(value)
     ps = select_params(ode, readout, run, overrides)
     outcome = run_pipeline(ode, readout, run, ps, traj)
-    bound_vals = _bound_values(ode, readout, run, ps)
+    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"])
 
     eta1_measured = None
     if outcome["psi_lin"] is not None:
@@ -576,7 +565,7 @@ def cmd_estimate(args) -> int:
             entry = {"params": ps.as_dict(),
                      "resource_estimate": resource.as_dict()}
             # dense diagnostic: the encoding factor must dominate ||L||_2
-            if size_within(ode.n, ps.order, diag_dense_cap()):
+            if size_within(ode.n, ps.order, DIAG_DENSE_CAP):
                 rescaled = rescale(ode, readout, ps.nu)
                 op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
                 norm2 = op_norm(dense_LN(op), 2)

@@ -20,13 +20,12 @@ LinearOperatorLN builds it once, on the basis of monomial_basis.
 The tensor layout (block j in C^{n^j}, blocks back to back from offset
 sum_{i<j} n^i) is the reference the monomial path is checked against:
 LiftedState.tensor() expands a state into it, and dense_LN, apply_B1 and
-b0_diagonal act on it.  Dense assembly is a test/diagnostic path guarded by
-a size budget (CFL_DENSE_BUDGET, default 4096 total rows).
+b0_diagonal act on it.  Dense assembly is a test/diagnostic path refused
+above DEFAULT_DENSE_BUDGET (4096) total rows.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,22 +37,9 @@ from .norms import vector_p_norm
 from .problem import RescaledProblem, monomial_count
 
 DEFAULT_DENSE_BUDGET = 4096
-# entries of the monomial basis' generator (and so of a lifted state), and
-# of the tensor reference and of a step history
+# entries of the monomial basis' generator (and so of a lifted state), of
+# the tensor reference and of the states a forward solve steps through
 DEFAULT_STATE_BUDGET = 1 << 22
-
-
-def dense_budget() -> int:
-    raw = os.environ.get("CFL_DENSE_BUDGET")
-    if raw is None:
-        return DEFAULT_DENSE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"CFL_DENSE_BUDGET is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise ConfigError("CFL_DENSE_BUDGET must be positive")
-    return value
 
 
 def block_offsets(n: int, order: int) -> tuple:
@@ -372,19 +358,17 @@ def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_LN(op: LinearOperatorLN, budget: int | None = None) -> np.ndarray:
+def dense_LN(op: LinearOperatorLN) -> np.ndarray:
     """Explicit matrix of the truncated generator in the tensor layout.
 
-    Guarded by the dense budget; the sparse monomial generator is the
-    primary representation and this assembly exists for diagnostics and
-    oracles.
+    Refused above DEFAULT_DENSE_BUDGET rows; the sparse monomial generator
+    is the primary representation and this assembly exists for diagnostics
+    and oracles.
     """
-    cap = dense_budget() if budget is None else budget
     size = op.size
-    if size > cap:
+    if size > DEFAULT_DENSE_BUDGET:
         raise BudgetError(
-            f"dense_LN: size {size} exceeds dense budget {cap} "
-            "(override with CFL_DENSE_BUDGET)"
+            f"dense_LN: size {size} exceeds dense budget {DEFAULT_DENSE_BUDGET}"
         )
     out = np.diag(b0_diagonal(op.order, op.f0))
     offsets = block_offsets(op.n, op.order)

@@ -269,22 +269,12 @@ def exact_lifted(traj: Trajectory, order: int, t: float) -> LiftedState:
     return lift_point(np.exp(1j * x), order)
 
 
-def _truncated_state_at(truncated, t: float) -> TensorState:
-    """The tensor layout of a LiftedState or TensorState at time t, or of
-    the step of a SolveResult whose step grid contains t (the latter folds
-    Taylor-stepping error into eta)."""
+def _tensor_of(truncated) -> TensorState:
+    """The tensor layout of a LiftedState or TensorState."""
     if isinstance(truncated, TensorState):
         return truncated
     if isinstance(truncated, LiftedState):
         return truncated.tensor()
-    config = getattr(truncated, "config", None)
-    if config is not None:
-        step = int(round(t / config.h))
-        if abs(step * config.h - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(
-                f"measure_eta: t={t} is not on the step grid (h={config.h})"
-            )
-        return truncated.state_at_step(step).tensor()
     raise ConfigError(
         f"measure_eta: unsupported truncated-solution type {type(truncated)!r}"
     )
@@ -295,13 +285,13 @@ def measure_eta(traj: Trajectory, truncated, k: int, t: float,
     """||Psi_k(t) - Psi_k^(N)(t)||_p: truncation error of block k, in the
     tensor layout.
 
-    `truncated` is the lifted state of the *truncated linear* system at time
-    t.  Pass a state obtained from the exponential of the truncated
-    generator (see propagate, propagate_dense) to isolate the lifting
-    truncation error from time-stepping error; a SolveResult folds Taylor
-    error in as well (t must then sit on the step grid).
+    `truncated` is the lifted state (LiftedState or TensorState) of the
+    *truncated linear* system at time t.  Pass a state obtained from the
+    exponential of the truncated generator (see propagate, propagate_dense)
+    to isolate the lifting truncation error from time-stepping error; the
+    final state of a forward_solve over [0, t] folds Taylor error in as well.
     """
-    state = _truncated_state_at(truncated, t)
+    state = _tensor_of(truncated)
     if not 1 <= k <= state.order:
         raise ConfigError(f"measure_eta: block {k} outside 1..{state.order}")
     exact = exact_lifted(traj, k, t).tensor()
@@ -313,7 +303,7 @@ def measure_eta_vector(traj: Trajectory, truncated, t: float,
                        p: float = 2) -> float:
     """p-norm of the concatenated truncation error over all N blocks, in the
     tensor layout."""
-    state = _truncated_state_at(truncated, t)
+    state = _tensor_of(truncated)
     exact = exact_lifted(traj, state.order, t).tensor()
     return vector_p_norm(exact.vector - state.vector, p)
 

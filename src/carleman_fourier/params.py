@@ -23,6 +23,7 @@ from .bounds import check_dissipative, t_max_nondissipative
 from .errors import ConfigError, HypothesisViolation
 from .norms import conjugate_exponent, gamma_growth_bound, row_q_norm, vector_p_norm
 from .problem import FourierOde, ReadoutSpec, rescale
+from .taylor import step_count_for
 
 E = math.e
 
@@ -142,9 +143,7 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
         order = max(1, big_k)  # no coupling: lifting exact above degree K
     s = s_scale(nu, big_k)
 
-    steps = max(1, math.ceil(horizon * order * (alpha + mu0)))
-    if power_of_two_steps:
-        steps = 1 << (steps - 1).bit_length()
+    steps = step_count_for(horizon, order, alpha + mu0, power_of_two_steps)
     h = horizon / steps
 
     k = _taylor_order(4 * E ** 3 / epsilon * s * d_norm2 * steps * spread,
@@ -249,9 +248,7 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
     decay = math.log(r) - rate * horizon  # log(r / e^{rate T}) > 0 inside T_max
     numer = math.log(max(4 * big_k * s * d_normq / (r * epsilon), 1.0))
     order = max(1, big_k, math.ceil(numer / decay))
-    steps = max(1, math.ceil(horizon * order * rate))
-    if power_of_two_steps:
-        steps = 1 << (steps - 1).bit_length()
+    steps = step_count_for(horizon, order, rate, power_of_two_steps)
     h = horizon / steps
     gamma_env = gamma_growth_bound(order, horizon, nu, g1_row_q, mu0)
 

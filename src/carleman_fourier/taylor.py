@@ -5,10 +5,11 @@ polynomial V_k of exp(L h), applied by Horner evaluation to the monomial
 coordinates of the lifted state (one sparse generator matvec per stage).  The
 whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
-exactly, so the returned residual only detects implementation drift.  The
-trailing copy rows exist to mirror the register layout of the linear-system
-formulation and are represented implicitly (the final state is stored once;
-their residual is zero by construction).
+exactly, so the returned residual only detects implementation drift.  Each
+step reads only the one before it and the readout reads only Phi_m, so one
+state is held at a time; the trailing copy rows, which mirror the register
+layout of the linear-system formulation, repeat Phi_m and have zero
+residual by construction.
 """
 
 from __future__ import annotations
@@ -54,25 +55,13 @@ class TaylorConfig:
 
 @dataclass
 class SolveResult:
-    """History Phi_0..Phi_m in monomial coordinates (row j holds step j of
-    the operator's basis), the verified system residual, the number of
-    generator applies spent and the readout."""
+    """The final state Phi_m in monomial coordinates, the verified system
+    residual and the number of generator applies spent."""
 
     config: TaylorConfig
-    operator: LinearOperatorLN
-    history: np.ndarray  # (m + 1, operator.monomial_size)
+    final: LiftedState
     residual: float
     generator_applies: int = 0
-    readout_value: complex | None = None
-
-    @property
-    def final(self) -> LiftedState:
-        return self.state_at_step(self.config.m)
-
-    def state_at_step(self, j: int) -> LiftedState:
-        if not 0 <= j <= self.config.m:
-            raise ConfigError(f"step {j} outside 0..{self.config.m}")
-        return LiftedState(self.operator.n, self.operator.order, self.history[j])
 
 
 def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarray:
@@ -105,14 +94,15 @@ def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                   psi0: LiftedState, verify: bool = True) -> SolveResult:
     """Exact forward substitution on the block-bidiagonal time-step system:
-    Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j.
+    Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j; only the current Phi_j is kept.
 
-    Stepping and the history are in psi0's monomial coordinates.  A history
-    of more than DEFAULT_STATE_BUDGET entries is refused with BudgetError
-    before it is allocated.  Any non-finite intermediate aborts with the
-    first offending step.  When verify is set, each step is re-evaluated
-    with a different summation order and the worst relative discrepancy, in
-    the tensor 2-norm, is reported as the residual.
+    Stepping is in psi0's monomial coordinates, and psi0 is left untouched.
+    A grid of (m + 1) states over more than DEFAULT_STATE_BUDGET entries in
+    all is refused with BudgetError before any step, which bounds the
+    stepping work.  Any non-finite intermediate aborts with the first
+    offending step.  When verify is set, each step is re-evaluated with a
+    different summation order and the worst relative discrepancy, in the
+    tensor 2-norm, is reported as the residual.
     """
     if not isinstance(psi0, LiftedState):
         raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
@@ -123,17 +113,16 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
         raise DivergenceError("forward_solve: initial state is not finite", step=0)
     if (cfg.m + 1) * op.monomial_size > DEFAULT_STATE_BUDGET:
         raise BudgetError(
-            f"forward_solve: the history of m={cfg.m} steps of "
-            f"{op.monomial_size} monomials (n={op.n}, N={op.order}) exceeds "
-            f"the budget of {DEFAULT_STATE_BUDGET} entries"
+            f"forward_solve: m={cfg.m} steps of {op.monomial_size} monomials "
+            f"(n={op.n}, N={op.order}) exceed the stepping budget of "
+            f"{DEFAULT_STATE_BUDGET} state entries"
         )
-    history = np.empty((cfg.m + 1, op.monomial_size), dtype=complex)
-    history[0] = psi0.vector
+    cur = psi0.vector
     residual = 0.0
     for j in range(cfg.m):
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = apply_Vk(op, cfg, history[j])
+            nxt = apply_Vk(op, cfg, cur)
         if not np.isfinite(nxt).all():
             raise DivergenceError(
                 f"forward_solve: non-finite values at step {j + 1} "
@@ -144,15 +133,15 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             # on the way to a detected divergence, intermediate magnitudes
             # can overflow inside the norm as well
             with np.errstate(over="ignore", invalid="ignore"):
-                ref = _apply_Vk_direct(op, cfg, history[j])
+                ref = _apply_Vk_direct(op, cfg, cur)
                 weights = op.basis.weights
                 num = vector_p_norm(nxt - ref, 2, weights)
-                den = max(vector_p_norm(history[j], 2, weights), 1e-300)
+                den = max(vector_p_norm(cur, 2, weights), 1e-300)
                 ratio = num / den
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
-        history[j + 1] = nxt
-    return SolveResult(config=cfg, operator=op, history=history,
+        cur = nxt
+    return SolveResult(config=cfg, final=LiftedState(op.n, op.order, cur),
                        residual=residual,
                        generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 
@@ -170,16 +159,14 @@ def readout_value(result: SolveResult, coeffs: np.ndarray) -> complex:
             f"readout_value: {np.shape(coeffs)} coefficients for a state of "
             f"{final.shape[0]} monomials"
         )
-    result.readout_value = complex(np.dot(coeffs, final))
-    return result.readout_value
+    return complex(np.dot(coeffs, final))
 
 
-def w_matrix(op: LinearOperatorLN, cfg: TaylorConfig, ell: int,
-             budget: int | None = None) -> np.ndarray:
+def w_matrix(op: LinearOperatorLN, cfg: TaylorConfig, ell: int) -> np.ndarray:
     """Dense W_{l,k} = sum_{i=0}^{k-l} l!/(l+i)! (L h)^i."""
     if not 0 <= ell <= cfg.k:
         raise ConfigError(f"w_matrix: need 0 <= l <= k, got l={ell}, k={cfg.k}")
-    lh = dense_LN(op, budget=budget) * cfg.h
+    lh = dense_LN(op) * cfg.h
     size = lh.shape[0]
     acc = np.eye(size, dtype=complex)
     power = np.eye(size, dtype=complex)
@@ -191,16 +178,14 @@ def w_matrix(op: LinearOperatorLN, cfg: TaylorConfig, ell: int,
     return acc
 
 
-def w_matrix_norm(op: LinearOperatorLN, cfg: TaylorConfig, ell: int,
-                  budget: int | None = None) -> float:
+def w_matrix_norm(op: LinearOperatorLN, cfg: TaylorConfig, ell: int) -> float:
     """2-norm of the dense W_{l,k} diagnostic operator."""
-    return op_norm(w_matrix(op, cfg, ell, budget=budget), 2)
+    return op_norm(w_matrix(op, cfg, ell), 2)
 
 
-def dense_Vk(op: LinearOperatorLN, cfg: TaylorConfig,
-             budget: int | None = None) -> np.ndarray:
+def dense_Vk(op: LinearOperatorLN, cfg: TaylorConfig) -> np.ndarray:
     """Dense degree-k Taylor polynomial of exp(L h) (= W_{0,k})."""
-    return w_matrix(op, cfg, 0, budget=budget)
+    return w_matrix(op, cfg, 0)
 
 
 def step_count_for(horizon: float, order: int, rate: float,

@@ -255,7 +255,7 @@ def test_dense_ln_budget(rng):
     rp = make_rescaled(rng, 3)
     op = cf.LinearOperatorLN.from_rescaled(rp, 9)
     with pytest.raises(BudgetError):
-        cf.dense_LN(op, budget=4096)
+        cf.dense_LN(op)
 
 
 # ---------------------------------------------------- stacked-row identity
@@ -393,14 +393,3 @@ def test_lift_point_refuses_an_operator_of_another_shape(rng):
     for n, order in ((3, 3), (2, 4)):
         with pytest.raises(ConfigError):
             cf.lift_point(complex_uniform(rng, n), order, op)
-
-
-def test_dense_budget_env_override(monkeypatch):
-    from carleman_fourier.linearize import dense_budget
-    monkeypatch.setenv("CFL_DENSE_BUDGET", "64")
-    assert dense_budget() == 64
-    monkeypatch.setenv("CFL_DENSE_BUDGET", "not-a-number")
-    with pytest.raises(ConfigError):
-        dense_budget()
-    monkeypatch.delenv("CFL_DENSE_BUDGET")
-    assert dense_budget() == 4096

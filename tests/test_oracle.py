@@ -301,14 +301,14 @@ def test_measure_eta_accepts_solve_result(rng):
     op = cf.LinearOperatorLN.from_rescaled(rp, order)
     cfg = cf.TaylorConfig(m=8, h=horizon / 8, k=16)
     res = cf.forward_solve(op, cfg, cf.lift_initial(rp, order))
-    via_solve = cf.measure_eta(traj, res, 1, horizon, 2)
+    via_solve = cf.measure_eta(traj, res.final, 1, horizon, 2)
     dense_state = cf.propagate_dense(cf.dense_LN(op),
                                      cf.lift_initial(rp, order), horizon)
     via_dense = cf.measure_eta(traj, dense_state, 1, horizon, 2)
     # k = 16 makes the stepping error negligible next to the lifting error
     assert via_solve == pytest.approx(via_dense, rel=1e-6)
     with pytest.raises(ConfigError):
-        cf.measure_eta(traj, res, 1, 0.55 * horizon, 2)  # off the step grid
+        cf.measure_eta(traj, res, 1, horizon, 2)  # a state, not the result
 
 
 # ---------------------------------------------------------------- propagate

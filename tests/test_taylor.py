@@ -1,13 +1,18 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import carleman_fourier as cf
+from carleman_fourier import cli
 from carleman_fourier.errors import ConfigError, DivergenceError
 from carleman_fourier.taylor import dense_Vk, step_count_for
 
 from conftest import complex_uniform, make_rescaled
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def stable_operator(rng, n, order, r_target=0.5):
@@ -60,15 +65,21 @@ def test_apply_vk_matches_dense_polynomial(rng):
 
 # -------------------------------------------------------------- forward_solve
 
+def _state_at_step(op, cfg, psi0, j):
+    # step j of a solve is the final state of a j-step solve at the same h
+    return cf.forward_solve(op, cf.TaylorConfig(j, cfg.h, cfg.k), psi0).final
+
+
 def test_forward_solve_identity_when_l_zero(rng):
     op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=5, h=0.1, k=4)
     v = cf.LiftedState(2, 2, complex_uniform(rng, op.monomial_size))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
-    for j in range(cfg.m + 1):
-        np.testing.assert_allclose(res.state_at_step(j).vector, v.vector,
-                                   atol=1e-15)
+    np.testing.assert_allclose(res.final.vector, v.vector, atol=1e-15)
+    for j in range(1, cfg.m):
+        np.testing.assert_allclose(_state_at_step(op, cfg, v, j).vector,
+                                   v.vector, atol=1e-15)
 
 
 def test_forward_solve_single_step(rng):
@@ -86,12 +97,11 @@ def test_forward_solve_tracks_dense_exponential(rng):
     m, k = 8, 16
     cfg = cf.TaylorConfig.for_horizon(horizon, m, k)
     psi0 = cf.lift_initial(rp, 2)
-    res = cf.forward_solve(op, cfg, psi0)
     dense = cf.dense_LN(op)
     env = cf.growth_envelope(dense, horizon, 9)
     for j in (1, m // 2, m):
         exact = cf.expm_at(dense, j * cfg.h) @ psi0.vector
-        err = np.linalg.norm(res.state_at_step(j).vector - exact)
+        err = np.linalg.norm(_state_at_step(op, cfg, psi0, j).vector - exact)
         cap = cf.taylor_truncation_bound(j, k, env.envelope, psi0.norm(2))
         assert err <= cap + 1e-12
 
@@ -104,26 +114,51 @@ def test_forward_solve_leaves_inputs_and_history_unchanged(rng):
     before = psi0.vector.tobytes()
     res = cf.forward_solve(op, cfg, psi0)
     assert psi0.vector.tobytes() == before
-    assert res.state_at_step(0).vector.tobytes() == before
-    assert not np.shares_memory(res.history, psi0.vector)
-    for j in range(cfg.m):
-        step = cf.apply_Vk(op, cfg, res.state_at_step(j).vector)
-        assert step.tobytes() == res.state_at_step(j + 1).vector.tobytes()
+    assert not np.shares_memory(res.final.vector, psi0.vector)
+    chain = psi0.vector
+    for _ in range(cfg.m):
+        chain = cf.apply_Vk(op, cfg, chain)
+    assert chain.tobytes() == res.final.vector.tobytes()
 
 
 def test_forward_solve_keeps_history_in_monomials(rng):
+    # only the final state is kept, in monomial coordinates
     rp, op = stable_operator(rng, 2, 3)
     cfg = cf.TaylorConfig(m=4, h=0.2, k=6)
     psi0 = cf.lift_initial(rp, 3)
     res = cf.forward_solve(op, cfg, psi0)
-    # 9 monomials per step instead of 14 tensor entries
-    assert res.history.shape == (cfg.m + 1, op.monomial_size) == (5, 9)
-    assert res.operator is op
-    for j in range(cfg.m + 1):
-        assert res.state_at_step(j).vector.tobytes() == res.history[j].tobytes()
-    assert res.final.vector.tobytes() == res.state_at_step(cfg.m).vector.tobytes()
-    with pytest.raises(ConfigError):
-        res.state_at_step(cfg.m + 1)
+    # 9 monomials instead of 14 tensor entries
+    assert isinstance(res.final, cf.LiftedState)
+    assert (res.final.n, res.final.order) == (2, 3)
+    assert res.final.vector.shape == (op.monomial_size,) == (9,)
+    for name in ("history", "operator", "state_at_step", "readout_value"):
+        assert not hasattr(res, name)
+    # a j-step solve is the first j steps of a longer one, bitwise
+    chain = psi0.vector
+    for j in range(1, cfg.m + 1):
+        chain = cf.apply_Vk(op, cfg, chain)
+        assert chain.tobytes() == _state_at_step(op, cfg, psi0, j).vector.tobytes()
+
+
+def test_forward_solve_memory_is_bounded_in_m():
+    # dissipative_n2 at m = 5000: a kept (m + 1) x 35 history alone would
+    # take 2.8 MB; one state takes 560 bytes
+    cfg = cli.load_config(CONFIGS / "dissipative_n2.json")
+    ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+    ps = cli.select_params(ode, readout, run, cfg["overrides"])
+    rescaled = cf.rescale(ode, readout, ps.nu)
+    op = cf.LinearOperatorLN.from_rescaled(rescaled, ps.order)
+    psi0 = cf.lift_initial(rescaled, ps.order, op=op)
+    assert op.monomial_size == 35
+    steps = cf.TaylorConfig.for_horizon(run["T"], 5000, 4)
+    tracemalloc.start()
+    try:
+        res = cf.forward_solve(op, steps, psi0, verify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.final.all_finite()
+    assert peak < 0.25e6
 
 
 def test_forward_solve_refuses_non_symmetric_psi0(rng):
