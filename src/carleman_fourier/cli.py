@@ -32,10 +32,11 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimator as estimator_mod
-from .errors import CflError, ConfigError, HypothesisViolation
+from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
+                     HypothesisViolation)
 from .linearize import LinearOperatorLN, dense_LN, lift_initial, size_within
 from .norms import op_norm, vector_p_norm
-from .oracle import Trajectory, integrate, propagate
+from .oracle import Trajectory, action_config, integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
@@ -47,8 +48,9 @@ OVERRIDE_KEYS = ("N", "k", "m", "nu")
 
 # the Koopman/Taylor error split and eta measurement of solve and sweep, and
 # the 2-norm check of estimate, run only up to this tensor size.  The split
-# itself exponentiates the much smaller monomial generator; the cap keeps it
-# on the same runs as before.
+# itself is the action of exp(L T) on psi0, Taylor steps on the monomial
+# generator (oracle.propagate), and needs no dense matrix; the cap keeps it
+# on the same runs as before, so that runs above it do not pay for it.
 DIAG_DENSE_CAP = 1024
 
 
@@ -334,13 +336,21 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     timings["oracle_s"] = time.perf_counter() - t0
 
     total_error = abs(estimate - reference)
-    koopman_err = taylor_err = psi_lin = None
+    koopman_err = taylor_err = psi_lin = split = None
     if size_within(op.n, op.order, DIAG_DENSE_CAP):
         t0 = time.perf_counter()
-        psi_lin = propagate(op, psi0, run["T"])
-        lin_readout = complex(np.dot(coeffs, psi_lin.vector))
-        koopman_err = abs(lin_readout - reference)
-        taylor_err = abs(estimate - lin_readout)
+        # a split the stepping budget refuses, or one that overflows, is
+        # reported as null; it never fails a run that stepped
+        with contextlib.suppress(BudgetError, DivergenceError):
+            grid = action_config(op, run["T"])
+            psi_lin = propagate(op, psi0, run["T"])
+        if psi_lin is not None:
+            lin_readout = complex(np.dot(coeffs, psi_lin.vector))
+            koopman_err = abs(lin_readout - reference)
+            taylor_err = abs(estimate - lin_readout)
+            if grid is not None:
+                split = {"steps": grid.m, "taylor_order": grid.k,
+                         "generator_applies": grid.m * grid.k}
         timings["dense_check_s"] = time.perf_counter() - t0
 
     return {
@@ -356,6 +366,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "tensor_dim": op.size,
             "monomial_dim": op.monomial_size,
             "generator_applies": result.generator_applies,
+            "split": split,
         },
         "oracle_global_error": traj.est_global_error,
         "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap

@@ -13,9 +13,10 @@ monomial w^c.  The generator maps symmetric tensors to symmetric tensors, so
 a lifted state is held in its monomial coordinates psi_c, |c| = j, with
 C(n+j-1, j) entries per block instead of n^j (the symmetric reduction of
 Carleman linearization), in one flat vector ordered as in
-problem.monomial_index.  In them the generator is one sparse matrix:
-diagonal i c.F0, and c couples to c + e_s with i sum_r c_r F1[r, s].
-LinearOperatorLN builds it once, on the basis of monomial_basis.
+problem.monomial_index.  In them the generator has a diagonal i c.F0, and c
+couples to c + e_s with i sum_r c_r F1[r, s], n entries per monomial below
+block N.  LinearOperatorLN builds these two tables once, on the basis of
+monomial_basis, and apply_LN is a gather over the up map of that basis.
 
 The tensor layout (block j in C^{n^j}, blocks back to back from offset
 sum_{i<j} n^i) is the reference the monomial path is checked against:
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .errors import BudgetError, ConfigError
 from .norms import vector_p_norm
@@ -155,8 +155,13 @@ class MonomialBasis(NamedTuple):
     counts: np.ndarray
     parent: np.ndarray
     symbol: np.ndarray
-    up: np.ndarray
+    up_t: np.ndarray
     weights: np.ndarray
+
+    @property
+    def up(self) -> np.ndarray:
+        """(M_<N, n) view of up_t: up[c, s] is the index of c + e_s."""
+        return self.up_t.T
 
 
 def monomial_basis(n: int, order: int) -> MonomialBasis:
@@ -167,7 +172,8 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
       counts   (M, n) count vectors c;
       parent, symbol  (M,) c = parent + e_symbol, symbol the largest digit
                of c (parent -1 on block 1);
-      up       (M_<N, n) index of c + e_s, for the monomials below block N;
+      up_t     (n, M_<N) index of c + e_s in row s, for the monomials below
+               block N; `up` is its (M_<N, n) transposed view;
       weights  (M,) multinom(|c|; c), the number of tensor slots of count
                c, as floats (exact below 2^53).
 
@@ -215,7 +221,8 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
         out["weights"].append(weights)
         offsets.append(offsets[-1] + child_parent.size)
         parent, last, up_before = child_parent, child_symbol, up
-    return MonomialBasis(tuple(offsets),
+    up_t = np.concatenate([part.T for part in out.pop("up")], axis=1)
+    return MonomialBasis(tuple(offsets), up_t=up_t,
                          **{key: np.concatenate(parts) for key, parts in out.items()})
 
 
@@ -283,14 +290,20 @@ def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
 @dataclass
 class LinearOperatorLN:
     """Truncated lifted generator on monomial coordinates.  Built once, at
-    construction: the monomial basis and the sparse CSR generator on it."""
+    construction: the monomial basis and the generator's two tables on it,
+
+      diagonal  (M,) i c.F0;
+      coupling  (n, M_<N) i sum_r c_r F1[r, s] in row s, the entry of
+                column basis.up_t[s, c] in row c.
+    """
 
     order: int
     n: int
     f0: np.ndarray
     f1: np.ndarray
     basis: MonomialBasis = field(init=False, repr=False)
-    generator: scipy.sparse.csr_array = field(init=False, repr=False)
+    diagonal: np.ndarray = field(init=False, repr=False)
+    coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=complex).ravel()
@@ -300,13 +313,10 @@ class LinearOperatorLN:
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
         basis = self.basis = monomial_basis(self.n, self.order)
-        size, coupled = basis.offsets[-1], basis.up.shape[0]
-        rows = np.concatenate([np.arange(size), np.repeat(np.arange(coupled), self.n)])
-        cols = np.concatenate([np.arange(size), basis.up.ravel()])
-        values = np.concatenate([1j * (basis.counts @ self.f0),
-                                 1j * (basis.counts[:coupled] @ self.f1).ravel()])
-        self.generator = scipy.sparse.csr_array((values, (rows, cols)),
-                                                shape=(size, size))
+        coupled = basis.up_t.shape[1]
+        self.diagonal = 1j * (basis.counts @ self.f0)
+        self.coupling = np.ascontiguousarray(
+            (1j * (basis.counts[:coupled] @ self.f1)).T)
 
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
@@ -322,17 +332,32 @@ class LinearOperatorLN:
         """Number of monomial coordinates, sum_j C(n+j-1, j)."""
         return self.basis.offsets[-1]
 
+    def norm_1(self) -> float:
+        """Induced 1-norm of the generator, its largest column sum of
+        absolute values, from the tables."""
+        columns = np.abs(self.diagonal)
+        columns += np.bincount(self.basis.up_t.ravel(),
+                               weights=np.abs(self.coupling).ravel(),
+                               minlength=columns.size)
+        return float(columns.max())
+
 
 def apply_LN(op: LinearOperatorLN, x: np.ndarray) -> np.ndarray:
-    """Action of the truncated generator on monomial coordinates x, one
-    sparse matvec; expanded, it is block j = B_j^(0) Psi_j + B_{j+1}^(1)
-    Psi_{j+1}, with the coupling term dropped on the last block."""
-    if np.shape(x) != (op.monomial_size,):
+    """Action of the truncated generator on monomial coordinates x, as a
+    fresh vector: the diagonal times x, plus, on the monomials below block
+    N, the couplings times x gathered at c + e_s, summed over s.  Expanded,
+    it is block j = B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}, with the coupling
+    term dropped on the last block."""
+    if np.shape(x) != op.diagonal.shape:
         raise ConfigError(
             f"apply_LN: expected {op.monomial_size} monomial coordinates, "
             f"got shape {np.shape(x)}"
         )
-    return op.generator @ x
+    y = op.diagonal * x
+    gathered = x[op.basis.up_t]
+    gathered *= op.coupling
+    y[:op.coupling.shape[1]] += np.add.reduce(gathered, 0)
+    return y
 
 
 def dense_f1_tilde(f1: np.ndarray) -> np.ndarray:
@@ -361,9 +386,9 @@ def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
 def dense_LN(op: LinearOperatorLN) -> np.ndarray:
     """Explicit matrix of the truncated generator in the tensor layout.
 
-    Refused above DEFAULT_DENSE_BUDGET rows; the sparse monomial generator
-    is the primary representation and this assembly exists for diagnostics
-    and oracles.
+    Refused above DEFAULT_DENSE_BUDGET rows; the monomial generator is the
+    primary representation and this assembly exists for diagnostics and
+    oracles.
     """
     size = op.size
     if size > DEFAULT_DENSE_BUDGET:

@@ -138,7 +138,8 @@ def matrix_exp(a) -> np.ndarray:
             f"matrix_exp: ||A||_2 exceeds accuracy cap {EXPM_NORM_CAP}; "
             "split the time interval (see expm_at)"
         )
-    # imported here: the stepping path never needs scipy.linalg
+    # imported here: only the dense diagnostics (expm_at, growth_envelope,
+    # propagate_dense) need scipy; no run path of the package imports it
     import scipy.linalg
 
     return scipy.linalg.expm(a)

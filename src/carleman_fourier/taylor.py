@@ -2,14 +2,16 @@
 
 The propagator over one step h is approximated by the degree-k Taylor
 polynomial V_k of exp(L h), applied by Horner evaluation to the monomial
-coordinates of the lifted state (one sparse generator matvec per stage).  The
+coordinates of the lifted state (one generator apply per stage).  The
 whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
 exactly, so the returned residual only detects implementation drift.  Each
 step reads only the one before it and the readout reads only Phi_m, so one
 state is held at a time; the trailing copy rows, which mirror the register
 layout of the linear-system formulation, repeat Phi_m and have zero
-residual by construction.
+residual by construction.  The same stepper, on the grid that
+oracle.action_config picks, evaluates the action of exp(L T) on psi0 for the
+Koopman/Taylor error split (oracle.propagate).
 """
 
 from __future__ import annotations

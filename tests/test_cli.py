@@ -10,6 +10,7 @@ import carleman_fourier as cf
 from carleman_fourier import cli
 from carleman_fourier.cli import main
 from carleman_fourier.errors import DivergenceError
+from carleman_fourier.oracle import action_config
 from carleman_fourier.params import default_nu
 
 from conftest import tensor_coeff_blocks
@@ -499,12 +500,38 @@ def test_manifest_records_the_lifted_state(tmp_path):
     params = manifest["params"]
     assert params["order"] == 7
     # n = 2, N = 7: sum 2^j = 254 tensor entries, sum (j + 1) = 35 monomials
+    split = manifest["lifted_state"].pop("split")
     assert manifest["lifted_state"] == {
         "basis": "monomial",
         "tensor_dim": 254,
         "monomial_dim": 35,
         "generator_applies": params["steps"] * params["taylor_order"] * 2,
     }
+    # the Koopman/Taylor split: Taylor steps of exp(L T) psi0, no verify pass
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
+    op = cf.LinearOperatorLN.from_rescaled(cf.rescale(ode, readout, ps.nu), ps.order)
+    grid = action_config(op, run["T"])
+    assert split == {"steps": grid.m, "taylor_order": grid.k,
+                     "generator_applies": grid.m * grid.k}
+    assert manifest["wall_times_s"]["dense_check_s"] > 0
+
+
+def test_split_over_the_stepping_budget_is_null(tmp_path):
+    # ||L T||_1 is about 1.2e6: the split would need about 6e5 steps of 12
+    # monomials, above the stepping budget, while the run itself steps once
+    config = tmp_path / "stiff.json"
+    config.write_text(json.dumps({
+        "ode": {"n": 1, "g0": [[0.0, 1e5]], "g1": [[[0.25, 0.0]]],
+                "u0": [[0.4, 0.0]]},
+        "readout": {"K": 1, "coeffs": [{"j": [1], "d": [1.0, 0.0]}]},
+        "run": {"T": 1.0, "epsilon": 1e-4, "p": 2, "regime": "dissipative"},
+        "overrides": {"N": 12, "m": 1, "k": 4}}))
+    assert run_cli("solve", config, "--out", tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["errors"]["koopman"] is None
+    assert manifest["errors"]["taylor"] is None
+    assert manifest["lifted_state"]["split"] is None
+    assert manifest["error_budget"] is None
 
 
 def test_sweep_r_axis_records_per_row_errors(tmp_path):

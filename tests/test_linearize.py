@@ -123,7 +123,7 @@ def test_one_b0_diagonal_behind_apply_and_dense(rng):
     # the monomial generator's diagonal is B^(0) at the canonical slots
     offsets = block_offsets(3, 3)
     slots = [offsets[sum(c) - 1] + cf.canonical_slot(c) for c in op.basis.counts]
-    np.testing.assert_allclose(op.generator.diagonal(), diag[slots],
+    np.testing.assert_allclose(op.diagonal, diag[slots],
                                rtol=1e-15, atol=0)
 
 
@@ -335,7 +335,7 @@ def test_monomial_basis_slots_and_classes():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_monomial_generator_and_step_match_tensor(n, order, seed):
-    # the gate for stepping in monomial coordinates: expanded, the sparse
+    # the gate for stepping in monomial coordinates: expanded, the monomial
     # generator and one Taylor step equal the dense tensor operators
     rng = np.random.default_rng(seed)
     op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),

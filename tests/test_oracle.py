@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier import cli
-from carleman_fourier.errors import ConfigError, DivergenceError
+from carleman_fourier.errors import BudgetError, ConfigError, DivergenceError
+from carleman_fourier.oracle import action_config
 
 from conftest import (complex_uniform, make_nondissipative_rescaled,
                       make_rescaled)
@@ -116,21 +117,63 @@ def test_integrate_is_bitwise_scipy_rk45(n, seed, horizon, log_tol):
         assert traj.state_at(t).tobytes() == np.asarray(dense(t)).tobytes()
 
 
-def test_package_import_loads_no_scipy_integrate_or_linalg():
-    # the oracle carries its own RK45 and matrix_exp imports scipy.linalg
-    # when called, so importing the package and its CLI loads neither
+def _run_python(code: str):
     import os
     import subprocess
     import sys
 
-    code = ("import sys, carleman_fourier, carleman_fourier.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') "
-            "if m in sys.modules))")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_package_import_loads_no_scipy_integrate_or_linalg():
+    # the oracle carries its own RK45, the generator is numpy tables and
+    # matrix_exp imports scipy.linalg when called, so importing the package
+    # and its CLI loads no scipy module at all
+    out = _run_python("import sys, carleman_fourier, carleman_fourier.cli; "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_BLOCK_SCIPY = '''
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+'''
+
+
+def test_cli_runs_with_every_scipy_import_blocked(tmp_path):
+    # solve, estimate, oracle and sweep on the bundled configs need numpy
+    # only: the split is Taylor steps on the generator, not a dense expm
+    code = _BLOCK_SCIPY + f'''
+import json
+from pathlib import Path
+from carleman_fourier.cli import main
+
+configs, out = Path({str(CONFIG_DIR)!r}), Path({str(tmp_path)!r})
+for config in sorted(configs.glob("*.json")):
+    for command in ("solve", "estimate", "oracle"):
+        where = out / command / config.stem
+        assert main([command, str(config), "--out", str(where)]) == 0, (command, config)
+    manifest = json.loads((out / "solve" / config.stem / "manifest.json").read_text())
+    assert manifest["errors"]["within_epsilon"] is True, config
+    assert manifest["errors"]["koopman"] is not None, config
+assert main(["sweep", str(configs / "nondissipative_n2.json"), "--axis", "N",
+             "--values", "4,5,6,7,8", "--out", str(out / "sweep")]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+'''
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------- closed form
@@ -294,6 +337,35 @@ def test_integrate_blowup_raises():
         cf.integrate(ode, 50.0, tol=1e-10)
 
 
+def test_measure_eta_on_a_state_above_the_tensor_budget(rng):
+    # n = 2, N = 40: 860 monomials, 2^41 - 2 tensor entries; the error is
+    # taken in monomial coordinates, so the state is never expanded
+    rp = make_rescaled(rng, 2)
+    traj = cf.integrate(rp, 1.0, tol=1e-11)
+    psi0 = cf.lift_initial(rp, 40)
+    assert cf.measure_eta(traj, psi0, 1, 0.0) < 1e-12
+    assert cf.measure_eta(traj, psi0, 40, 0.0, math.inf) < 1e-12
+    assert cf.measure_eta_vector(traj, psi0, 0.0) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_measure_eta_monomial_and_tensor_paths_agree(n, order, seed):
+    rng = np.random.default_rng(seed)
+    rp = make_rescaled(rng, n)
+    traj = cf.integrate(rp, 0.5, tol=1e-10)
+    op = cf.LinearOperatorLN.from_rescaled(rp, order)
+    psi = cf.propagate(op, cf.lift_initial(rp, order), 0.5)
+    for p in (1, 2, 3.5, math.inf):
+        for k in range(1, order + 1):
+            mono = cf.measure_eta(traj, psi, k, 0.5, p)
+            tensor = cf.measure_eta(traj, psi.tensor(), k, 0.5, p)
+            assert mono == pytest.approx(tensor, rel=1e-13, abs=1e-300)
+        mono = cf.measure_eta_vector(traj, psi, 0.5, p)
+        tensor = cf.measure_eta_vector(traj, psi.tensor(), 0.5, p)
+        assert mono == pytest.approx(tensor, rel=1e-13, abs=1e-300)
+
+
 def test_measure_eta_accepts_solve_result(rng):
     rp = make_rescaled(rng, 2, r_target=0.4)
     order, horizon = 5, 1.0
@@ -321,17 +393,68 @@ def _relative_gap(got, expected):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_propagate_matches_dense_tensor_path(n, order, seed):
-    # the gate for the Koopman/Taylor split on monomial coordinates: the
-    # exponential of the sparse generator, expanded, equals the exponential
-    # of the dense tensor matrix applied to the lifted point
+    # the gate for the Koopman/Taylor split on monomial coordinates: Taylor
+    # steps on the monomial generator, expanded, equal the dense exponential
+    # of the tensor matrix applied to the lifted point.  Up to t = 20 the
+    # grid takes many steps, so a step-size cap that is too loose fails here
+    # (with steps up to theta_55 = 9.9 the gap reached 9e-11)
     rng = np.random.default_rng(seed)
     op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
                              f1=complex_uniform(rng, (n, n)))
     psi0 = cf.lift_point(complex_uniform(rng, n, scale=0.7), order)
-    t = float(rng.uniform(0.0, 1.0))
+    t = float(rng.uniform(0.0, 20.0))
     got = cf.propagate(op, psi0, t)
     expected = cf.propagate_dense(cf.dense_LN(op), psi0, t)
-    assert _relative_gap(got, expected) <= 1e-13
+    # the dense reference squares its exponential, so its own error grows
+    # with ||L t||: at ||L t||_1 = 79 and 115 it was 1.1e-13 and 1.0e-13
+    # off a 40-digit exponential, where the Taylor steps were 4.6e-14 and
+    # 9.1e-15 off.  Up to one expm_at slice (norm 40) the bound is 1e-13
+    assert _relative_gap(got, expected) <= 1e-13 * max(1.0, op.norm_1() * t / 40)
+
+
+def _monomial_matrix(op):
+    """The monomial generator as a dense matrix, from its tables."""
+    out = np.diag(op.diagonal)
+    rows = np.arange(op.coupling.shape[1])
+    for s in range(op.n):
+        out[rows, op.basis.up_t[s]] = op.coupling[s]
+    return out
+
+
+def test_propagate_grid_follows_the_generator_norm(rng):
+    op = cf.LinearOperatorLN(order=4, n=2, f0=complex_uniform(rng, 2),
+                             f1=complex_uniform(rng, (2, 2)))
+    matrix = _monomial_matrix(op)
+    x = complex_uniform(rng, op.monomial_size)
+    np.testing.assert_allclose(cf.apply_LN(op, x), matrix @ x, rtol=1e-14)
+    assert op.norm_1() == pytest.approx(cf.op_norm(matrix, 1), rel=1e-15)
+    assert action_config(op, 0.0) is None
+    for t in (1e-3, 0.5, 3.0, 20.0):
+        cfg = action_config(op, t)
+        assert cfg.horizon == pytest.approx(t, rel=1e-15)
+        assert op.norm_1() * cfg.h <= 2.0
+    # a longer horizon takes more steps
+    assert action_config(op, 20.0).m > action_config(op, 3.0).m > 1
+
+
+def test_propagate_at_zero_returns_the_initial_state(rng):
+    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
+                             f1=complex_uniform(rng, (2, 2)))
+    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), 3)
+    got = cf.propagate(op, psi0, 0.0)
+    assert got.vector.tobytes() == psi0.vector.tobytes()
+    assert not np.shares_memory(got.vector, psi0.vector)
+    with pytest.raises(ConfigError):
+        cf.propagate(op, psi0, -1.0)
+
+
+def test_propagate_over_the_stepping_budget_is_refused(rng):
+    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
+                             f1=complex_uniform(rng, (2, 2)))
+    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), 3)
+    for t in (1e9, 2e6 / op.norm_1()):  # refused by the grid, by forward_solve
+        with pytest.raises(BudgetError):
+            cf.propagate(op, psi0, t)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
