@@ -19,7 +19,7 @@ from .estimator import (ResourceEstimate, query_counts, scaling_alpha_Ainv,
                         scaling_alpha_B, scaling_alpha_C, scaling_alpha_LN)
 from .linearize import (LiftedState, LinearOperatorLN, TensorState, apply_B1,
                         apply_LN, dense_LN, lift_initial, lift_point)
-from .norms import (GrowthEnvelope, NormKind, conjugate_exponent, gamma_growth_bound,
+from .norms import (GrowthEnvelope, conjugate_exponent, gamma_growth_bound,
                     growth_envelope, log_norm_2, matrix_exp, expm_at, op_norm,
                     row_q_norm, vector_p_norm)
 from .oracle import (Trajectory, closed_form_1d, exact_lifted, integrate,

@@ -37,7 +37,7 @@ from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
 from .linearize import LinearOperatorLN, dense_LN, lift_initial, size_within
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
-from .params import (ParamSet, default_nu, end_to_end_error_budget,
+from .params import (ParamSet, default_nu, end_to_end_error_budget, s_scale,
                      select_dissipative, select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
                       expand_coeff_vector, rescale)
@@ -207,8 +207,7 @@ def parse_run(cfg: dict) -> dict:
 
 # ------------------------------------------------------- parameter plumbing
 
-def _cross_check(run: dict, ode: FourierOde, p: float) -> None:
-    report = bounds_mod.check_dissipative(ode, p)
+def _cross_check(run: dict, report: bounds_mod.DissipativityReport) -> None:
     for key, actual in (("expected_mu0", report.mu0), ("expected_r_p", report.r_p)):
         expected = run.get(key)
         if expected is None:
@@ -222,12 +221,11 @@ def _cross_check(run: dict, ode: FourierOde, p: float) -> None:
 def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   overrides: dict) -> ParamSet:
     """Parameter selection for the requested regime plus override handling."""
-    _cross_check(run, ode, run["p"])
+    report = bounds_mod.check_dissipative(ode, run["p"])
+    _cross_check(run, report)
     regime = run["regime"]
     if regime == "auto":
-        regime = ("dissipative"
-                  if bounds_mod.check_dissipative(ode, run["p"]).dissipative
-                  else "nondissipative")
+        regime = "dissipative" if report.dissipative else "nondissipative"
     ps = select_regime(ode, readout, run, regime)
     with _float_range("parameter overrides"):
         return apply_overrides(ps, overrides, readout)
@@ -280,7 +278,7 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
             raise ConfigError("override nu must be positive")
         changes["nu"] = nu
         changes["gamma"] = ps.gamma * ps.nu / nu
-        changes["s"] = max(nu, nu ** readout.degree)
+        changes["s"] = s_scale(nu, readout.degree)
     if "N" in overrides:
         order = overrides["N"]
         if order < readout.degree:
@@ -293,21 +291,16 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
         if k < 1:
             raise ConfigError("override k must be >= 1")
         changes["taylor_order"] = k
-    order = changes.get("order", ps.order)
+    ps = dataclasses.replace(ps, **changes)
     if "m" in overrides:
         steps = overrides["m"]
         if steps < 1:
             raise ConfigError("override m must be >= 1")
     elif "N" in overrides:
-        nu = changes.get("nu", ps.nu)
-        rate = (ps.alpha + ps.mu0 if ps.regime == "dissipative"
-                else ps.alpha + nu * ps.g1_row_q)
-        steps = step_count_for(ps.horizon, order, rate)
+        steps = step_count_for(ps.horizon, ps.order, ps.step_rate)
     else:
         steps = ps.steps
-    changes["steps"] = steps
-    changes["step_size"] = ps.horizon / steps
-    return dataclasses.replace(ps, **changes)
+    return dataclasses.replace(ps, steps=steps, step_size=ps.horizon / steps)
 
 
 # ------------------------------------------------------------ pipeline run

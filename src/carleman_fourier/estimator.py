@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError, HypothesisViolation
-from .params import ParamSet
+from .params import ParamSet, s_scale
 
 E = math.e
 
@@ -89,7 +89,7 @@ def scaling_alpha_C(nu: float, degree: int, d_norm2: float, steps: int) -> float
     ||d|| taken over the canonical-slot coefficient vector."""
     if nu <= 0 or steps < 1 or degree < 1:
         raise ConfigError("scaling_alpha_C: invalid inputs")
-    return max(nu, nu ** degree) * d_norm2 / math.sqrt(steps)
+    return s_scale(nu, degree) * d_norm2 / math.sqrt(steps)
 
 
 def _log2sq(x: float) -> float:
@@ -129,7 +129,7 @@ def query_counts(ps: ParamSet, improved_encoding: bool = False) -> ResourceEstim
         if ps.gamma_bound is None or ps.t_max is None:
             raise ConfigError("query_counts: nondissipative ParamSet is incomplete")
         horizon = ps.t_max
-        rate = ps.alpha + ps.nu * ps.g1_row_q
+        rate = ps.step_rate
         q_tilde = ps.s * ps.d_norm2 * ps.gamma_bound * math.sqrt(rate)
         inner = ((n_f * horizon) ** 1.5 * math.sqrt(k_f) * q_tilde * rate
                  * ps.gamma_bound / eps)

@@ -37,25 +37,6 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class NormKind:
-    """A norm exponent p in [1, inf] together with its conjugate.
-
-    inf is admitted (as the conjugate of p = 1 and for max-row norms) even
-    though most bound statements quantify over finite p.
-    """
-
-    p: float
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError(f"NormKind: p must be >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
-
-
 def vector_p_norm(a, p: float, weights=None) -> float:
     """p-norm (sum_j |a_j|^p)^(1/p) of a complex vector; p = inf gives max.
     Positive `weights` w_j give (sum_j w_j |a_j|^p)^(1/p) instead."""
@@ -167,9 +148,7 @@ class GrowthEnvelope:
 
     c_estimate is a certified *lower* estimate of sup_t ||exp(At)||_2 (the
     sup over continuous t cannot be sampled exactly); envelope is the
-    certified upper bound exp(max(mu2, 0) T).  gamma_bound is an optional
-    extra upper envelope supplied by callers that know the lifted-operator
-    structure (see gamma_growth_bound).
+    certified upper bound exp(max(mu2, 0) T).
     """
 
     horizon: float
@@ -177,11 +156,9 @@ class GrowthEnvelope:
     c_estimate: float = 0.0
     mu2: float = 0.0
     envelope: float = 0.0
-    gamma_bound: float | None = None
 
 
-def growth_envelope(a, horizon: float, grid_points: int = 33,
-                    gamma_bound: float | None = None) -> GrowthEnvelope:
+def growth_envelope(a, horizon: float, grid_points: int = 33) -> GrowthEnvelope:
     """Sample ||exp(At)||_2 on a uniform grid over [0, horizon] with one
     refinement pass around the maximum.
     """
@@ -206,8 +183,7 @@ def growth_envelope(a, horizon: float, grid_points: int = 33,
         )
     samples.sort()
     return GrowthEnvelope(horizon=float(horizon), samples=samples,
-                          c_estimate=c_estimate, mu2=mu2, envelope=envelope,
-                          gamma_bound=gamma_bound)
+                          c_estimate=c_estimate, mu2=mu2, envelope=envelope)
 
 
 def gamma_growth_bound(order: int, horizon: float, nu: float,

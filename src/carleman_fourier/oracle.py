@@ -48,7 +48,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
-    tol: float
     est_global_error: float
     _interpolant: object = field(repr=False, default=None)
 
@@ -226,13 +225,23 @@ def _coefficients(problem) -> tuple:
 
 def integrate(problem, horizon: float, tol: float = 1e-11,
               samples: int = 65) -> Trajectory:
-    """Adaptive RK 5(4) reference solution of dx/dt = F0 + F1 e^{ix}."""
+    """Adaptive RK 5(4) reference solution of dx/dt = F0 + F1 e^{ix},
+    sampled at `samples` evenly spaced times over [0, horizon].  A sample
+    grid of more than DEFAULT_STATE_BUDGET entries is refused with
+    BudgetError before anything is allocated."""
     if horizon < 0:
         raise ConfigError("integrate: horizon must be >= 0")
     if not 1e-13 <= tol <= 1e-3:
         raise ConfigError("integrate: tol must lie in [1e-13, 1e-3]")
+    if samples < 2:
+        raise ConfigError(f"integrate: samples must be >= 2, got {samples}")
     f0, f1, x0 = _coefficients(problem)
     x0 = np.asarray(x0, dtype=complex)
+    if samples * x0.size > DEFAULT_STATE_BUDGET:
+        raise BudgetError(
+            f"integrate: {samples} samples of {x0.size} components exceed "
+            f"the state budget of {DEFAULT_STATE_BUDGET} entries"
+        )
 
     def rhs(_t, x):
         return f0 + f1 @ np.exp(1j * x)
@@ -240,7 +249,7 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
     if horizon == 0:
         times = np.array([0.0])
         states = x0[None, :].copy()
-        return Trajectory(times, states, tol, 0.0, _interpolant=lambda _t: x0)
+        return Trajectory(times, states, 0.0, _interpolant=lambda _t: x0)
 
     horizon = float(horizon)
     t_eval = np.linspace(0.0, horizon, samples)
@@ -248,7 +257,7 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
     # verification pass two orders tighter, floored at the solver's rtol cap
     fine, dense = _dopri45(rhs, horizon, x0, max(tol * 1e-2, 2.3e-14), t_eval)
     err = float(np.max(np.abs(coarse - fine)))
-    return Trajectory(times=t_eval, states=np.ascontiguousarray(fine.T), tol=tol,
+    return Trajectory(times=t_eval, states=np.ascontiguousarray(fine.T),
                       est_global_error=err, _interpolant=dense)
 
 

@@ -66,6 +66,14 @@ class ParamSet:
     gamma: float = 0.0                # ||e^{i x0}||_2 after rescaling
     derivation_log: tuple = field(default_factory=tuple)
 
+    @property
+    def step_rate(self) -> float:
+        """The rate r of the step count m = ceil(T N r): alpha + mu0 when
+        dissipative, alpha + nu ||G1||_row,q otherwise."""
+        if self.regime == "dissipative":
+            return self.alpha + self.mu0
+        return self.alpha + self.nu * self.g1_row_q
+
     def as_dict(self) -> dict:
         out = asdict(self)
         out["derivation_log"] = [list(item) for item in self.derivation_log]
@@ -78,11 +86,11 @@ def _ceil_log2(x: float) -> int:
     return max(0, math.ceil(math.log2(x)))
 
 
-def _taylor_order(primary: float, steps: int, cap: int) -> int:
+def _taylor_order(primary: float, steps: int) -> int:
     k = max(_ceil_log2(primary), _ceil_log2(steps * E ** 2), 1)
-    if k > cap:
+    if k > TAYLOR_ORDER_CAP:
         raise ConfigError(
-            f"selected Taylor order k={k} exceeds cap {cap}; "
+            f"selected Taylor order k={k} exceeds cap {TAYLOR_ORDER_CAP}; "
             "the accuracy demand is out of desk-scale range"
         )
     return k
@@ -90,9 +98,8 @@ def _taylor_order(primary: float, steps: int, cap: int) -> int:
 
 def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
                        horizon: float, p: float = 2,
-                       alpha: float | None = None, beta: float | None = None,
-                       power_of_two_steps: bool = False,
-                       taylor_cap: int = TAYLOR_ORDER_CAP) -> ParamSet:
+                       alpha: float | None = None,
+                       beta: float | None = None) -> ParamSet:
     """Parameter recipe under dissipative conditions.
 
     The rescaling is pinned to nu = ||e^{iu0}||_p / R_p = mu0/||G1||_row,q,
@@ -143,11 +150,11 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
         order = max(1, big_k)  # no coupling: lifting exact above degree K
     s = s_scale(nu, big_k)
 
-    steps = step_count_for(horizon, order, alpha + mu0, power_of_two_steps)
+    steps = step_count_for(horizon, order, alpha + mu0)
     h = horizon / steps
 
     k = _taylor_order(4 * E ** 3 / epsilon * s * d_norm2 * steps * spread,
-                      steps, taylor_cap)
+                      steps)
     c1 = epsilon * math.sqrt(steps) / (4 * d_norm2 * s) / spread
     c2 = 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1)
     tau = min(c1 / (1 + c2), 1.0 / (4 * E ** 2 * steps * math.sqrt(k + 1)))
@@ -197,9 +204,7 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
                           epsilon: float, horizon: float, p: float = 2,
                           alpha: float | None = None,
                           beta: float | None = None, r: float = 5.0,
-                          nu: float | None = None,
-                          power_of_two_steps: bool = False,
-                          taylor_cap: int = TAYLOR_ORDER_CAP) -> ParamSet:
+                          nu: float | None = None) -> ParamSet:
     """Parameter recipe without dissipative conditions (short final times).
 
     Requires r >= e, nu > max{r ||e^{iu0}||_p, sqrt(2) ||e^{iu0}||_2} and a
@@ -248,12 +253,12 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
     decay = math.log(r) - rate * horizon  # log(r / e^{rate T}) > 0 inside T_max
     numer = math.log(max(4 * big_k * s * d_normq / (r * epsilon), 1.0))
     order = max(1, big_k, math.ceil(numer / decay))
-    steps = step_count_for(horizon, order, rate, power_of_two_steps)
+    steps = step_count_for(horizon, order, rate)
     h = horizon / steps
     gamma_env = gamma_growth_bound(order, horizon, nu, g1_row_q, mu0)
 
     k = _taylor_order(4 * E ** 3 / epsilon * s * d_norm2 * steps * gamma_env,
-                      steps, taylor_cap)
+                      steps)
     c1 = epsilon * math.sqrt(steps) / (4 * d_norm2 * s)
     c2 = 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1) * gamma_env ** 2
     tau = min(c1 / (1 + c2),

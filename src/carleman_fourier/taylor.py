@@ -47,20 +47,12 @@ class TaylorConfig:
     def horizon(self) -> float:
         return self.m * self.h
 
-    @classmethod
-    def for_horizon(cls, horizon: float, m: int, k: int) -> "TaylorConfig":
-        cfg = cls(m=m, h=horizon / m, k=k)
-        if abs(cfg.horizon - horizon) > 1e-12 * max(abs(horizon), 1.0):
-            raise ConfigError("TaylorConfig: m*h does not reproduce the horizon")
-        return cfg
-
 
 @dataclass
 class SolveResult:
     """The final state Phi_m in monomial coordinates, the verified system
     residual and the number of generator applies spent."""
 
-    config: TaylorConfig
     final: LiftedState
     residual: float
     generator_applies: int = 0
@@ -143,7 +135,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
         cur = nxt
-    return SolveResult(config=cfg, final=LiftedState(op.n, op.order, cur),
+    return SolveResult(final=LiftedState(op.n, op.order, cur),
                        residual=residual,
                        generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 
@@ -190,13 +182,8 @@ def dense_Vk(op: LinearOperatorLN, cfg: TaylorConfig) -> np.ndarray:
     return w_matrix(op, cfg, 0)
 
 
-def step_count_for(horizon: float, order: int, rate: float,
-                   power_of_two: bool = False) -> int:
-    """ceil(T N rate) steps; optionally rounded up to a power of two to
-    mirror register-style indexing when cross-checking the estimator."""
+def step_count_for(horizon: float, order: int, rate: float) -> int:
+    """ceil(T N rate) steps, at least one."""
     if horizon < 0:
         raise ConfigError("step_count_for: horizon must be >= 0")
-    m = max(1, math.ceil(horizon * order * rate))
-    if power_of_two:
-        m = 1 << (m - 1).bit_length()
-    return m
+    return max(1, math.ceil(horizon * order * rate))

@@ -12,6 +12,7 @@ from carleman_fourier.cli import main
 from carleman_fourier.errors import DivergenceError
 from carleman_fourier.oracle import action_config
 from carleman_fourier.params import default_nu
+from carleman_fourier.taylor import step_count_for
 
 from conftest import tensor_coeff_blocks
 
@@ -272,9 +273,12 @@ _DISSIPATIVE_N2 = json.loads((CONFIGS / "dissipative_n2.json").read_text())
     # step histories far above the state budget: a huge m, a huge horizon
     (_DISSIPATIVE_N2, 2, ["--param-overrides", "m=100000000"]),
     (dict(_DISSIPATIVE_N2, run=dict(_DISSIPATIVE_N2["run"], T=1e9)), 2, []),
+    # the recipe asks for Taylor order k = 1017, above TAYLOR_ORDER_CAP
+    (dict(_DISSIPATIVE_N2, run=dict(_DISSIPATIVE_N2["run"], epsilon=1e-300)), 2, []),
 ], ids=["top-level-null", "run-not-object", "g0-object-entry", "g1-ragged",
         "j-infinite", "zero-problem", "tiny-coupling", "estimate-overflow",
-        "order-above-budget", "steps-above-budget", "horizon-above-budget"])
+        "order-above-budget", "steps-above-budget", "horizon-above-budget",
+        "taylor-order-above-cap"])
 def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document,
                                                   code, extra):
     path = tmp_path / "case.json"
@@ -330,6 +334,60 @@ def test_solve_cross_check_mismatch_exit_2(tmp_path):
     bad = tmp_path / "crosscheck.json"
     bad.write_text(json.dumps(cfg))
     assert run_cli("solve", bad, "--out", tmp_path / "out") == 2
+
+
+def _parsed(name):
+    cfg = cli.load_config(CONFIGS / f"{name}.json")
+    return cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
+
+
+def test_select_params_checks_dissipativity_once(monkeypatch):
+    # the cross-check and the auto dispatch share one report
+    ode, readout, run = _parsed("linear_n1")
+    assert run["regime"] == "auto"
+    calls = []
+    check = cli.bounds_mod.check_dissipative
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(cli.bounds_mod, "check_dissipative", counted)
+    cli.select_params(ode, readout, run, {})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["dissipative_n2", "nondissipative_n2"])
+@pytest.mark.parametrize("nu", [None, 2.5])
+def test_order_override_recomputes_the_step_count(name, nu):
+    ode, readout, run = _parsed(name)
+    ps = cli.select_params(ode, readout, run, {})
+    overrides = {"N": ps.order + 2}
+    if nu is not None:
+        overrides["nu"] = nu
+    out = cli.apply_overrides(ps, overrides, readout)
+    nu_used = ps.nu if nu is None else nu
+    if name == "dissipative_n2":
+        rate = ps.alpha + ps.mu0
+    else:
+        rate = ps.alpha + nu_used * ps.g1_row_q
+    steps = step_count_for(ps.horizon, ps.order + 2, rate)
+    assert (out.order, out.steps, out.step_size) == (
+        ps.order + 2, steps, ps.horizon / steps)
+    assert out.nu == nu_used
+    assert out.s == max(nu_used, nu_used ** readout.degree)
+
+
+def test_oracle_sample_grid_above_budget_exit_2(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "dissipative_n1.json").read_text())
+    cfg["run"]["samples"] = 10 ** 12
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("oracle", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "BudgetError"
 
 
 # -------------------------------------------------------------------- sweep

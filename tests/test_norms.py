@@ -212,10 +212,10 @@ def test_gamma_bound_dominates_mu2_rate(order, t, nu, g1, mu0):
         math.exp(t * rate), rel=1e-12)
 
 
-def test_norm_kind_conjugates():
-    assert cf.NormKind(1.0).q == math.inf
-    assert cf.NormKind(2.0).q == 2.0
-    assert cf.NormKind(math.inf).q == 1.0
-    assert cf.NormKind(3.0).q == pytest.approx(1.5)
+def test_conjugate_exponent_pairs():
+    assert cf.conjugate_exponent(1.0) == math.inf
+    assert cf.conjugate_exponent(2.0) == 2.0
+    assert cf.conjugate_exponent(math.inf) == 1.0
+    assert cf.conjugate_exponent(3.0) == pytest.approx(1.5)
     with pytest.raises(ConfigError):
-        cf.NormKind(0.5)
+        cf.conjugate_exponent(0.5)

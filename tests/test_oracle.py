@@ -63,6 +63,18 @@ def test_integrate_rejects_bad_tol(rng):
         cf.integrate(rp, 1.0, tol=1e-2)
 
 
+def test_integrate_refuses_a_sample_grid_outside_its_bounds(rng):
+    # both refusals come before the grid is allocated
+    rp = make_rescaled(rng, 2)
+    for samples in (0, 1):
+        with pytest.raises(ConfigError, match="samples must be >= 2"):
+            cf.integrate(rp, 1.0, samples=samples)
+    with pytest.raises(BudgetError):
+        cf.integrate(rp, 1.0, samples=cf.linearize.DEFAULT_STATE_BUDGET // 2 + 1)
+    with pytest.raises(BudgetError):
+        cf.integrate(rp, 1.0, samples=10 ** 12)
+
+
 def test_trajectory_rejects_extrapolation(rng):
     rp = make_rescaled(rng, 1)
     traj = cf.integrate(rp, 1.0, tol=1e-10)

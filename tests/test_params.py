@@ -99,10 +99,11 @@ def test_dissipative_rejects_bad_epsilon():
 
 
 def test_taylor_cap_reported():
+    # epsilon = 1e-160 asks for k = 549, above TAYLOR_ORDER_CAP = 500
     ode = scalar_ode()
     ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
-    with pytest.raises(ConfigError):
-        cf.select_dissipative(ode, ro, 1e-3, 1.0, taylor_cap=3)
+    with pytest.raises(ConfigError, match="exceeds cap 500"):
+        cf.select_dissipative(ode, ro, 1e-160, 1.0)
 
 
 def test_uncoupled_problem_selects_linear_params(rng):
@@ -112,14 +113,6 @@ def test_uncoupled_problem_selects_linear_params(rng):
     ps = cf.select_dissipative(ode, ro, 1e-3, 1.0)
     assert ps.order == 2  # lifting exact above the degree
     assert 0 < ps.gamma < 1 / math.sqrt(2) + 1e-9
-
-
-def test_power_of_two_step_flag():
-    ode = scalar_ode(r_p=0.5, mu0=1.0)
-    ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
-    ps = cf.select_dissipative(ode, ro, 1e-3, 1.3, alpha=1.0,
-                               power_of_two_steps=True)
-    assert ps.steps & (ps.steps - 1) == 0
 
 
 def test_stability_certified_at_selected_nu(rng):

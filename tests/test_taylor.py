@@ -95,7 +95,7 @@ def test_forward_solve_tracks_dense_exponential(rng):
     rp, op = stable_operator(rng, 1, 2)
     horizon = 1.0
     m, k = 8, 16
-    cfg = cf.TaylorConfig.for_horizon(horizon, m, k)
+    cfg = cf.TaylorConfig(m=m, h=horizon / m, k=k)
     psi0 = cf.lift_initial(rp, 2)
     dense = cf.dense_LN(op)
     env = cf.growth_envelope(dense, horizon, 9)
@@ -150,7 +150,7 @@ def test_forward_solve_memory_is_bounded_in_m():
     op = cf.LinearOperatorLN.from_rescaled(rescaled, ps.order)
     psi0 = cf.lift_initial(rescaled, ps.order, op=op)
     assert op.monomial_size == 35
-    steps = cf.TaylorConfig.for_horizon(run["T"], 5000, 4)
+    steps = cf.TaylorConfig(m=5000, h=run["T"] / 5000, k=4)
     tracemalloc.start()
     try:
         res = cf.forward_solve(op, steps, psi0, verify=False)
@@ -216,7 +216,7 @@ def test_readout_linear_problem_closed_form(rng):
     x0 = 0.7 - 0.2j
     op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
     horizon = 1.3
-    cfg = cf.TaylorConfig.for_horizon(horizon, 8, 14)
+    cfg = cf.TaylorConfig(m=8, h=horizon / 8, k=14)
     psi0 = cf.LiftedState(1, 1, [np.exp(1j * x0)])
     res = cf.forward_solve(op, cfg, psi0)
     value = cf.readout_value(res, np.array([1.0 + 0j]))
@@ -287,9 +287,9 @@ def test_remainder_shrinks_with_k(rng):
         prev = err
 
 
-def test_step_count_power_of_two_flag():
+def test_step_count_rounds_up():
     assert step_count_for(1.0, 2, 1.5) == 3
-    assert step_count_for(1.0, 2, 1.5, power_of_two=True) == 4
+    assert step_count_for(1.0, 2, 1.6) == 4
     assert step_count_for(0.0, 3, 2.0) == 1
 
 
