@@ -174,8 +174,12 @@ def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
         ("N >= 2", order, 2, order >= 2),
         ("T_max", t_max, t_max, True),
     ]
-    # unmet hypotheses are flagged, not masked: sweeps still plot the formula
-    value = (1.0 / r) * (math.exp(rate * t) / r) ** order
+    # unmet hypotheses are flagged, not masked: sweeps still plot the formula,
+    # which is inf where it leaves the double range
+    try:
+        value = (1.0 / r) * (math.exp(rate * t) / r) ** order
+    except OverflowError:
+        value = math.inf
     met = all(ok for (_c, _v, _t, ok) in log)
     return BoundReport(name="eta_bound_finite_time", value=value,
                        hypotheses_met=met, hypothesis_log=log)

@@ -34,7 +34,8 @@ from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
                      HypothesisViolation)
-from .linearize import LinearOperatorLN, dense_LN, lift_initial, size_within
+from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, dense_LN,
+                        generator_entries, lift_initial, size_within)
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget, s_scale,
@@ -218,15 +219,31 @@ def _cross_check(run: dict, report: bounds_mod.DissipativityReport) -> None:
             )
 
 
+def _checked_report(ode: FourierOde, run: dict) -> bounds_mod.DissipativityReport:
+    """The dissipativity report at run.p, cross-checked against the run's
+    expected values."""
+    report = bounds_mod.check_dissipative(ode, run["p"])
+    _cross_check(run, report)
+    return report
+
+
 def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   overrides: dict) -> ParamSet:
     """Parameter selection for the requested regime plus override handling."""
-    report = bounds_mod.check_dissipative(ode, run["p"])
-    _cross_check(run, report)
+    report = _checked_report(ode, run)
+    return _overridden(_recipe(ode, readout, run, report), overrides, readout)
+
+
+def _recipe(ode: FourierOde, readout: ReadoutSpec, run: dict,
+            report: bounds_mod.DissipativityReport) -> ParamSet:
+    """The recipe of run.regime; auto takes the regime the report admits."""
     regime = run["regime"]
     if regime == "auto":
         regime = "dissipative" if report.dissipative else "nondissipative"
-    ps = select_regime(ode, readout, run, regime)
+    return select_regime(ode, readout, run, regime)
+
+
+def _overridden(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet:
     with _float_range("parameter overrides"):
         return apply_overrides(ps, overrides, readout)
 
@@ -306,14 +323,27 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
 # ------------------------------------------------------------ pipeline run
 
 def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                 ps: ParamSet, traj: Trajectory | None = None) -> dict:
+                 ps: ParamSet, traj: Trajectory | None = None,
+                 op: LinearOperatorLN | None = None) -> dict:
     """rescale -> lift -> step -> read out -> compare to the oracle.  `traj`
     is integrate(ode, run["T"], tol=run["oracle_tol"]) when the caller
-    already has it (a sweep integrates once for all rows)."""
+    already has it (a sweep integrates once for all rows).  `op` is an
+    operator on the coefficients of rescale(ode, readout, ps.nu) of order
+    ps.order or above when the caller already has one (a sweep builds one
+    per nu); the run steps on its leading section of order ps.order."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
-    op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
+    if op is None:
+        op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
+    elif (op.n == rescaled.n and op.order >= ps.order
+          and np.array_equal(op.f0, rescaled.f0)
+          and np.array_equal(op.f1, rescaled.f1)):
+        op = op.leading(ps.order)
+    else:
+        raise ConfigError(
+            f"run_pipeline: the operator (n={op.n}, N={op.order}) is not one "
+            f"of the rescaled problem at nu={ps.nu} and N >= {ps.order}")
     psi0 = lift_initial(rescaled, ps.order, op=op)
     coeffs = expand_coeff_vector(readout, rescaled, ps.order)
     cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
@@ -361,6 +391,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "generator_applies": result.generator_applies,
             "split": split,
         },
+        "u_final": u_final,  # the oracle's state at run.T
         "oracle_global_error": traj.est_global_error,
         "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
         "timings": timings,
@@ -371,11 +402,12 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
 
 
 def _bound_values(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  ps: ParamSet, rescaled: RescaledProblem) -> dict:
+                  ps: ParamSet, rescaled: RescaledProblem,
+                  report: bounds_mod.DissipativityReport) -> dict:
     """Evaluate the truncation bounds that apply to this run; rescaled is
-    rescale(ode, readout, ps.nu), as run_pipeline returns it."""
+    rescale(ode, readout, ps.nu), as run_pipeline returns it, and report is
+    check_dissipative(ode, ps.p)."""
     out = {}
-    report = bounds_mod.check_dissipative(ode, ps.p)
     if report.dissipative:
         for k in range(1, min(readout.degree, ps.order) + 1):
             rep = bounds_mod.eta_bound_dissipative(report, rescaled, ps.order,
@@ -397,9 +429,11 @@ def cmd_solve(args) -> int:
     run = parse_run(cfg)
     overrides = dict(cfg.get("overrides") or {})
     overrides.update(parse_override_arg(args.param_overrides))
-    ps = select_params(ode, readout, run, overrides)
+    report = _checked_report(ode, run)
+    ps = _overridden(_recipe(ode, readout, run, report), overrides, readout)
     outcome = run_pipeline(ode, readout, run, ps)
-    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"])
+    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"],
+                               report)
 
     resource = None
     try:
@@ -486,25 +520,62 @@ def cmd_sweep(args) -> int:
                "eta_bound_finite_time", "total_error",
                "estimate_re", "estimate_im", "reference_re", "reference_im",
                "runtime_s", "error"]
-    # no sweep axis changes the ODE, run.T or oracle_tol: one oracle serves
-    # every row, and a row's runtime_s leaves it out
-    traj = oracle_error = None
+    # no sweep axis changes the ODE, run.T, run.p or oracle_tol: one oracle
+    # and one dissipativity report serve every row
+    shared_error = None
     try:
         traj = integrate(ode, run["T"], tol=run["oracle_tol"])
+        report = _checked_report(ode, run)
     except CflError as exc:
-        oracle_error = f"{type(exc).__name__}: {exc}"
-    rows = []
+        shared_error = _error_text(exc)
+    rows, plans, recipes = [], [], {}
     for value in values:
-        row = {"axis": axis, "value": value, "error": oracle_error or ""}
+        row = {"axis": axis, "value": value, "error": shared_error or "",
+               "runtime_s": 0.0}
+        rows.append(row)
+        if shared_error:
+            continue
+        row_run, overrides = _sweep_inputs(run, base_overrides, axis, value)
+        try:
+            # rows whose run sections print alike share one section and its
+            # recipe: all rows of an N, k or nu sweep
+            key = repr(row_run)
+            if key not in recipes:
+                recipes[key] = row_run, _recipe(ode, readout, row_run, report)
+            row_run, recipe = recipes[key]
+            ps = _overridden(recipe, overrides, readout)
+        except CflError as exc:
+            row["error"] = _error_text(exc)
+            continue
+        plans.append((row, row_run, ps))
+
+    # rows of one nu share one operator, built at the largest order among
+    # them that fits the state budget and sliced for each row; a row above
+    # the budget builds its own and fails as a single run does
+    groups = {}  # nu -> (that order, index of the group's last row)
+    for index, (_row, _run, ps) in enumerate(plans):
+        if generator_entries(ode.n, ps.order) <= DEFAULT_STATE_BUDGET:
+            order = max(ps.order, groups.get(ps.nu, (0, 0))[0])
+            groups[ps.nu] = (order, index)
+    operators = {}
+    for index, (row, row_run, ps) in enumerate(plans):
+        order, last = groups.get(ps.nu, (0, -1))
         t0 = time.perf_counter()
         try:
-            if traj is not None:
-                row.update(_sweep_row(ode, readout, run, base_overrides, axis,
-                                      value, traj))
+            op = None
+            if ps.order <= order:
+                op = operators.get(ps.nu)
+                if op is None:
+                    op = operators[ps.nu] = LinearOperatorLN.from_rescaled(
+                        rescale(ode, readout, ps.nu), order)
+                if index == last:
+                    del operators[ps.nu]
+            # runtime_s is the row's own run: its pipeline, bounds and eta
+            t0 = time.perf_counter()
+            row.update(_sweep_row(ode, readout, row_run, ps, report, traj, op))
         except CflError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"] = _error_text(exc)
         row["runtime_s"] = time.perf_counter() - t0
-        rows.append(row)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -516,7 +587,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_row(ode, readout, run, base_overrides, axis, value, traj) -> dict:
+def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value) -> tuple:
+    """The run section and the overrides of the sweep row at value."""
     run = dict(run)
     overrides = dict(base_overrides)
     if axis == "epsilon":
@@ -528,16 +600,20 @@ def _sweep_row(ode, readout, run, base_overrides, axis, value, traj) -> dict:
         overrides[axis] = int(value)
     elif axis == "nu":
         overrides["nu"] = float(value)
-    ps = select_params(ode, readout, run, overrides)
-    outcome = run_pipeline(ode, readout, run, ps, traj)
-    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"])
+    return run, overrides
+
+
+def _sweep_row(ode, readout, run, ps, report, traj, op) -> dict:
+    outcome = run_pipeline(ode, readout, run, ps, traj, op)
+    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"],
+                               report)
 
     eta1_measured = None
     if outcome["psi_lin"] is not None:
         # x = u + i ln(nu), so the exact Psi_1(T) = e^{i x(T)} = e^{i u(T)}/nu
-        u_final = traj.state_at(run["T"])
         eta1_measured = vector_p_norm(
-            np.exp(1j * u_final) / ps.nu - outcome["psi_lin"].blocks[0], ps.p)
+            np.exp(1j * outcome["u_final"]) / ps.nu
+            - outcome["psi_lin"].blocks[0], ps.p)
 
     return {
         "N": ps.order, "k": ps.taylor_order, "m": ps.steps, "nu": ps.nu,
@@ -627,6 +703,10 @@ def cmd_oracle(args) -> int:
 
 
 # ------------------------------------------------------------------ plumbing
+
+def _error_text(exc: CflError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
 
 def _write_output(path: Path, text: str) -> None:
     """Write text to a new file at path, removing any old one first.

@@ -157,6 +157,20 @@ def test_finite_time_bound_monotonicity_condition(rng):
         assert decreasing == expect_decreasing
 
 
+def test_finite_time_bound_is_inf_past_the_double_range(rng):
+    # e^{rate t} and its N-th power overflow; the bound reads inf, and the
+    # hypotheses of the finite values stay flagged as they are
+    rescaled = make_nondissipative_rescaled(rng, 2, r=5.0)
+    q = cf.conjugate_exponent(2)
+    rate = (cf.vector_p_norm(rescaled.f0, math.inf)
+            + cf.row_q_norm(rescaled.f1, q))
+    for t, order in ((800.0 / rate, 3), (10.0 / rate, 400)):
+        out = cf.eta_bound_finite_time(rescaled, order, 5.0, t, 2)
+        assert out.value == math.inf
+        assert not out.hypotheses_met
+        assert not out.entry("t <= T_r")[3]
+
+
 # ----------------------------------------------------------- taylor bounds
 
 def test_taylor_remainder_examples():

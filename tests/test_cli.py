@@ -434,27 +434,151 @@ def test_sweep_records_row_errors_and_continues(tmp_path):
     assert rows[1]["error"] == ""
 
 
-def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
+def _single_run_columns(name, **overrides):
+    """The numeric sweep columns of one pipeline run with its own oracle,
+    recipe, report and operator, as the sweep prints them."""
+    ode, readout, run, ps = _pipeline_inputs(name, **overrides)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    rescaled = outcome["rescaled"]
+    eta1 = inf_time = finite_time = None
+    if outcome["psi_lin"] is not None:
+        u_final = cf.integrate(ode, run["T"], tol=run["oracle_tol"]).state_at(run["T"])
+        eta1 = cf.vector_p_norm(np.exp(1j * u_final) / ps.nu
+                                - outcome["psi_lin"].blocks[0], ps.p)
+    report = cf.check_dissipative(ode, ps.p)
+    if report.dissipative:
+        inf_time = cf.eta_bound_dissipative(report, rescaled, ps.order, 1,
+                                            ps.p).value
+    if ps.regime == "nondissipative":
+        finite_time = cf.eta_bound_finite_time(rescaled, ps.order, ps.r,
+                                               run["T"], ps.p).value
+    values = {
+        "N": ps.order, "k": ps.taylor_order, "m": ps.steps, "nu": ps.nu,
+        "epsilon": ps.epsilon, "eta_1_measured": eta1,
+        "eta_1_bound_inf_time": inf_time,
+        "eta_bound_finite_time": finite_time,
+        "total_error": outcome["total_error"],
+        "estimate_re": outcome["estimate"].real,
+        "estimate_im": outcome["estimate"].imag,
+        "reference_re": outcome["reference"].real,
+        "reference_im": outcome["reference"].imag,
+    }
+    return {key: cli.fmt(value) for key, value in values.items()}
+
+
+def _count_calls(monkeypatch, module, name):
     calls = []
-    integrate = cli.integrate
+    function = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return integrate(*args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, cli, "integrate")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "N",
                    "--values", "4,5,6,7,8", "--out", tmp_path)
     monkeypatch.undo()
     assert code == 0
     assert len(calls) == 1
-    # every row matches a pipeline run with its own oracle
+    # every numeric column matches a pipeline run with its own oracle
     for row in read_csv_rows(tmp_path / "result.csv"):
         assert row["error"] == ""
-        outcome = cli.run_pipeline(*_pipeline_inputs("nondissipative_n2",
-                                                     N=int(row["N"])))
-        assert float(row["estimate_re"]) == outcome["estimate"].real
-        assert float(row["reference_re"]) == outcome["reference"].real
+        single = _single_run_columns("nondissipative_n2", N=int(row["N"]))
+        assert single["eta_1_measured"] != ""
+        assert single["eta_bound_finite_time"] != ""
+        assert {key: row[key] for key in single} == single
+
+
+@pytest.mark.parametrize("axis,values,recipes,bases", [
+    ("N", "6,4,8,5,7", 1, 1),       # one nu: one operator, sliced per row
+    ("nu", "2,3.5,5,2", 1, 3),      # one operator per distinct nu
+    ("k", "2,5,9", 1, 1),
+    # each row has its own run section and recipe, and both share one nu
+    ("epsilon", "1e-2,1e-3", 2, 1),
+])
+def test_sweep_shares_the_recipe_and_the_operator(tmp_path, monkeypatch, axis,
+                                                  values, recipes, bases):
+    import carleman_fourier.linearize as linearize
+
+    recipe_calls = _count_calls(monkeypatch, cli, "select_regime")
+    basis_calls = _count_calls(monkeypatch, linearize, "monomial_basis")
+    report_calls = _count_calls(monkeypatch, cli.bounds_mod, "check_dissipative")
+    code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", axis,
+                   "--values", values, "--out", tmp_path)
+    monkeypatch.undo()
+    assert code == 0
+    assert (len(recipe_calls), len(basis_calls), len(report_calls)) == (
+        recipes, bases, 1)
+    rows = read_csv_rows(tmp_path / "result.csv")
+    assert [row["error"] for row in rows] == [""] * len(values.split(","))
+    if axis == "N":
+        assert basis_calls == [(2, 8)]
+    if axis == "epsilon":  # not an override: no single run to compare with
+        return
+    for row in rows:
+        value = float(row["value"]) if axis == "nu" else int(row["value"])
+        single = _single_run_columns("nondissipative_n2", **{axis: value})
+        assert {col: row[col] for col in single} == single
+
+
+def test_sweep_row_above_the_state_budget_fails_alone(tmp_path):
+    # N = 2000 stores more generator entries than the budget: that row
+    # reports BudgetError, and the operator of N = 4 is not built at 2000
+    code = run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "N",
+                   "--values", "4,2000", "--out", tmp_path)
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "result.csv")
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"].startswith("BudgetError")
+    single = _single_run_columns("dissipative_n2", N=4)
+    assert {key: rows[0][key] for key in single} == single
+
+
+def test_run_pipeline_on_a_larger_operator_matches_its_own():
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2", N=5)
+    rescaled = cli.rescale(ode, readout, ps.nu)
+    big = cf.LinearOperatorLN.from_rescaled(rescaled, 8)
+    own = cli.run_pipeline(ode, readout, run, ps)
+    shared = cli.run_pipeline(ode, readout, run, ps, op=big)
+    assert shared["operator"].order == 5
+    for key in ("estimate", "reference", "total_error", "koopman_error",
+                "taylor_error", "residual", "lifted_state"):
+        assert shared[key] == own[key]
+    assert shared["psi_lin"].vector.tobytes() == own["psi_lin"].vector.tobytes()
+
+
+def test_run_pipeline_refuses_an_operator_of_another_problem():
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2", N=5)
+    rescaled = cli.rescale(ode, readout, ps.nu)
+    other = cli.rescale(ode, readout, 2 * ps.nu)
+    for op in (cf.LinearOperatorLN.from_rescaled(rescaled, 4),
+               cf.LinearOperatorLN.from_rescaled(other, 8)):
+        with pytest.raises(cf.ConfigError):
+            cli.run_pipeline(ode, readout, run, ps, op=op)
+
+
+def test_solve_finite_time_bound_overflow_reads_inf(tmp_path):
+    # nu = 1e4 puts (e^{rate T} / r)^N past the double range
+    code = run_cli("solve", CONFIGS / "nondissipative_n2.json",
+                   "--param-overrides", "nu=1e4", "--out", tmp_path)
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["bounds"]["eta_bound_finite_time"] == math.inf
+
+
+def test_sweep_keeps_rows_whose_bound_overflows(tmp_path):
+    code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "nu",
+                   "--values", "2,1e4", "--out", tmp_path)
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "result.csv")
+    assert [row["error"] for row in rows] == ["", ""]
+    assert rows[1]["eta_bound_finite_time"] == "inf"
+    assert math.isfinite(float(rows[0]["eta_bound_finite_time"]))
 
 
 def test_sweep_oracle_failure_fills_every_row(tmp_path, monkeypatch):

@@ -24,9 +24,14 @@ JUNK = st.one_of(
     st.just([]), st.just({}), st.lists(st.integers(-1, 2), max_size=3),
     st.lists(NUMBER, min_size=2, max_size=2),
 )
+# every sweep axis: each shares a different part of the work across rows
 COMMANDS = (
     ["solve"], ["estimate"], ["oracle"],
     ["sweep", "--axis", "N", "--values", "2,3"],
+    ["sweep", "--axis", "k", "--values", "2,3"],
+    ["sweep", "--axis", "nu", "--values", "2,3"],
+    ["sweep", "--axis", "epsilon", "--values", "1e-2,1e-3"],
+    ["sweep", "--axis", "r", "--values", "3,4"],
 )
 
 

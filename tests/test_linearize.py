@@ -393,3 +393,39 @@ def test_lift_point_refuses_an_operator_of_another_shape(rng):
     for n, order in ((3, 3), (2, 4)):
         with pytest.raises(ConfigError):
             cf.lift_point(complex_uniform(rng, n), order, op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_leading_section_is_the_lower_order_operator(n, order, seed):
+    # the gate for slicing an operator instead of building it: every lower
+    # order equals a fresh operator of that order, bit for bit
+    rng = np.random.default_rng(seed)
+    f0, f1 = complex_uniform(rng, n), complex_uniform(rng, (n, n))
+    op = cf.LinearOperatorLN(order=order, n=n, f0=f0, f1=f1)
+    w = complex_uniform(rng, n)
+    for lower in range(1, order + 1):
+        section = op.leading(lower)
+        fresh = cf.LinearOperatorLN(order=lower, n=n, f0=f0, f1=f1)
+        assert (section.order, section.n) == (lower, n)
+        assert section.basis.offsets == fresh.basis.offsets
+        for got, want in zip(section.basis[1:], fresh.basis[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for name in ("diagonal", "coupling"):
+            got, want = getattr(section, name), getattr(fresh, name)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert section.norm_1() == fresh.norm_1()
+        x = complex_uniform(rng, fresh.monomial_size)
+        assert cf.apply_LN(section, x).tobytes() == cf.apply_LN(fresh, x).tobytes()
+        assert cf.lift_point(w, lower, section).vector.tobytes() \
+            == cf.lift_point(w, lower, fresh).vector.tobytes()
+
+
+def test_leading_refuses_an_order_outside_its_own(rng):
+    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
+                             f1=complex_uniform(rng, (2, 2)))
+    for order in (0, 4):
+        with pytest.raises(ConfigError):
+            op.leading(order)
