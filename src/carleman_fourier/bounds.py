@@ -9,15 +9,17 @@ reported, not raised: the value becomes +inf and hypotheses_met is False.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, HypothesisViolation
-from .linearize import LinearOperatorLN, dense_LN
+from .linearize import LinearOperatorLN
 from .norms import conjugate_exponent, log_norm_2, row_q_norm, vector_p_norm
 from .problem import FourierOde, RescaledProblem
+from .tensor import dense_LN
 
 E = math.e
 
@@ -117,10 +119,12 @@ def eta_bound_dissipative(report: DissipativityReport,
          not math.isfinite(report.r_p)
          or abs(r_rescaled - report.r_p) <= 1e-9 * max(1.0, report.r_p)),
     ]
+    value = math.inf
     if mu0 > 0.0:
-        value = gamma_p ** (order + 1) * (f1_row_q / mu0) ** (order + 1 - k)
-    else:
-        value = math.inf
+        # grouped as R_p^(N+1-k) gamma_p^k: at large nu gamma_p^(N+1) alone
+        # underflows and (||F1||_row,q / mu0)^(N+1-k) alone overflows
+        with contextlib.suppress(OverflowError):
+            value = r_rescaled ** (order + 1 - k) * gamma_p ** k
     return _report(f"eta_{k}_bound_inf_time", value, log)
 
 
@@ -191,12 +195,6 @@ def taylor_remainder_bound(j: int, k: int) -> float:
     if j < 1 or k < 1:
         raise ConfigError("taylor_remainder_bound: j and k must be >= 1")
     return (E - 1.0) * j * E ** 2 / math.factorial(k + 1)
-
-
-def taylor_truncation_bound(j: int, k: int, c_estimate: float,
-                            psi0_norm: float) -> float:
-    """Taylor remainder times the growth envelope and the initial norm."""
-    return taylor_remainder_bound(j, k) * c_estimate * psi0_norm
 
 
 def stability_certificate(op: LinearOperatorLN) -> BoundReport:

@@ -34,7 +34,7 @@ from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
                      HypothesisViolation)
-from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, dense_LN,
+from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN,
                         generator_entries, lift_initial, size_within)
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
@@ -43,6 +43,7 @@ from .params import (ParamSet, default_nu, end_to_end_error_budget, s_scale,
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
                       expand_coeff_vector, rescale)
 from .taylor import TaylorConfig, forward_solve, readout_value, step_count_for
+from .tensor import dense_LN
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
 OVERRIDE_KEYS = ("N", "k", "m", "nu")
@@ -806,6 +807,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CflError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "step", None) is not None:
+            payload["step"] = exc.step
         print(json.dumps(payload), file=sys.stderr)
         return exc.exit_code
 

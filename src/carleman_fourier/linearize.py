@@ -18,11 +18,9 @@ couples to c + e_s with i sum_r c_r F1[r, s], n entries per monomial below
 block N.  LinearOperatorLN builds these two tables once, on the basis of
 monomial_basis, and apply_LN is a gather over the up map of that basis.
 
-The tensor layout (block j in C^{n^j}, blocks back to back from offset
-sum_{i<j} n^i) is the reference the monomial path is checked against:
-LiftedState.tensor() expands a state into it, and dense_LN, apply_B1 and
-b0_diagonal act on it.  Dense assembly is a test/diagnostic path refused
-above DEFAULT_DENSE_BUDGET (4096) total rows.
+The tensor layout (block j in C^{n^j}) is the reference the monomial path
+is checked against; it lives in the tensor module, whose expand() puts a
+LiftedState into it.
 """
 
 from __future__ import annotations
@@ -36,20 +34,9 @@ from .errors import BudgetError, ConfigError
 from .norms import vector_p_norm
 from .problem import RescaledProblem, monomial_count
 
-DEFAULT_DENSE_BUDGET = 4096
 # entries of the monomial basis' generator (and so of a lifted state), of
 # the tensor reference and of the states a forward solve steps through
 DEFAULT_STATE_BUDGET = 1 << 22
-
-
-def block_offsets(n: int, order: int) -> tuple:
-    """Offsets of blocks 1..N in the flat tensor layout, then its length:
-    block j occupies [offsets[j-1], offsets[j]), with offsets[j-1] =
-    sum_{i<j} n^i."""
-    offsets = [0]
-    for j in range(1, order + 1):
-        offsets.append(offsets[-1] + n ** j)
-    return tuple(offsets)
 
 
 def total_size(n: int, order: int) -> int:
@@ -117,35 +104,6 @@ class LiftedState(_Blocks):
         """Tensor p-norm: (sum_c multinom(|c|; c) |psi_c|^p)^(1/p)."""
         weights = monomial_basis(self.n, self.order).weights
         return vector_p_norm(self.vector, p, weights)
-
-    def tensor(self) -> TensorState:
-        """The same state in the tensor layout, every monomial copied to
-        each slot of its count; refused above DEFAULT_STATE_BUDGET entries."""
-        if not size_within(self.n, self.order, DEFAULT_STATE_BUDGET):
-            raise BudgetError(
-                f"LiftedState.tensor: the tensor state of n={self.n}, "
-                f"N={self.order} exceeds the budget of {DEFAULT_STATE_BUDGET} "
-                "entries"
-            )
-        up = monomial_basis(self.n, self.order).up
-        # string l followed by digit s has the monomial of l times w_s
-        level = np.arange(self.n)
-        classes = [level]
-        for _ in range(1, self.order):
-            level = up[level].ravel()
-            classes.append(level)
-        return TensorState(self.n, self.order, self.vector[np.concatenate(classes)])
-
-
-class TensorState(_Blocks):
-    """Blocks Psi_j in C^{n^j} in tensor enumeration, any tensor, symmetric
-    or not: the reference layout of dense diagnostics (see propagate_dense)."""
-
-    def _offsets(self) -> tuple:
-        return block_offsets(self.n, self.order)
-
-    def norm(self, p: float = 2) -> float:
-        return vector_p_norm(self.vector, p)
 
 
 class MonomialBasis(NamedTuple):
@@ -254,39 +212,6 @@ def lift_point(w: np.ndarray, order: int,
     return LiftedState(n, order, mono)
 
 
-def b0_diagonal(order: int, f0: np.ndarray) -> np.ndarray:
-    """Diagonal of B^(0) over blocks 1..N in the flat layout: entry l of
-    block j is i (count(l) . F0) = i (F0[l_1] + ... + F0[l_j])."""
-    f0 = np.asarray(f0, dtype=complex).ravel()
-    weights, level = [], np.zeros(1, dtype=complex)
-    for _ in range(order):
-        # appending digit s to every string of the previous block
-        level = (level[:, None] + f0[None, :]).ravel()
-        weights.append(level)
-    return 1j * np.concatenate(weights)
-
-
-def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coupling action C^{n^{j+1}} -> C^{n^j} on a tensor block: the
-    stacked-row matrix built from F1 is contracted into each of the j digit
-    positions and summed,
-
-      out[l_1..l_j] = i sum_a sum_s F1[l_a, s] v[l_1..l_a, s, l_{a+1}..l_j].
-    """
-    f1 = np.atleast_2d(np.asarray(f1, dtype=complex))
-    n = f1.shape[0]
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.shape != (n ** (j + 1),):
-        raise ConfigError(
-            f"apply_B1: block must have length n^(j+1) = {n ** (j + 1)}"
-        )
-    out = np.zeros(n ** j, dtype=complex)
-    for a in range(j):
-        block = v.reshape(n ** a, n, n, n ** (j - 1 - a))
-        out += 1j * np.einsum("rs,prsq->prq", f1, block).reshape(-1)
-    return out
-
-
 @dataclass
 class LinearOperatorLN:
     """Truncated lifted generator on monomial coordinates.  Built once, at
@@ -390,35 +315,4 @@ def dense_f1_tilde(f1: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n * n), dtype=complex)
     for r in range(n):
         out[r, r * n:(r + 1) * n] = f1[r]
-    return out
-
-
-def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
-    """Dense coupling block n^j x n^{j+1} via Kronecker assembly."""
-    f1 = np.atleast_2d(np.asarray(f1, dtype=complex))
-    n = f1.shape[0]
-    tilde = 1j * dense_f1_tilde(f1)
-    out = np.zeros((n ** j, n ** (j + 1)), dtype=complex)
-    for a in range(j):
-        term = np.kron(np.eye(n ** a), np.kron(tilde, np.eye(n ** (j - 1 - a))))
-        out += term
-    return out
-
-
-def dense_LN(op: LinearOperatorLN) -> np.ndarray:
-    """Explicit matrix of the truncated generator in the tensor layout.
-
-    Refused above DEFAULT_DENSE_BUDGET rows; the monomial generator is the
-    primary representation and this assembly exists for diagnostics and
-    oracles.
-    """
-    size = op.size
-    if size > DEFAULT_DENSE_BUDGET:
-        raise BudgetError(
-            f"dense_LN: size {size} exceeds dense budget {DEFAULT_DENSE_BUDGET}"
-        )
-    out = np.diag(b0_diagonal(op.order, op.f0))
-    offsets = block_offsets(op.n, op.order)
-    for j in range(1, op.order):
-        out[offsets[j - 1]:offsets[j], offsets[j]:offsets[j + 1]] = dense_B1(j, op.f1)
     return out

@@ -21,10 +21,10 @@ equation z' = -i f0 z - i f1, so
 with the f0 -> 0 limit handled by the series of (e^s - 1)/s.
 
 The truncated linear system has its own exact solution, exp(L t) psi0:
-propagate evaluates it as Taylor steps on the monomial generator and
-propagate_dense as a dense exponential in the tensor layout; their gap to
-the lifted oracle trajectory is the lifting (Koopman) error, which
-measure_eta and measure_eta_vector measure.
+propagate evaluates it as Taylor steps on the monomial generator (checked
+against tensor.propagate_dense, a dense exponential in the tensor layout);
+its gap to the lifted oracle trajectory is the lifting (Koopman) error,
+which measure_eta and measure_eta_vector measure.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
-                        TensorState, lift_point, monomial_basis)
+                        _Blocks, lift_point, monomial_basis)
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
 from .taylor import TaylorConfig, forward_solve
+from .tensor import expand
 
 
 @dataclass
@@ -292,8 +293,8 @@ def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> 
     at time t in the layout of `truncated`, and the weights that make the
     p-norm of a difference in that layout its tensor p-norm: the multinomial
     weights for a LiftedState, whose monomial of count c stands for
-    multinom(|c|; c) tensor entries, and none for a TensorState."""
-    if not isinstance(truncated, (LiftedState, TensorState)):
+    multinom(|c|; c) tensor entries, and none for a tensor.TensorState."""
+    if not isinstance(truncated, _Blocks):
         raise ConfigError(
             f"measure_eta: unsupported truncated-solution type {type(truncated)!r}"
         )
@@ -301,9 +302,9 @@ def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> 
     if not 1 <= k <= truncated.order:
         raise ConfigError(f"measure_eta: block {k} outside 1..{truncated.order}")
     exact = exact_lifted(traj, k, t)
-    if isinstance(truncated, TensorState):
-        return exact.tensor(), None
-    return exact, monomial_basis(exact.n, k).weights
+    if isinstance(truncated, LiftedState):
+        return exact, monomial_basis(exact.n, k).weights
+    return expand(exact), None
 
 
 def measure_eta(traj: Trajectory, truncated, k: int, t: float,
@@ -312,11 +313,11 @@ def measure_eta(traj: Trajectory, truncated, k: int, t: float,
     tensor p-norm, computed in the layout of `truncated` (a LiftedState is
     never expanded).
 
-    `truncated` is the lifted state (LiftedState or TensorState) of the
-    *truncated linear* system at time t.  Pass a state obtained from the
-    exponential of the truncated generator (see propagate, propagate_dense)
-    to isolate the lifting truncation error from time-stepping error; the
-    final state of a forward_solve over [0, t] folds Taylor error in as well.
+    `truncated` is the lifted state (LiftedState or tensor.TensorState) of
+    the *truncated linear* system at time t.  Pass a state obtained from the
+    exponential of the truncated generator (see propagate) to isolate the
+    lifting truncation error from time-stepping error; the final state of a
+    forward_solve over [0, t] folds Taylor error in as well.
     """
     exact, weights = _exact_like(traj, truncated, t, k)
     diff = exact.blocks[k - 1] - truncated.blocks[k - 1]
@@ -331,18 +332,6 @@ def measure_eta_vector(traj: Trajectory, truncated, t: float,
     blocks, computed in the layout of `truncated` (see measure_eta)."""
     exact, weights = _exact_like(traj, truncated, t)
     return vector_p_norm(exact.vector - truncated.vector, p, weights)
-
-
-def propagate_dense(dense_l: np.ndarray, psi0, t: float) -> TensorState:
-    """exp(L t) psi0 through the dense exponential of the tensor matrix
-    dense_l (time-split to respect the matrix_exp accuracy cap); psi0 is a
-    TensorState or a LiftedState, expanded first.  The reference that
-    propagate is checked against."""
-    from .norms import expm_at
-
-    if isinstance(psi0, LiftedState):
-        psi0 = psi0.tensor()
-    return TensorState(psi0.n, psi0.order, expm_at(dense_l, t) @ psi0.vector)
 
 
 # theta_k in double precision: the largest ||A||_1 at which the degree-k

@@ -10,9 +10,9 @@ The lifted state holds the monomials w^c, w = e^{ix}, 1 <= |c| <= N: block
 by block in |c|, and inside a block in the order of canonical slots.  The
 canonical slot of a count vector c is the smallest index, read as |c|
 base-n digits (leftmost digit most significant), whose digits occur c
-times each: the digits of c in ascending order.  It is where the tensor
-layout of block |c|, (e^{ix})^{tensor |c|}, holds w^c first.  A readout
-coefficient d_j sits on the monomial w^j.
+times each: the digits of c in ascending order (tensor.canonical_slot).
+It is where the tensor layout of block |c|, (e^{ix})^{tensor |c|}, holds
+w^c first.  A readout coefficient d_j sits on the monomial w^j.
 """
 
 from __future__ import annotations
@@ -145,19 +145,6 @@ def rescale(ode: FourierOde, readout: ReadoutSpec | None, nu: float) -> Rescaled
         gamma=float(np.linalg.norm(w0)),
         c_coeffs=c_coeffs,
     )
-
-
-def canonical_slot(count) -> int:
-    """Lexicographically smallest tensor index whose digit counts equal the
-    given count vector: the digits sorted in ascending order."""
-    n = len(count)
-    digits = []
-    for sym in range(n):
-        digits.extend([sym] * int(count[sym]))
-    idx = 0
-    for d in digits:
-        idx = idx * n + d
-    return idx
 
 
 def monomial_count(n: int, order: int) -> int:

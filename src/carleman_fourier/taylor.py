@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
-                        apply_LN, dense_LN)
-from .norms import op_norm, vector_p_norm
+                        apply_LN)
+from .norms import vector_p_norm
 
 
 @dataclass(frozen=True)
@@ -154,32 +154,6 @@ def readout_value(result: SolveResult, coeffs: np.ndarray) -> complex:
             f"{final.shape[0]} monomials"
         )
     return complex(np.dot(coeffs, final))
-
-
-def w_matrix(op: LinearOperatorLN, cfg: TaylorConfig, ell: int) -> np.ndarray:
-    """Dense W_{l,k} = sum_{i=0}^{k-l} l!/(l+i)! (L h)^i."""
-    if not 0 <= ell <= cfg.k:
-        raise ConfigError(f"w_matrix: need 0 <= l <= k, got l={ell}, k={cfg.k}")
-    lh = dense_LN(op) * cfg.h
-    size = lh.shape[0]
-    acc = np.eye(size, dtype=complex)
-    power = np.eye(size, dtype=complex)
-    coeff = 1.0
-    for i in range(1, cfg.k - ell + 1):
-        power = power @ lh
-        coeff /= (ell + i)
-        acc = acc + coeff * power
-    return acc
-
-
-def w_matrix_norm(op: LinearOperatorLN, cfg: TaylorConfig, ell: int) -> float:
-    """2-norm of the dense W_{l,k} diagnostic operator."""
-    return op_norm(w_matrix(op, cfg, ell), 2)
-
-
-def dense_Vk(op: LinearOperatorLN, cfg: TaylorConfig) -> np.ndarray:
-    """Dense degree-k Taylor polynomial of exp(L h) (= W_{0,k})."""
-    return w_matrix(op, cfg, 0)
 
 
 def step_count_for(horizon: float, order: int, rate: float) -> int:

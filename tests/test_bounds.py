@@ -183,12 +183,6 @@ def test_taylor_remainder_examples():
         2 * cf.taylor_remainder_bound(3, 4), rel=1e-12)
 
 
-def test_taylor_truncation_factorization(rng):
-    assert cf.taylor_truncation_bound(3, 5, 1.7, 0.0) == 0.0
-    assert cf.taylor_truncation_bound(3, 5, 1.7, 2.2) == pytest.approx(
-        cf.taylor_remainder_bound(3, 5) * 1.7 * 2.2, rel=1e-12)
-
-
 # ---------------------------------------------------- stability certificate
 
 def test_stability_uncoupled(rng):

@@ -91,7 +91,7 @@ def test_second_solve_into_the_same_out_matches_the_first(tmp_path):
 def test_pipeline_error_split_matches_the_tensor_path(name, monkeypatch):
     # run_pipeline exponentiates the monomial generator and builds no dense
     # tensor matrix; the test recomputes the split with that matrix
-    import carleman_fourier.linearize as linearize
+    import carleman_fourier.tensor as tensor
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("dense_LN called")
@@ -100,7 +100,7 @@ def test_pipeline_error_split_matches_the_tensor_path(name, monkeypatch):
     ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
     ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
     monkeypatch.setattr(cli, "dense_LN", refuse)
-    monkeypatch.setattr(linearize, "dense_LN", refuse)
+    monkeypatch.setattr(tensor, "dense_LN", refuse)
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     rescaled = outcome["rescaled"]
@@ -125,16 +125,17 @@ def _pipeline_inputs(name, **overrides):
     ("dissipative_n1", {}), ("dissipative_n2", {}), ("linear_n1", {}),
     ("nondissipative_n2", {}), ("dissipative_n2", {"N": 20})])
 def test_run_pipeline_never_forms_the_tensor_layout(name, overrides, monkeypatch):
-    import carleman_fourier.linearize as linearize
+    import carleman_fourier.oracle as oracle
+    import carleman_fourier.tensor as tensor
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("tensor layout formed")
 
     inputs = _pipeline_inputs(name, **overrides)
-    monkeypatch.setattr(linearize.LiftedState, "tensor", refuse)
-    monkeypatch.setattr(linearize.TensorState, "__post_init__", refuse)
-    for module, attr in ((cli, "dense_LN"), (linearize, "dense_LN"),
-                         (linearize, "b0_diagonal"), (linearize, "apply_B1")):
+    monkeypatch.setattr(tensor.TensorState, "__post_init__", refuse)
+    for module, attr in ((cli, "dense_LN"), (tensor, "dense_LN"),
+                         (tensor, "b0_diagonal"), (tensor, "apply_B1"),
+                         (tensor, "expand"), (oracle, "expand")):
         monkeypatch.setattr(module, attr, refuse)
     outcome = cli.run_pipeline(*inputs)
     assert outcome["within_epsilon"]
@@ -314,6 +315,29 @@ def test_oracle_divergence_exit_4(tmp_path):
     bad = tmp_path / "blowup.json"
     bad.write_text(json.dumps(cfg))
     assert run_cli("oracle", bad, "--out", tmp_path / "out") == 4
+
+
+def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
+    # one step of h = T = 1.5 with degree 940 at N = 600: the Taylor sum of
+    # exp(-900) overflows on the last block
+    code = run_cli("solve", CONFIGS / "linear_n1.json", "--param-overrides",
+                   "N=600,k=940,m=1", "--out", tmp_path)
+    assert code == 4
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "DivergenceError"
+    assert payload["step"] == 1
+
+
+@pytest.mark.parametrize("nu", ["3e8", "1e10"])
+def test_solve_large_nu_keeps_the_dissipative_bound_finite(tmp_path, nu):
+    # gamma_p^(N+1) underflows (to 0 at nu = 3e8, while (||F1|| / mu0)^(N+1-k)
+    # is finite; and at nu = 1e10, where that factor overflows); the bound
+    # itself is finite and positive
+    code = run_cli("solve", CONFIGS / "dissipative_n2.json", "--param-overrides",
+                   f"nu={nu},N=40", "--out", tmp_path)
+    assert code == 0
+    bounds = json.loads((tmp_path / "manifest.json").read_text())["bounds"]
+    assert 0 < bounds["eta_2_bound_inf_time"] < bounds["eta_1_bound_inf_time"] < 1e-40
 
 
 def test_solve_rescaling_invariance_under_nu_override(tmp_path):
@@ -579,6 +603,19 @@ def test_sweep_keeps_rows_whose_bound_overflows(tmp_path):
     assert [row["error"] for row in rows] == ["", ""]
     assert rows[1]["eta_bound_finite_time"] == "inf"
     assert math.isfinite(float(rows[0]["eta_bound_finite_time"]))
+
+
+def test_sweep_keeps_rows_whose_dissipative_bound_factors_overflow(tmp_path):
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    cfg["overrides"] = {"nu": 1e10}
+    path = tmp_path / "large_nu.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli("sweep", path, "--axis", "N", "--values", "7,40",
+                   "--out", tmp_path / "out")
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "out" / "result.csv")
+    assert [row["error"] for row in rows] == ["", ""]
+    assert all(0 < float(row["eta_1_bound_inf_time"]) < 1e-15 for row in rows)
 
 
 def test_sweep_oracle_failure_fills_every_row(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier.errors import BudgetError, ConfigError
-from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, b0_diagonal,
-                                        block_offsets, dense_B1, dense_f1_tilde,
+from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, dense_f1_tilde,
                                         generator_entries, monomial_basis,
                                         total_size)
-from carleman_fourier.taylor import dense_Vk
+from carleman_fourier.tensor import (b0_diagonal, block_offsets, dense_B1, dense_Vk,
+                                     expand)
 
 from conftest import complex_uniform, make_rescaled
 
@@ -29,7 +30,7 @@ def test_lift_block_two_entries(rng):
         np.exp(1j * (x[0] + x[1])),
         np.exp(2j * x[1]),
     ])
-    np.testing.assert_allclose(state.tensor().blocks[1], expected, rtol=1e-13)
+    np.testing.assert_allclose(expand(state).blocks[1], expected, rtol=1e-13)
     # one monomial per count, in canonical-slot order
     np.testing.assert_allclose(state.blocks[1], expected[[0, 1, 3]], rtol=1e-13)
 
@@ -43,7 +44,7 @@ def test_lift_first_block_is_w0(rng):
 def test_lift_norm_is_gamma_power(rng):
     rp = make_rescaled(rng, 2)
     state = cf.lift_initial(rp, 5)
-    tensor = state.tensor()
+    tensor = expand(state)
     for j in range(1, 6):
         assert np.linalg.norm(tensor.blocks[j - 1]) == pytest.approx(
             rp.gamma ** j, rel=1e-12)
@@ -52,7 +53,7 @@ def test_lift_norm_is_gamma_power(rng):
 
 def test_lift_entries_match_count_decode(rng):
     rp = make_rescaled(rng, 2)
-    block = cf.lift_initial(rp, 3).tensor().blocks[2]
+    block = expand(cf.lift_initial(rp, 3)).blocks[2]
     for idx in range(8):
         count = np.bincount(np.unravel_index(idx, (2,) * 3), minlength=2)
         expected = np.exp(1j * np.dot(rp.x0, count))
@@ -190,10 +191,10 @@ def test_apply_ln_diagonal_when_uncoupled(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN(order=3, n=2, f0=rp.f0, f1=np.zeros((2, 2)))
     state = cf.lift_initial(rp, 3)
-    out = cf.LiftedState(2, 3, cf.apply_LN(op, state.vector)).tensor()
+    out = expand(cf.LiftedState(2, 3, cf.apply_LN(op, state.vector)))
     for j in range(1, 4):
         np.testing.assert_allclose(out.blocks[j - 1],
-                                   apply_b0(j, rp.f0, state.tensor().blocks[j - 1]),
+                                   apply_b0(j, rp.f0, expand(state).blocks[j - 1]),
                                    rtol=1e-14)
 
 
@@ -235,9 +236,9 @@ def test_dense_matches_matrix_free(rng):
         dense = cf.dense_LN(op)
         for _ in range(3):
             x = complex_uniform(rng, op.monomial_size)
-            out = cf.LiftedState(n, order, cf.apply_LN(op, x)).tensor().vector
+            out = expand(cf.LiftedState(n, order, cf.apply_LN(op, x))).vector
             np.testing.assert_allclose(
-                out, dense @ cf.LiftedState(n, order, x).tensor().vector,
+                out, dense @ expand(cf.LiftedState(n, order, x)).vector,
                 rtol=1e-13, atol=1e-13)
 
 
@@ -281,9 +282,9 @@ def test_recurrence_consistency_along_trajectory(rng):
         for j in (1, 2, 4):
             errs = []
             for dt in (1e-3, 5e-4):
-                plus = cf.exact_lifted(traj, j + 1, t0 + dt).tensor()
-                minus = cf.exact_lifted(traj, j + 1, t0 - dt).tensor()
-                mid = cf.exact_lifted(traj, j + 1, t0).tensor()
+                plus = expand(cf.exact_lifted(traj, j + 1, t0 + dt))
+                minus = expand(cf.exact_lifted(traj, j + 1, t0 - dt))
+                mid = expand(cf.exact_lifted(traj, j + 1, t0))
                 fd = (plus.blocks[j - 1] - minus.blocks[j - 1]) / (2 * dt)
                 rhs = (apply_b0(j, rp.f0, mid.blocks[j - 1])
                        + cf.apply_B1(j, rp.f1, mid.blocks[j]))
@@ -323,7 +324,7 @@ def test_monomial_basis_slots_and_classes():
                     np.testing.assert_array_equal(basis.counts[up],
                                                   count + np.eye(n, dtype=int)[s])
         # the tensor expansion puts at index l the monomial of count(l)
-        counts = cf.LiftedState(n, order, np.arange(basis.offsets[-1])).tensor()
+        counts = expand(cf.LiftedState(n, order, np.arange(basis.offsets[-1])))
         for j, block in enumerate(counts.blocks, start=1):
             for idx, mono in enumerate(block.real.astype(int)):
                 digits = np.unravel_index(idx, (n,) * j)
@@ -343,7 +344,7 @@ def test_monomial_generator_and_step_match_tensor(n, order, seed):
     x = complex_uniform(rng, op.monomial_size)
 
     def tensor(v):
-        return cf.LiftedState(n, order, v).tensor().vector
+        return expand(cf.LiftedState(n, order, v)).vector
 
     dense = cf.dense_LN(op)
     expected = dense @ tensor(x)
@@ -365,7 +366,7 @@ def test_lift_point_is_bitwise_symmetric(n, order, seed):
     # Kronecker power's entry at the canonical slot, bit for bit
     rng = np.random.default_rng(seed)
     w = complex_uniform(rng, n)
-    tensor = cf.lift_point(w, order).tensor()
+    tensor = expand(cf.lift_point(w, order))
     power = w
     for j, block in enumerate(tensor.blocks, start=1):
         if j > 1:
@@ -429,3 +430,46 @@ def test_leading_refuses_an_order_outside_its_own(rng):
     for order in (0, 4):
         with pytest.raises(ConfigError):
             op.leading(order)
+
+
+# ------------------------------------------------------------ module layout
+
+def test_tensor_module_alone_knows_the_tensor_layout():
+    # every scipy import and every name of the tensor-layout reference sit
+    # in tensor.py, which the modules it builds on never import
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "carleman_fourier"
+    reference = {"TensorState", "block_offsets", "canonical_slot", "expand",
+                 "b0_diagonal", "apply_B1", "dense_B1", "dense_LN",
+                 "DEFAULT_DENSE_BUDGET", "w_matrix", "dense_Vk",
+                 "matrix_exp", "expm_at", "EXPM_NORM_CAP", "EXPM_DIM_CAP",
+                 "propagate_dense"}
+    scipy_users, owners = set(), {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                scipy_users.add(path.name)
+            if path.stem in ("linearize", "norms", "taylor") \
+                    and isinstance(node, ast.ImportFrom):
+                assert node.module != "tensor", f"{path.name} imports tensor"
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                owners.setdefault(name, set()).add(path.name)
+    assert scipy_users == {"tensor.py"}
+    assert {name: owners.get(name) for name in reference} \
+        == {name: {"tensor.py"} for name in reference}

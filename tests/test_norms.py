@@ -158,32 +158,6 @@ def test_exp_bounded_by_log_norm(rng):
             assert cf.op_norm(cf.expm_at(a, t), 2) <= math.exp(mu * t) + 1e-9
 
 
-# -------------------------------------------------------- growth envelope
-
-def test_growth_envelope_zero_matrix():
-    env = cf.growth_envelope(np.zeros((2, 2)), 1.0, 5)
-    assert env.c_estimate == pytest.approx(1.0, abs=1e-12)
-
-
-def test_growth_envelope_stable_matrix(rng):
-    a = small_matrix(rng, 3)
-    a = a - (cf.log_norm_2(a) + 0.2) * np.eye(3)  # shift to mu2 < 0
-    env = cf.growth_envelope(a, 2.0, 17)
-    assert env.mu2 < 0
-    assert env.c_estimate <= 1.0 + 1e-9
-
-
-def test_growth_envelope_scalar_exponential():
-    env = cf.growth_envelope(np.diag([0.5]), 2.0, 41)
-    assert env.c_estimate == pytest.approx(math.e, rel=1e-10)
-    assert env.envelope == pytest.approx(math.e, rel=1e-12)
-
-
-def test_growth_envelope_rejects_tiny_grid():
-    with pytest.raises(ConfigError):
-        cf.growth_envelope(np.eye(2), 1.0, 1)
-
-
 # ----------------------------------------------------- gamma growth bound
 
 def test_gamma_bound_no_coupling():

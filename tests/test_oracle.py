@@ -10,6 +10,7 @@ import carleman_fourier as cf
 from carleman_fourier import cli
 from carleman_fourier.errors import BudgetError, ConfigError, DivergenceError
 from carleman_fourier.oracle import action_config
+from carleman_fourier.tensor import expand
 
 from conftest import (complex_uniform, make_nondissipative_rescaled,
                       make_rescaled)
@@ -245,7 +246,7 @@ def test_exact_lifted_at_zero_matches_lift_initial(rng):
 def test_exact_lifted_norm_identity(rng):
     rp = make_rescaled(rng, 2)
     traj = cf.integrate(rp, 0.8, tol=1e-11)
-    state = cf.exact_lifted(traj, 4, 0.5).tensor()
+    state = expand(cf.exact_lifted(traj, 4, 0.5))
     for p in (1, 2, math.inf):
         base = cf.vector_p_norm(state.blocks[0], p)
         for j in range(1, 5):
@@ -371,10 +372,10 @@ def test_measure_eta_monomial_and_tensor_paths_agree(n, order, seed):
     for p in (1, 2, 3.5, math.inf):
         for k in range(1, order + 1):
             mono = cf.measure_eta(traj, psi, k, 0.5, p)
-            tensor = cf.measure_eta(traj, psi.tensor(), k, 0.5, p)
+            tensor = cf.measure_eta(traj, expand(psi), k, 0.5, p)
             assert mono == pytest.approx(tensor, rel=1e-13, abs=1e-300)
         mono = cf.measure_eta_vector(traj, psi, 0.5, p)
-        tensor = cf.measure_eta_vector(traj, psi.tensor(), 0.5, p)
+        tensor = cf.measure_eta_vector(traj, expand(psi), 0.5, p)
         assert mono == pytest.approx(tensor, rel=1e-13, abs=1e-300)
 
 
@@ -398,7 +399,7 @@ def test_measure_eta_accepts_solve_result(rng):
 # ---------------------------------------------------------------- propagate
 
 def _relative_gap(got, expected):
-    got = got.tensor().vector
+    got = expand(got).vector
     return np.linalg.norm(got - expected.vector) / np.linalg.norm(expected.vector)
 
 

@@ -6,6 +6,7 @@ import pytest
 import carleman_fourier as cf
 from carleman_fourier.errors import ConfigError
 from carleman_fourier.linearize import monomial_basis
+from carleman_fourier.tensor import expand
 
 from conftest import complex_uniform, make_dissipative_ode, random_readout
 
@@ -67,7 +68,7 @@ def test_count_enumeration_n3_k2(rng):
     assert [tuple(np.bincount(np.unravel_index(i, (3, 3)), minlength=3))
             for i in range(9)] == counts
     w = complex_uniform(rng, 3)
-    block = cf.lift_point(w, 2).tensor().blocks[1]
+    block = expand(cf.lift_point(w, 2)).blocks[1]
     np.testing.assert_allclose(block, [np.prod(w ** np.array(c)) for c in counts],
                                rtol=1e-14)
 
@@ -78,7 +79,7 @@ def test_count_degree_one(rng):
     for digit in range(4):
         expected = tuple(1 if i == digit else 0 for i in range(4))
         assert cf.monomial_index(expected) == digit
-        assert state.tensor().vector[digit] == state.vector[digit] == w[digit]
+        assert expand(state).vector[digit] == state.vector[digit] == w[digit]
 
 
 def test_count_base2_example(rng):
@@ -86,7 +87,7 @@ def test_count_base2_example(rng):
     assert np.unravel_index(5, (2, 2, 2)) == (1, 0, 1)
     w = complex_uniform(rng, 2)
     state = cf.lift_point(w, 3)
-    assert state.tensor().blocks[2][5] == state.vector[cf.monomial_index((1, 2))]
+    assert expand(state).blocks[2][5] == state.vector[cf.monomial_index((1, 2))]
     assert state.vector[cf.monomial_index((1, 2))] == pytest.approx(
         w[0] * w[1] ** 2, rel=1e-14)
 
@@ -211,7 +212,7 @@ def test_rescaled_readout_invariant(rng):
 def test_lifted_norm_multiplicativity(rng):
     w = complex_uniform(rng, 3, scale=0.8)
     state = cf.lift_point(w, 4)
-    tensor = state.tensor()
+    tensor = expand(state)
     for p in (1, 2, 3, math.inf):
         base = cf.vector_p_norm(w, p)
         for k in range(1, 5):
@@ -248,7 +249,7 @@ def test_codec_roundtrip_property(n, k, data):
        st.integers(1, 4), st.sampled_from([1.0, 2.0, 3.0, math.inf]))
 def test_lift_norm_power_property(pairs, order, p):
     w = np.array([complex(re, im) for re, im in pairs])
-    state = cf.lift_point(w, order).tensor()
+    state = expand(cf.lift_point(w, order))
     base = cf.vector_p_norm(w, p)
     for j in range(1, order + 1):
         assert cf.vector_p_norm(state.blocks[j - 1], p) == pytest.approx(

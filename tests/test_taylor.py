@@ -8,7 +8,8 @@ import pytest
 import carleman_fourier as cf
 from carleman_fourier import cli
 from carleman_fourier.errors import ConfigError, DivergenceError
-from carleman_fourier.taylor import dense_Vk, step_count_for
+from carleman_fourier.taylor import step_count_for
+from carleman_fourier.tensor import dense_Vk, expand
 
 from conftest import complex_uniform, make_rescaled
 
@@ -57,7 +58,7 @@ def test_apply_vk_matches_dense_polynomial(rng):
     x = complex_uniform(rng, op.monomial_size)
 
     def tensor(v):
-        return cf.LiftedState(2, 4, v).tensor().vector
+        return expand(cf.LiftedState(2, 4, v)).vector
 
     np.testing.assert_allclose(tensor(cf.apply_Vk(op, cfg, x)),
                                dense @ tensor(x), rtol=1e-13, atol=1e-13)
@@ -98,11 +99,12 @@ def test_forward_solve_tracks_dense_exponential(rng):
     cfg = cf.TaylorConfig(m=m, h=horizon / m, k=k)
     psi0 = cf.lift_initial(rp, 2)
     dense = cf.dense_LN(op)
-    env = cf.growth_envelope(dense, horizon, 9)
+    # the certified growth envelope exp(max(mu2, 0) T) of ||exp(L t)||_2
+    envelope = math.exp(max(cf.log_norm_2(dense), 0.0) * horizon)
     for j in (1, m // 2, m):
         exact = cf.expm_at(dense, j * cfg.h) @ psi0.vector
         err = np.linalg.norm(_state_at_step(op, cfg, psi0, j).vector - exact)
-        cap = cf.taylor_truncation_bound(j, k, env.envelope, psi0.norm(2))
+        cap = cf.taylor_remainder_bound(j, k) * envelope * psi0.norm(2)
         assert err <= cap + 1e-12
 
 
@@ -166,7 +168,7 @@ def test_forward_solve_refuses_non_symmetric_psi0(rng):
     cfg = cf.TaylorConfig(m=2, h=0.1, k=4)
     # a non-symmetric tensor can only be a TensorState, which is refused:
     # tensor slots 1 and 2 of block 2 (digit strings 01 and 10) share a count
-    tensor = cf.lift_initial(rp, 3).tensor()
+    tensor = expand(cf.lift_initial(rp, 3))
     tensor.vector[2 + 2] *= 1 + 1e-15
     assert tensor.vector[2 + 2] != tensor.vector[2 + 1]
     with pytest.raises(ConfigError):
@@ -251,12 +253,13 @@ def test_w_matrix_identity_cases(rng):
     rp, op = stable_operator(rng, 2, 3)
     h = 0.9 / cf.op_norm(cf.dense_LN(op), 2)
     cfg = cf.TaylorConfig(m=1, h=h, k=5)
-    assert cf.w_matrix_norm(op, cfg, 5) == pytest.approx(1.0, abs=1e-12)
+    assert cf.op_norm(cf.w_matrix(op, cfg, 5), 2) == pytest.approx(1.0,
+                                                                   abs=1e-12)
     zero_op = cf.LinearOperatorLN(order=3, n=2, f0=np.zeros(2),
                                   f1=np.zeros((2, 2)))
     for ell in range(6):
-        assert cf.w_matrix_norm(zero_op, cfg, ell) == pytest.approx(1.0,
-                                                                    abs=1e-12)
+        assert cf.op_norm(cf.w_matrix(zero_op, cfg, ell), 2) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 def test_w_matrix_norm_below_e(rng):
@@ -266,7 +269,7 @@ def test_w_matrix_norm_below_e(rng):
         for k in (2, 5, 9):
             cfg = cf.TaylorConfig(m=1, h=h, k=k)
             for ell in range(k + 1):
-                assert cf.w_matrix_norm(op, cfg, ell) <= math.e + 1e-9
+                assert cf.op_norm(cf.w_matrix(op, cfg, ell), 2) <= math.e + 1e-9
 
 
 # ------------------------------------------------------ remainder behaviour
