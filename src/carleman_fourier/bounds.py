@@ -164,13 +164,7 @@ def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
     f1_row_q = row_q_norm(rescaled.f1, q)
     rate = f0_inf + f1_row_q
     psi0 = rescaled.w0_norm(p)
-    lam = max(f0_inf, f1_row_q)
-    if r * psi0 < 1.0 and lam > 0.0:
-        t_r = math.log(1.0 / (r * psi0)) / (lam * (1.0 + 1.0 / r))
-    elif r * psi0 < 1.0:
-        t_r = math.inf
-    else:
-        t_r = 0.0
+    t_r = upper_bounded_time(rescaled, r, p) if r * psi0 < 1.0 else 0.0
     t_max = min(t_r, math.log(r) / rate) if rate > 0 else t_r
     log = [
         ("||Psi_1(0)||_p < 1/r", psi0, 1.0 / r, psi0 < 1.0 / r),

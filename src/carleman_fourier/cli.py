@@ -34,8 +34,9 @@ from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
                      HypothesisViolation)
-from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN,
-                        generator_entries, lift_initial, size_within)
+from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
+                        generator_entries, lift_initial, monomial_basis,
+                        size_within)
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
 from .params import (ParamSet, default_nu, end_to_end_error_budget, s_scale,
@@ -51,8 +52,10 @@ OVERRIDE_KEYS = ("N", "k", "m", "nu")
 # the Koopman/Taylor error split and eta measurement of solve and sweep, and
 # the 2-norm check of estimate, run only up to this tensor size.  The split
 # itself is the action of exp(L T) on psi0, Taylor steps on the monomial
-# generator (oracle.propagate), and needs no dense matrix; the cap keeps it
-# on the same runs as before, so that runs above it do not pay for it.
+# generator (oracle.propagate), and needs no dense matrix; the cap is what
+# it costs: on the three benchmark ladder problems, all above it, the split
+# would add 46-63 generator applies to the 232-240 of each run, 13-16% of
+# the time of each run_pipeline.
 DIAG_DENSE_CAP = 1024
 
 
@@ -325,27 +328,19 @@ def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> Para
 
 def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
                  ps: ParamSet, traj: Trajectory | None = None,
-                 op: LinearOperatorLN | None = None) -> dict:
+                 basis: MonomialBasis | None = None) -> dict:
     """rescale -> lift -> step -> read out -> compare to the oracle.  `traj`
-    is integrate(ode, run["T"], tol=run["oracle_tol"]) when the caller
-    already has it (a sweep integrates once for all rows).  `op` is an
-    operator on the coefficients of rescale(ode, readout, ps.nu) of order
-    ps.order or above when the caller already has one (a sweep builds one
-    per nu); the run steps on its leading section of order ps.order."""
+    is integrate(ode, run["T"], tol=run["oracle_tol"]) and `basis` is
+    monomial_basis(ode.n, N) for an N >= ps.order when the caller already
+    has them (a sweep builds each once for all rows); the run lifts and
+    steps on the basis' leading section of order ps.order."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
-    if op is None:
-        op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
-    elif (op.n == rescaled.n and op.order >= ps.order
-          and np.array_equal(op.f0, rescaled.f0)
-          and np.array_equal(op.f1, rescaled.f1)):
-        op = op.leading(ps.order)
-    else:
-        raise ConfigError(
-            f"run_pipeline: the operator (n={op.n}, N={op.order}) is not one "
-            f"of the rescaled problem at nu={ps.nu} and N >= {ps.order}")
-    psi0 = lift_initial(rescaled, ps.order, op=op)
+    op = LinearOperatorLN(
+        order=ps.order, n=rescaled.n, f0=rescaled.f0, f1=rescaled.f1,
+        basis=None if basis is None else basis.leading(ps.order))
+    psi0 = lift_initial(rescaled, ps.order, basis=op.basis)
     coeffs = expand_coeff_vector(readout, rescaled, ps.order)
     cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
     result = forward_solve(op, cfg, psi0)
@@ -378,7 +373,6 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         timings["dense_check_s"] = time.perf_counter() - t0
 
     return {
-        "params": ps,
         "estimate": estimate,
         "reference": reference,
         "total_error": total_error,
@@ -402,15 +396,14 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     }
 
 
-def _bound_values(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  ps: ParamSet, rescaled: RescaledProblem,
+def _bound_values(run: dict, ps: ParamSet, rescaled: RescaledProblem,
                   report: bounds_mod.DissipativityReport) -> dict:
     """Evaluate the truncation bounds that apply to this run; rescaled is
     rescale(ode, readout, ps.nu), as run_pipeline returns it, and report is
     check_dissipative(ode, ps.p)."""
     out = {}
     if report.dissipative:
-        for k in range(1, min(readout.degree, ps.order) + 1):
+        for k in range(1, min(ps.degree, ps.order) + 1):
             rep = bounds_mod.eta_bound_dissipative(report, rescaled, ps.order,
                                                    k, ps.p)
             out[f"eta_{k}_bound_inf_time"] = rep.value
@@ -433,8 +426,7 @@ def cmd_solve(args) -> int:
     report = _checked_report(ode, run)
     ps = _overridden(_recipe(ode, readout, run, report), overrides, readout)
     outcome = run_pipeline(ode, readout, run, ps)
-    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"],
-                               report)
+    bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
     resource = None
     try:
@@ -550,30 +542,19 @@ def cmd_sweep(args) -> int:
             continue
         plans.append((row, row_run, ps))
 
-    # rows of one nu share one operator, built at the largest order among
-    # them that fits the state budget and sliced for each row; a row above
-    # the budget builds its own and fails as a single run does
-    groups = {}  # nu -> (that order, index of the group's last row)
-    for index, (_row, _run, ps) in enumerate(plans):
-        if generator_entries(ode.n, ps.order) <= DEFAULT_STATE_BUDGET:
-            order = max(ps.order, groups.get(ps.nu, (0, 0))[0])
-            groups[ps.nu] = (order, index)
-    operators = {}
-    for index, (row, row_run, ps) in enumerate(plans):
-        order, last = groups.get(ps.nu, (0, -1))
-        t0 = time.perf_counter()
+    # the monomial basis depends on (n, N) alone: one, at the largest order
+    # among the rows that fits the state budget, serves every row as its
+    # leading section; a row above the budget builds its own and fails as a
+    # single run does
+    orders = [ps.order for _row, _run, ps in plans
+              if generator_entries(ode.n, ps.order) <= DEFAULT_STATE_BUDGET]
+    basis = monomial_basis(ode.n, max(orders)) if orders else None
+    for row, row_run, ps in plans:
+        t0 = time.perf_counter()  # runtime_s is the row's own run
         try:
-            op = None
-            if ps.order <= order:
-                op = operators.get(ps.nu)
-                if op is None:
-                    op = operators[ps.nu] = LinearOperatorLN.from_rescaled(
-                        rescale(ode, readout, ps.nu), order)
-                if index == last:
-                    del operators[ps.nu]
-            # runtime_s is the row's own run: its pipeline, bounds and eta
-            t0 = time.perf_counter()
-            row.update(_sweep_row(ode, readout, row_run, ps, report, traj, op))
+            fits = basis is not None and ps.order <= basis.order
+            row.update(_sweep_row(ode, readout, row_run, ps, report, traj,
+                                  basis if fits else None))
         except CflError as exc:
             row["error"] = _error_text(exc)
         row["runtime_s"] = time.perf_counter() - t0
@@ -604,10 +585,9 @@ def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value) -> tuple:
     return run, overrides
 
 
-def _sweep_row(ode, readout, run, ps, report, traj, op) -> dict:
-    outcome = run_pipeline(ode, readout, run, ps, traj, op)
-    bound_vals = _bound_values(ode, readout, run, ps, outcome["rescaled"],
-                               report)
+def _sweep_row(ode, readout, run, ps, report, traj, basis) -> dict:
+    outcome = run_pipeline(ode, readout, run, ps, traj, basis)
+    bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
     eta1_measured = None
     if outcome["psi_lin"] is not None:

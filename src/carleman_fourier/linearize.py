@@ -17,6 +17,9 @@ problem.monomial_index.  In them the generator has a diagonal i c.F0, and c
 couples to c + e_s with i sum_r c_r F1[r, s], n entries per monomial below
 block N.  LinearOperatorLN builds these two tables once, on the basis of
 monomial_basis, and apply_LN is a gather over the up map of that basis.
+The basis depends on (n, N) alone, and that of a lower order is its
+leading section (MonomialBasis.leading), so operators of any coefficients
+and order up to N can share one.
 
 The tensor layout (block j in C^{n^j}) is the reference the monomial path
 is checked against; it lives in the tensor module, whose expand() puts a
@@ -117,9 +120,32 @@ class MonomialBasis(NamedTuple):
     weights: np.ndarray
 
     @property
+    def n(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def order(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
     def up(self) -> np.ndarray:
         """(M_<N, n) view of up_t: up[c, s] is the index of c + e_s."""
         return self.up_t.T
+
+    def leading(self, order: int) -> "MonomialBasis":
+        """The basis of a lower order N', without rebuilding it: monomials
+        are enumerated block by block and c + e_s of a monomial below block
+        N' lies in a block up to N', so every field is a leading slice.
+        up_t is copied to a contiguous array, which apply_LN gathers faster
+        than a strided view."""
+        if not 1 <= order <= self.order:
+            raise ConfigError(
+                f"MonomialBasis.leading: order {order} outside 1..{self.order}")
+        size, coupled = self.offsets[order], self.offsets[order - 1]
+        return MonomialBasis(
+            self.offsets[:order + 1], self.counts[:size], self.parent[:size],
+            self.symbol[:size], np.ascontiguousarray(self.up_t[:, :coupled]),
+            self.weights[:size])
 
 
 def monomial_basis(n: int, order: int) -> MonomialBasis:
@@ -185,26 +211,24 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
 
 
 def lift_initial(rescaled: RescaledProblem, order: int,
-                 op: LinearOperatorLN | None = None) -> LiftedState:
+                 basis: MonomialBasis | None = None) -> LiftedState:
     """Initial lifted state: block j holds the monomials of w0 of degree j,
-    the entries of its j-th Kronecker power.  See lift_point for `op`."""
-    return lift_point(rescaled.w0, order, op)
+    the entries of its j-th Kronecker power.  See lift_point for `basis`."""
+    return lift_point(rescaled.w0, order, basis)
 
 
 def lift_point(w: np.ndarray, order: int,
-               op: LinearOperatorLN | None = None) -> LiftedState:
+               basis: MonomialBasis | None = None) -> LiftedState:
     """Lift an arbitrary point w = e^{ix}: each monomial w^c is its
     parent's times w_symbol, the product the Kronecker power forms at the
-    canonical slot of c.  The basis is that of `op`, an operator of the
-    same n and N, or monomial_basis(n, N) built here."""
+    canonical slot of c.  `basis` is monomial_basis(n, N) of the same n and
+    N when the caller already has it, or is built here."""
     w = np.asarray(w, dtype=complex).ravel()
     n = w.shape[0]
-    if op is None:
+    if basis is None:
         basis = monomial_basis(n, order)
-    elif (op.n, op.order) == (n, order):
-        basis = op.basis
-    else:
-        raise ConfigError(f"lift_point: the operator is not one of n={n}, N={order}")
+    elif (basis.n, basis.order) != (n, order):
+        raise ConfigError(f"lift_point: the basis is not one of n={n}, N={order}")
     mono = np.empty(basis.offsets[-1], dtype=complex)
     mono[:n] = w
     for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
@@ -215,7 +239,8 @@ def lift_point(w: np.ndarray, order: int,
 @dataclass
 class LinearOperatorLN:
     """Truncated lifted generator on monomial coordinates.  Built once, at
-    construction: the monomial basis and the generator's two tables on it,
+    construction: the generator's two tables on the monomial basis (given,
+    or monomial_basis(n, N) built here),
 
       diagonal  (M,) i c.F0;
       coupling  (n, M_<N) i sum_r c_r F1[r, s] in row s, the entry of
@@ -226,7 +251,7 @@ class LinearOperatorLN:
     n: int
     f0: np.ndarray
     f1: np.ndarray
-    basis: MonomialBasis = field(init=False, repr=False)
+    basis: MonomialBasis | None = field(default=None, repr=False)
     diagonal: np.ndarray = field(init=False, repr=False)
     coupling: np.ndarray = field(init=False, repr=False)
 
@@ -237,7 +262,12 @@ class LinearOperatorLN:
             raise ConfigError("LinearOperatorLN: order must be >= 1")
         if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
             raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
-        basis = self.basis = monomial_basis(self.n, self.order)
+        basis = self.basis
+        if basis is None:
+            basis = self.basis = monomial_basis(self.n, self.order)
+        elif (basis.n, basis.order) != (self.n, self.order):
+            raise ConfigError(
+                f"LinearOperatorLN: the basis is not one of n={self.n}, N={self.order}")
         coupled = basis.up_t.shape[1]
         self.diagonal = 1j * (basis.counts @ self.f0)
         self.coupling = np.ascontiguousarray(
@@ -246,28 +276,6 @@ class LinearOperatorLN:
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
         return cls(order=order, n=rescaled.n, f0=rescaled.f0, f1=rescaled.f1)
-
-    def leading(self, order: int) -> "LinearOperatorLN":
-        """The operator of a lower order on the same coefficients, without
-        rebuilding anything: the basis enumerates monomials block by block
-        and c + e_s of a monomial below block N' lies in a block up to N',
-        so every basis field and both tables are leading slices of these.
-        The two (n, M_<N') slices are copied to contiguous arrays, which
-        apply_LN gathers and multiplies faster than strided views."""
-        if not 1 <= order <= self.order:
-            raise ConfigError(
-                f"LinearOperatorLN.leading: order {order} outside 1..{self.order}")
-        basis = self.basis
-        size, coupled = basis.offsets[order], basis.offsets[order - 1]
-        out = object.__new__(type(self))
-        out.order, out.n, out.f0, out.f1 = order, self.n, self.f0, self.f1
-        out.basis = MonomialBasis(
-            basis.offsets[:order + 1], basis.counts[:size], basis.parent[:size],
-            basis.symbol[:size], np.ascontiguousarray(basis.up_t[:, :coupled]),
-            basis.weights[:size])
-        out.diagonal = self.diagonal[:size]
-        out.coupling = np.ascontiguousarray(self.coupling[:, :coupled])
-        return out
 
     @property
     def size(self) -> int:

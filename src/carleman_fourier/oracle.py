@@ -301,10 +301,11 @@ def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> 
     k = truncated.order if k is None else k
     if not 1 <= k <= truncated.order:
         raise ConfigError(f"measure_eta: block {k} outside 1..{truncated.order}")
-    exact = exact_lifted(traj, k, t)
+    w = np.exp(1j * traj.state_at(t))
     if isinstance(truncated, LiftedState):
-        return exact, monomial_basis(exact.n, k).weights
-    return expand(exact), None
+        basis = monomial_basis(w.size, k)
+        return lift_point(w, k, basis), basis.weights
+    return expand(lift_point(w, k)), None
 
 
 def measure_eta(traj: Trajectory, truncated, k: int, t: float,

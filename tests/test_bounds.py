@@ -133,6 +133,23 @@ def test_t_r_arithmetic():
     assert t_r == pytest.approx(2.0 / (1.0 + 1.0 / E), rel=1e-12)
 
 
+def test_finite_time_threshold_is_upper_bounded_time(rng):
+    # the "t <= T_r" threshold is T_r itself, to the bit; with
+    # ||Psi_1(0)||_p at or above 1/r there is no horizon, and it reads 0
+    for p in (1, 2, math.inf):
+        for n in (1, 2, 3):
+            for r in (2.0, 5.0, 30.0):
+                rescaled = make_nondissipative_rescaled(rng, n, p=p, r=r)
+                threshold = cf.eta_bound_finite_time(rescaled, 3, r, 0.01,
+                                                     p).entry("t <= T_r")[2]
+                assert threshold == cf.upper_bounded_time(rescaled, r, p)
+    outside = make_nondissipative_rescaled(rng, 2, r=5.0, psi0_margin=2.0)
+    assert cf.eta_bound_finite_time(outside, 3, 5.0, 0.01, 2).entry(
+        "t <= T_r")[2] == 0.0
+    with pytest.raises(HypothesisViolation):
+        cf.upper_bounded_time(outside, 5.0, 2)
+
+
 def test_finite_time_hypothesis_log_records_t_max(rng):
     rescaled = make_nondissipative_rescaled(rng, 2, r=5.0)
     out = cf.eta_bound_finite_time(rescaled, 3, 5.0, 0.01, 2)

@@ -10,6 +10,7 @@ import carleman_fourier as cf
 from carleman_fourier import cli
 from carleman_fourier.cli import main
 from carleman_fourier.errors import DivergenceError
+from carleman_fourier.linearize import monomial_basis
 from carleman_fourier.oracle import action_config
 from carleman_fourier.params import default_nu
 from carleman_fourier.taylor import step_count_for
@@ -175,7 +176,7 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
     assert calls == [(ode.n, ps.order)]
     # lifting with the operator's basis gives the same bits as without
     rescaled, op = outcome["rescaled"], outcome["operator"]
-    shared = cf.lift_initial(rescaled, ps.order, op=op)
+    shared = cf.lift_initial(rescaled, ps.order, basis=op.basis)
     assert shared.vector.tobytes() == cf.lift_initial(rescaled, ps.order).vector.tobytes()
 
 
@@ -519,22 +520,27 @@ def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("axis,values,recipes,bases", [
-    ("N", "6,4,8,5,7", 1, 1),       # one nu: one operator, sliced per row
-    ("nu", "2,3.5,5,2", 1, 3),      # one operator per distinct nu
+    # one basis, at the largest order, serves every row as its leading
+    # section; each row builds its own operator on it
+    ("N", "6,4,8,5,7", 1, 1),
+    ("nu", "2,3.5,5,2", 1, 1),
     ("k", "2,5,9", 1, 1),
-    # each row has its own run section and recipe, and both share one nu
+    # each row has its own run section and recipe
     ("epsilon", "1e-2,1e-3", 2, 1),
+    ("r", "4,5,6", 3, 1),           # rows at nu and N of their own
 ])
 def test_sweep_shares_the_recipe_and_the_operator(tmp_path, monkeypatch, axis,
                                                   values, recipes, bases):
     import carleman_fourier.linearize as linearize
 
     recipe_calls = _count_calls(monkeypatch, cli, "select_regime")
-    basis_calls = _count_calls(monkeypatch, linearize, "monomial_basis")
+    basis_calls = [_count_calls(monkeypatch, module, "monomial_basis")
+                   for module in (linearize, cli)]
     report_calls = _count_calls(monkeypatch, cli.bounds_mod, "check_dissipative")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", axis,
                    "--values", values, "--out", tmp_path)
     monkeypatch.undo()
+    basis_calls = basis_calls[0] + basis_calls[1]
     assert code == 0
     assert (len(recipe_calls), len(basis_calls), len(report_calls)) == (
         recipes, bases, 1)
@@ -542,7 +548,9 @@ def test_sweep_shares_the_recipe_and_the_operator(tmp_path, monkeypatch, axis,
     assert [row["error"] for row in rows] == [""] * len(values.split(","))
     if axis == "N":
         assert basis_calls == [(2, 8)]
-    if axis == "epsilon":  # not an override: no single run to compare with
+    if axis == "r":
+        assert basis_calls == [(2, max(int(row["N"]) for row in rows))]
+    if axis in ("epsilon", "r"):  # not overrides: no single run to compare with
         return
     for row in rows:
         value = float(row["value"]) if axis == "nu" else int(row["value"])
@@ -564,11 +572,11 @@ def test_sweep_row_above_the_state_budget_fails_alone(tmp_path):
 
 
 def test_run_pipeline_on_a_larger_operator_matches_its_own():
+    # on the leading section of a larger basis, as a sweep runs its rows
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2", N=5)
-    rescaled = cli.rescale(ode, readout, ps.nu)
-    big = cf.LinearOperatorLN.from_rescaled(rescaled, 8)
     own = cli.run_pipeline(ode, readout, run, ps)
-    shared = cli.run_pipeline(ode, readout, run, ps, op=big)
+    shared = cli.run_pipeline(ode, readout, run, ps,
+                              basis=monomial_basis(ode.n, 8))
     assert shared["operator"].order == 5
     for key in ("estimate", "reference", "total_error", "koopman_error",
                 "taylor_error", "residual", "lifted_state"):
@@ -577,13 +585,11 @@ def test_run_pipeline_on_a_larger_operator_matches_its_own():
 
 
 def test_run_pipeline_refuses_an_operator_of_another_problem():
+    # a basis of another n, or of an order below the run's, is refused
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2", N=5)
-    rescaled = cli.rescale(ode, readout, ps.nu)
-    other = cli.rescale(ode, readout, 2 * ps.nu)
-    for op in (cf.LinearOperatorLN.from_rescaled(rescaled, 4),
-               cf.LinearOperatorLN.from_rescaled(other, 8)):
+    for basis in (monomial_basis(ode.n + 1, 8), monomial_basis(ode.n, 4)):
         with pytest.raises(cf.ConfigError):
-            cli.run_pipeline(ode, readout, run, ps, op=op)
+            cli.run_pipeline(ode, readout, run, ps, basis=basis)
 
 
 def test_solve_finite_time_bound_overflow_reads_inf(tmp_path):

@@ -73,7 +73,7 @@ def test_order_70_lifts_and_steps_without_the_tensor_layout(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN.from_rescaled(rp, 70)
     assert op.monomial_size == 2555 and op.size > 2 ** 63
-    psi0 = cf.lift_initial(rp, 70, op=op)
+    psi0 = cf.lift_initial(rp, 70, basis=op.basis)
     exact = np.exp(1j * (op.basis.counts @ rp.x0))
     assert np.max(np.abs(psi0.vector - exact) / np.abs(exact)) <= 1e-13
     # a short step: block 1 follows the oracle's e^{ix(t)}
@@ -384,35 +384,46 @@ def test_lift_point_with_an_operator_matches_its_own_basis(n, order, seed):
     op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
                              f1=complex_uniform(rng, (n, n)))
     w = complex_uniform(rng, n)
-    assert cf.lift_point(w, order, op).vector.tobytes() \
+    assert cf.lift_point(w, order, op.basis).vector.tobytes() \
         == cf.lift_point(w, order).vector.tobytes()
 
 
 def test_lift_point_refuses_an_operator_of_another_shape(rng):
-    op = cf.LinearOperatorLN(order=4, n=3, f0=complex_uniform(rng, 3),
-                             f1=complex_uniform(rng, (3, 3)))
+    basis = monomial_basis(3, 4)
     for n, order in ((3, 3), (2, 4)):
         with pytest.raises(ConfigError):
-            cf.lift_point(complex_uniform(rng, n), order, op)
+            cf.lift_point(complex_uniform(rng, n), order, basis)
+
+
+def test_operator_refuses_a_basis_of_another_shape(rng):
+    # a basis serves an operator of exactly its own (n, N); a larger one is
+    # cut to size by the caller with MonomialBasis.leading
+    f0, f1 = complex_uniform(rng, 3), complex_uniform(rng, (3, 3))
+    for n, order in ((3, 5), (3, 3), (2, 4)):
+        with pytest.raises(ConfigError):
+            cf.LinearOperatorLN(order=4, n=3, f0=f0, f1=f1,
+                                basis=monomial_basis(n, order))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
 def test_leading_section_is_the_lower_order_operator(n, order, seed):
-    # the gate for slicing an operator instead of building it: every lower
-    # order equals a fresh operator of that order, bit for bit
+    # the gate for slicing a basis instead of building it: an operator on
+    # every leading section equals a freshly built one, bit for bit
     rng = np.random.default_rng(seed)
     f0, f1 = complex_uniform(rng, n), complex_uniform(rng, (n, n))
-    op = cf.LinearOperatorLN(order=order, n=n, f0=f0, f1=f1)
+    basis = monomial_basis(n, order)
     w = complex_uniform(rng, n)
     for lower in range(1, order + 1):
-        section = op.leading(lower)
+        section = cf.LinearOperatorLN(order=lower, n=n, f0=f0, f1=f1,
+                                      basis=basis.leading(lower))
         fresh = cf.LinearOperatorLN(order=lower, n=n, f0=f0, f1=f1)
-        assert (section.order, section.n) == (lower, n)
+        assert (section.basis.n, section.basis.order) == (n, lower)
         assert section.basis.offsets == fresh.basis.offsets
         for got, want in zip(section.basis[1:], fresh.basis[1:]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        assert section.basis.up_t.flags.c_contiguous
         for name in ("diagonal", "coupling"):
             got, want = getattr(section, name), getattr(fresh, name)
             assert got.shape == want.shape
@@ -420,16 +431,15 @@ def test_leading_section_is_the_lower_order_operator(n, order, seed):
         assert section.norm_1() == fresh.norm_1()
         x = complex_uniform(rng, fresh.monomial_size)
         assert cf.apply_LN(section, x).tobytes() == cf.apply_LN(fresh, x).tobytes()
-        assert cf.lift_point(w, lower, section).vector.tobytes() \
-            == cf.lift_point(w, lower, fresh).vector.tobytes()
+        assert cf.lift_point(w, lower, section.basis).vector.tobytes() \
+            == cf.lift_point(w, lower, fresh.basis).vector.tobytes()
 
 
-def test_leading_refuses_an_order_outside_its_own(rng):
-    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
-                             f1=complex_uniform(rng, (2, 2)))
+def test_leading_refuses_an_order_outside_its_own():
+    basis = monomial_basis(2, 3)
     for order in (0, 4):
         with pytest.raises(ConfigError):
-            op.leading(order)
+            basis.leading(order)
 
 
 # ------------------------------------------------------------ module layout

@@ -296,6 +296,29 @@ def test_measure_eta_below_dissipative_bound(rng):
     assert cf.measure_eta(traj, psi, 1, t_end, 2) <= bound.value + 1e-10
 
 
+def test_measure_eta_builds_one_basis(rng, monkeypatch):
+    # the exact state is lifted on the basis whose weights give the norm
+    import carleman_fourier.linearize as linearize
+    import carleman_fourier.oracle as oracle
+
+    rp = make_rescaled(rng, 2)
+    traj = cf.integrate(rp, 0.5, tol=1e-11)
+    psi0 = cf.lift_initial(rp, 4)
+    expected = (cf.measure_eta(traj, psi0, 2, 0.25),
+                cf.measure_eta_vector(traj, psi0, 0.25))
+    calls = []
+    for module in (linearize, oracle):
+        def counted(*args, build=module.monomial_basis):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(module, "monomial_basis", counted)
+    assert cf.measure_eta(traj, psi0, 2, 0.25) == expected[0]
+    assert calls == [(2, 2)]
+    assert cf.measure_eta_vector(traj, psi0, 0.25) == expected[1]
+    assert calls == [(2, 2), (2, 4)]
+
+
 # ----------------------------------------------------- trajectory invariants
 
 def test_dissipative_norm_monotone(rng):

@@ -89,7 +89,7 @@ def test_monomial_pipeline_matches_the_tensor_reference(n, order, seed):
     rescaled = cf.rescale(ode, readout, 1.0)
     op = cf.LinearOperatorLN.from_rescaled(rescaled, order)
 
-    psi0 = cf.lift_initial(rescaled, order, op=op)
+    psi0 = cf.lift_initial(rescaled, order, basis=op.basis)
     powers = [rescaled.w0]
     for _ in range(order - 1):
         powers.append(np.kron(powers[-1], rescaled.w0))

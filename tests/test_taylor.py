@@ -150,7 +150,7 @@ def test_forward_solve_memory_is_bounded_in_m():
     ps = cli.select_params(ode, readout, run, cfg["overrides"])
     rescaled = cf.rescale(ode, readout, ps.nu)
     op = cf.LinearOperatorLN.from_rescaled(rescaled, ps.order)
-    psi0 = cf.lift_initial(rescaled, ps.order, op=op)
+    psi0 = cf.lift_initial(rescaled, ps.order, basis=op.basis)
     assert op.monomial_size == 35
     steps = cf.TaylorConfig(m=5000, h=run["T"] / 5000, k=4)
     tracemalloc.start()
