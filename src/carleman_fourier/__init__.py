@@ -16,8 +16,8 @@ from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
                      HypothesisViolation)
 from .estimator import (ResourceEstimate, query_counts, scaling_alpha_Ainv,
                         scaling_alpha_B, scaling_alpha_C, scaling_alpha_LN)
-from .linearize import (LiftedState, LinearOperatorLN, apply_LN, lift_initial,
-                        lift_point)
+from .linearize import (LiftedState, LinearOperatorLN, MonomialBasis, apply_LN,
+                        lift_initial, lift_point, monomial_basis)
 from .norms import (conjugate_exponent, gamma_growth_bound, log_norm_2,
                     op_norm, row_q_norm, vector_p_norm)
 from .oracle import (Trajectory, closed_form_1d, exact_lifted, integrate,

@@ -135,16 +135,28 @@ def upper_bounded_time(rescaled: RescaledProblem, r: float, p: float) -> float:
     """
     if r <= 1:
         raise ConfigError("upper_bounded_time: r must exceed 1")
-    q = conjugate_exponent(p)
-    lam = max(vector_p_norm(rescaled.f0, math.inf), row_q_norm(rescaled.f1, q))
-    psi0 = rescaled.w0_norm(p)
+    _rate, psi0, t_r = _finite_time_terms(rescaled, r, p)
     if r * psi0 >= 1.0:
         raise HypothesisViolation(
             f"upper_bounded_time: ||Psi_1(0)||_p = {psi0} is not below 1/r = {1 / r}"
         )
-    if lam == 0.0:
-        return math.inf
-    return math.log(1.0 / (r * psi0)) / (lam * (1.0 + 1.0 / r))
+    return t_r
+
+
+def _finite_time_terms(rescaled: RescaledProblem, r: float, p: float) -> tuple:
+    """||F0||_inf + ||F1||_row,q, ||Psi_1(0)||_p and T_r, with Lambda_p =
+    max{||F0||_inf, ||F1||_row,q}; T_r is 0.0 when r ||Psi_1(0)||_p >= 1."""
+    f0_inf = vector_p_norm(rescaled.f0, math.inf)
+    f1_row_q = row_q_norm(rescaled.f1, conjugate_exponent(p))
+    psi0 = rescaled.w0_norm(p)
+    lam = max(f0_inf, f1_row_q)
+    if r * psi0 >= 1.0:
+        t_r = 0.0
+    elif lam == 0.0:
+        t_r = math.inf
+    else:
+        t_r = math.log(1.0 / (r * psi0)) / (lam * (1.0 + 1.0 / r))
+    return f0_inf + f1_row_q, psi0, t_r
 
 
 def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
@@ -159,12 +171,7 @@ def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
     """
     if r <= 1:
         raise ConfigError("eta_bound_finite_time: r must exceed 1")
-    q = conjugate_exponent(p)
-    f0_inf = vector_p_norm(rescaled.f0, math.inf)
-    f1_row_q = row_q_norm(rescaled.f1, q)
-    rate = f0_inf + f1_row_q
-    psi0 = rescaled.w0_norm(p)
-    t_r = upper_bounded_time(rescaled, r, p) if r * psi0 < 1.0 else 0.0
+    rate, psi0, t_r = _finite_time_terms(rescaled, r, p)
     t_max = min(t_r, math.log(r) / rate) if rate > 0 else t_r
     log = [
         ("||Psi_1(0)||_p < 1/r", psi0, 1.0 / r, psi0 < 1.0 / r),

@@ -35,7 +35,7 @@ from . import estimator as estimator_mod
 from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
                      HypothesisViolation)
 from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
-                        generator_entries, lift_initial, monomial_basis,
+                        generator_entries, lift_point, monomial_basis,
                         size_within)
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
@@ -212,22 +212,17 @@ def parse_run(cfg: dict) -> dict:
 
 # ------------------------------------------------------- parameter plumbing
 
-def _cross_check(run: dict, report: bounds_mod.DissipativityReport) -> None:
-    for key, actual in (("expected_mu0", report.mu0), ("expected_r_p", report.r_p)):
-        expected = run.get(key)
-        if expected is None:
-            continue
-        if not math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-12):
-            raise ConfigError(
-                f"run.{key} = {expected} disagrees with recomputed value {actual}"
-            )
-
-
 def _checked_report(ode: FourierOde, run: dict) -> bounds_mod.DissipativityReport:
     """The dissipativity report at run.p, cross-checked against the run's
     expected values."""
     report = bounds_mod.check_dissipative(ode, run["p"])
-    _cross_check(run, report)
+    for key, actual in (("expected_mu0", report.mu0), ("expected_r_p", report.r_p)):
+        expected = run.get(key)
+        if expected is not None and not math.isclose(
+                expected, actual, rel_tol=1e-9, abs_tol=1e-12):
+            raise ConfigError(
+                f"run.{key} = {expected} disagrees with recomputed value {actual}"
+            )
     return report
 
 
@@ -333,14 +328,15 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     is integrate(ode, run["T"], tol=run["oracle_tol"]) and `basis` is
     monomial_basis(ode.n, N) for an N >= ps.order when the caller already
     has them (a sweep builds each once for all rows); the run lifts and
-    steps on the basis' leading section of order ps.order."""
+    steps on the basis' leading section of order ps.order, or on
+    monomial_basis(ode.n, ps.order) built here."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
-    op = LinearOperatorLN(
-        order=ps.order, n=rescaled.n, f0=rescaled.f0, f1=rescaled.f1,
-        basis=None if basis is None else basis.leading(ps.order))
-    psi0 = lift_initial(rescaled, ps.order, basis=op.basis)
+    basis = (monomial_basis(ode.n, ps.order) if basis is None
+             else basis.leading(ps.order))
+    op = LinearOperatorLN(basis, rescaled.f0, rescaled.f1)
+    psi0 = lift_point(rescaled.w0, basis)
     coeffs = expand_coeff_vector(readout, rescaled, ps.order)
     cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
     result = forward_solve(op, cfg, psi0)
@@ -416,11 +412,14 @@ def _bound_values(run: dict, ps: ParamSet, rescaled: RescaledProblem,
 
 # ---------------------------------------------------------------- commands
 
-def cmd_solve(args) -> int:
+def _inputs(args) -> tuple:
+    """The config at args.config and its ode, readout and run sections."""
     cfg = load_config(args.config)
-    ode = parse_ode(cfg)
-    readout = parse_readout(cfg)
-    run = parse_run(cfg)
+    return cfg, parse_ode(cfg), parse_readout(cfg), parse_run(cfg)
+
+
+def cmd_solve(args) -> int:
+    cfg, ode, readout, run = _inputs(args)
     overrides = dict(cfg.get("overrides") or {})
     overrides.update(parse_override_arg(args.param_overrides))
     report = _checked_report(ode, run)
@@ -486,9 +485,8 @@ def cmd_solve(args) -> int:
                  "alpha_C", "queries_G", "queries_u0", "queries_d"):
         columns.append((name, None if resource is None
                         else getattr(resource, name)))
-    header = ",".join(name for name, _ in columns)
-    row = ",".join(fmt(value) for _, value in columns)
-    _write_output(outdir / "result.csv", header + "\n" + row + "\n")
+    _write_csv(outdir / "result.csv", [[name for name, _ in columns],
+                                       [value for _, value in columns]])
     print(f"estimate = {outcome['estimate']:.12g}, "
           f"reference = {outcome['reference']:.12g}, "
           f"|error| = {outcome['total_error']:.3e} "
@@ -498,10 +496,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    ode = parse_ode(cfg)
-    readout = parse_readout(cfg)
-    run = parse_run(cfg)
+    cfg, ode, readout, run = _inputs(args)
     base_overrides = dict(cfg.get("overrides") or {})
     axis = args.axis
     if axis not in SWEEP_AXES:
@@ -561,10 +556,8 @@ def cmd_sweep(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt(row.get(col)) for col in columns))
-    _write_output(outdir / "result.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir / "result.csv",
+               [columns, *([row.get(col) for col in columns] for row in rows)])
     print(f"wrote {outdir / 'result.csv'} ({len(rows)} rows)")
     return 0
 
@@ -611,10 +604,7 @@ def _sweep_row(ode, readout, run, ps, report, traj, basis) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config)
-    ode = parse_ode(cfg)
-    readout = parse_readout(cfg)
-    run = parse_run(cfg)
+    _cfg, ode, readout, run = _inputs(args)
     out = {}
     produced = 0
     for regime in ("dissipative", "nondissipative"):
@@ -671,13 +661,9 @@ def cmd_oracle(args) -> int:
     header = ["t"]
     for i in range(ode.n):
         header += [f"re(x_{i + 1})", f"im(x_{i + 1})"]
-    lines = [",".join(header)]
-    for t, state in zip(traj.times, traj.states):
-        cells = [fmt(t)]
-        for val in state:
-            cells += [fmt(val.real), fmt(val.imag)]
-        lines.append(",".join(cells))
-    _write_output(outdir / "trajectory.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir / "trajectory.csv", [header, *(
+        [t, *(part for val in state for part in (val.real, val.imag))]
+        for t, state in zip(traj.times, traj.states))])
     print(f"wrote {outdir / 'trajectory.csv'} "
           f"(est. global error {traj.est_global_error:.3e})")
     return 0
@@ -700,6 +686,12 @@ def _write_output(path: Path, text: str) -> None:
     """
     path.unlink(missing_ok=True)
     path.write_text(text)
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write rows of cells as CSV, each cell rendered by fmt."""
+    _write_output(path, "".join(",".join(fmt(cell) for cell in row) + "\n"
+                                for row in rows))
 
 
 def _json_default(obj):

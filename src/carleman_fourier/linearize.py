@@ -15,11 +15,12 @@ C(n+j-1, j) entries per block instead of n^j (the symmetric reduction of
 Carleman linearization), in one flat vector ordered as in
 problem.monomial_index.  In them the generator has a diagonal i c.F0, and c
 couples to c + e_s with i sum_r c_r F1[r, s], n entries per monomial below
-block N.  LinearOperatorLN builds these two tables once, on the basis of
-monomial_basis, and apply_LN is a gather over the up map of that basis.
-The basis depends on (n, N) alone, and that of a lower order is its
-leading section (MonomialBasis.leading), so operators of any coefficients
-and order up to N can share one.
+block N.  The layout is stated once, by a MonomialBasis: a LiftedState, a
+lift and a LinearOperatorLN all hold one and read n and N from it.  The
+operator builds its two tables once, on its basis, and apply_LN is a gather
+over the up map of that basis.  The basis depends on (n, N) alone, and that
+of a lower order is its leading section (MonomialBasis.leading), so
+operators of any coefficients and order up to N can share one.
 
 The tensor layout (block j in C^{n^j}) is the reference the monomial path
 is checked against; it lives in the tensor module, whose expand() puts a
@@ -65,48 +66,6 @@ def generator_entries(n: int, order: int) -> int:
     """Stored entries of the monomial generator: the diagonal, and n
     couplings for every monomial below block N."""
     return monomial_count(n, order) + n * monomial_count(n, order - 1)
-
-
-@dataclass
-class _Blocks:
-    """Blocks Psi_1..Psi_N of a lifted state, back to back in one contiguous
-    complex vector; _offsets() gives where each block starts."""
-
-    n: int
-    order: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=complex)
-        name = type(self).__name__
-        if self.n < 1 or self.order < 1:
-            raise ConfigError(f"{name}: need n >= 1 and order >= 1")
-        size = self._offsets()[-1]
-        if self.vector.shape != (size,):
-            raise ConfigError(
-                f"{name}: vector has shape {self.vector.shape}, expected ({size},)")
-
-    @property
-    def blocks(self) -> list:
-        """Views of the blocks Psi_1..Psi_N into the flat vector."""
-        offsets = self._offsets()
-        return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.vector).all())
-
-
-class LiftedState(_Blocks):
-    """A symmetric lifted state: block j holds the monomials psi_c, |c| = j,
-    of Psi_j (see problem.monomial_index)."""
-
-    def _offsets(self) -> list:
-        return [monomial_count(self.n, j) for j in range(self.order + 1)]
-
-    def norm(self, p: float = 2) -> float:
-        """Tensor p-norm: (sum_c multinom(|c|; c) |psi_c|^p)^(1/p)."""
-        weights = monomial_basis(self.n, self.order).weights
-        return vector_p_norm(self.vector, p, weights)
 
 
 class MonomialBasis(NamedTuple):
@@ -210,64 +169,89 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
                          **{key: np.concatenate(parts) for key, parts in out.items()})
 
 
-def lift_initial(rescaled: RescaledProblem, order: int,
-                 basis: MonomialBasis | None = None) -> LiftedState:
+@dataclass
+class LiftedState:
+    """A symmetric lifted state: block j holds the monomials psi_c, |c| = j,
+    of Psi_j (see problem.monomial_index), back to back in one contiguous
+    complex vector laid out by `basis`."""
+
+    basis: MonomialBasis = field(repr=False)
+    vector: np.ndarray
+
+    def __post_init__(self):
+        self.vector = np.asarray(self.vector, dtype=complex)
+        size = self.basis.offsets[-1]
+        if self.vector.shape != (size,):
+            raise ConfigError(
+                f"LiftedState: vector has shape {self.vector.shape}, expected ({size},)")
+
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def order(self) -> int:
+        return self.basis.order
+
+    @property
+    def blocks(self) -> list:
+        """Views of the blocks Psi_1..Psi_N into the flat vector."""
+        offsets = self.basis.offsets
+        return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.vector).all())
+
+    def norm(self, p: float = 2) -> float:
+        """Tensor p-norm: (sum_c multinom(|c|; c) |psi_c|^p)^(1/p)."""
+        return vector_p_norm(self.vector, p, self.basis.weights)
+
+
+def lift_initial(rescaled: RescaledProblem, order: int) -> LiftedState:
     """Initial lifted state: block j holds the monomials of w0 of degree j,
-    the entries of its j-th Kronecker power.  See lift_point for `basis`."""
-    return lift_point(rescaled.w0, order, basis)
+    the entries of its j-th Kronecker power."""
+    return lift_point(rescaled.w0, monomial_basis(rescaled.n, order))
 
 
-def lift_point(w: np.ndarray, order: int,
-               basis: MonomialBasis | None = None) -> LiftedState:
-    """Lift an arbitrary point w = e^{ix}: each monomial w^c is its
-    parent's times w_symbol, the product the Kronecker power forms at the
-    canonical slot of c.  `basis` is monomial_basis(n, N) of the same n and
-    N when the caller already has it, or is built here."""
+def lift_point(w: np.ndarray, basis: MonomialBasis) -> LiftedState:
+    """Lift an arbitrary point w = e^{ix} onto `basis`: each monomial w^c is
+    its parent's times w_symbol, the product the Kronecker power forms at
+    the canonical slot of c."""
     w = np.asarray(w, dtype=complex).ravel()
-    n = w.shape[0]
-    if basis is None:
-        basis = monomial_basis(n, order)
-    elif (basis.n, basis.order) != (n, order):
-        raise ConfigError(f"lift_point: the basis is not one of n={n}, N={order}")
+    if w.shape != (basis.n,):
+        raise ConfigError(
+            f"lift_point: a point of {w.size} components for a basis of n={basis.n}")
     mono = np.empty(basis.offsets[-1], dtype=complex)
-    mono[:n] = w
+    mono[:basis.n] = w
     for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
         mono[lo:hi] = mono[basis.parent[lo:hi]] * w[basis.symbol[lo:hi]]
-    return LiftedState(n, order, mono)
+    return LiftedState(basis, mono)
 
 
 @dataclass
 class LinearOperatorLN:
-    """Truncated lifted generator on monomial coordinates.  Built once, at
-    construction: the generator's two tables on the monomial basis (given,
-    or monomial_basis(n, N) built here),
+    """Truncated lifted generator on the monomial coordinates of `basis`.
+    Built once, at construction: the generator's two tables,
 
       diagonal  (M,) i c.F0;
       coupling  (n, M_<N) i sum_r c_r F1[r, s] in row s, the entry of
                 column basis.up_t[s, c] in row c.
     """
 
-    order: int
-    n: int
+    basis: MonomialBasis = field(repr=False)
     f0: np.ndarray
     f1: np.ndarray
-    basis: MonomialBasis | None = field(default=None, repr=False)
     diagonal: np.ndarray = field(init=False, repr=False)
     coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=complex).ravel()
         self.f1 = np.atleast_2d(np.asarray(self.f1, dtype=complex))
-        if self.order < 1:
-            raise ConfigError("LinearOperatorLN: order must be >= 1")
-        if self.f0.shape != (self.n,) or self.f1.shape != (self.n, self.n):
-            raise ConfigError("LinearOperatorLN: coefficient shapes inconsistent")
-        basis = self.basis
-        if basis is None:
-            basis = self.basis = monomial_basis(self.n, self.order)
-        elif (basis.n, basis.order) != (self.n, self.order):
+        n, basis = self.n, self.basis
+        if self.f0.shape != (n,) or self.f1.shape != (n, n):
             raise ConfigError(
-                f"LinearOperatorLN: the basis is not one of n={self.n}, N={self.order}")
+                f"LinearOperatorLN: coefficients of shapes {self.f0.shape} and "
+                f"{self.f1.shape} for a basis of n={n}")
         coupled = basis.up_t.shape[1]
         self.diagonal = 1j * (basis.counts @ self.f0)
         self.coupling = np.ascontiguousarray(
@@ -275,7 +259,15 @@ class LinearOperatorLN:
 
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
-        return cls(order=order, n=rescaled.n, f0=rescaled.f0, f1=rescaled.f1)
+        return cls(monomial_basis(rescaled.n, order), rescaled.f0, rescaled.f1)
+
+    @property
+    def n(self) -> int:
+        return self.basis.n
+
+    @property
+    def order(self) -> int:
+        return self.basis.order
 
     @property
     def size(self) -> int:

@@ -36,11 +36,11 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
-                        _Blocks, lift_point, monomial_basis)
+                        lift_point, monomial_basis)
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
 from .taylor import TaylorConfig, forward_solve
-from .tensor import expand
+from .tensor import TensorState, expand
 
 
 @dataclass
@@ -285,7 +285,7 @@ def closed_form_1d(f0: complex, f1: complex, x0: complex, t: float) -> complex:
 def exact_lifted(traj: Trajectory, order: int, t: float) -> LiftedState:
     """Lifted state Psi_j(t) = (e^{i x(t)})^{tensor j} from the trajectory."""
     x = traj.state_at(t)
-    return lift_point(np.exp(1j * x), order)
+    return lift_point(np.exp(1j * x), monomial_basis(x.size, order))
 
 
 def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> tuple:
@@ -293,8 +293,10 @@ def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> 
     at time t in the layout of `truncated`, and the weights that make the
     p-norm of a difference in that layout its tensor p-norm: the multinomial
     weights for a LiftedState, whose monomial of count c stands for
-    multinom(|c|; c) tensor entries, and none for a tensor.TensorState."""
-    if not isinstance(truncated, _Blocks):
+    multinom(|c|; c) tensor entries, and none for a tensor.TensorState.  A
+    LiftedState's exact state is lifted on the leading section of its own
+    basis."""
+    if not isinstance(truncated, (LiftedState, TensorState)):
         raise ConfigError(
             f"measure_eta: unsupported truncated-solution type {type(truncated)!r}"
         )
@@ -303,9 +305,9 @@ def _exact_like(traj: Trajectory, truncated, t: float, k: int | None = None) -> 
         raise ConfigError(f"measure_eta: block {k} outside 1..{truncated.order}")
     w = np.exp(1j * traj.state_at(t))
     if isinstance(truncated, LiftedState):
-        basis = monomial_basis(w.size, k)
-        return lift_point(w, k, basis), basis.weights
-    return expand(lift_point(w, k)), None
+        basis = truncated.basis.leading(k)
+        return lift_point(w, basis), basis.weights
+    return expand(lift_point(w, monomial_basis(w.size, k))), None
 
 
 def measure_eta(traj: Trajectory, truncated, k: int, t: float,
@@ -378,5 +380,5 @@ def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:
     and divergence checks apply.  t = 0 returns a copy of psi0."""
     cfg = action_config(op, t)
     if cfg is None:
-        return LiftedState(op.n, op.order, psi0.vector.copy())
+        return LiftedState(op.basis, psi0.vector.copy())
     return forward_solve(op, cfg, psi0, verify=False).final

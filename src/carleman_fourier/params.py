@@ -300,14 +300,6 @@ class ErrorBudget:
     epsilon: float
     lines: tuple  # (name, budget, measured | None, within)
 
-    @property
-    def all_within(self) -> bool:
-        return all(ok for (_n, _b, _m, ok) in self.lines)
-
-    @property
-    def budget_total(self) -> float:
-        return sum(b for (_n, b, _m, _ok) in self.lines)
-
 
 def end_to_end_error_budget(paramset: ParamSet, measured: dict) -> ErrorBudget:
     """Attribute a completed run's measured error to the two classical

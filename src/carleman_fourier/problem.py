@@ -118,10 +118,6 @@ class RescaledProblem:
         """||Psi_1(0)||_p of the rescaled problem."""
         return vector_p_norm(self.w0, p)
 
-    def c_vector_norm(self, p: float) -> float:
-        """p-norm of the rescaled coefficient vector c (canonical slots)."""
-        return vector_p_norm(np.array(list(self.c_coeffs.values())), p)
-
 
 def rescale(ode: FourierOde, readout: ReadoutSpec | None, nu: float) -> RescaledProblem:
     """Apply the variable shift x = u + i ln(nu) and rescale coefficients."""

@@ -43,10 +43,6 @@ class TaylorConfig:
         if self.k < 1:
             raise ConfigError("TaylorConfig: k must be >= 1")
 
-    @property
-    def horizon(self) -> float:
-        return self.m * self.h
-
 
 @dataclass
 class SolveResult:
@@ -135,7 +131,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             if math.isfinite(ratio):
                 residual = max(residual, ratio)
         cur = nxt
-    return SolveResult(final=LiftedState(op.n, op.order, cur),
+    return SolveResult(final=LiftedState(op.basis, cur),
                        residual=residual,
                        generator_applies=cfg.m * cfg.k * (2 if verify else 1))
 

@@ -15,12 +15,13 @@ module loads no scipy module.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
-                        _Blocks, dense_f1_tilde, monomial_basis, size_within)
+                        dense_f1_tilde, size_within)
 from .norms import op_norm, vector_p_norm
 from .taylor import TaylorConfig
 
@@ -56,12 +57,30 @@ def canonical_slot(count) -> int:
     return idx
 
 
-class TensorState(_Blocks):
+@dataclass
+class TensorState:
     """Blocks Psi_j in C^{n^j} in tensor enumeration, any tensor, symmetric
-    or not: the reference layout of dense diagnostics (see propagate_dense)."""
+    or not, back to back in one contiguous complex vector: the reference
+    layout of dense diagnostics (see propagate_dense)."""
 
-    def _offsets(self) -> tuple:
-        return block_offsets(self.n, self.order)
+    n: int
+    order: int
+    vector: np.ndarray
+
+    def __post_init__(self):
+        self.vector = np.asarray(self.vector, dtype=complex)
+        if self.n < 1 or self.order < 1:
+            raise ConfigError("TensorState: need n >= 1 and order >= 1")
+        size = block_offsets(self.n, self.order)[-1]
+        if self.vector.shape != (size,):
+            raise ConfigError(
+                f"TensorState: vector has shape {self.vector.shape}, expected ({size},)")
+
+    @property
+    def blocks(self) -> list:
+        """Views of the blocks Psi_1..Psi_N into the flat vector."""
+        offsets = block_offsets(self.n, self.order)
+        return [self.vector[offsets[j]:offsets[j + 1]] for j in range(self.order)]
 
     def norm(self, p: float = 2) -> float:
         return vector_p_norm(self.vector, p)
@@ -76,7 +95,7 @@ def expand(state: LiftedState) -> TensorState:
             f"N={state.order} exceeds the budget of {DEFAULT_STATE_BUDGET} "
             "entries"
         )
-    up = monomial_basis(state.n, state.order).up
+    up = state.basis.up
     # string l followed by digit s has the monomial of l times w_s
     level = np.arange(state.n)
     classes = [level]

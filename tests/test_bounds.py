@@ -150,6 +150,22 @@ def test_finite_time_threshold_is_upper_bounded_time(rng):
         cf.upper_bounded_time(outside, 5.0, 2)
 
 
+def test_finite_time_bound_computes_its_norms_once(rng, monkeypatch):
+    import carleman_fourier.bounds as bounds
+
+    rescaled = make_nondissipative_rescaled(rng, 2, r=5.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cf.row_q_norm(*args)
+
+    monkeypatch.setattr(bounds, "row_q_norm", counted)
+    report = cf.eta_bound_finite_time(rescaled, 3, 5.0, 0.01, 2)
+    assert len(calls) == 1
+    assert report.entry("t <= T_r")[2] == cf.upper_bounded_time(rescaled, 5.0, 2)
+
+
 def test_finite_time_hypothesis_log_records_t_max(rng):
     rescaled = make_nondissipative_rescaled(rng, 2, r=5.0)
     out = cf.eta_bound_finite_time(rescaled, 3, 5.0, 0.01, 2)
@@ -204,7 +220,7 @@ def test_taylor_remainder_examples():
 
 def test_stability_uncoupled(rng):
     rp = make_rescaled(rng, 2)
-    op = cf.LinearOperatorLN(order=3, n=2, f0=rp.f0, f1=np.zeros((2, 2)))
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), rp.f0, np.zeros((2, 2)))
     report = cf.stability_certificate(op)
     mu0 = float(np.min(rp.f0.imag))
     assert report.hypotheses_met

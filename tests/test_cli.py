@@ -157,26 +157,20 @@ def test_run_pipeline_at_order_20_stays_small():
 
 
 def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
-    # the operator builds the basis and the lift reuses its layout maps
+    # the operator and the lift share one basis, built by the run
     import carleman_fourier.linearize as linearize
-
-    calls = []
-    build = linearize.monomial_basis
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
 
     cfg = cli.load_config(CONFIGS / "dissipative_n2.json")
     ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
     ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
-    monkeypatch.setattr(linearize, "monomial_basis", counted)
+    calls = [_count_calls(monkeypatch, module, "monomial_basis")
+             for module in (linearize, cli)]
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
-    assert calls == [(ode.n, ps.order)]
-    # lifting with the operator's basis gives the same bits as without
+    assert calls[0] + calls[1] == [(ode.n, ps.order)]
+    # lifting on the operator's basis gives the same bits as lift_initial
     rescaled, op = outcome["rescaled"], outcome["operator"]
-    shared = cf.lift_initial(rescaled, ps.order, basis=op.basis)
+    shared = cf.lift_point(rescaled.w0, op.basis)
     assert shared.vector.tobytes() == cf.lift_initial(rescaled, ps.order).vector.tobytes()
 
 

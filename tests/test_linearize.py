@@ -73,7 +73,7 @@ def test_order_70_lifts_and_steps_without_the_tensor_layout(rng):
     rp = make_rescaled(rng, 2)
     op = cf.LinearOperatorLN.from_rescaled(rp, 70)
     assert op.monomial_size == 2555 and op.size > 2 ** 63
-    psi0 = cf.lift_initial(rp, 70, basis=op.basis)
+    psi0 = cf.lift_point(rp.w0, op.basis)
     exact = np.exp(1j * (op.basis.counts @ rp.x0))
     assert np.max(np.abs(psi0.vector - exact) / np.abs(exact)) <= 1e-13
     # a short step: block 1 follows the oracle's e^{ix(t)}
@@ -89,10 +89,10 @@ def test_budget_counts_generator_entries():
     assert cf.monomial_count(200, 3) == 1373700 < DEFAULT_STATE_BUDGET
     assert generator_entries(200, 3) == 5433700 > DEFAULT_STATE_BUDGET
     with pytest.raises(BudgetError):
-        cf.LinearOperatorLN(order=3, n=200, f0=np.ones(200), f1=np.eye(200))
+        cf.LinearOperatorLN(monomial_basis(200, 3), np.ones(200), np.eye(200))
     # decided in closed form, without a loop over 10^11 blocks
     with pytest.raises(BudgetError):
-        cf.LinearOperatorLN(order=10 ** 11, n=2, f0=np.ones(2), f1=np.eye(2))
+        cf.LinearOperatorLN(monomial_basis(2, 10 ** 11), np.ones(2), np.eye(2))
 
 
 # ------------------------------------------------------------ flat layout
@@ -107,13 +107,14 @@ def test_blocks_are_views_at_block_offsets(rng):
     with pytest.raises(ConfigError):
         cf.TensorState(3, 3, v[:-1])
     # a lifted state's blocks hold C(n+j-1, j) monomials each
-    state = cf.LiftedState(3, 3, v[:19])
-    assert monomial_basis(3, 3).offsets == (0, 3, 9, 19)
+    basis = monomial_basis(3, 3)
+    state = cf.LiftedState(basis, v[:19])
+    assert basis.offsets == (0, 3, 9, 19)
     assert [b.size for b in state.blocks] == [3, 6, 10]
     assert all(np.shares_memory(b, state.vector) for b in state.blocks)
     np.testing.assert_array_equal(state.blocks[1], v[3:9])
     with pytest.raises(ConfigError):
-        cf.LiftedState(3, 3, v[:18])
+        cf.LiftedState(basis, v[:18])
 
 
 def test_one_b0_diagonal_behind_apply_and_dense(rng):
@@ -189,9 +190,9 @@ def test_apply_b1_matches_dense_kron_all_positions(rng):
 
 def test_apply_ln_diagonal_when_uncoupled(rng):
     rp = make_rescaled(rng, 2)
-    op = cf.LinearOperatorLN(order=3, n=2, f0=rp.f0, f1=np.zeros((2, 2)))
+    op = cf.LinearOperatorLN(monomial_basis(2, 3), rp.f0, np.zeros((2, 2)))
     state = cf.lift_initial(rp, 3)
-    out = expand(cf.LiftedState(2, 3, cf.apply_LN(op, state.vector)))
+    out = expand(cf.LiftedState(op.basis, cf.apply_LN(op, state.vector)))
     for j in range(1, 4):
         np.testing.assert_allclose(out.blocks[j - 1],
                                    apply_b0(j, rp.f0, expand(state).blocks[j - 1]),
@@ -209,7 +210,7 @@ def test_apply_ln_order_one(rng):
 
 def test_apply_ln_scalar_bidiagonal(rng):
     f0, f1 = 0.4 + 1.1j, -0.2 + 0.3j
-    op = cf.LinearOperatorLN(order=3, n=1, f0=[f0], f1=[[f1]])
+    op = cf.LinearOperatorLN(monomial_basis(1, 3), [f0], [[f1]])
     dense = np.array([
         [1j * f0, 1j * f1, 0],
         [0, 2j * f0, 2j * f1],
@@ -225,7 +226,7 @@ def test_apply_ln_scalar_bidiagonal(rng):
 # ------------------------------------------------------------------ dense_LN
 
 def test_dense_ln_scalar_order_one():
-    op = cf.LinearOperatorLN(order=1, n=1, f0=[2.0 + 1j], f1=[[1.0]])
+    op = cf.LinearOperatorLN(monomial_basis(1, 1), [2.0 + 1j], [[1.0]])
     np.testing.assert_allclose(cf.dense_LN(op), [[1j * (2.0 + 1j)]], atol=1e-15)
 
 
@@ -236,9 +237,9 @@ def test_dense_matches_matrix_free(rng):
         dense = cf.dense_LN(op)
         for _ in range(3):
             x = complex_uniform(rng, op.monomial_size)
-            out = expand(cf.LiftedState(n, order, cf.apply_LN(op, x))).vector
+            out = expand(cf.LiftedState(op.basis, cf.apply_LN(op, x))).vector
             np.testing.assert_allclose(
-                out, dense @ expand(cf.LiftedState(n, order, x)).vector,
+                out, dense @ expand(cf.LiftedState(op.basis, x)).vector,
                 rtol=1e-13, atol=1e-13)
 
 
@@ -324,7 +325,7 @@ def test_monomial_basis_slots_and_classes():
                     np.testing.assert_array_equal(basis.counts[up],
                                                   count + np.eye(n, dtype=int)[s])
         # the tensor expansion puts at index l the monomial of count(l)
-        counts = expand(cf.LiftedState(n, order, np.arange(basis.offsets[-1])))
+        counts = expand(cf.LiftedState(basis, np.arange(basis.offsets[-1])))
         for j, block in enumerate(counts.blocks, start=1):
             for idx, mono in enumerate(block.real.astype(int)):
                 digits = np.unravel_index(idx, (n,) * j)
@@ -339,12 +340,12 @@ def test_monomial_generator_and_step_match_tensor(n, order, seed):
     # the gate for stepping in monomial coordinates: expanded, the monomial
     # generator and one Taylor step equal the dense tensor operators
     rng = np.random.default_rng(seed)
-    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
-                             f1=complex_uniform(rng, (n, n)))
+    op = cf.LinearOperatorLN(monomial_basis(n, order), complex_uniform(rng, n),
+                             complex_uniform(rng, (n, n)))
     x = complex_uniform(rng, op.monomial_size)
 
     def tensor(v):
-        return expand(cf.LiftedState(n, order, v)).vector
+        return expand(cf.LiftedState(op.basis, v)).vector
 
     dense = cf.dense_LN(op)
     expected = dense @ tensor(x)
@@ -355,7 +356,7 @@ def test_monomial_generator_and_step_match_tensor(n, order, seed):
     got = tensor(cf.apply_Vk(op, cfg, x))
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
     for p in (1, 2, 3, math.inf):
-        assert cf.LiftedState(n, order, x).norm(p) == pytest.approx(
+        assert cf.LiftedState(op.basis, x).norm(p) == pytest.approx(
             cf.vector_p_norm(tensor(x), p), rel=1e-13)
 
 
@@ -366,7 +367,7 @@ def test_lift_point_is_bitwise_symmetric(n, order, seed):
     # Kronecker power's entry at the canonical slot, bit for bit
     rng = np.random.default_rng(seed)
     w = complex_uniform(rng, n)
-    tensor = expand(cf.lift_point(w, order))
+    tensor = expand(cf.lift_point(w, monomial_basis(n, order)))
     power = w
     for j, block in enumerate(tensor.blocks, start=1):
         if j > 1:
@@ -381,28 +382,31 @@ def test_lift_point_is_bitwise_symmetric(n, order, seed):
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_lift_point_with_an_operator_matches_its_own_basis(n, order, seed):
     rng = np.random.default_rng(seed)
-    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
-                             f1=complex_uniform(rng, (n, n)))
+    op = cf.LinearOperatorLN.from_rescaled(make_rescaled(rng, n), order)
     w = complex_uniform(rng, n)
-    assert cf.lift_point(w, order, op.basis).vector.tobytes() \
-        == cf.lift_point(w, order).vector.tobytes()
+    assert (op.n, op.order) == (n, order)
+    assert cf.lift_point(w, op.basis).vector.tobytes() \
+        == cf.lift_point(w, monomial_basis(n, order)).vector.tobytes()
 
 
-def test_lift_point_refuses_an_operator_of_another_shape(rng):
+def test_lift_point_refuses_a_point_of_another_size(rng):
+    # a point of another n than the basis'
     basis = monomial_basis(3, 4)
-    for n, order in ((3, 3), (2, 4)):
+    for n in (2, 4):
         with pytest.raises(ConfigError):
-            cf.lift_point(complex_uniform(rng, n), order, basis)
+            cf.lift_point(complex_uniform(rng, n), basis)
 
 
 def test_operator_refuses_a_basis_of_another_shape(rng):
-    # a basis serves an operator of exactly its own (n, N); a larger one is
-    # cut to size by the caller with MonomialBasis.leading
-    f0, f1 = complex_uniform(rng, 3), complex_uniform(rng, (3, 3))
-    for n, order in ((3, 5), (3, 3), (2, 4)):
+    # coefficients of another n than the basis', or a non-square F1
+    basis = monomial_basis(3, 4)
+    for n in (2, 4):
         with pytest.raises(ConfigError):
-            cf.LinearOperatorLN(order=4, n=3, f0=f0, f1=f1,
-                                basis=monomial_basis(n, order))
+            cf.LinearOperatorLN(basis, complex_uniform(rng, n),
+                                complex_uniform(rng, (n, n)))
+    with pytest.raises(ConfigError):
+        cf.LinearOperatorLN(basis, complex_uniform(rng, 3),
+                            complex_uniform(rng, (3, 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -415,9 +419,8 @@ def test_leading_section_is_the_lower_order_operator(n, order, seed):
     basis = monomial_basis(n, order)
     w = complex_uniform(rng, n)
     for lower in range(1, order + 1):
-        section = cf.LinearOperatorLN(order=lower, n=n, f0=f0, f1=f1,
-                                      basis=basis.leading(lower))
-        fresh = cf.LinearOperatorLN(order=lower, n=n, f0=f0, f1=f1)
+        section = cf.LinearOperatorLN(basis.leading(lower), f0, f1)
+        fresh = cf.LinearOperatorLN(monomial_basis(n, lower), f0, f1)
         assert (section.basis.n, section.basis.order) == (n, lower)
         assert section.basis.offsets == fresh.basis.offsets
         for got, want in zip(section.basis[1:], fresh.basis[1:]):
@@ -431,8 +434,8 @@ def test_leading_section_is_the_lower_order_operator(n, order, seed):
         assert section.norm_1() == fresh.norm_1()
         x = complex_uniform(rng, fresh.monomial_size)
         assert cf.apply_LN(section, x).tobytes() == cf.apply_LN(fresh, x).tobytes()
-        assert cf.lift_point(w, lower, section.basis).vector.tobytes() \
-            == cf.lift_point(w, lower, fresh.basis).vector.tobytes()
+        assert cf.lift_point(w, section.basis).vector.tobytes() \
+            == cf.lift_point(w, fresh.basis).vector.tobytes()
 
 
 def test_leading_refuses_an_order_outside_its_own():

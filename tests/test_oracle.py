@@ -296,27 +296,40 @@ def test_measure_eta_below_dissipative_bound(rng):
     assert cf.measure_eta(traj, psi, 1, t_end, 2) <= bound.value + 1e-10
 
 
-def test_measure_eta_builds_one_basis(rng, monkeypatch):
-    # the exact state is lifted on the basis whose weights give the norm
-    import carleman_fourier.linearize as linearize
-    import carleman_fourier.oracle as oracle
+def test_a_lifted_state_builds_no_basis(rng, monkeypatch):
+    # the norm, the tensor expansion and the truncation error of a lifted
+    # state read the state's own basis; the exact state is lifted on its
+    # leading section
+    import importlib
+    import pkgutil
 
     rp = make_rescaled(rng, 2)
     traj = cf.integrate(rp, 0.5, tol=1e-11)
     psi0 = cf.lift_initial(rp, 4)
-    expected = (cf.measure_eta(traj, psi0, 2, 0.25),
-                cf.measure_eta_vector(traj, psi0, 0.25))
+    reads = {
+        "norm": lambda: psi0.norm(2),
+        "expand": lambda: expand(psi0).vector.tobytes(),
+        "measure_eta": lambda: cf.measure_eta(traj, psi0, 2, 0.25),
+        "measure_eta_vector": lambda: cf.measure_eta_vector(traj, psi0, 0.25),
+    }
+    expected = {name: read() for name, read in reads.items()}
     calls = []
-    for module in (linearize, oracle):
-        def counted(*args, build=module.monomial_basis):
-            calls.append(args)
-            return build(*args)
+    for info in pkgutil.iter_modules(cf.__path__):
+        module = importlib.import_module(f"carleman_fourier.{info.name}")
+        if hasattr(module, "monomial_basis"):
+            def counted(*args, build=module.monomial_basis):
+                calls.append(args)
+                return build(*args)
 
-        monkeypatch.setattr(module, "monomial_basis", counted)
-    assert cf.measure_eta(traj, psi0, 2, 0.25) == expected[0]
-    assert calls == [(2, 2)]
-    assert cf.measure_eta_vector(traj, psi0, 0.25) == expected[1]
-    assert calls == [(2, 2), (2, 4)]
+            monkeypatch.setattr(module, "monomial_basis", counted)
+    for name, read in reads.items():
+        assert read() == expected[name], name
+        assert calls == [], name
+    # the exact block 2 equals the one lifted on a basis of order 2
+    exact = cf.lift_point(np.exp(1j * traj.state_at(0.25)),
+                          psi0.basis.leading(2))
+    assert expected["measure_eta"] == cf.vector_p_norm(
+        exact.blocks[1] - psi0.blocks[1], 2, psi0.basis.weights[2:5])
 
 
 # ----------------------------------------------------- trajectory invariants
@@ -435,9 +448,9 @@ def test_propagate_matches_dense_tensor_path(n, order, seed):
     # grid takes many steps, so a step-size cap that is too loose fails here
     # (with steps up to theta_55 = 9.9 the gap reached 9e-11)
     rng = np.random.default_rng(seed)
-    op = cf.LinearOperatorLN(order=order, n=n, f0=complex_uniform(rng, n),
-                             f1=complex_uniform(rng, (n, n)))
-    psi0 = cf.lift_point(complex_uniform(rng, n, scale=0.7), order)
+    op = cf.LinearOperatorLN(cf.monomial_basis(n, order), complex_uniform(rng, n),
+                             complex_uniform(rng, (n, n)))
+    psi0 = cf.lift_point(complex_uniform(rng, n, scale=0.7), op.basis)
     t = float(rng.uniform(0.0, 20.0))
     got = cf.propagate(op, psi0, t)
     expected = cf.propagate_dense(cf.dense_LN(op), psi0, t)
@@ -458,8 +471,8 @@ def _monomial_matrix(op):
 
 
 def test_propagate_grid_follows_the_generator_norm(rng):
-    op = cf.LinearOperatorLN(order=4, n=2, f0=complex_uniform(rng, 2),
-                             f1=complex_uniform(rng, (2, 2)))
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 4), complex_uniform(rng, 2),
+                             complex_uniform(rng, (2, 2)))
     matrix = _monomial_matrix(op)
     x = complex_uniform(rng, op.monomial_size)
     np.testing.assert_allclose(cf.apply_LN(op, x), matrix @ x, rtol=1e-14)
@@ -467,16 +480,16 @@ def test_propagate_grid_follows_the_generator_norm(rng):
     assert action_config(op, 0.0) is None
     for t in (1e-3, 0.5, 3.0, 20.0):
         cfg = action_config(op, t)
-        assert cfg.horizon == pytest.approx(t, rel=1e-15)
+        assert cfg.m * cfg.h == pytest.approx(t, rel=1e-15)
         assert op.norm_1() * cfg.h <= 2.0
     # a longer horizon takes more steps
     assert action_config(op, 20.0).m > action_config(op, 3.0).m > 1
 
 
 def test_propagate_at_zero_returns_the_initial_state(rng):
-    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
-                             f1=complex_uniform(rng, (2, 2)))
-    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), 3)
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), complex_uniform(rng, 2),
+                             complex_uniform(rng, (2, 2)))
+    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), op.basis)
     got = cf.propagate(op, psi0, 0.0)
     assert got.vector.tobytes() == psi0.vector.tobytes()
     assert not np.shares_memory(got.vector, psi0.vector)
@@ -485,9 +498,9 @@ def test_propagate_at_zero_returns_the_initial_state(rng):
 
 
 def test_propagate_over_the_stepping_budget_is_refused(rng):
-    op = cf.LinearOperatorLN(order=3, n=2, f0=complex_uniform(rng, 2),
-                             f1=complex_uniform(rng, (2, 2)))
-    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), 3)
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), complex_uniform(rng, 2),
+                             complex_uniform(rng, (2, 2)))
+    psi0 = cf.lift_point(complex_uniform(rng, 2, scale=0.7), op.basis)
     for t in (1e9, 2e6 / op.norm_1()):  # refused by the grid, by forward_solve
         with pytest.raises(BudgetError):
             cf.propagate(op, psi0, t)

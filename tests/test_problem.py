@@ -68,14 +68,14 @@ def test_count_enumeration_n3_k2(rng):
     assert [tuple(np.bincount(np.unravel_index(i, (3, 3)), minlength=3))
             for i in range(9)] == counts
     w = complex_uniform(rng, 3)
-    block = expand(cf.lift_point(w, 2)).blocks[1]
+    block = expand(cf.lift_point(w, monomial_basis(3, 2))).blocks[1]
     np.testing.assert_allclose(block, [np.prod(w ** np.array(c)) for c in counts],
                                rtol=1e-14)
 
 
 def test_count_degree_one(rng):
     w = complex_uniform(rng, 4)
-    state = cf.lift_point(w, 1)
+    state = cf.lift_point(w, monomial_basis(4, 1))
     for digit in range(4):
         expected = tuple(1 if i == digit else 0 for i in range(4))
         assert cf.monomial_index(expected) == digit
@@ -86,7 +86,7 @@ def test_count_base2_example(rng):
     # flat index 5 with k=3 has digits (1, 0, 1): one zero, two ones
     assert np.unravel_index(5, (2, 2, 2)) == (1, 0, 1)
     w = complex_uniform(rng, 2)
-    state = cf.lift_point(w, 3)
+    state = cf.lift_point(w, monomial_basis(2, 3))
     assert expand(state).blocks[2][5] == state.vector[cf.monomial_index((1, 2))]
     assert state.vector[cf.monomial_index((1, 2))] == pytest.approx(
         w[0] * w[1] ** 2, rel=1e-14)
@@ -187,7 +187,7 @@ def test_coeff_dot_lift_reproduces_readout(rng):
             order = degree + 1
             coeffs = cf.expand_coeff_vector(ro, rp, order)
             x = rng.uniform(-2, 2, n) + 1j * rng.uniform(-0.5, 0.5, n)
-            state = cf.lift_point(np.exp(1j * x), order)
+            state = cf.lift_point(np.exp(1j * x), monomial_basis(n, order))
             f_val = np.dot(coeffs, state.vector)
             # f evaluated via coefficients c at x equals g at u = x - i ln nu
             u = x - 1j * math.log(nu)
@@ -211,7 +211,7 @@ def test_rescaled_readout_invariant(rng):
 
 def test_lifted_norm_multiplicativity(rng):
     w = complex_uniform(rng, 3, scale=0.8)
-    state = cf.lift_point(w, 4)
+    state = cf.lift_point(w, monomial_basis(3, 4))
     tensor = expand(state)
     for p in (1, 2, 3, math.inf):
         base = cf.vector_p_norm(w, p)
@@ -249,7 +249,7 @@ def test_codec_roundtrip_property(n, k, data):
        st.integers(1, 4), st.sampled_from([1.0, 2.0, 3.0, math.inf]))
 def test_lift_norm_power_property(pairs, order, p):
     w = np.array([complex(re, im) for re, im in pairs])
-    state = expand(cf.lift_point(w, order))
+    state = expand(cf.lift_point(w, monomial_basis(w.size, order)))
     base = cf.vector_p_norm(w, p)
     for j in range(1, order + 1):
         assert cf.vector_p_norm(state.blocks[j - 1], p) == pytest.approx(

@@ -24,7 +24,7 @@ def stable_operator(rng, n, order, r_target=0.5):
 # ----------------------------------------------------------------- apply_Vk
 
 def test_apply_vk_zero_operator(rng):
-    op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 2), np.zeros(2), np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=1, h=0.3, k=6)
     x = complex_uniform(rng, op.monomial_size)
     out = cf.apply_Vk(op, cfg, x)
@@ -33,7 +33,7 @@ def test_apply_vk_zero_operator(rng):
 
 def test_apply_vk_scalar_exponential(rng):
     f0 = 0.9 + 1.4j
-    op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
+    op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [f0], [[0.0]])
     h = 0.37
     cfg = cf.TaylorConfig(m=1, h=h, k=20)
     x = np.array([1.0 + 0.5j])
@@ -58,7 +58,7 @@ def test_apply_vk_matches_dense_polynomial(rng):
     x = complex_uniform(rng, op.monomial_size)
 
     def tensor(v):
-        return expand(cf.LiftedState(2, 4, v)).vector
+        return expand(cf.LiftedState(op.basis, v)).vector
 
     np.testing.assert_allclose(tensor(cf.apply_Vk(op, cfg, x)),
                                dense @ tensor(x), rtol=1e-13, atol=1e-13)
@@ -72,9 +72,9 @@ def _state_at_step(op, cfg, psi0, j):
 
 
 def test_forward_solve_identity_when_l_zero(rng):
-    op = cf.LinearOperatorLN(order=2, n=2, f0=np.zeros(2), f1=np.zeros((2, 2)))
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 2), np.zeros(2), np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=5, h=0.1, k=4)
-    v = cf.LiftedState(2, 2, complex_uniform(rng, op.monomial_size))
+    v = cf.LiftedState(op.basis, complex_uniform(rng, op.monomial_size))
     res = cf.forward_solve(op, cfg, v)
     assert res.residual == 0.0
     np.testing.assert_allclose(res.final.vector, v.vector, atol=1e-15)
@@ -150,7 +150,7 @@ def test_forward_solve_memory_is_bounded_in_m():
     ps = cli.select_params(ode, readout, run, cfg["overrides"])
     rescaled = cf.rescale(ode, readout, ps.nu)
     op = cf.LinearOperatorLN.from_rescaled(rescaled, ps.order)
-    psi0 = cf.lift_initial(rescaled, ps.order, basis=op.basis)
+    psi0 = cf.lift_point(rescaled.w0, op.basis)
     assert op.monomial_size == 35
     steps = cf.TaylorConfig(m=5000, h=run["T"] / 5000, k=4)
     tracemalloc.start()
@@ -174,7 +174,8 @@ def test_forward_solve_refuses_non_symmetric_psi0(rng):
     with pytest.raises(ConfigError):
         cf.forward_solve(op, cfg, tensor)
     with pytest.raises(ConfigError):
-        cf.forward_solve(op, cfg, cf.LiftedState(2, 2, complex_uniform(rng, 5)))
+        cf.forward_solve(op, cfg, cf.LiftedState(cf.monomial_basis(2, 2),
+                                                 complex_uniform(rng, 5)))
 
 
 def test_forward_solve_counts_generator_applies(rng):
@@ -193,9 +194,9 @@ def test_forward_solve_residual_small(rng):
 
 
 def test_forward_solve_divergence_error():
-    op = cf.LinearOperatorLN(order=1, n=1, f0=[-100j], f1=[[0.0]])
+    op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [-100j], [[0.0]])
     cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
-    psi0 = cf.LiftedState(1, 1, [1.0 + 0j])
+    psi0 = cf.LiftedState(op.basis, [1.0 + 0j])
     with pytest.raises(DivergenceError) as err:
         cf.forward_solve(op, cfg, psi0)
     assert err.value.step is not None
@@ -216,10 +217,10 @@ def test_readout_picks_component(rng):
 def test_readout_linear_problem_closed_form(rng):
     f0 = 0.3 + 1.1j
     x0 = 0.7 - 0.2j
-    op = cf.LinearOperatorLN(order=1, n=1, f0=[f0], f1=[[0.0]])
+    op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [f0], [[0.0]])
     horizon = 1.3
     cfg = cf.TaylorConfig(m=8, h=horizon / 8, k=14)
-    psi0 = cf.LiftedState(1, 1, [np.exp(1j * x0)])
+    psi0 = cf.LiftedState(op.basis, [np.exp(1j * x0)])
     res = cf.forward_solve(op, cfg, psi0)
     value = cf.readout_value(res, np.array([1.0 + 0j]))
     expected = np.exp(1j * f0 * horizon) * np.exp(1j * x0)
@@ -255,8 +256,8 @@ def test_w_matrix_identity_cases(rng):
     cfg = cf.TaylorConfig(m=1, h=h, k=5)
     assert cf.op_norm(cf.w_matrix(op, cfg, 5), 2) == pytest.approx(1.0,
                                                                    abs=1e-12)
-    zero_op = cf.LinearOperatorLN(order=3, n=2, f0=np.zeros(2),
-                                  f1=np.zeros((2, 2)))
+    zero_op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), np.zeros(2),
+                                  np.zeros((2, 2)))
     for ell in range(6):
         assert cf.op_norm(cf.w_matrix(zero_op, cfg, ell), 2) == pytest.approx(
             1.0, abs=1e-12)
