@@ -779,8 +779,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CflError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        if getattr(exc, "step", None) is not None:
-            payload["step"] = exc.step
+        for key in ("step", "layer"):
+            if getattr(exc, key, None) is not None:
+                payload[key] = getattr(exc, key)
         print(json.dumps(payload), file=sys.stderr)
         return exc.exit_code
 

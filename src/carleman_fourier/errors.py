@@ -24,13 +24,16 @@ class HypothesisViolation(CflError):
 
 
 class DivergenceError(CflError):
-    """Non-finite values encountered while time stepping."""
+    """Non-finite values encountered while time stepping.  `step` is the
+    first offending step and `layer` the function that stepped, as
+    module.function, when known."""
 
     exit_code = 4
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, layer=None):
         super().__init__(message)
         self.step = step
+        self.layer = layer
 
 
 class BudgetError(ConfigError):

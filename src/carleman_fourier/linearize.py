@@ -291,19 +291,29 @@ class LinearOperatorLN:
 
 def apply_LN(op: LinearOperatorLN, x: np.ndarray) -> np.ndarray:
     """Action of the truncated generator on monomial coordinates x, as a
-    fresh vector: the diagonal times x, plus, on the monomials below block
+    fresh array: the diagonal times x, plus, on the monomials below block
     N, the couplings times x gathered at c + e_s, summed over s.  Expanded,
     it is block j = B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}, with the coupling
-    term dropped on the last block."""
-    if np.shape(x) != op.diagonal.shape:
+    term dropped on the last block.
+
+    x is one state, shape (M,), or a stack of states as rows, shape (B, M);
+    each row goes through the same elementwise arithmetic as a single
+    apply, so the rows equal B single applies bit for bit."""
+    shape = getattr(x, "shape", None)
+    # one state (M,), or rows (B, M): shape[1:] is (M,) for two axes only
+    if shape != op.diagonal.shape and (
+            shape is None or shape[1:] != op.diagonal.shape):
         raise ConfigError(
-            f"apply_LN: expected {op.monomial_size} monomial coordinates, "
-            f"got shape {np.shape(x)}"
+            f"apply_LN: expected {op.monomial_size} monomial coordinates or "
+            f"rows of them, got {type(x).__name__} of shape {shape}"
         )
     y = op.diagonal * x
-    gathered = x[op.basis.up_t]
+    up_t = op.basis.up_t
+    # (n, M_<N) for one state, (B, n, M_<N) for rows: s is axis -2.  One
+    # state gathers by fancy indexing, a few percent faster there than take
+    gathered = x[up_t] if len(shape) == 1 else x.take(up_t, 1)
     gathered *= op.coupling
-    y[:op.coupling.shape[1]] += np.add.reduce(gathered, 0)
+    y[..., :op.coupling.shape[1]] += np.add.reduce(gathered, -2)
     return y
 
 

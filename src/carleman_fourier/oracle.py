@@ -179,7 +179,8 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
                 raise DivergenceError(
                     f"integrate: step-size failure near t={t:g} (Required "
                     "step size is less than spacing between numbers.); the "
-                    "solution likely blows up"
+                    "solution likely blows up",
+                    layer="oracle.integrate",
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
@@ -278,7 +279,8 @@ def closed_form_1d(f0: complex, f1: complex, x0: complex, t: float) -> complex:
     s = -1j * complex(f0) * t
     z = np.exp(s) * z0 + (-1j * complex(f1) * t) * _phi1(s)
     if abs(z) < 1e-300:
-        raise DivergenceError(f"closed_form_1d: pole reached at t={t:g}")
+        raise DivergenceError(f"closed_form_1d: pole reached at t={t:g}",
+                              layer="oracle.closed_form_1d")
     return complex(1.0 / z)
 
 

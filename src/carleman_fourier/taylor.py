@@ -5,11 +5,13 @@ polynomial V_k of exp(L h), applied by Horner evaluation to the monomial
 coordinates of the lifted state (one generator apply per stage).  The
 whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
-exactly, so the returned residual only detects implementation drift.  Each
-step reads only the one before it and the readout reads only Phi_m, so one
-state is held at a time; the trailing copy rows, which mirror the register
-layout of the linear-system formulation, repeat Phi_m and have zero
-residual by construction.  The same stepper, on the grid that
+exactly, so the returned residual only detects implementation drift.  The
+verify pass behind it re-evaluates up to VERIFY_BLOCK_ENTRIES // M
+consecutive steps in one block apply per stage.  Each step reads only the
+one before it and the readout reads only Phi_m, so one state is held at a
+time, besides the few of a verify block; the trailing copy rows, which
+mirror the register layout of the linear-system formulation, repeat Phi_m
+and have zero residual by construction.  The same stepper, on the grid that
 oracle.action_config picks, evaluates the action of exp(L T) on psi0 for the
 Koopman/Taylor error split (oracle.propagate).
 """
@@ -25,6 +27,13 @@ from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
                         apply_LN)
 from .norms import vector_p_norm
+
+# monomial entries re-evaluated per call of the verify pass: up to
+# VERIFY_BLOCK_ENTRIES // M consecutive steps share one block apply, so a
+# state above half this many monomials is verified one step at a time.  A
+# larger cap raises the peak memory of solves at 27-44 monomials (n = 2,
+# N = 6-8), for little more speed
+VERIFY_BLOCK_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,8 @@ def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarr
 def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
                      x: np.ndarray) -> np.ndarray:
     """Term-by-term evaluation of the same polynomial (independent of the
-    Horner ordering; used for the residual check)."""
+    Horner ordering; used for the residual check).  x is one state or a
+    stack of states as rows, as for apply_LN."""
     acc = x.copy()
     term = x
     for i in range(1, cfg.k + 1):
@@ -81,10 +91,32 @@ def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
     return acc
 
 
+def _verify_block(op: LinearOperatorLN, cfg: TaylorConfig, states: list) -> float:
+    """Largest relative discrepancy, in the tensor 2-norm, between each step
+    states[j] -> states[j + 1] and its term-by-term re-evaluation; all the
+    steps are re-evaluated in one stack of rows (one 1-D state for a single
+    step).  A non-finite ratio is skipped."""
+    # on the way to a detected divergence, intermediate magnitudes can
+    # overflow inside the norm as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = states[0] if len(states) == 2 else np.stack(states[:-1])
+        ref = _apply_Vk_direct(op, cfg, rows).reshape(len(states) - 1, -1)
+        weights = op.basis.weights
+        worst = 0.0
+        for cur, nxt, again in zip(states, states[1:], ref):
+            num = vector_p_norm(nxt - again, 2, weights)
+            den = max(vector_p_norm(cur, 2, weights), 1e-300)
+            ratio = num / den
+            if math.isfinite(ratio):
+                worst = max(worst, ratio)
+    return worst
+
+
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                   psi0: LiftedState, verify: bool = True) -> SolveResult:
     """Exact forward substitution on the block-bidiagonal time-step system:
-    Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j; only the current Phi_j is kept.
+    Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j; the current Phi_j is kept, plus
+    the states of one verify block.
 
     Stepping is in psi0's monomial coordinates, and psi0 is left untouched.
     A grid of (m + 1) states over more than DEFAULT_STATE_BUDGET entries in
@@ -92,7 +124,10 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     stepping work.  Any non-finite intermediate aborts with the first
     offending step.  When verify is set, each step is re-evaluated with a
     different summation order and the worst relative discrepancy, in the
-    tensor 2-norm, is reported as the residual.
+    tensor 2-norm, is reported as the residual.  The re-evaluation runs on
+    up to VERIFY_BLOCK_ENTRIES // M consecutive steps at once, as rows of
+    one block.  generator_applies counts k per step taken and k per step
+    re-evaluated.
     """
     if not isinstance(psi0, LiftedState):
         raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
@@ -100,40 +135,39 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     if psi0.order != op.order or psi0.n != op.n:
         raise ConfigError("forward_solve: state and operator shapes differ")
     if not psi0.all_finite():
-        raise DivergenceError("forward_solve: initial state is not finite", step=0)
+        raise DivergenceError("forward_solve: initial state is not finite",
+                              step=0, layer="taylor.forward_solve")
     if (cfg.m + 1) * op.monomial_size > DEFAULT_STATE_BUDGET:
         raise BudgetError(
             f"forward_solve: m={cfg.m} steps of {op.monomial_size} monomials "
             f"(n={op.n}, N={op.order}) exceed the stepping budget of "
             f"{DEFAULT_STATE_BUDGET} state entries"
         )
+    block = max(1, min(cfg.m, VERIFY_BLOCK_ENTRIES // op.monomial_size))
     cur = psi0.vector
+    # the states of the steps not yet verified, and the one they start from
+    pending = [cur]
     residual = 0.0
+    applies = 0
     for j in range(cfg.m):
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = apply_Vk(op, cfg, cur)
-        if not np.isfinite(nxt).all():
+            cur = apply_Vk(op, cfg, cur)
+        if not np.isfinite(cur).all():
             raise DivergenceError(
                 f"forward_solve: non-finite values at step {j + 1} "
                 f"(t = {(j + 1) * cfg.h:g}); parameters are unstable",
-                step=j + 1,
+                step=j + 1, layer="taylor.forward_solve",
             )
+        applies += cfg.k
         if verify:
-            # on the way to a detected divergence, intermediate magnitudes
-            # can overflow inside the norm as well
-            with np.errstate(over="ignore", invalid="ignore"):
-                ref = _apply_Vk_direct(op, cfg, cur)
-                weights = op.basis.weights
-                num = vector_p_norm(nxt - ref, 2, weights)
-                den = max(vector_p_norm(cur, 2, weights), 1e-300)
-                ratio = num / den
-            if math.isfinite(ratio):
-                residual = max(residual, ratio)
-        cur = nxt
-    return SolveResult(final=LiftedState(op.basis, cur),
-                       residual=residual,
-                       generator_applies=cfg.m * cfg.k * (2 if verify else 1))
+            pending.append(cur)
+            if len(pending) > block or j + 1 == cfg.m:
+                residual = max(residual, _verify_block(op, cfg, pending))
+                applies += cfg.k * (len(pending) - 1)
+                pending = [cur]
+    return SolveResult(final=LiftedState(op.basis, cur), residual=residual,
+                       generator_applies=applies)
 
 
 def readout_value(result: SolveResult, coeffs: np.ndarray) -> complex:

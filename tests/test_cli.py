@@ -321,6 +321,7 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "DivergenceError"
     assert payload["step"] == 1
+    assert payload["layer"] == "taylor.forward_solve"
 
 
 @pytest.mark.parametrize("nu", ["3e8", "1e10"])

@@ -223,6 +223,31 @@ def test_apply_ln_scalar_bidiagonal(rng):
     np.testing.assert_allclose(cf.dense_LN(op), dense, atol=1e-15)
 
 
+@pytest.mark.parametrize("n, order", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3),
+                                      (4, 1), (4, 2)])
+def test_apply_ln_rows_equal_single_applies(rng, n, order):
+    # order 1 has no coupled monomials: up_t has width 0
+    rp = make_rescaled(rng, n)
+    op = cf.LinearOperatorLN.from_rescaled(rp, order)
+    rows = complex_uniform(rng, (5, op.monomial_size))
+    singles = [cf.apply_LN(op, row) for row in rows]
+    for stack in (rows, np.asfortranarray(rows), rows[:1]):
+        out = cf.apply_LN(op, stack)
+        assert out.shape == stack.shape
+        for got, want in zip(out, singles):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_apply_ln_refuses_malformed_input(rng):
+    op = cf.LinearOperatorLN.from_rescaled(make_rescaled(rng, 2), 3)
+    size = op.monomial_size
+    x = complex_uniform(rng, size)
+    for bad in (list(x), x[:-1], complex_uniform(rng, (2, 3, size)),
+                complex_uniform(rng, (3, size + 1)), x.reshape(size, 1), x[0]):
+        with pytest.raises(ConfigError, match="apply_LN"):
+            cf.apply_LN(op, bad)
+
+
 # ------------------------------------------------------------------ dense_LN
 
 def test_dense_ln_scalar_order_one():

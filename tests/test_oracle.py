@@ -232,6 +232,13 @@ def test_closed_form_zero_f0_limit(rng):
     assert cf.closed_form_1d(0.0, f1, x0, t) == pytest.approx(1 / z, rel=1e-12)
 
 
+def test_closed_form_reports_the_pole():
+    # x0 = 0, f0 = 0 and f1 = -i: z(1) = 1 - i f1 = 0, the pole of w = 1/z
+    with pytest.raises(DivergenceError, match="pole reached at t=1") as err:
+        cf.closed_form_1d(0.0, -1j, 0.0, 1.0)
+    assert err.value.layer == "oracle.closed_form_1d"
+
+
 # ------------------------------------------------------------- exact_lifted
 
 def test_exact_lifted_at_zero_matches_lift_initial(rng):
@@ -375,8 +382,9 @@ def test_integrate_stops_on_a_field_that_is_nan_at_the_start():
     # scipy's RK45 loops forever on it, the oracle reports a step failure
     ode = cf.FourierOde(n=2, g0=[1j, 1j], g1=[[0, 0], [1, 0]], u0=[-1000j, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match="step-size failure near t=0"):
+        with pytest.raises(DivergenceError, match="step-size failure near t=0") as err:
             cf.integrate(ode, 1.0)
+    assert err.value.layer == "oracle.integrate"
 
 
 def test_integrate_blowup_raises():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import carleman_fourier as cf
-from carleman_fourier import cli
+from carleman_fourier import cli, taylor
 from carleman_fourier.errors import ConfigError, DivergenceError
 from carleman_fourier.taylor import step_count_for
 from carleman_fourier.tensor import dense_Vk, expand
@@ -144,7 +144,8 @@ def test_forward_solve_keeps_history_in_monomials(rng):
 
 def test_forward_solve_memory_is_bounded_in_m():
     # dissipative_n2 at m = 5000: a kept (m + 1) x 35 history alone would
-    # take 2.8 MB; one state takes 560 bytes
+    # take 2.8 MB; one state takes 560 bytes, and the verify pass holds the
+    # states of one block
     cfg = cli.load_config(CONFIGS / "dissipative_n2.json")
     ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
     ps = cli.select_params(ode, readout, run, cfg["overrides"])
@@ -153,14 +154,15 @@ def test_forward_solve_memory_is_bounded_in_m():
     psi0 = cf.lift_point(rescaled.w0, op.basis)
     assert op.monomial_size == 35
     steps = cf.TaylorConfig(m=5000, h=run["T"] / 5000, k=4)
-    tracemalloc.start()
-    try:
-        res = cf.forward_solve(op, steps, psi0, verify=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.final.all_finite()
-    assert peak < 0.25e6
+    for verify in (False, True):
+        tracemalloc.start()
+        try:
+            res = cf.forward_solve(op, steps, psi0, verify=verify)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.final.all_finite()
+        assert peak < 0.25e6
 
 
 def test_forward_solve_refuses_non_symmetric_psi0(rng):
@@ -194,12 +196,65 @@ def test_forward_solve_residual_small(rng):
 
 
 def test_forward_solve_divergence_error():
+    # M = 1, so the verify pass takes 64 steps per block, and the overflow
+    # falls inside the first one
     op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [-100j], [[0.0]])
     cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
     psi0 = cf.LiftedState(op.basis, [1.0 + 0j])
+    chain, first = psi0.vector, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(chain).all():
+            chain, first = cf.apply_Vk(op, cfg, chain), first + 1
+    assert 1 < first < taylor.VERIFY_BLOCK_ENTRIES
     with pytest.raises(DivergenceError) as err:
         cf.forward_solve(op, cfg, psi0)
-    assert err.value.step is not None
+    assert err.value.step == first
+    assert err.value.layer == "taylor.forward_solve"
+
+
+def _per_step_solve(op, cfg, psi0):
+    # the verify pass one step at a time, as a 1-D re-evaluation per step
+    cur, residual = psi0.vector, 0.0
+    weights = op.basis.weights
+    for _ in range(cfg.m):
+        nxt = cf.apply_Vk(op, cfg, cur)
+        ref = taylor._apply_Vk_direct(op, cfg, cur)
+        ratio = (cf.vector_p_norm(nxt - ref, 2, weights)
+                 / max(cf.vector_p_norm(cur, 2, weights), 1e-300))
+        if math.isfinite(ratio):
+            residual = max(residual, ratio)
+        cur = nxt
+    return cur, residual
+
+
+@pytest.mark.parametrize("n, order, m, blocks", [
+    (1, 4, 1, [(4,)]),                          # M = 4, a single step
+    (1, 4, 40, [(16, 4), (16, 4), (8, 4)]),     # ends in a partial block
+    (2, 3, 15, [(7, 9), (7, 9), (9,)]),         # ends in a block of one
+    (2, 3, 23, [(7, 9)] * 3 + [(2, 9)]),
+    (2, 10, 3, [(65,)] * 3),                    # M above the cap
+])
+def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
+                                                           order, m, blocks):
+    rp, op = stable_operator(rng, n, order)
+    cfg = cf.TaylorConfig(m=m, h=0.07, k=6)
+    # a perturbed lift makes the two summation orders differ in the last bits
+    psi0 = cf.LiftedState(op.basis, cf.lift_initial(rp, order).vector
+                          + 1e-3 * complex_uniform(rng, op.monomial_size))
+    final, residual = _per_step_solve(op, cfg, psi0)
+    shapes = []
+    direct = taylor._apply_Vk_direct
+
+    def recording(op, cfg, x):
+        shapes.append(x.shape)
+        return direct(op, cfg, x)
+
+    monkeypatch.setattr(taylor, "_apply_Vk_direct", recording)
+    res = cf.forward_solve(op, cfg, psi0)
+    assert shapes == blocks
+    assert res.final.vector.tobytes() == final.tobytes()
+    assert res.residual == residual
+    assert res.generator_applies == 2 * m * cfg.k
 
 
 # ------------------------------------------------------------- readout_value
