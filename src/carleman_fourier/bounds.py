@@ -31,18 +31,19 @@ STABILITY_TOL = 1e-10
 class DissipativityReport:
     """Dissipativity data for an unrescaled problem at exponent p.
 
-    mu0 = min_j Im(G0)_j and r_p = ||G1||_row,q ||e^{iu0}||_p / mu0; both
-    are invariant under the rescaling.  `dissipative` additionally requires
-    r_p below min{1, ||e^{iu0}||_p / ||e^{iu0}||_2}, the branch needed by
-    the stability certificate.  mu0 = 0 with a nonzero coupling is the
-    degenerate case (r_p = inf): it must be routed to the finite-time
-    machinery.
+    mu0 = min_j Im(G0)_j and r_p = g1_row_q ||e^{iu0}||_p / mu0, with
+    g1_row_q = ||G1||_row,q; mu0 and r_p are invariant under the rescaling.
+    `dissipative` additionally requires r_p below min{1, ||e^{iu0}||_p /
+    ||e^{iu0}||_2}, the branch needed by the stability certificate.  mu0 = 0
+    with a nonzero coupling is the degenerate case (r_p = inf): it must be
+    routed to the finite-time machinery.
     """
 
     mu0: float
     r_p: float
     p: float
     q: float
+    g1_row_q: float
     condition_2norm: float
     dissipative: bool
     degenerate: bool
@@ -66,7 +67,7 @@ def check_dissipative(ode: FourierOde, p: float) -> DissipativityReport:
     else:
         r_p = math.inf
     dissipative = mu0 > 0.0 and r_p < condition
-    return DissipativityReport(mu0=mu0, r_p=r_p, p=p, q=q,
+    return DissipativityReport(mu0=mu0, r_p=r_p, p=p, q=q, g1_row_q=g1_row_q,
                                condition_2norm=condition,
                                dissipative=dissipative, degenerate=degenerate)
 
@@ -138,7 +139,8 @@ def upper_bounded_time(rescaled: RescaledProblem, r: float, p: float) -> float:
     _rate, psi0, t_r = _finite_time_terms(rescaled, r, p)
     if r * psi0 >= 1.0:
         raise HypothesisViolation(
-            f"upper_bounded_time: ||Psi_1(0)||_p = {psi0} is not below 1/r = {1 / r}"
+            f"upper_bounded_time: ||Psi_1(0)||_p = {psi0} is not below 1/r = {1 / r}",
+            layer="bounds.upper_bounded_time",
         )
     return t_r
 
@@ -241,7 +243,8 @@ def t_max_nondissipative(rescaled: RescaledProblem, r: float, p: float,
     if ratio <= 1.0:
         raise HypothesisViolation(
             f"t_max_nondissipative: nu = {nu} does not exceed "
-            f"r ||e^(i u0)||_p = {r * eiu0_p}"
+            f"r ||e^(i u0)||_p = {r * eiu0_p}",
+            layer="bounds.t_max_nondissipative",
         )
     rate = max(alpha, f1_row_q) * (1.0 + 1.0 / r)
     first = math.log(ratio) / rate if rate > 0 else math.inf

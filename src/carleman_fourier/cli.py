@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -123,11 +124,21 @@ def _complex_array(data, where: str) -> np.ndarray:
 
 
 def load_config(path) -> dict:
+    """The config at path, read once as bytes: the digest is of the bytes
+    that were parsed.  A file that cannot be read, is not UTF-8 (a BOM
+    included) or is not a JSON object with the sections is a ConfigError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {path}: "
+                          f"{exc.strerror or exc}") from exc
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -140,7 +151,7 @@ def load_config(path) -> dict:
     for section in ("ode", "readout", "run", "overrides"):
         if not isinstance(raw[section], dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
-    raw["_digest"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    raw["_digest"] = hashlib.sha256(data).hexdigest()
     raw["_path"] = str(path)
     return raw
 
@@ -239,7 +250,7 @@ def _recipe(ode: FourierOde, readout: ReadoutSpec, run: dict,
     regime = run["regime"]
     if regime == "auto":
         regime = "dissipative" if report.dissipative else "nondissipative"
-    return select_regime(ode, readout, run, regime)
+    return select_regime(ode, readout, run, regime, report)
 
 
 def _overridden(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet:
@@ -248,13 +259,15 @@ def _overridden(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet
 
 
 def select_regime(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  regime: str) -> ParamSet:
-    """The parameter recipe of one regime, fed from the run section."""
+                  regime: str,
+                  report: bounds_mod.DissipativityReport | None = None) -> ParamSet:
+    """The parameter recipe of one regime, fed from the run section;
+    `report` is check_dissipative(ode, run["p"]) when the caller holds it."""
     with _float_range(f"{regime} parameter selection"):
         if regime == "dissipative":
             return select_dissipative(ode, readout, run["epsilon"], run["T"],
                                       p=run["p"], alpha=run["alpha"],
-                                      beta=run["beta"])
+                                      beta=run["beta"], report=report)
         return select_nondissipative(ode, readout, run["epsilon"], run["T"],
                                      p=run["p"], alpha=run["alpha"],
                                      beta=run["beta"], r=run["r"], nu=run["nu"])
@@ -646,7 +659,8 @@ def cmd_estimate(args) -> int:
     _write_output(outdir / "estimate.json", text)
     print(text)
     if produced == 0:
-        raise HypothesisViolation("no regime admits this problem; see output")
+        raise HypothesisViolation("no regime admits this problem; see output",
+                                  layer="cli.cmd_estimate")
     return 0
 
 
@@ -736,7 +750,14 @@ def parse_values_arg(text, axis) -> list:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  An ArgumentParser is a
+    web of reference cycles, some 33 KB that only the cycle collector frees;
+    one built per call would pile up in a process that calls main many
+    times, and its peak memory would hang on when the collector happens to
+    run.  Parsing leaves the parser as it was, and it holds no command
+    function: main looks cmd_<command> up in this module at each call."""
     parser = argparse.ArgumentParser(
         prog="cfl",
         description="Lifted-linearization laboratory for ODEs with Fourier "
@@ -749,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default="out")
     p_solve.add_argument("--param-overrides", default="",
                          help="comma-separated key=value (N, k, m, nu)")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter axis")
     p_sweep.add_argument("config")
@@ -757,26 +777,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values")
     p_sweep.add_argument("--out", default="out")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_est = sub.add_parser("estimate", help="parameter + resource estimate")
     p_est.add_argument("config")
     p_est.add_argument("--improved-encoding", action="store_true")
     p_est.add_argument("--out", default="out")
-    p_est.set_defaults(func=cmd_estimate)
 
     p_orc = sub.add_parser("oracle", help="dump the reference trajectory")
     p_orc.add_argument("config")
     p_orc.add_argument("--out", default="out")
-    p_orc.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CflError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for key in ("step", "layer"):

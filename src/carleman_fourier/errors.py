@@ -18,9 +18,14 @@ class ConfigError(CflError):
 
 
 class HypothesisViolation(CflError):
-    """An analytic precondition of a bound or parameter recipe is not met."""
+    """An analytic precondition of a bound or parameter recipe is not met.
+    `layer` is the function whose precondition failed, as module.function."""
 
     exit_code = 3
+
+    def __init__(self, message, layer=None):
+        super().__init__(message)
+        self.layer = layer
 
 
 class DivergenceError(CflError):

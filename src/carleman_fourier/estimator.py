@@ -62,7 +62,8 @@ def scaling_alpha_Ainv(steps: int, c_of_l: float, sigma: float, tau: float,
     cap = 1.0 / (4 * E ** 2 * steps * c_of_l * math.sqrt(k + 1))
     if tau > cap * (1 + 1e-12):
         raise HypothesisViolation(
-            f"scaling_alpha_Ainv: tau = {tau} exceeds 1/(4 e^2 m C sqrt(k+1)) = {cap}"
+            f"scaling_alpha_Ainv: tau = {tau} exceeds 1/(4 e^2 m C sqrt(k+1)) = {cap}",
+            layer="estimator.scaling_alpha_Ainv",
         )
     alpha = 8 * E ** 2 * steps * c_of_l
     error = sigma + 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1) * tau * c_of_l ** 2
@@ -76,7 +77,8 @@ def scaling_alpha_B(gamma: float, order: int) -> float:
     """
     if not 0 < gamma < 1:
         raise HypothesisViolation(
-            f"scaling_alpha_B: need 0 < gamma < 1 (rescale first), got {gamma}"
+            f"scaling_alpha_B: need 0 < gamma < 1 (rescale first), got {gamma}",
+            layer="estimator.scaling_alpha_B",
         )
     if order < 1:
         raise ConfigError("scaling_alpha_B: order must be >= 1")

@@ -20,7 +20,10 @@ lift and a LinearOperatorLN all hold one and read n and N from it.  The
 operator builds its two tables once, on its basis, and apply_LN is a gather
 over the up map of that basis.  The basis depends on (n, N) alone, and that
 of a lower order is its leading section (MonomialBasis.leading), so
-operators of any coefficients and order up to N can share one.
+operators of any coefficients and order up to N can share one.  B states
+laid out as columns and flattened are one state of the B-fold
+block-diagonal operator (block_operator), whose tables are the operator's
+own repeated once per column, so the same apply_LN steps them all at once.
 
 The tensor layout (block j in C^{n^j}) is the reference the monomial path
 is checked against; it lives in the tensor module, whose expand() puts a
@@ -235,7 +238,9 @@ class LinearOperatorLN:
 
       diagonal  (M,) i c.F0;
       coupling  (n, M_<N) i sum_r c_r F1[r, s] in row s, the entry of
-                column basis.up_t[s, c] in row c.
+                column up_t[s, c] in row c;
+
+    and up_t, the up map of the basis, as the third table apply_LN reads.
     """
 
     basis: MonomialBasis = field(repr=False)
@@ -243,6 +248,7 @@ class LinearOperatorLN:
     f1: np.ndarray
     diagonal: np.ndarray = field(init=False, repr=False)
     coupling: np.ndarray = field(init=False, repr=False)
+    up_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.f0 = np.asarray(self.f0, dtype=complex).ravel()
@@ -256,6 +262,7 @@ class LinearOperatorLN:
         self.diagonal = 1j * (basis.counts @ self.f0)
         self.coupling = np.ascontiguousarray(
             (1j * (basis.counts[:coupled] @ self.f1)).T)
+        self.up_t = basis.up_t
 
     @classmethod
     def from_rescaled(cls, rescaled: RescaledProblem, order: int) -> "LinearOperatorLN":
@@ -289,31 +296,54 @@ class LinearOperatorLN:
         return float(columns.max())
 
 
-def apply_LN(op: LinearOperatorLN, x: np.ndarray) -> np.ndarray:
-    """Action of the truncated generator on monomial coordinates x, as a
-    fresh array: the diagonal times x, plus, on the monomials below block
-    N, the couplings times x gathered at c + e_s, summed over s.  Expanded,
-    it is block j = B_j^(0) Psi_j + B_{j+1}^(1) Psi_{j+1}, with the coupling
-    term dropped on the last block.
+class BlockOperator(NamedTuple):
+    """The B-fold block-diagonal generator on B states laid out as columns
+    of an (M, B) array and flattened: entry c B + b is monomial c of state
+    b.  It holds the three tables apply_LN reads, as LinearOperatorLN names
+    them; see block_operator."""
 
-    x is one state, shape (M,), or a stack of states as rows, shape (B, M);
-    each row goes through the same elementwise arithmetic as a single
-    apply, so the rows equal B single applies bit for bit."""
+    diagonal: np.ndarray
+    coupling: np.ndarray
+    up_t: np.ndarray
+
+
+def block_operator(op: LinearOperatorLN, width: int) -> BlockOperator:
+    """The B-fold operator of op, B = width: the diagonal and the couplings
+    repeated once per column, and the up map up_t[s, c] B + b.  Entry c B + b
+    goes through the arithmetic of entry c of a single apply, so column b of
+    apply_LN on it equals apply_LN of op on state b bit for bit."""
+    if width < 1:
+        raise ConfigError(f"block_operator: width must be >= 1, got {width}")
+    up_t = op.up_t * width
+    return BlockOperator(
+        np.repeat(op.diagonal, width), np.repeat(op.coupling, width, axis=1),
+        (up_t[:, :, None] + np.arange(width)).reshape(up_t.shape[0], -1))
+
+
+def apply_LN(op: LinearOperatorLN | BlockOperator, x: np.ndarray) -> np.ndarray:
+    """Action of the truncated generator on monomial coordinates x, one
+    state of shape (M,), as a fresh array: the diagonal times x, plus, on
+    the monomials below block N, the couplings times x gathered at c + e_s,
+    summed over s.  Expanded, it is block j = B_j^(0) Psi_j + B_{j+1}^(1)
+    Psi_{j+1}, with the coupling term dropped on the last block.  On a
+    BlockOperator, x is the flat column layout of its B states."""
     shape = getattr(x, "shape", None)
-    # one state (M,), or rows (B, M): shape[1:] is (M,) for two axes only
-    if shape != op.diagonal.shape and (
-            shape is None or shape[1:] != op.diagonal.shape):
+    if shape != op.diagonal.shape:
         raise ConfigError(
-            f"apply_LN: expected {op.monomial_size} monomial coordinates or "
-            f"rows of them, got {type(x).__name__} of shape {shape}"
+            f"apply_LN: expected {op.diagonal.size} monomial coordinates, got "
+            f"{type(x).__name__} of shape {shape}"
         )
     y = op.diagonal * x
-    up_t = op.basis.up_t
-    # (n, M_<N) for one state, (B, n, M_<N) for rows: s is axis -2.  One
-    # state gathers by fancy indexing, a few percent faster there than take
-    gathered = x[up_t] if len(shape) == 1 else x.take(up_t, 1)
+    # (n, M_<N): s is axis 0.  Fancy indexing is a few percent faster here
+    # than take
+    gathered = x[op.up_t]
     gathered *= op.coupling
-    y[..., :op.coupling.shape[1]] += np.add.reduce(gathered, -2)
+    # summed over s in place into row 0, in the order np.add.reduce takes
+    # along axis 0, without its temporary
+    summed = gathered[0]
+    for s in range(1, len(gathered)):
+        summed += gathered[s]
+    y[:summed.size] += summed
     return y
 
 

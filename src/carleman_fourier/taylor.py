@@ -7,13 +7,15 @@ whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
 exactly, so the returned residual only detects implementation drift.  The
 verify pass behind it re-evaluates up to VERIFY_BLOCK_ENTRIES // M
-consecutive steps in one block apply per stage.  Each step reads only the
-one before it and the readout reads only Phi_m, so one state is held at a
-time, besides the few of a verify block; the trailing copy rows, which
-mirror the register layout of the linear-system formulation, repeat Phi_m
-and have zero residual by construction.  The same stepper, on the grid that
-oracle.action_config picks, evaluates the action of exp(L T) on psi0 for the
-Koopman/Taylor error split (oracle.propagate).
+consecutive steps in one apply per stage: their states, laid out as
+columns and flattened, are one state of the block-diagonal operator of
+linearize.block_operator.  Each step reads only the one before it and the
+readout reads only Phi_m, so one state is held at a time, besides the few
+of a verify block; the trailing copy rows, which mirror the register layout
+of the linear-system formulation, repeat Phi_m and have zero residual by
+construction.  The same stepper, on the grid that oracle.action_config
+picks, evaluates the action of exp(L T) on psi0 for the Koopman/Taylor
+error split (oracle.propagate).
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ConfigError, DivergenceError
-from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
-                        apply_LN)
+from .linearize import (DEFAULT_STATE_BUDGET, BlockOperator, LiftedState,
+                        LinearOperatorLN, apply_LN, block_operator)
 from .norms import vector_p_norm
 
 # monomial entries re-evaluated per call of the verify pass: up to
-# VERIFY_BLOCK_ENTRIES // M consecutive steps share one block apply, so a
-# state above half this many monomials is verified one step at a time.  A
-# larger cap raises the peak memory of solves at 27-44 monomials (n = 2,
-# N = 6-8), for little more speed
+# VERIFY_BLOCK_ENTRIES // M consecutive steps share one apply of the
+# block-diagonal operator, so a state above half this many monomials is
+# verified one step at a time.  A larger cap raises the peak memory of
+# solves at 27-44 monomials (n = 2, N = 6-8), for little more speed
 VERIFY_BLOCK_ENTRIES = 64
 
 
@@ -77,11 +79,11 @@ def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarr
     return u
 
 
-def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
+def _apply_Vk_direct(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
                      x: np.ndarray) -> np.ndarray:
     """Term-by-term evaluation of the same polynomial (independent of the
-    Horner ordering; used for the residual check).  x is one state or a
-    stack of states as rows, as for apply_LN."""
+    Horner ordering; used for the residual check).  x is one state of op,
+    as for apply_LN."""
     acc = x.copy()
     term = x
     for i in range(1, cfg.k + 1):
@@ -91,21 +93,24 @@ def _apply_Vk_direct(op: LinearOperatorLN, cfg: TaylorConfig,
     return acc
 
 
-def _verify_block(op: LinearOperatorLN, cfg: TaylorConfig, states: list) -> float:
+def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
+                  starts: np.ndarray, end: np.ndarray,
+                  weights: np.ndarray) -> float:
     """Largest relative discrepancy, in the tensor 2-norm, between each step
-    states[j] -> states[j + 1] and its term-by-term re-evaluation; all the
-    steps are re-evaluated in one stack of rows (one 1-D state for a single
-    step).  A non-finite ratio is skipped."""
+    of a block and its term-by-term re-evaluation; a non-finite ratio is
+    skipped.  starts holds the B start states as the columns of a C-ordered
+    (M, B) array, and op is the B-fold operator of its flat layout (op
+    itself for B = 1).  Step b ends at column b + 1, the last at `end`."""
+    width = starts.shape[1]
     # on the way to a detected divergence, intermediate magnitudes can
     # overflow inside the norm as well
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = states[0] if len(states) == 2 else np.stack(states[:-1])
-        ref = _apply_Vk_direct(op, cfg, rows).reshape(len(states) - 1, -1)
-        weights = op.basis.weights
+        ref = _apply_Vk_direct(op, cfg, starts.reshape(-1)).reshape(starts.shape)
         worst = 0.0
-        for cur, nxt, again in zip(states, states[1:], ref):
-            num = vector_p_norm(nxt - again, 2, weights)
-            den = max(vector_p_norm(cur, 2, weights), 1e-300)
+        for b in range(width):
+            nxt = starts[:, b + 1] if b + 1 < width else end
+            num = vector_p_norm(nxt - ref[:, b], 2, weights)
+            den = max(vector_p_norm(starts[:, b], 2, weights), 1e-300)
             ratio = num / den
             if math.isfinite(ratio):
                 worst = max(worst, ratio)
@@ -125,9 +130,11 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     offending step.  When verify is set, each step is re-evaluated with a
     different summation order and the worst relative discrepancy, in the
     tensor 2-norm, is reported as the residual.  The re-evaluation runs on
-    up to VERIFY_BLOCK_ENTRIES // M consecutive steps at once, as rows of
-    one block.  generator_applies counts k per step taken and k per step
-    re-evaluated.
+    up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps at once: their
+    start states are written into the columns of one (M, B) buffer as the
+    steps are taken, and its flat layout is one state of the B-fold
+    operator, built once per solve.  generator_applies counts k per step
+    taken and k per step re-evaluated.
     """
     if not isinstance(psi0, LiftedState):
         raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
@@ -144,12 +151,25 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             f"{DEFAULT_STATE_BUDGET} state entries"
         )
     block = max(1, min(cfg.m, VERIFY_BLOCK_ENTRIES // op.monomial_size))
+    fold = op
+    if verify and block > 1:
+        fold = block_operator(op, block)
+        starts = np.empty((op.monomial_size, block), dtype=complex)
     cur = psi0.vector
-    # the states of the steps not yet verified, and the one they start from
-    pending = [cur]
+    weights = op.basis.weights
+    # steps taken and not yet verified
+    pending = 0
     residual = 0.0
     applies = 0
     for j in range(cfg.m):
+        if verify:
+            # the start state of the step, as column `pending` of the block;
+            # a block of one step views cur itself
+            if block == 1:
+                starts = cur[:, None]
+            else:
+                starts[:, pending] = cur
+            pending += 1
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
             cur = apply_Vk(op, cfg, cur)
@@ -160,12 +180,15 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                 step=j + 1, layer="taylor.forward_solve",
             )
         applies += cfg.k
-        if verify:
-            pending.append(cur)
-            if len(pending) > block or j + 1 == cfg.m:
-                residual = max(residual, _verify_block(op, cfg, pending))
-                applies += cfg.k * (len(pending) - 1)
-                pending = [cur]
+        if pending == block or (pending and j + 1 == cfg.m):
+            if pending < block:
+                # the last block is shorter: an operator of its width
+                fold = block_operator(op, pending)
+                starts = np.ascontiguousarray(starts[:, :pending])
+            residual = max(residual,
+                           _verify_block(fold, cfg, starts, cur, weights))
+            applies += cfg.k * pending
+            pending = 0
     return SolveResult(final=LiftedState(op.basis, cur), residual=residual,
                        generator_applies=applies)
 

@@ -146,8 +146,9 @@ def test_finite_time_threshold_is_upper_bounded_time(rng):
     outside = make_nondissipative_rescaled(rng, 2, r=5.0, psi0_margin=2.0)
     assert cf.eta_bound_finite_time(outside, 3, 5.0, 0.01, 2).entry(
         "t <= T_r")[2] == 0.0
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.upper_bounded_time(outside, 5.0, 2)
+    assert err.value.layer == "bounds.upper_bounded_time"
 
 
 def test_finite_time_bound_computes_its_norms_once(rng, monkeypatch):
@@ -283,8 +284,9 @@ def test_t_max_monotone_in_alpha(rng):
 
 def test_t_max_requires_large_nu(rng):
     rp = make_rescaled(rng, 2)  # ||w0||_p ~ 1, so nu = 1 is far too small
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.t_max_nondissipative(rp, 5.0, 2, 1.0)
+    assert err.value.layer == "bounds.t_max_nondissipative"
 
 
 def test_t_max_requires_r_at_least_e(rng):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -194,6 +195,44 @@ def test_solve_missing_file_exit_2(tmp_path):
     assert run_cli("solve", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+COMMAND_ARGS = {"solve": [], "sweep": ["--axis", "N", "--values", "4"],
+                "estimate": [], "oracle": []}
+
+
+def _unreadable_config(tmp_path, kind):
+    if kind == "directory":
+        path = tmp_path / "config.json"
+        path.mkdir()
+        return path
+    path = tmp_path / f"{kind}.json"
+    text = (CONFIGS / "linear_n1.json").read_bytes()
+    assert text.startswith(b"{")
+    # a 0xFF byte inside a string of an otherwise valid config; a UTF-8 BOM
+    # in front of one is refused as well
+    path.write_bytes({"non_utf8": b'{"note": "\xff", ' + text[1:],
+                      "bom": b"\xef\xbb\xbf" + text}[kind])
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "non_utf8", "bom"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_unreadable_config_exit_2(tmp_path, capsys, command, kind):
+    config = _unreadable_config(tmp_path, kind)
+    code = run_cli(command, config, *COMMAND_ARGS[command],
+                   "--out", tmp_path / "out")
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+
+
+def test_config_digest_is_of_the_parsed_bytes(tmp_path):
+    import hashlib
+    data = (CONFIGS / "linear_n1.json").read_bytes()
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert cli.load_config(path)["_digest"] == hashlib.sha256(data).hexdigest()
+
+
 def test_solve_malformed_json_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -322,6 +361,33 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
     assert payload["error"] == "DivergenceError"
     assert payload["step"] == 1
     assert payload["layer"] == "taylor.forward_solve"
+
+
+def test_solve_hypothesis_violation_names_the_layer(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "nondissipative_n2.json").read_text())
+    cfg["run"]["regime"] = "dissipative"
+    path = tmp_path / "forced.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("solve", path, "--out", tmp_path / "out") == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "HypothesisViolation"
+    assert payload["layer"] == "params.select_dissipative"
+
+
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_one_dissipativity_report_per_run(tmp_path, monkeypatch, name):
+    import carleman_fourier.bounds as bounds
+    import carleman_fourier.params as params
+    # cli calls bounds.check_dissipative, params its own import of it
+    calls = (_count_calls(monkeypatch, bounds, "check_dissipative"),
+             _count_calls(monkeypatch, params, "check_dissipative"))
+    assert run_cli("solve", CONFIGS / f"{name}.json", "--out", tmp_path) == 0
+    assert sum(map(len, calls)) == 1
+    for made in calls:
+        made.clear()
+    _pipeline_inputs(name)  # select_params
+    assert sum(map(len, calls)) == 1
 
 
 @pytest.mark.parametrize("nu", ["3e8", "1e10"])
@@ -697,6 +763,26 @@ def test_oracle_trajectory_dump(tmp_path):
     assert set(rows[0]) == {"t", "re(x_1)", "im(x_1)"}
     assert float(rows[0]["re(x_1)"]) == pytest.approx(0.4)
     assert float(rows[-1]["t"]) == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------- main
+
+def test_main_parses_without_cycles_and_runs_the_current_command(monkeypatch):
+    # one parser serves every call, so a call leaves nothing for the cycle
+    # collector; the command is cmd_<name> as the module holds it then
+    seen = []
+    monkeypatch.setattr(cli, "cmd_oracle", lambda args: seen.append(args.config) or 0)
+    assert run_cli("oracle", "first") == 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli("oracle", "second") == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == ["first", "second"]
 
 
 def test_manifest_carries_budget_and_resources(tmp_path):

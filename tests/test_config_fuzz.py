@@ -116,4 +116,10 @@ def test_any_config_exits_cleanly(tmp_path, capsys, cfg, command):
         lines = err.strip().splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])
-        assert isinstance(payload, dict) and set(payload) == {"error", "message"}
+        # a DivergenceError or HypothesisViolation also names its layer
+        assert isinstance(payload, dict)
+        assert {"error", "message"} <= set(payload) <= {"error", "message",
+                                                         "step", "layer"}
+        if "layer" in payload:
+            assert payload["error"] in ("DivergenceError", "HypothesisViolation")
+            assert payload["layer"].count(".") == 1

@@ -62,8 +62,9 @@ def test_alpha_ainv_m_squared_term():
 
 
 def test_alpha_ainv_tau_precondition():
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.scaling_alpha_Ainv(10, 2.0, 0.0, 1.0, 4)
+    assert err.value.layer == "estimator.scaling_alpha_Ainv"
 
 
 def test_alpha_b_examples():
@@ -86,8 +87,9 @@ def test_alpha_b_matches_lifted_norm(rng):
 def test_alpha_b_rejects_gamma_at_least_one():
     with pytest.raises(HypothesisViolation):
         cf.scaling_alpha_B(1.0, 3)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.scaling_alpha_B(1.4, 3)
+    assert err.value.layer == "estimator.scaling_alpha_B"
 
 
 def test_alpha_c_examples():

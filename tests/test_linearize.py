@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier.errors import BudgetError, ConfigError
-from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, dense_f1_tilde,
-                                        generator_entries, monomial_basis,
-                                        total_size)
+from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, block_operator,
+                                        dense_f1_tilde, generator_entries,
+                                        monomial_basis, total_size)
 from carleman_fourier.tensor import (b0_diagonal, block_offsets, dense_B1, dense_Vk,
                                      expand)
 
@@ -223,19 +223,30 @@ def test_apply_ln_scalar_bidiagonal(rng):
     np.testing.assert_allclose(cf.dense_LN(op), dense, atol=1e-15)
 
 
+@pytest.mark.parametrize("n, order", [(1, 2), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_apply_ln_sums_the_couplings_as_add_reduce(rng, n, order):
+    # the in-place sum over s keeps the order of np.add.reduce along s
+    op = cf.LinearOperatorLN.from_rescaled(make_rescaled(rng, n), order)
+    x = complex_uniform(rng, op.monomial_size)
+    want = op.diagonal * x
+    want[:op.up_t.shape[1]] += np.add.reduce(x[op.up_t] * op.coupling, 0)
+    assert cf.apply_LN(op, x).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n, order", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3),
                                       (4, 1), (4, 2)])
 def test_apply_ln_rows_equal_single_applies(rng, n, order):
-    # order 1 has no coupled monomials: up_t has width 0
+    # B states as the columns of an (M, B) array, flattened, are one state of
+    # the B-fold operator; order 1 has no coupled monomials: up_t has width 0
     rp = make_rescaled(rng, n)
     op = cf.LinearOperatorLN.from_rescaled(rp, order)
-    rows = complex_uniform(rng, (5, op.monomial_size))
-    singles = [cf.apply_LN(op, row) for row in rows]
-    for stack in (rows, np.asfortranarray(rows), rows[:1]):
-        out = cf.apply_LN(op, stack)
-        assert out.shape == stack.shape
-        for got, want in zip(out, singles):
-            assert got.tobytes() == want.tobytes()
+    for width in (1, 2, 5):
+        rows = complex_uniform(rng, (width, op.monomial_size))
+        fold = block_operator(op, width)
+        out = cf.apply_LN(fold, np.ascontiguousarray(rows.T).reshape(-1))
+        assert out.shape == (width * op.monomial_size,)
+        for got, row in zip(out.reshape(-1, width).T, rows):
+            assert got.tobytes() == cf.apply_LN(op, row).tobytes()
 
 
 def test_apply_ln_refuses_malformed_input(rng):
@@ -243,9 +254,16 @@ def test_apply_ln_refuses_malformed_input(rng):
     size = op.monomial_size
     x = complex_uniform(rng, size)
     for bad in (list(x), x[:-1], complex_uniform(rng, (2, 3, size)),
-                complex_uniform(rng, (3, size + 1)), x.reshape(size, 1), x[0]):
+                complex_uniform(rng, (3, size + 1)), x.reshape(size, 1), x[0],
+                complex_uniform(rng, (3, size)), x.reshape(1, size)):
         with pytest.raises(ConfigError, match="apply_LN"):
             cf.apply_LN(op, bad)
+    # the flat layout of two states is not a state of op, nor one state of
+    # the two-fold operator
+    with pytest.raises(ConfigError, match="apply_LN"):
+        cf.apply_LN(op, complex_uniform(rng, 2 * size))
+    with pytest.raises(ConfigError, match="apply_LN"):
+        cf.apply_LN(block_operator(op, 2), x)
 
 
 # ------------------------------------------------------------------ dense_LN

@@ -88,8 +88,20 @@ def test_order_clamped_to_degree(rng):
 def test_dissipative_rejects_nondissipative_input():
     ode = cf.FourierOde(n=1, g0=[-1j], g1=[[0.1]], u0=[0.0])
     ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.select_dissipative(ode, ro, 1e-3, 1.0)
+    assert err.value.layer == "params.select_dissipative"
+
+
+def test_dissipative_reads_a_held_report():
+    ode = scalar_ode()
+    ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
+    held = cf.select_dissipative(ode, ro, 1e-3, 1.0,
+                                 report=cf.check_dissipative(ode, 2))
+    assert held == cf.select_dissipative(ode, ro, 1e-3, 1.0)
+    with pytest.raises(ConfigError, match="report at p=1"):
+        cf.select_dissipative(ode, ro, 1e-3, 1.0,
+                              report=cf.check_dissipative(ode, 1))
 
 
 def test_dissipative_rejects_bad_epsilon():
@@ -163,22 +175,25 @@ def test_nondissipative_s_power(rng):
 def test_nondissipative_rejects_large_horizon(rng):
     ode = nondissipative_ode(rng)
     ro = random_readout(rng, 2, 1)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.select_nondissipative(ode, ro, 1e-3, horizon=50.0, r=5.0)
+    assert err.value.layer == "params.select_nondissipative"
 
 
 def test_nondissipative_rejects_small_r(rng):
     ode = nondissipative_ode(rng)
     ro = random_readout(rng, 2, 1)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.select_nondissipative(ode, ro, 1e-3, horizon=0.01, r=2.0)
+    assert err.value.layer == "params.select_nondissipative"
 
 
 def test_nondissipative_rejects_small_nu(rng):
     ode = nondissipative_ode(rng)
     ro = random_readout(rng, 2, 1)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         cf.select_nondissipative(ode, ro, 1e-3, horizon=0.01, r=5.0, nu=0.5)
+    assert err.value.layer == "params.select_nondissipative"
 
 
 def test_nondissipative_selection_inequalities(rng):

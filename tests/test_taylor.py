@@ -229,9 +229,9 @@ def _per_step_solve(op, cfg, psi0):
 
 @pytest.mark.parametrize("n, order, m, blocks", [
     (1, 4, 1, [(4,)]),                          # M = 4, a single step
-    (1, 4, 40, [(16, 4), (16, 4), (8, 4)]),     # ends in a partial block
-    (2, 3, 15, [(7, 9), (7, 9), (9,)]),         # ends in a block of one
-    (2, 3, 23, [(7, 9)] * 3 + [(2, 9)]),
+    (1, 4, 40, [(64,), (64,), (32,)]),          # ends in a partial block
+    (2, 3, 15, [(63,), (63,), (9,)]),           # ends in a block of one
+    (2, 3, 23, [(63,)] * 3 + [(18,)]),
     (2, 10, 3, [(65,)] * 3),                    # M above the cap
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
