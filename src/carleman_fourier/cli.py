@@ -371,7 +371,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         # reported as null; it never fails a run that stepped
         with contextlib.suppress(BudgetError, DivergenceError):
             grid = action_config(op, run["T"])
-            psi_lin = propagate(op, psi0, run["T"])
+            psi_lin = propagate(op, psi0, run["T"], grid)
         if psi_lin is not None:
             lin_readout = complex(np.dot(coeffs, psi_lin.vector))
             koopman_err = abs(lin_readout - reference)

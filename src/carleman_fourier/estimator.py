@@ -13,7 +13,7 @@ relative units for comparing parameter regimes, not gate counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, HypothesisViolation
 from .params import ParamSet, s_scale
@@ -38,7 +38,8 @@ class ResourceEstimate:
     units: str = "query-cost units (explicit factors of the asymptotic expressions)"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; all are scalars, so the dict is shallow."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def scaling_alpha_LN(order: int, alpha: float, beta: float, nu: float) -> float:

@@ -6,11 +6,26 @@ continuous extension for dense output.  It is implemented here, step for
 step as scipy.integrate's RK45 (the same tableau, starting step, step
 control and interpolant, in the same floating-point order), so its results
 are bitwise equal to solve_ivp(..., method="RK45"); the tests gate that
-against the installed scipy.  Keeping it in the package keeps
-scipy.integrate, and the optimizer and quadrature code it loads, off the
-import path.  A global-error estimate comes from a verification pass at a
-tolerance two orders tighter; when an oracle value backs a bound check, its
-error budget is therefore far below the bound under test.
+against the installed scipy.  Bit for bit scipy's are: the starting step,
+the stages of every step tried, which steps are accepted and rejected and
+the next step size, the states at the sample times (each from the
+interpolant of the step that reaches it, evaluated on all of that step's
+samples at once, as solve_ivp does) and the dense output at any t.  The
+loop makes few numpy calls without changing one rounding: the tableau is
+stored complex (np.dot would cast it exactly on every call), stage sums are
+formed in place, step control runs on Python floats (the same doubles as
+scipy's numpy scalars), the RMS norm is np.linalg.norm's pair of real dot
+products, and the interpolant's powers are the products of scipy's
+cumprod.  Every complex multiply keeps scipy's operand order: under FMA,
+a*b and b*a can differ in the last bit.  Keeping the integrator in the
+package keeps scipy.integrate, and the optimizer and quadrature code it
+loads, off the import path.
+
+A global-error estimate comes from a verification pass at a tolerance two
+orders tighter: the largest gap between the two passes' samples.  It is a
+loose upper estimate of the coarse pass's error, not the error of the fine
+pass whose trajectory is returned; when an oracle value backs a bound
+check, its error budget is therefore far below the bound under test.
 
 For n = 1 there is a closed form: with w = e^{ix} the equation becomes the
 Riccati-type dw/dt = i f0 w + i f1 w^2, and z = 1/w satisfies the linear
@@ -30,6 +45,7 @@ which measure_eta and measure_eta_vector measure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,19 +86,22 @@ class Trajectory:
 
 # Dormand-Prince 5(4) tableau with Shampine's dense-output matrix P, as in
 # scipy.integrate's RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
-# Shampine, Math. Comp. 46, 1986)
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
+# Shampine, Math. Comp. 46, 1986).  A, B, E and P are stored complex: np.dot
+# casts a real operand to the stages' dtype on every call, and the cast is
+# exact, so the products are those of the real tableau.  Row s of A holds
+# the weights of the stages K[:s].
+_C = (0, 1/5, 3/10, 4/5, 8/9, 1)
+_A = [row[:s] for s, row in enumerate(np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
     [3/40, 9/40, 0, 0, 0],
     [44/45, -56/15, 32/9, 0, 0],
     [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+], dtype=complex))]
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84], dtype=complex)
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-               1/40])
+               1/40], dtype=complex)
 _P = np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608,
      -12715105075/11282082432],
@@ -94,14 +113,19 @@ _P = np.array([
     [0, 127303824393/49829197408, -318862633887/49829197408,
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]],
+    dtype=complex)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error order 4 + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    """np.linalg.norm(x) / sqrt(x.size) for a complex vector x, computed as
+    np.linalg.norm computes it: the dot products of the strided real and
+    imaginary views."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) / x.size ** 0.5
 
 
 def _initial_step(fun, y0, f0, t_bound, rtol, atol):
@@ -115,6 +139,8 @@ def _initial_step(fun, y0, f0, t_bound, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_bound)
+    if h0 == 0:  # d1 is infinite, so scipy's formulas below give 0 as well
+        return 0.0
     f1 = fun(h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -124,17 +150,21 @@ def _initial_step(fun, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, t_bound)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step; the stages go into K, the last row holds
-    f(t + h, y_new)."""
-    K[0] = f
-    for s in range(1, 6):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t + _C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _interpolate(step: tuple, times: np.ndarray) -> np.ndarray:
+    """The quartic interpolant of one accepted step at the points `times`
+    (1-D), shape (n, len(times)).  The powers x, x^2, x^3, x^4 of x = (t -
+    t_old) / h are the products of scipy's cumprod, in its order."""
+    t_old, h, y_old, q = step
+    powers = np.empty((4, times.size))
+    x = powers[0]
+    np.subtract(times, t_old, out=x)
+    x /= h
+    for j in range(1, 4):
+        np.multiply(powers[j - 1], x, out=powers[j])
+    y = q.dot(powers)
+    np.multiply(h, y, out=y)
+    y += y_old[:, None]
+    return y
 
 
 class _DenseOutput:
@@ -142,22 +172,21 @@ class _DenseOutput:
     of the step that holds t (at a step boundary, the earlier step)."""
 
     def __init__(self, ts: list, steps: list):
-        self.ts = np.asarray(ts)
+        self.ts = ts  # the step ends, t = 0 first
         self.steps = steps  # (t_old, h, y_old, Q) per accepted step
 
     def __call__(self, t: float) -> np.ndarray:
-        i = np.searchsorted(self.ts, t, side="left")
-        t_old, h, y_old, q = self.steps[min(max(i - 1, 0), len(self.steps) - 1)]
-        y = h * np.dot(q, np.cumprod(np.tile((t - t_old) / h, 4)))
-        y += y_old
-        return y
+        i = bisect_left(self.ts, t)
+        step = self.steps[min(max(i - 1, 0), len(self.steps) - 1)]
+        return _interpolate(step, np.array([t]))[:, 0]
 
 
 def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
              t_eval: np.ndarray) -> tuple:
     """Adaptive RK 5(4) from t = 0 to t_bound > 0 with rtol = atol = tol.
     Returns the states at the increasing points t_eval, shape
-    (n, len(t_eval)), and the dense output over [0, t_bound].
+    (len(t_eval), n), and the dense output over [0, t_bound]; both are
+    scipy's RK45 bit for bit (see the module docstring).
 
     One deliberate difference from scipy: a NaN step size (the field is
     NaN at the start) is a step-size failure, where scipy never stops."""
@@ -168,9 +197,15 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
     K = np.empty((7, y.size), dtype=complex)
-    ts, steps, outputs, next_eval = [t], [], [], 0
+    # stage s combines the rows K[:s]: its view is K[:s].T
+    KT = [K[:s].T for s in range(8)]
+    abs_y = np.abs(y)
+    sample_times = memoryview(t_eval)  # bisect reads it as Python floats
+    # NaN until a step's interpolant fills it: a sample no step reaches shows
+    samples = np.full((t_eval.size, y.size), np.nan, dtype=complex)
+    ts, steps, next_eval = [t], [], 0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -184,10 +219,26 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
                 )
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = KT[s].dot(_A[s])
+                dy *= h
+                dy += y
+                K[s] = fun(t + _C[s] * h, dy)
+            y_new = KT[6].dot(_B)
+            np.multiply(h, y_new, out=y_new)
+            y_new += y
+            f_new = fun(t + h, y_new)
+            K[6] = f_new
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
+            scale *= rtol
+            scale += atol
+            err = KT[7].dot(_E)
+            err *= h
+            err /= scale
+            error_norm = _rms(err)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -200,21 +251,18 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
-        step = (t, h, y, K.T.dot(_P))
-        t, y, f = t_new, y_new, f_new
+        step = (t, h, y, KT[7].dot(_P))
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
         ts.append(t)
         steps.append(step)
         # the points of t_eval up to and including t, from this step's
         # interpolant evaluated on all of them at once
-        stop = np.searchsorted(t_eval, t, side="right")
+        stop = bisect_right(sample_times, t, next_eval)
         if stop > next_eval:
-            t_old, h, y_old, q = step
-            x = (t_eval[next_eval:stop] - t_old) / h
-            out = h * np.dot(q, np.cumprod(np.tile(x, (4, 1)), axis=0))
-            out += y_old[:, None]
-            outputs.append(out)
+            samples[next_eval:stop] = _interpolate(
+                step, t_eval[next_eval:stop]).T
             next_eval = stop
-    return np.hstack(outputs), _DenseOutput(ts, steps)
+    return samples, _DenseOutput(ts, steps)
 
 
 def _coefficients(problem) -> tuple:
@@ -260,8 +308,8 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
     # verification pass two orders tighter, floored at the solver's rtol cap
     fine, dense = _dopri45(rhs, horizon, x0, max(tol * 1e-2, 2.3e-14), t_eval)
     err = float(np.max(np.abs(coarse - fine)))
-    return Trajectory(times=t_eval, states=np.ascontiguousarray(fine.T),
-                      est_global_error=err, _interpolant=dense)
+    return Trajectory(times=t_eval, states=fine, est_global_error=err,
+                      _interpolant=dense)
 
 
 def _phi1(s: complex) -> complex:
@@ -376,12 +424,14 @@ def action_config(op: LinearOperatorLN, t: float) -> TaylorConfig | None:
     return TaylorConfig(m=steps, h=t / steps, k=order)
 
 
-def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:
+def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float,
+              grid: TaylorConfig | None = None) -> LiftedState:
     """exp(L t) psi0 on monomial coordinates, as the action of the
     exponential on one vector (Al-Mohy & Higham 2011): forward_solve on the
     grid of action_config, without the verify pass, so its stepping budget
-    and divergence checks apply.  t = 0 returns a copy of psi0."""
-    cfg = action_config(op, t)
+    and divergence checks apply.  t = 0 returns a copy of psi0.  A caller
+    that has computed action_config(op, t) already passes it as `grid`."""
+    cfg = action_config(op, t) if grid is None else grid
     if cfg is None:
         return LiftedState(op.basis, psi0.vector.copy())
     return forward_solve(op, cfg, psi0, verify=False).final

@@ -15,7 +15,7 @@ degree K to exist at all.  k is likewise clamped at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,7 +77,9 @@ class ParamSet:
         return self.alpha + self.nu * self.g1_row_q
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        """The fields by name, shallow (dataclasses.asdict deep-copies):
+        every field is a scalar but derivation_log, a list of lists here."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["derivation_log"] = [list(item) for item in self.derivation_log]
         return out
 

@@ -175,6 +175,24 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
     assert shared.vector.tobytes() == cf.lift_initial(rescaled, ps.order).vector.tobytes()
 
 
+def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
+    # the manifest's split entry and the split's propagate share one grid
+    import carleman_fourier.oracle as oracle
+
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
+    calls = [_count_calls(monkeypatch, module, "action_config")
+             for module in (oracle, cli)]
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    monkeypatch.undo()
+    assert len(calls[0]) + len(calls[1]) == 1
+    op = outcome["operator"]
+    psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
+    grid = action_config(op, run["T"])
+    assert (cf.propagate(op, psi0, run["T"], grid).vector.tobytes()
+            == cf.propagate(op, psi0, run["T"]).vector.tobytes()
+            == outcome["psi_lin"].vector.tobytes())
+
+
 def test_solve_respects_param_overrides(tmp_path):
     code = run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path,
                    "--param-overrides", "N=4,k=12")

@@ -130,6 +130,41 @@ def test_integrate_is_bitwise_scipy_rk45(n, seed, horizon, log_tol):
         assert traj.state_at(t).tobytes() == np.asarray(dense(t)).tobytes()
 
 
+@pytest.mark.parametrize("samples", [2, 3, 64, 1000])
+def test_integrate_is_bitwise_scipy_rk45_on_each_sample_grid(samples):
+    # the fine pass takes 54 steps after 3 rejections; over them these grids
+    # hold a step with no sample (2), steps with one sample (3, 64), steps
+    # with many (1000), and t = T, the end of the last step (all)
+    rng = np.random.default_rng(0)
+    ode = cf.FourierOde(n=2, g0=complex_uniform(rng, 2, scale=5.0) + 1j,
+                        g1=complex_uniform(rng, (2, 2), scale=2.0),
+                        u0=complex_uniform(rng, 2, scale=0.5))
+    horizon, tol = 1.0, 1e-6
+    states, err, dense = _solve_ivp_reference(ode, horizon, tol, samples)
+    per_step = np.diff(np.searchsorted(np.linspace(0.0, horizon, samples),
+                                       dense.ts, side="right"))
+    assert {2: 0 in per_step, 3: 1 in per_step, 64: 1 in per_step,
+            1000: per_step.max() > 1}[samples]
+    traj = cf.integrate(ode, horizon, tol=tol, samples=samples)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.est_global_error == err
+    for t in [0.0, *dense.ts, horizon]:
+        t = float(t)
+        assert traj.state_at(t).tobytes() == np.asarray(dense(t)).tobytes()
+
+
+def test_integrate_starts_as_scipy_when_the_first_step_estimate_overflows():
+    # e^{ix0} = e^700: the field is finite but ||f0 / scale|| overflows, so
+    # the starting step is 0 and the first step is the smallest one
+    ode = cf.FourierOde(n=1, g0=[1.0], g1=[[1.0]], u0=[-700j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, err, dense = _solve_ivp_reference(ode, 1.0, 1e-3)
+        traj = cf.integrate(ode, 1.0, tol=1e-3)
+    assert dense.ts[1] == 10 * 2.0 ** -1074
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.est_global_error == err
+
+
 def _run_python(code: str):
     import os
     import subprocess
