@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import json
@@ -40,11 +39,11 @@ from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
                         size_within)
 from .norms import op_norm, vector_p_norm
 from .oracle import Trajectory, action_config, integrate, propagate
-from .params import (ParamSet, default_nu, end_to_end_error_budget, s_scale,
+from .params import (ParamSet, default_nu, derive_grid, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
                       expand_coeff_vector, rescale)
-from .taylor import TaylorConfig, forward_solve, readout_value, step_count_for
+from .taylor import TaylorConfig, forward_solve, readout_value
 from .tensor import dense_LN
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
@@ -239,35 +238,44 @@ def _checked_report(ode: FourierOde, run: dict) -> bounds_mod.DissipativityRepor
 
 def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   overrides: dict) -> ParamSet:
-    """Parameter selection for the requested regime plus override handling."""
-    report = _checked_report(ode, run)
-    return _overridden(_recipe(ode, readout, run, report), overrides, readout)
+    """The recipe of run.regime at the nu of an override, if any, with the
+    overrides of N, k and m pinned in its grid."""
+    overrides = parse_overrides(overrides, readout.degree)
+    return _pinned(select_regime(ode, readout, _with_nu(run, overrides),
+                                 report=_checked_report(ode, run)), overrides)
 
 
-def _recipe(ode: FourierOde, readout: ReadoutSpec, run: dict,
-            report: bounds_mod.DissipativityReport) -> ParamSet:
-    """The recipe of run.regime; auto takes the regime the report admits."""
-    regime = run["regime"]
-    if regime == "auto":
-        regime = "dissipative" if report.dissipative else "nondissipative"
-    return select_regime(ode, readout, run, regime, report)
+def _with_nu(run: dict, overrides: dict) -> dict:
+    """The run section with an override of nu as run.nu: nu is a recipe
+    input, and the recipe derives everything after it."""
+    return dict(run, nu=overrides["nu"]) if "nu" in overrides else run
 
 
-def _overridden(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet:
+def _pinned(ps: ParamSet, overrides: dict) -> ParamSet:
+    """ps with its grid derived again around the overrides of N, k and m
+    (params.derive_grid); ps itself when there are none."""
+    pins = {key: overrides[key] for key in ("N", "k", "m") if key in overrides}
+    if not pins:
+        return ps
     with _float_range("parameter overrides"):
-        return apply_overrides(ps, overrides, readout)
+        return derive_grid(ps, pins)
 
 
 def select_regime(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  regime: str,
+                  regime: str | None = None,
                   report: bounds_mod.DissipativityReport | None = None) -> ParamSet:
-    """The parameter recipe of one regime, fed from the run section;
-    `report` is check_dissipative(ode, run["p"]) when the caller holds it."""
+    """The parameter recipe of `regime` (run.regime when None), fed from the
+    run section; `report` is check_dissipative(ode, run["p"]) when the
+    caller holds it, and auto takes the regime the report admits."""
+    regime = regime or run["regime"]
+    if regime == "auto":
+        regime = "dissipative" if report.dissipative else "nondissipative"
     with _float_range(f"{regime} parameter selection"):
         if regime == "dissipative":
             return select_dissipative(ode, readout, run["epsilon"], run["T"],
                                       p=run["p"], alpha=run["alpha"],
-                                      beta=run["beta"], report=report)
+                                      beta=run["beta"], report=report,
+                                      nu=run["nu"])
         return select_nondissipative(ode, readout, run["epsilon"], run["T"],
                                      p=run["p"], alpha=run["alpha"],
                                      beta=run["beta"], r=run["r"], nu=run["nu"])
@@ -284,52 +292,32 @@ def _float_range(layer: str):
         raise ConfigError(f"{layer}: a number left the floating-point range: {exc}") from exc
 
 
-def _override_value(key: str, value):
-    """N, k and m are integers, nu a finite number."""
-    if key == "nu":
-        return _real(value, "override nu")
-    return _integer(value, f"override {key}")
-
-
-def apply_overrides(ps: ParamSet, overrides: dict, readout: ReadoutSpec) -> ParamSet:
-    """Replace N, k, m or nu and recompute the dependent step grid."""
-    if not overrides:
-        return ps
+def parse_overrides(overrides: dict, degree: int, text: str = "") -> dict:
+    """The overrides of a run, the config's section updated from the
+    --param-overrides text "key=value,...", checked: N >= the readout
+    degree, k, m >= 1 integers, nu > 0 finite."""
+    overrides = dict(overrides)
+    for chunk in filter(str.strip, text.split(",")):
+        key, eq, value = chunk.partition("=")
+        if not eq:
+            raise ConfigError(f"malformed override {chunk!r}; expected key=value")
+        overrides[key.strip()] = value
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ConfigError(f"unknown override keys {sorted(unknown)}; "
                           f"allowed: {sorted(OVERRIDE_KEYS)}")
-    overrides = {key: _override_value(key, value) for key, value in overrides.items()}
-    changes = {}
-    if "nu" in overrides:
-        nu = overrides["nu"]
-        if nu <= 0:
-            raise ConfigError("override nu must be positive")
-        changes["nu"] = nu
-        changes["gamma"] = ps.gamma * ps.nu / nu
-        changes["s"] = s_scale(nu, readout.degree)
-    if "N" in overrides:
-        order = overrides["N"]
-        if order < readout.degree:
-            raise ConfigError(
-                f"override N={order} is below the readout degree {readout.degree}"
-            )
-        changes["order"] = order
-    if "k" in overrides:
-        k = overrides["k"]
-        if k < 1:
-            raise ConfigError("override k must be >= 1")
-        changes["taylor_order"] = k
-    ps = dataclasses.replace(ps, **changes)
-    if "m" in overrides:
-        steps = overrides["m"]
-        if steps < 1:
-            raise ConfigError("override m must be >= 1")
-    elif "N" in overrides:
-        steps = step_count_for(ps.horizon, ps.order, ps.step_rate)
-    else:
-        steps = ps.steps
-    return dataclasses.replace(ps, steps=steps, step_size=ps.horizon / steps)
+    out = {key: _real(value, "override nu") if key == "nu"
+           else _integer(value, f"override {key}")
+           for key, value in overrides.items()}
+    if out.get("N", degree) < degree:
+        raise ConfigError(
+            f"override N={out['N']} is below the readout degree {degree}")
+    for key in ("k", "m"):
+        if out.get(key, 1) < 1:
+            raise ConfigError(f"override {key} must be >= 1")
+    if out.get("nu", 1.0) <= 0:
+        raise ConfigError("override nu must be positive")
+    return out
 
 
 # ------------------------------------------------------------ pipeline run
@@ -433,10 +421,11 @@ def _inputs(args) -> tuple:
 
 def cmd_solve(args) -> int:
     cfg, ode, readout, run = _inputs(args)
-    overrides = dict(cfg.get("overrides") or {})
-    overrides.update(parse_override_arg(args.param_overrides))
+    overrides = parse_overrides(cfg["overrides"], readout.degree,
+                                args.param_overrides)
     report = _checked_report(ode, run)
-    ps = _overridden(_recipe(ode, readout, run, report), overrides, readout)
+    ps = _pinned(select_regime(ode, readout, _with_nu(run, overrides),
+                               report=report), overrides)
     outcome = run_pipeline(ode, readout, run, ps)
     bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
@@ -510,7 +499,6 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, ode, readout, run = _inputs(args)
-    base_overrides = dict(cfg.get("overrides") or {})
     axis = args.axis
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -536,15 +524,17 @@ def cmd_sweep(args) -> int:
         rows.append(row)
         if shared_error:
             continue
-        row_run, overrides = _sweep_inputs(run, base_overrides, axis, value)
         try:
+            row_run, overrides = _sweep_inputs(run, cfg["overrides"], axis,
+                                               value, readout.degree)
             # rows whose run sections print alike share one section and its
-            # recipe: all rows of an N, k or nu sweep
+            # recipe: all rows of an N or k sweep, which pin only the grid
             key = repr(row_run)
             if key not in recipes:
-                recipes[key] = row_run, _recipe(ode, readout, row_run, report)
+                recipes[key] = row_run, select_regime(ode, readout, row_run,
+                                                      report=report)
             row_run, recipe = recipes[key]
-            ps = _overridden(recipe, overrides, readout)
+            ps = _pinned(recipe, overrides)
         except CflError as exc:
             row["error"] = _error_text(exc)
             continue
@@ -575,19 +565,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value) -> tuple:
-    """The run section and the overrides of the sweep row at value."""
-    run = dict(run)
-    overrides = dict(base_overrides)
+def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value,
+                  degree: int) -> tuple:
+    """The run section and checked overrides of the row at value: N, k and
+    nu are overrides, epsilon and r set their run field."""
+    if axis in OVERRIDE_KEYS:
+        base_overrides = {**base_overrides, axis: value}
+    overrides = parse_overrides(base_overrides, degree)
+    run = dict(_with_nu(run, overrides))
     if axis == "epsilon":
         run["epsilon"] = float(value)
     elif axis == "r":
         run["r"] = float(value)
         run["regime"] = "nondissipative"
-    elif axis in ("N", "k"):
-        overrides[axis] = int(value)
-    elif axis == "nu":
-        overrides["nu"] = float(value)
     return run, overrides
 
 
@@ -718,23 +708,6 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def parse_override_arg(text) -> dict:
-    if not text:
-        return {}
-    out = {}
-    for chunk in text.split(","):
-        if not chunk.strip():
-            continue
-        if "=" not in chunk:
-            raise ConfigError(f"malformed override {chunk!r}; expected key=value")
-        key, _, value = chunk.partition("=")
-        key = key.strip()
-        if key not in OVERRIDE_KEYS:
-            raise ConfigError(f"unknown override key {key!r}")
-        out[key] = _override_value(key, value)
-    return out
 
 
 def parse_values_arg(text, axis) -> list:

@@ -89,11 +89,6 @@ class MonomialBasis(NamedTuple):
     def order(self) -> int:
         return len(self.offsets) - 1
 
-    @property
-    def up(self) -> np.ndarray:
-        """(M_<N, n) view of up_t: up[c, s] is the index of c + e_s."""
-        return self.up_t.T
-
     def leading(self, order: int) -> "MonomialBasis":
         """The basis of a lower order N', without rebuilding it: monomials
         are enumerated block by block and c + e_s of a monomial below block
@@ -119,7 +114,7 @@ def monomial_basis(n: int, order: int) -> MonomialBasis:
       parent, symbol  (M,) c = parent + e_symbol, symbol the largest digit
                of c (parent -1 on block 1);
       up_t     (n, M_<N) index of c + e_s in row s, for the monomials below
-               block N; `up` is its (M_<N, n) transposed view;
+               block N;
       weights  (M,) multinom(|c|; c), the number of tensor slots of count
                c, as floats (exact below 2^53).
 

@@ -4,8 +4,16 @@ Both recipes pick the truncation order N, Taylor order k, step count m (and
 h = T/m) so the two classically realized error components (lifting
 truncation and Taylor truncation) each stay below epsilon/4, and they also
 emit the encoding-side parameters sigma, tau, delta, c1, c2 that only feed
-the resource estimator.  Each derived quantity is logged with the formula
-it came from so a ParamSet is reproducible by hand.
+the resource estimator.  ParamSet.derivation_log gives each derived
+quantity with the formula it came from and the value of its field, so a
+ParamSet is reproducible by hand.
+
+The rule: a recipe derives s (and the window) from nu, its input, and
+derive_grid then derives N -> m -> Gamma -> k -> c1, c2, tau, sigma, delta,
+z for both regimes.  Each value is its formula unless pinned (logged as
+"pinned"): a recipe calls derive_grid with nothing pinned, a run that
+overrides N, k or m calls it again with those pins, and an override of nu
+runs the recipe at that nu.
 
 N is clamped below at max(1, K): the ceiling formula can return 0 for very
 loose accuracy demands, and the readout needs blocks up to the Fourier
@@ -15,7 +23,7 @@ degree K to exist at all.  k is likewise clamped at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,7 +74,7 @@ class ParamSet:
     d_norm2: float = 0.0
     d_normq: float = 0.0
     gamma: float = 0.0                # ||e^{i x0}||_2 after rescaling
-    derivation_log: tuple = field(default_factory=tuple)
+    pinned: tuple = ()                # names given, not derived: nu, N, k, m
 
     @property
     def step_rate(self) -> float:
@@ -76,10 +84,21 @@ class ParamSet:
             return self.alpha + self.mu0
         return self.alpha + self.nu * self.g1_row_q
 
+    @property
+    def derivation_log(self) -> tuple:
+        """(name, formula, value) of each derived quantity in the recipe's
+        order, the value read from its field: the log cannot go stale.  A
+        pinned value's formula is "pinned"."""
+        given = _GIVEN_NU if "nu" in self.pinned else {}
+        return tuple(
+            (name, "pinned" if name in self.pinned else given.get(name, formula),
+             getattr(self, key)) for name, key, formula in _LOG[self.regime])
+
     def as_dict(self) -> dict:
-        """The fields by name, shallow (dataclasses.asdict deep-copies):
-        every field is a scalar but derivation_log, a list of lists here."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        """The fields by name, shallow (dataclasses.asdict deep-copies), with
+        pinned replaced by derivation_log as a list of lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "pinned"}
         out["derivation_log"] = [list(item) for item in self.derivation_log]
         return out
 
@@ -104,16 +123,17 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
                        horizon: float, p: float = 2,
                        alpha: float | None = None,
                        beta: float | None = None,
-                       report: DissipativityReport | None = None) -> ParamSet:
+                       report: DissipativityReport | None = None,
+                       nu: float | None = None) -> ParamSet:
     """Parameter recipe under dissipative conditions.  `report` is
     check_dissipative(ode, p) when the caller already holds it.
 
-    The rescaling is pinned to nu = ||e^{iu0}||_p / R_p = mu0/||G1||_row,q,
-    which certifies a non-growing lifted generator.  A vanishing coupling
-    (G1 = 0) makes that pin degenerate; the lifting is then exact above the
-    readout degree, and nu falls back to the norm-control choice
-    sqrt(2) ||e^{iu0}||_2 with the initial-state factor taken from the
-    actual rescaled 2-norm.
+    nu defaults to ||e^{iu0}||_p / R_p = mu0/||G1||_row,q, which certifies
+    a non-growing lifted generator; R_p does not depend on nu, which moves
+    the rest through s.  A vanishing coupling (G1 = 0) makes that default
+    degenerate; the lifting is then exact above the readout degree, nu
+    falls back to the norm-control choice sqrt(2) ||e^{iu0}||_2, and the
+    initial-state factor is taken from the rescaled 2-norm, below 1.
     """
     if epsilon <= 0:
         raise ConfigError("select_dissipative: epsilon must be positive")
@@ -131,68 +151,41 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
             f"threshold={report.condition_2norm})",
             layer="params.select_dissipative",
         )
-    q = report.q
-    mu0, r_p, g1_row_q = report.mu0, report.r_p, report.g1_row_q
+    mu0, g1_row_q = report.mu0, report.g1_row_q
     if alpha is None:
         alpha = float(np.max(np.abs(ode.g0)))
     elif alpha < np.max(np.abs(ode.g0)) - 1e-12:
         raise ConfigError("select_dissipative: alpha must dominate max|G0_j|")
     if beta is None:
         beta = float(np.linalg.norm(ode.g1, 2))
-
-    big_k = readout.degree
-    d_norm2 = readout.coeff_vector_norm(2)
-    d_normq = readout.coeff_vector_norm(q)
     eiu0_2 = vector_p_norm(np.exp(1j * ode.u0), 2)
+    pinned = () if nu is None else ("nu",)
+    if nu is None:
+        nu = (mu0 / g1_row_q if g1_row_q > 0
+              else math.sqrt(2.0) * eiu0_2 * (1.0 + 1e-6))
+    elif g1_row_q == 0 and eiu0_2 >= nu:
+        raise HypothesisViolation(
+            f"select_dissipative: without coupling nu = {nu} must exceed "
+            f"|e^(i u0)|_2 = {eiu0_2}", layer="params.select_dissipative")
 
-    if g1_row_q > 0:
-        nu = mu0 / g1_row_q
-        # initial-state norm factor ||Psi^{(N)}(0)|| <= R_p / sqrt(1 - R_p^2)
-        spread = r_p / math.sqrt(1.0 - r_p ** 2)
-        order = max(1, big_k, math.ceil(
-            math.log(4 * big_k * s_scale(nu, big_k) * d_normq / epsilon)
-            / math.log(1.0 / r_p)
-        ))
-    else:
-        nu = math.sqrt(2.0) * eiu0_2 * (1.0 + 1e-6)
-        gamma2 = eiu0_2 / nu
-        spread = gamma2 / math.sqrt(1.0 - gamma2 ** 2)
-        order = max(1, big_k)  # no coupling: lifting exact above degree K
-    s = s_scale(nu, big_k)
+    return _derived_at(
+        nu, eiu0_2, readout, report.q, regime="dissipative", p=p,
+        horizon=horizon, epsilon=epsilon, alpha=alpha, beta=beta, mu0=mu0,
+        g1_row_q=g1_row_q, r_p=report.r_p, pinned=pinned)
 
-    steps = step_count_for(horizon, order, alpha + mu0)
-    h = horizon / steps
 
-    k = _taylor_order(4 * E ** 3 / epsilon * s * d_norm2 * steps * spread,
-                      steps)
-    c1 = epsilon * math.sqrt(steps) / (4 * d_norm2 * s) / spread
-    c2 = 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1)
-    tau = min(c1 / (1 + c2), 1.0 / (4 * E ** 2 * steps * math.sqrt(k + 1)))
-    sigma = c1 - c2 * tau
-    delta = epsilon / (math.sqrt(steps) * d_norm2 * s) / spread
-    z = d_norm2 * s * math.sqrt(alpha) * spread
-
-    log = (
-        ("nu", "mu0/|G1|_row_q", nu),
-        ("N", "ceil(log(4 K s |d|_q/eps)/log(1/R_p)), clamped to >= max(1, K)", order),
-        ("m", "ceil(T N (alpha + mu0))", steps),
-        ("k", "max(ceil(log2(4 e^3 s |d| m R_p/sqrt(1-R_p^2)/eps)), ceil(log2(m e^2)))", k),
-        ("c1", "eps sqrt(m) sqrt(1-R_p^2)/(4 |d| s R_p)", c1),
-        ("c2", "8 e^4 m^2 sqrt(k+1)", c2),
-        ("tau", "min(c1/(1+c2), 1/(4 e^2 m sqrt(k+1)))", tau),
-        ("sigma", "c1 - c2 tau", sigma),
-        ("delta", "eps sqrt(1-R_p^2)/(sqrt(m) |d| s R_p)", delta),
-        ("s", "max(nu, nu^K) with nu = mu0/|G1|_row_q", s),
-        ("z", "|d| s sqrt(alpha) R_p/sqrt(1-R_p^2)", z),
-    )
-    return ParamSet(
-        regime="dissipative", p=p, horizon=horizon, epsilon=epsilon,
-        alpha=alpha, beta=beta, nu=nu, order=order, taylor_order=k,
-        steps=steps, step_size=h, sigma=sigma, tau=tau, delta=delta,
-        c1=c1, c2=c2, s=s, degree=big_k, mu0=mu0, g1_row_q=g1_row_q,
-        r_p=r_p, z=z, d_norm2=d_norm2, d_normq=d_normq, gamma=eiu0_2 / nu,
-        derivation_log=log,
-    )
+def _derived_at(nu: float, eiu0_2: float, readout: ReadoutSpec, q: float,
+                **inputs) -> ParamSet:
+    """A recipe's ParamSet at nu, whose s, gamma = ||e^{iu0}||_2 / nu and
+    readout norms both regimes take alike, with its grid derived from them
+    (derive_grid); `inputs` are the regime's own fields."""
+    return derive_grid(ParamSet(
+        nu=nu, s=s_scale(nu, readout.degree), gamma=eiu0_2 / nu,
+        degree=readout.degree, d_norm2=readout.coeff_vector_norm(2),
+        d_normq=readout.coeff_vector_norm(q), **inputs,
+        # the grid's fields, which derive_grid sets
+        **dict.fromkeys(("order", "taylor_order", "steps", "step_size",
+                         "sigma", "tau", "delta", "c1", "c2"))))
 
 
 def s_scale(nu: float, degree: int) -> float:
@@ -232,6 +225,7 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
     eiu0_p = vector_p_norm(eiu0, p)
     eiu0_2 = vector_p_norm(eiu0, 2)
     nu_floor = max(r * eiu0_p, math.sqrt(2.0) * eiu0_2)
+    pinned = () if nu is None else ("nu",)
     if nu is None:
         nu = default_nu(ode, r, p)
     if nu <= nu_floor:
@@ -246,11 +240,7 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
         raise ConfigError("select_nondissipative: alpha must dominate max|G0_j|")
     if beta is None:
         beta = float(np.linalg.norm(ode.g1, 2))
-
-    mu0 = float(np.min(np.imag(ode.g0)))
-    g1_row_q = row_q_norm(ode.g1, q)
-    rescaled = rescale(ode, readout, nu)
-    t_max = t_max_nondissipative(rescaled, r, p, alpha)
+    t_max = t_max_nondissipative(rescale(ode, readout, nu), r, p, alpha)
     if horizon > t_max:
         raise HypothesisViolation(
             f"select_nondissipative: horizon {horizon} exceeds "
@@ -258,52 +248,92 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
             layer="params.select_nondissipative",
         )
 
-    big_k = readout.degree
-    d_norm2 = readout.coeff_vector_norm(2)
-    d_normq = readout.coeff_vector_norm(q)
-    s = s_scale(nu, big_k)
-    rate = alpha + nu * g1_row_q
-    decay = math.log(r) - rate * horizon  # log(r / e^{rate T}) > 0 inside T_max
-    numer = math.log(max(4 * big_k * s * d_normq / (r * epsilon), 1.0))
-    order = max(1, big_k, math.ceil(numer / decay))
-    steps = step_count_for(horizon, order, rate)
-    h = horizon / steps
-    gamma_env = gamma_growth_bound(order, horizon, nu, g1_row_q, mu0)
+    return _derived_at(
+        nu, eiu0_2, readout, q, regime="nondissipative", p=p,
+        horizon=horizon, epsilon=epsilon, alpha=alpha, beta=beta,
+        mu0=float(np.min(np.imag(ode.g0))), g1_row_q=row_q_norm(ode.g1, q),
+        r=r, ell=math.log(nu / (r * eiu0_p)), t_max=t_max, pinned=pinned)
 
-    k = _taylor_order(4 * E ** 3 / epsilon * s * d_norm2 * steps * gamma_env,
-                      steps)
-    c1 = epsilon * math.sqrt(steps) / (4 * d_norm2 * s)
-    c2 = 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1) * gamma_env ** 2
-    tau = min(c1 / (1 + c2),
-              1.0 / (4 * E ** 2 * steps * math.sqrt(k + 1) * gamma_env))
-    sigma = c1 - c2 * tau
-    delta = epsilon / (math.sqrt(steps) * d_norm2 * s * gamma_env)
-    ell = math.log(nu / (r * eiu0_p))
+# each regime's derivation_log in order: (name, ParamSet field, formula);
+# _GIVEN_NU holds the formulas that read otherwise when nu is pinned
+_GIVEN_NU = {"s": "max(nu, nu^K)"}
+_LOG = {
+    "dissipative": (
+        ("nu", "nu", "mu0/|G1|_row_q"),
+        ("N", "order", "ceil(log(4 K s |d|_q/eps)/log(1/R_p)), clamped to >= max(1, K)"),
+        ("m", "steps", "ceil(T N (alpha + mu0))"),
+        ("k", "taylor_order", "max(ceil(log2(4 e^3 s |d| m R_p/sqrt(1-R_p^2)/eps)), ceil(log2(m e^2)))"),
+        ("c1", "c1", "eps sqrt(m) sqrt(1-R_p^2)/(4 |d| s R_p)"),
+        ("c2", "c2", "8 e^4 m^2 sqrt(k+1)"),
+        ("tau", "tau", "min(c1/(1+c2), 1/(4 e^2 m sqrt(k+1)))"),
+        ("sigma", "sigma", "c1 - c2 tau"),
+        ("delta", "delta", "eps sqrt(1-R_p^2)/(sqrt(m) |d| s R_p)"),
+        ("s", "s", "max(nu, nu^K) with nu = mu0/|G1|_row_q"),
+        ("z", "z", "|d| s sqrt(alpha) R_p/sqrt(1-R_p^2)"),
+    ),
+    "nondissipative": (
+        ("nu", "nu", "user choice > max(r |e^(i u0)|_p, sqrt(2) |e^(i u0)|_2)"),
+        ("T_max", "t_max", "min(ln(nu/(r |e^(i u0)|_p))/(max(alpha, nu |G1|_row_q)(1+1/r)), ln(r/e)/(alpha+nu |G1|_row_q))"),
+        ("N", "order", "ceil(log(max(4 K s |d|_q/(r eps), 1))/log(r/e^((alpha+nu |G1|_row_q) T))), clamped to >= max(1, K)"),
+        ("m", "steps", "ceil(T N (alpha + nu |G1|_row_q))"),
+        ("Gamma", "gamma_bound", "exp(T (N nu |G1|_row_q + max(-mu0, -N mu0)))"),
+        ("k", "taylor_order", "max(ceil(log2(4 e^3 s |d| m Gamma/eps)), ceil(log2(m e^2)))"),
+        ("c1", "c1", "eps sqrt(m)/(4 |d| s)"),
+        ("c2", "c2", "8 e^4 m^2 sqrt(k+1) Gamma^2"),
+        ("tau", "tau", "min(c1/(1+c2), 1/(4 e^2 m sqrt(k+1) Gamma))"),
+        ("sigma", "sigma", "c1 - c2 tau"),
+        ("delta", "delta", "eps/(sqrt(m) |d| s Gamma)"),
+        ("s", "s", "max(nu, nu^K)"),
+        ("ell", "ell", "ln(nu/(r |e^(i u0)|_p))"),
+    ),
+}
 
-    log = (
-        ("nu", "user choice > max(r |e^(i u0)|_p, sqrt(2) |e^(i u0)|_2)", nu),
-        ("T_max", "min(ln(nu/(r |e^(i u0)|_p))/(max(alpha, nu |G1|_row_q)(1+1/r)), ln(r/e)/(alpha+nu |G1|_row_q))", t_max),
-        ("N", "ceil(log(max(4 K s |d|_q/(r eps), 1))/log(r/e^((alpha+nu |G1|_row_q) T))), clamped to >= max(1, K)", order),
-        ("m", "ceil(T N (alpha + nu |G1|_row_q))", steps),
-        ("Gamma", "exp(T (N nu |G1|_row_q + max(-mu0, -N mu0)))", gamma_env),
-        ("k", "max(ceil(log2(4 e^3 s |d| m Gamma/eps)), ceil(log2(m e^2)))", k),
-        ("c1", "eps sqrt(m)/(4 |d| s)", c1),
-        ("c2", "8 e^4 m^2 sqrt(k+1) Gamma^2", c2),
-        ("tau", "min(c1/(1+c2), 1/(4 e^2 m sqrt(k+1) Gamma))", tau),
-        ("sigma", "c1 - c2 tau", sigma),
-        ("delta", "eps/(sqrt(m) |d| s Gamma)", delta),
-        ("s", "max(nu, nu^K)", s),
-        ("ell", "ln(nu/(r |e^(i u0)|_p))", ell),
-    )
-    return ParamSet(
-        regime="nondissipative", p=p, horizon=horizon, epsilon=epsilon,
-        alpha=alpha, beta=beta, nu=nu, order=order, taylor_order=k,
-        steps=steps, step_size=h, sigma=sigma, tau=tau, delta=delta,
-        c1=c1, c2=c2, s=s, degree=big_k, mu0=mu0, g1_row_q=g1_row_q,
-        gamma_bound=gamma_env, r=r, ell=ell, t_max=t_max,
-        d_norm2=d_norm2, d_normq=d_normq,
-        gamma=eiu0_2 / nu, derivation_log=log,
-    )
+
+def derive_grid(ps: ParamSet, pins: dict | None = None) -> ParamSet:
+    """ps with N -> m -> Gamma -> k -> c1, c2, tau, sigma, delta, z derived
+    from its recipe inputs, each by its formula unless `pins` gives it (N, k
+    or m by name); ps.pinned keeps a pinned nu and records these.  The
+    regimes differ in N's formula and in two factors, each 1 in the other:
+    the dissipative bound R_p/sqrt(1 - R_p^2) on the initial lifted state
+    (gamma/sqrt(1 - gamma^2) without coupling) and the envelope Gamma."""
+    pins = pins or {}
+    order, taylor_order, steps = pins.get("N"), pins.get("k"), pins.get("m")
+    dissipative = ps.regime == "dissipative"
+    big_k, s, eps, horizon, d_norm2 = (ps.degree, ps.s, ps.epsilon,
+                                       ps.horizon, ps.d_norm2)
+    spread = 1.0
+    if dissipative:
+        ratio = ps.r_p if ps.g1_row_q > 0 else ps.gamma
+        spread = ratio / math.sqrt(1.0 - ratio ** 2)
+    if order is None:
+        if not dissipative:
+            decay = math.log(ps.r) - ps.step_rate * horizon  # > 0 inside T_max
+            bound = math.log(max(4 * big_k * s * ps.d_normq / (ps.r * eps), 1.0)) / decay
+        elif ps.g1_row_q > 0:
+            bound = math.log(4 * big_k * s * ps.d_normq / eps) / math.log(1.0 / ps.r_p)
+        else:
+            bound = 0  # no coupling: lifting exact above degree K
+        order = max(1, big_k, math.ceil(bound))
+    if steps is None:
+        steps = step_count_for(horizon, order, ps.step_rate)
+    gamma_env = None if dissipative else gamma_growth_bound(
+        order, horizon, ps.nu, ps.g1_row_q, ps.mu0)
+    growth = 1.0 if dissipative else gamma_env
+    if taylor_order is None:
+        taylor_order = _taylor_order(
+            4 * E ** 3 / eps * s * d_norm2 * steps * spread * growth, steps)
+    root = math.sqrt(taylor_order + 1)
+    c1 = eps * math.sqrt(steps) / (4 * d_norm2 * s) / spread
+    c2 = 8 * E ** 4 * steps ** 2 * root * growth ** 2
+    tau = min(c1 / (1 + c2), 1.0 / (4 * E ** 2 * steps * root * growth))
+    nu_pin = ("nu",) if "nu" in ps.pinned else ()
+    return replace(
+        ps, order=order, taylor_order=taylor_order, steps=steps,
+        step_size=horizon / steps, sigma=c1 - c2 * tau, tau=tau,
+        delta=eps / (math.sqrt(steps) * d_norm2 * s * growth) / spread,
+        c1=c1, c2=c2, gamma_bound=gamma_env,
+        z=d_norm2 * s * math.sqrt(ps.alpha) * spread if dissipative else None,
+        pinned=nu_pin + tuple(pins))
 
 
 @dataclass(frozen=True)

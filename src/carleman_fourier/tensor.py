@@ -95,12 +95,12 @@ def expand(state: LiftedState) -> TensorState:
             f"N={state.order} exceeds the budget of {DEFAULT_STATE_BUDGET} "
             "entries"
         )
-    up = state.basis.up
+    up_t = state.basis.up_t
     # string l followed by digit s has the monomial of l times w_s
     level = np.arange(state.n)
     classes = [level]
     for _ in range(1, state.order):
-        level = up[level].ravel()
+        level = up_t[:, level].T.ravel()
         classes.append(level)
     return TensorState(state.n, state.order, state.vector[np.concatenate(classes)])
 

@@ -461,15 +461,20 @@ def test_select_params_checks_dissipativity_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["dissipative_n2", "nondissipative_n2"])
-@pytest.mark.parametrize("nu", [None, 2.5])
+@pytest.mark.parametrize("name,nu", [
+    ("dissipative_n2", None), ("dissipative_n2", 2.5),
+    ("nondissipative_n2", None), ("nondissipative_n2", 20.0),
+], ids=["None-dissipative_n2", "2.5-dissipative_n2", "None-nondissipative_n2",
+        "20.0-nondissipative_n2"])
 def test_order_override_recomputes_the_step_count(name, nu):
+    # nu is a recipe input; an override of N pins the grid's N, and m
+    # follows from it at the rate of the recipe's nu
     ode, readout, run = _parsed(name)
-    ps = cli.select_params(ode, readout, run, {})
+    ps = cli.select_params(ode, readout, run, {} if nu is None else {"nu": nu})
     overrides = {"N": ps.order + 2}
     if nu is not None:
         overrides["nu"] = nu
-    out = cli.apply_overrides(ps, overrides, readout)
+    out = cli.select_params(ode, readout, run, overrides)
     nu_used = ps.nu if nu is None else nu
     if name == "dissipative_n2":
         rate = ps.alpha + ps.mu0
@@ -480,6 +485,104 @@ def test_order_override_recomputes_the_step_count(name, nu):
         ps.order + 2, steps, ps.horizon / steps)
     assert out.nu == nu_used
     assert out.s == max(nu_used, nu_used ** readout.degree)
+
+
+# the ParamSet field of each derivation_log entry
+LOGGED_FIELDS = {"nu": "nu", "T_max": "t_max", "N": "order", "m": "steps",
+                 "Gamma": "gamma_bound", "k": "taylor_order", "c1": "c1",
+                 "c2": "c2", "tau": "tau", "sigma": "sigma", "delta": "delta",
+                 "s": "s", "z": "z", "ell": "ell"}
+# an in-window nu for each config: the non-dissipative window of
+# nondissipative_n2 is about nu in [8.0, 46.6]
+OVERRIDE_NU = {"dissipative_n1": 6.0, "dissipative_n2": 6.0, "linear_n1": 6.0,
+               "nondissipative_n2": 30.0}
+
+
+@pytest.mark.parametrize("keys", [(), ("N",), ("k",), ("m",), ("nu",),
+                                  ("N", "m", "nu")], ids="-".join)
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_derivation_log_reads_the_fields_it_names(name, keys):
+    ode, readout, run = _parsed(name)
+    recipe = cli.select_params(ode, readout, run, {})
+    values = {"N": recipe.order + 1, "k": 5, "m": recipe.steps + 2,
+              "nu": OVERRIDE_NU[name]}
+    overrides = {key: values[key] for key in keys}
+    ps = cli.select_params(ode, readout, run, overrides)
+    assert set(overrides) <= {entry for entry, _f, _v in ps.derivation_log}
+    for entry, formula, value in ps.derivation_log:
+        assert value == getattr(ps, LOGGED_FIELDS[entry]), entry
+        assert (formula == "pinned") == (entry in overrides), entry
+    for key, field in (("N", "order"), ("k", "taylor_order"), ("m", "steps"),
+                       ("nu", "nu")):
+        if key in overrides:
+            assert getattr(ps, field) == overrides[key]
+
+
+@pytest.mark.parametrize("name,nu", [("dissipative_n2", 3.0),
+                                     ("linear_n1", 6.0),
+                                     ("nondissipative_n2", 30.0)])
+def test_nu_override_is_the_run_nu(name, nu):
+    # both recipes take run.nu, and an override of nu sets it
+    ode, readout, run = _parsed(name)
+    by_override = cli.select_params(ode, readout, run, {"nu": nu})
+    by_run = cli.select_params(ode, readout, dict(run, nu=nu), {})
+    assert by_override == by_run
+    assert by_run.nu == nu
+
+
+def test_nondissipative_overrides_rederive_the_recipe():
+    ode, readout, run = _parsed("nondissipative_n2")
+    ps = cli.select_params(ode, readout, run, {"nu": 30.0})
+    assert ps.t_max == cf.t_max_nondissipative(cf.rescale(ode, readout, 30.0),
+                                               run["r"], run["p"], ps.alpha)
+    logged = {entry: value for entry, _formula, value in
+              cli.select_params(ode, readout, run, {"N": 12}).derivation_log}
+    assert (logged["N"], logged["m"]) == (12, 4)
+    logged = {entry: value for entry, _formula, value in
+              cli.select_params(ode, readout, run, {"k": 3}).derivation_log}
+    assert logged["k"] == 3
+
+
+@pytest.mark.parametrize("name,nu,layer", [
+    # below the non-dissipative window, and without coupling below
+    # |e^{iu0}|_2 = 1
+    ("nondissipative_n2", "2", "params.select_nondissipative"),
+    ("linear_n1", "0.5", "params.select_dissipative"),
+])
+def test_nu_override_outside_the_hypotheses_exit_3(tmp_path, capsys, name, nu,
+                                                   layer):
+    code = run_cli("solve", CONFIGS / f"{name}.json", "--param-overrides",
+                   f"nu={nu}", "--out", tmp_path)
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (payload["error"], payload["layer"]) == ("HypothesisViolation", layer)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("N", 1, "override N=1 is below the readout degree 2"),
+    ("k", 0, "override k must be >= 1"),
+    ("m", 0, "override m must be >= 1"),
+    ("nu", -1.0, "override nu must be positive"),
+    ("nu", 0, "override nu must be positive"),
+    ("q", 1, "unknown override key"),
+])
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_overrides_are_checked_alike_in_the_config_and_the_flag(
+        tmp_path, capsys, route, key, value, message):
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    extra = []
+    if route == "config":
+        cfg["overrides"] = {key: value}
+    else:
+        extra = ["--param-overrides", f"{key}={value}"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("solve", path, *extra, "--out", tmp_path / "out") == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
 
 
 def test_oracle_sample_grid_above_budget_exit_2(tmp_path, capsys):
@@ -602,9 +705,9 @@ def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
     # one basis, at the largest order, serves every row as its leading
     # section; each row builds its own operator on it
     ("N", "6,4,8,5,7", 1, 1),
-    ("nu", "2,3.5,5,2", 1, 1),
     ("k", "2,5,9", 1, 1),
-    # each row has its own run section and recipe
+    # each distinct run section has its own recipe: nu is run.nu
+    ("nu", "10,20,30,10", 3, 1),
     ("epsilon", "1e-2,1e-3", 2, 1),
     ("r", "4,5,6", 3, 1),           # rows at nu and N of their own
 ])
@@ -671,23 +774,29 @@ def test_run_pipeline_refuses_an_operator_of_another_problem():
             cli.run_pipeline(ode, readout, run, ps, basis=basis)
 
 
-def test_solve_finite_time_bound_overflow_reads_inf(tmp_path):
-    # nu = 1e4 puts (e^{rate T} / r)^N past the double range
+def test_solve_finite_time_bound_overflow_reads_inf(tmp_path, capsys):
+    # nu = 1e4 lies above the admissible window (about nu in [8.0, 46.6]),
+    # so the recipe refuses it.  Inside the window T <= ln(r/e)/rate keeps
+    # e^{rate T} / r below 1/e, and the bound cannot overflow; test_bounds
+    # covers the overflow to inf at the library level.
     code = run_cli("solve", CONFIGS / "nondissipative_n2.json",
                    "--param-overrides", "nu=1e4", "--out", tmp_path)
-    assert code == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["bounds"]["eta_bound_finite_time"] == math.inf
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "HypothesisViolation"
+    assert payload["layer"] == "params.select_nondissipative"
 
 
 def test_sweep_keeps_rows_whose_bound_overflows(tmp_path):
+    # rows outside the admissible window fail alone; the row inside runs
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "nu",
-                   "--values", "2,1e4", "--out", tmp_path)
+                   "--values", "2,1e4,20", "--out", tmp_path)
     assert code == 0
     rows = read_csv_rows(tmp_path / "result.csv")
-    assert [row["error"] for row in rows] == ["", ""]
-    assert rows[1]["eta_bound_finite_time"] == "inf"
-    assert math.isfinite(float(rows[0]["eta_bound_finite_time"]))
+    assert [row["error"].split(":")[0] for row in rows] == [
+        "HypothesisViolation", "HypothesisViolation", ""]
+    assert math.isfinite(float(rows[2]["eta_bound_finite_time"]))
+    assert float(rows[2]["total_error"]) <= float(rows[2]["epsilon"])
 
 
 def test_sweep_keeps_rows_whose_dissipative_bound_factors_overflow(tmp_path):

@@ -364,7 +364,7 @@ def test_monomial_basis_slots_and_classes():
                     basis.counts[parent]) + basis.symbol[mono]
             if j < order:
                 for s in range(n):
-                    up = basis.up[mono, s]
+                    up = basis.up_t[s, mono]
                     np.testing.assert_array_equal(basis.counts[up],
                                                   count + np.eye(n, dtype=int)[s])
         # the tensor expansion puts at index l the monomial of count(l)

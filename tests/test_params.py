@@ -252,3 +252,56 @@ def test_s_scale_literal():
     from carleman_fourier.params import s_scale
     assert s_scale(2.0, 3) == 8.0
     assert s_scale(0.5, 3) == 0.5
+
+
+# ------------------------------------------------------------ grid derivation
+
+def test_derive_grid_without_pins_is_the_recipe(rng):
+    # each recipe ends in derive_grid: deriving again changes nothing
+    from carleman_fourier.params import derive_grid
+    ode = make_dissipative_ode(rng, 2, r_target=0.4)
+    ro = random_readout(rng, 2, 2)
+    dissipative = cf.select_dissipative(ode, ro, 1e-3, 0.5)
+    nondissipative = cf.select_nondissipative(nondissipative_ode(rng), ro,
+                                              1e-3, horizon=1e-3, r=5.0)
+    for ps in (dissipative, nondissipative):
+        assert derive_grid(ps) == ps
+        assert derive_grid(ps, {}) == ps
+
+
+def test_pins_rederive_what_follows_them():
+    from carleman_fourier.params import derive_grid
+    ode = scalar_ode(r_p=0.5, mu0=1.0)
+    ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
+    ps = cf.select_dissipative(ode, ro, epsilon=1e-3, horizon=1.0, nu=3.0)
+    pinned = derive_grid(ps, {"N": ps.order + 3})
+    # m and k follow N; nu stays the recipe's pin
+    assert pinned.steps == math.ceil(1.0 * (ps.order + 3) * ps.step_rate)
+    assert pinned.taylor_order >= ps.taylor_order
+    assert pinned.pinned == ("nu", "N")
+    assert derive_grid(pinned, {"k": 4}).pinned == ("nu", "k")
+    texts = {name: formula for name, formula, _ in pinned.derivation_log}
+    assert (texts["nu"], texts["N"], texts["s"]) == ("pinned", "pinned",
+                                                     "max(nu, nu^K)")
+
+
+def test_derivation_log_reads_the_fields():
+    # the log is a view of the fields, so a replaced field cannot leave it
+    # stale
+    import dataclasses
+    ode = scalar_ode(r_p=0.5, mu0=1.0)
+    ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
+    ps = dataclasses.replace(cf.select_dissipative(ode, ro, 1e-3, 1.0), order=9)
+    assert ("N", 9) in [(name, value) for name, _f, value in ps.derivation_log]
+    assert "pinned" not in ps.as_dict()
+    assert list(ps.as_dict())[-1] == "derivation_log"
+
+
+def test_dissipative_given_nu_without_coupling_must_exceed_the_state_norm():
+    # without coupling the initial-state factor needs ||e^{iu0}||_2 / nu < 1
+    ode = cf.FourierOde(n=1, g0=[1j], g1=[[0.0]], u0=[0.0])
+    ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
+    assert cf.select_dissipative(ode, ro, 1e-3, 1.0, nu=2.0).gamma == 0.5
+    with pytest.raises(HypothesisViolation) as err:
+        cf.select_dissipative(ode, ro, 1e-3, 1.0, nu=1.0)
+    assert err.value.layer == "params.select_dissipative"
