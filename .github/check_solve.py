@@ -1,5 +1,5 @@
 """Exit 1 unless each `cfl solve` manifest.json shows a verify pass that ran
-on every step.
+on every step, and a Koopman/Taylor split whose grid agrees with its cost.
 
 The verify pass re-evaluates each Taylor step term by term.  Its residual,
 errors.solver_residual, must be finite and at most 1e-12.  forward_solve
@@ -7,6 +7,13 @@ counts k generator applies per step taken and k per step re-evaluated, so
 lifted_state.generator_applies must be 2 * params.steps * params.taylor_order.
 A solve run without verify, or a verify pass that leaves steps out (a block
 dropped or cut short), fails the count.
+
+The split (lifted_state.split, null above the dense cap) either reuses the
+run's own steps, with 0 generator applies, or steps exp(L T) psi0 on a grid
+of its own.  A reused split must name the run's grid (params.steps and
+params.taylor_order) and report errors.taylor = 0 and errors.koopman =
+errors.total; a split on its own grid must count steps * taylor_order
+applies.
 
     python .github/check_solve.py <manifest.json>...
 """
@@ -16,19 +23,42 @@ import math
 import sys
 
 failed = False
+
+
+def fail(path, message):
+    global failed
+    print(f"{path}: {message}")
+    failed = True
+
+
 for path in sys.argv[1:]:
     with open(path) as handle:
         manifest = json.load(handle)
-    residual = manifest["errors"]["solver_residual"]
+    errors = manifest["errors"]
+    residual = errors["solver_residual"]
     applies = manifest["lifted_state"]["generator_applies"]
     params = manifest["params"]
     expected = 2 * params["steps"] * params["taylor_order"]
     if not (isinstance(residual, (int, float)) and math.isfinite(residual)
             and residual <= 1e-12):
-        print(f"{path}: solver_residual {residual!r} is not finite and <= 1e-12")
-        failed = True
+        fail(path, f"solver_residual {residual!r} is not finite and <= 1e-12")
     if applies != expected:
-        print(f"{path}: {applies} generator applies, expected 2 * "
-              f"{params['steps']} steps * {params['taylor_order']} stages = {expected}")
-        failed = True
+        fail(path, f"{applies} generator applies, expected 2 * "
+                   f"{params['steps']} steps * {params['taylor_order']} "
+                   f"stages = {expected}")
+    split = manifest["lifted_state"]["split"]
+    if split is None:
+        continue
+    grid = (split["steps"], split["taylor_order"])
+    if split["generator_applies"] == 0:
+        if grid != (params["steps"], params["taylor_order"]):
+            fail(path, f"split reuses the run with grid {grid}, expected "
+                       f"({params['steps']}, {params['taylor_order']})")
+        if errors["taylor"] != 0 or errors["koopman"] != errors["total"]:
+            fail(path, f"split reuses the run but taylor = {errors['taylor']!r}, "
+                       f"koopman = {errors['koopman']!r}, total = "
+                       f"{errors['total']!r}")
+    elif split["generator_applies"] != grid[0] * grid[1]:
+        fail(path, f"split spends {split['generator_applies']} generator "
+                   f"applies, expected {grid[0]} steps * {grid[1]} stages")
 sys.exit(1 if failed else 0)

@@ -38,9 +38,11 @@ from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
                         generator_entries, lift_point, monomial_basis,
                         size_within)
 from .norms import op_norm, vector_p_norm
-from .oracle import Trajectory, action_config, integrate, propagate
-from .params import (ParamSet, default_nu, derive_grid, end_to_end_error_budget,
-                     select_dissipative, select_nondissipative)
+from .oracle import (Trajectory, action_config, action_step_bound, integrate,
+                     propagate)
+from .params import (ParamSet, derive_grid, end_to_end_error_budget,
+                     nondissipative_inputs, select_dissipative,
+                     select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
                       expand_coeff_vector, rescale)
 from .taylor import TaylorConfig, forward_solve, readout_value
@@ -51,11 +53,10 @@ OVERRIDE_KEYS = ("N", "k", "m", "nu")
 
 # the Koopman/Taylor error split and eta measurement of solve and sweep, and
 # the 2-norm check of estimate, run only up to this tensor size.  The split
-# itself is the action of exp(L T) on psi0, Taylor steps on the monomial
-# generator (oracle.propagate), and needs no dense matrix; the cap is what
-# it costs: on the three benchmark ladder problems, all above it, the split
-# would add 46-63 generator applies to the 232-240 of each run, 13-16% of
-# the time of each run_pipeline.
+# needs no dense matrix: it is the run's own final state when the run's
+# steps meet oracle.action_step_bound, and otherwise the action of exp(L T)
+# on psi0, Taylor steps on the monomial generator (oracle.propagate), whose
+# extra generator applies are what the cap bounds.
 DIAG_DENSE_CAP = 1024
 
 
@@ -355,18 +356,26 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     koopman_err = taylor_err = psi_lin = split = None
     if size_within(op.n, op.order, DIAG_DENSE_CAP):
         t0 = time.perf_counter()
-        # a split the stepping budget refuses, or one that overflows, is
-        # reported as null; it never fails a run that stepped
-        with contextlib.suppress(BudgetError, DivergenceError):
-            grid = action_config(op, run["T"])
-            psi_lin = propagate(op, psi0, run["T"], grid)
+        norm = op.norm_1()
+        if norm * cfg.h <= action_step_bound(cfg.k):
+            # the run's own steps evaluate exp(L T) psi0 to the unit
+            # roundoff, and the verify pass only reads the Horner states:
+            # the final state is propagate(op, psi0, T, cfg) bit for bit
+            psi_lin = result.final
+            split = {"steps": cfg.m, "taylor_order": cfg.k,
+                     "generator_applies": 0}
+        else:
+            # a split the stepping budget refuses, or one that overflows, is
+            # reported as null; it never fails a run that stepped
+            with contextlib.suppress(BudgetError, DivergenceError):
+                grid = action_config(op, run["T"], norm)
+                psi_lin = propagate(op, psi0, run["T"], grid)
+                split = {"steps": grid.m, "taylor_order": grid.k,
+                         "generator_applies": grid.m * grid.k}
         if psi_lin is not None:
             lin_readout = complex(np.dot(coeffs, psi_lin.vector))
             koopman_err = abs(lin_readout - reference)
             taylor_err = abs(estimate - lin_readout)
-            if grid is not None:
-                split = {"steps": grid.m, "taylor_order": grid.k,
-                         "generator_applies": grid.m * grid.k}
         timings["dense_check_s"] = time.perf_counter() - t0
 
     return {
@@ -632,14 +641,11 @@ def cmd_estimate(args) -> int:
             detail = {"error": f"{type(exc).__name__}: {exc}"}
             if regime == "nondissipative":
                 try:
-                    nu_probe = run["nu"]
-                    if nu_probe is None:
-                        nu_probe = default_nu(ode, run["r"], run["p"])
-                    rescaled = rescale(ode, readout, nu_probe)
+                    # the window at the recipe's own nu and alpha
+                    nu, alpha = nondissipative_inputs(
+                        ode, run["r"], run["p"], run["nu"], run["alpha"])
                     detail["t_max"] = bounds_mod.t_max_nondissipative(
-                        rescaled, run["r"], run["p"],
-                        run["alpha"] if run["alpha"] is not None
-                        else float(np.max(np.abs(ode.g0))))
+                        rescale(ode, readout, nu), run["r"], run["p"], alpha)
                 except CflError:
                     pass
             out[regime] = detail

@@ -13,7 +13,8 @@ interpolant of the step that reaches it, evaluated on all of that step's
 samples at once, as solve_ivp does) and the dense output at any t.  The
 loop makes few numpy calls without changing one rounding: the tableau is
 stored complex (np.dot would cast it exactly on every call), stage sums are
-formed in place, step control runs on Python floats (the same doubles as
+formed in place, each stage's derivative is written into its row of the
+stage array, step control runs on Python floats (the same doubles as
 scipy's numpy scalars), the RMS norm is np.linalg.norm's pair of real dot
 products, and the interpolant's powers are the products of scipy's
 cumprod.  Every complex multiply keeps scipy's operand order: under FMA,
@@ -183,10 +184,12 @@ class _DenseOutput:
 
 def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
              t_eval: np.ndarray) -> tuple:
-    """Adaptive RK 5(4) from t = 0 to t_bound > 0 with rtol = atol = tol.
-    Returns the states at the increasing points t_eval, shape
-    (len(t_eval), n), and the dense output over [0, t_bound]; both are
-    scipy's RK45 bit for bit (see the module docstring).
+    """Adaptive RK 5(4) from t = 0 to t_bound > 0 with rtol = atol = tol,
+    for the field fun(t, y, out), which writes dy/dt into `out` (a fresh
+    array when out is None) and returns it; each stage lands in its row of
+    the stage array.  Returns the states at the increasing points t_eval,
+    shape (len(t_eval), n), and the dense output over [0, t_bound]; both
+    are scipy's RK45 bit for bit (see the module docstring).
 
     One deliberate difference from scipy: a NaN step size (the field is
     NaN at the start) is a step-size failure, where scipy never stops."""
@@ -194,9 +197,9 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
     if rtol < _RTOL_FLOOR:
         rtol = _RTOL_FLOOR
     t, y = 0.0, y0
-    f = fun(t, y)
-    h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
     K = np.empty((7, y.size), dtype=complex)
+    # K[0] holds the derivative at the start of the step being taken
+    h_abs = _initial_step(fun, y, fun(t, y, K[0]), t_bound, rtol, atol)
     # stage s combines the rows K[:s]: its view is K[:s].T
     KT = [K[:s].T for s in range(8)]
     abs_y = np.abs(y)
@@ -220,17 +223,15 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for s in range(1, 6):
                 dy = KT[s].dot(_A[s])
                 dy *= h
                 dy += y
-                K[s] = fun(t + _C[s] * h, dy)
+                fun(t + _C[s] * h, dy, K[s])
             y_new = KT[6].dot(_B)
             np.multiply(h, y_new, out=y_new)
             y_new += y
-            f_new = fun(t + h, y_new)
-            K[6] = f_new
+            fun(t + h, y_new, K[6])
             abs_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_new)
             scale *= rtol
@@ -252,7 +253,8 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         step = (t, h, y, KT[7].dot(_P))
-        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        t, y, abs_y = t_new, y_new, abs_new
+        K[0] = K[6]  # first same as last: the next step starts from it
         ts.append(t)
         steps.append(step)
         # the points of t_eval up to and including t, from this step's
@@ -293,8 +295,12 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
             f"the state budget of {DEFAULT_STATE_BUDGET} entries"
         )
 
-    def rhs(_t, x):
-        return f0 + f1 @ np.exp(1j * x)
+    def rhs(_t, x, out=None):
+        # dx/dt into `out` (a fresh array when None); ndarray.dot is the
+        # gemv of f1 @ w at about half the call cost
+        out = f1.dot(np.exp(1j * x), out=out)
+        out += f0
+        return out
 
     if horizon == 0:
         times = np.array([0.0])
@@ -402,24 +408,36 @@ _THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2,
 ACTION_STEP_CAP = 2.0
 
 
-def action_config(op: LinearOperatorLN, t: float) -> TaylorConfig | None:
+def action_step_bound(k: int) -> float:
+    """min(theta_k, ACTION_STEP_CAP): the largest ||L h||_1 at which one
+    Taylor step of degree k evaluates exp(L h) to the unit roundoff.  Every
+    grid of steps h and degree k with ||L||_1 h within it evaluates exp(L t)
+    psi0 as accurately as action_config's grid does."""
+    if k > len(_THETA):
+        return ACTION_STEP_CAP
+    return min(_THETA[k - 1], ACTION_STEP_CAP)
+
+
+def action_config(op: LinearOperatorLN, t: float,
+                  norm_1: float | None = None) -> TaylorConfig | None:
     """The Taylor grid on which propagate evaluates exp(L t) psi0: s steps
-    of degree k, with s k smallest subject to ||L t||_1 / s <= min(theta_k,
-    ACTION_STEP_CAP); None for t = 0.  A grid that must hold more steps
-    than the stepping budget states is refused with BudgetError."""
+    of degree k, with s k smallest subject to ||L t||_1 / s <=
+    action_step_bound(k); None for t = 0.  `norm_1` is op.norm_1() when the
+    caller holds it.  A grid that must hold more steps than the stepping
+    budget states is refused with BudgetError."""
     if not t >= 0:
         raise ConfigError(f"propagate: t must be >= 0, got {t}")
     if t == 0:
         return None
-    norm = op.norm_1() * t
+    norm = (op.norm_1() if norm_1 is None else norm_1) * t
     if not norm <= ACTION_STEP_CAP * DEFAULT_STATE_BUDGET:
         raise BudgetError(
             f"propagate: ||L t||_1 = {norm:.3g} needs more than "
             f"{DEFAULT_STATE_BUDGET} Taylor steps"
         )
     steps, order = min(
-        ((max(1, math.ceil(norm / min(theta, ACTION_STEP_CAP))), k)
-         for k, theta in enumerate(_THETA, start=1)),
+        ((max(1, math.ceil(norm / action_step_bound(k))), k)
+         for k in range(1, len(_THETA) + 1)),
         key=lambda pair: (pair[0] * pair[1], pair[1]))
     return TaylorConfig(m=steps, h=t / steps, k=order)
 

@@ -90,9 +90,12 @@ class ParamSet:
         order, the value read from its field: the log cannot go stale.  A
         pinned value's formula is "pinned"."""
         given = _GIVEN_NU if "nu" in self.pinned else {}
+        regime = self.regime
+        if regime == "dissipative" and not self.g1_row_q > 0:
+            regime = "uncoupled"
         return tuple(
             (name, "pinned" if name in self.pinned else given.get(name, formula),
-             getattr(self, key)) for name, key, formula in _LOG[self.regime])
+             getattr(self, key)) for name, key, formula in _LOG[regime])
 
     def as_dict(self) -> dict:
         """The fields by name, shallow (dataclasses.asdict deep-copies), with
@@ -203,6 +206,18 @@ def default_nu(ode: FourierOde, r: float, p: float = 2) -> float:
                math.sqrt(2.0) * vector_p_norm(eiu0, 2) * (1.0 + 1e-6))
 
 
+def nondissipative_inputs(ode: FourierOde, r: float, p: float = 2,
+                          nu: float | None = None,
+                          alpha: float | None = None) -> tuple:
+    """The non-dissipative recipe's (nu, alpha), each as given or, when
+    None, its default: default_nu(ode, r, p) and max|G0_j|."""
+    if nu is None:
+        nu = default_nu(ode, r, p)
+    if alpha is None:
+        alpha = float(np.max(np.abs(ode.g0)))
+    return nu, alpha
+
+
 def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
                           epsilon: float, horizon: float, p: float = 2,
                           alpha: float | None = None,
@@ -226,17 +241,14 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
     eiu0_2 = vector_p_norm(eiu0, 2)
     nu_floor = max(r * eiu0_p, math.sqrt(2.0) * eiu0_2)
     pinned = () if nu is None else ("nu",)
-    if nu is None:
-        nu = default_nu(ode, r, p)
+    nu, alpha = nondissipative_inputs(ode, r, p, nu, alpha)
     if nu <= nu_floor:
         raise HypothesisViolation(
             f"select_nondissipative: nu = {nu} must exceed "
             f"max(r |e^(i u0)|_p, sqrt(2) |e^(i u0)|_2) = {nu_floor}",
             layer="params.select_nondissipative",
         )
-    if alpha is None:
-        alpha = float(np.max(np.abs(ode.g0)))
-    elif alpha < np.max(np.abs(ode.g0)) - 1e-12:
+    if alpha < np.max(np.abs(ode.g0)) - 1e-12:
         raise ConfigError("select_nondissipative: alpha must dominate max|G0_j|")
     if beta is None:
         beta = float(np.linalg.norm(ode.g1, 2))
@@ -287,6 +299,19 @@ _LOG = {
         ("ell", "ell", "ln(nu/(r |e^(i u0)|_p))"),
     ),
 }
+# the dissipative recipe without coupling (G1 = 0, so R_p = 0): its own nu
+# and N, and gamma = |e^(i u0)|_2/nu in place of R_p
+_UNCOUPLED = {
+    "nu": "sqrt(2) |e^(i u0)|_2 (1+1e-6)",
+    "N": "max(1, K)",
+    "k": "max(ceil(log2(4 e^3 s |d| m gamma/sqrt(1-gamma^2)/eps)), ceil(log2(m e^2)))",
+    "c1": "eps sqrt(m) sqrt(1-gamma^2)/(4 |d| s gamma)",
+    "delta": "eps sqrt(1-gamma^2)/(sqrt(m) |d| s gamma)",
+    "s": "max(nu, nu^K) with nu = sqrt(2) |e^(i u0)|_2 (1+1e-6)",
+    "z": "|d| s sqrt(alpha) gamma/sqrt(1-gamma^2)",
+}
+_LOG["uncoupled"] = tuple((name, key, _UNCOUPLED.get(name, formula))
+                          for name, key, formula in _LOG["dissipative"])
 
 
 def derive_grid(ps: ParamSet, pins: dict | None = None) -> ParamSet:

@@ -13,9 +13,10 @@ linearize.block_operator.  Each step reads only the one before it and the
 readout reads only Phi_m, so one state is held at a time, besides the few
 of a verify block; the trailing copy rows, which mirror the register layout
 of the linear-system formulation, repeat Phi_m and have zero residual by
-construction.  The same stepper, on the grid that oracle.action_config
-picks, evaluates the action of exp(L T) on psi0 for the Koopman/Taylor
-error split (oracle.propagate).
+construction.  The same stepper evaluates the action of exp(L T) on psi0
+for the Koopman/Taylor error split: a run whose steps meet
+oracle.action_step_bound already holds it as Phi_m, and any other run's
+split steps on the grid that oracle.action_config picks (oracle.propagate).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from carleman_fourier import cli
 from carleman_fourier.cli import main
 from carleman_fourier.errors import DivergenceError
 from carleman_fourier.linearize import monomial_basis
-from carleman_fourier.oracle import action_config
 from carleman_fourier.params import default_nu
 from carleman_fourier.taylor import step_count_for
 
@@ -176,7 +175,8 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
 
 
 def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
-    # the manifest's split entry and the split's propagate share one grid
+    # the run's own grid meets the exponential's bound on dissipative_n2
+    # (||L||_1 h = 0.82 at k = 25), so the split computes no grid of its own
     import carleman_fourier.oracle as oracle
 
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
@@ -184,13 +184,70 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
              for module in (oracle, cli)]
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
-    assert len(calls[0]) + len(calls[1]) == 1
+    assert calls == [[], []]
     op = outcome["operator"]
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
-    grid = action_config(op, run["T"])
+    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
     assert (cf.propagate(op, psi0, run["T"], grid).vector.tobytes()
-            == cf.propagate(op, psi0, run["T"]).vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
+
+
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_split_reuses_the_run_where_its_grid_meets_the_bound(name):
+    # every bundled run steps within min(theta_k, 2): exp(L T) psi0 is the
+    # run's final state, so the Taylor part reads 0 and the lifting part is
+    # the whole error
+    from carleman_fourier.oracle import action_step_bound
+
+    ode, readout, run, ps = _pipeline_inputs(name)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    op = outcome["operator"]
+    assert op.norm_1() * ps.step_size <= action_step_bound(ps.taylor_order)
+    assert outcome["taylor_error"] == 0.0
+    assert outcome["koopman_error"] == outcome["total_error"]
+    assert outcome["lifted_state"]["split"] == {
+        "steps": ps.steps, "taylor_order": ps.taylor_order,
+        "generator_applies": 0}
+    psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
+    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    assert (cf.propagate(op, psi0, run["T"], grid).vector.tobytes()
+            == outcome["psi_lin"].vector.tobytes())
+
+
+def test_split_keeps_its_own_grid_where_the_run_steps_too_far(monkeypatch):
+    # k = 3: ||L||_1 h = 0.82 is far above theta_3 = 1.39e-5, so the split
+    # evaluates exp(L T) psi0 on action_config's grid, at one norm_1
+    import carleman_fourier.oracle as oracle
+
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2", k=3)
+    norms = _count_calls(monkeypatch, cf.LinearOperatorLN, "norm_1")
+    calls = [_count_calls(monkeypatch, module, "action_config")
+             for module in (oracle, cli)]
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    monkeypatch.undo()
+    assert len(norms) == 1
+    assert len(calls[0]) + len(calls[1]) == 1
+    assert outcome["lifted_state"]["split"] == {
+        "steps": 7, "taylor_order": 23, "generator_applies": 161}
+    op = outcome["operator"]
+    psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
+    assert (cf.propagate(op, psi0, run["T"]).vector.tobytes()
+            == outcome["psi_lin"].vector.tobytes())
+    assert outcome["taylor_error"] == pytest.approx(1.29e-5, rel=1e-3)
+    assert outcome["koopman_error"] < 1e-7
+
+
+@pytest.mark.parametrize("k,reused", [(12, False), (16, False), (17, True)])
+def test_split_reuse_boundary_is_theta_k(k, reused):
+    # ||L||_1 h = 0.82 on dissipative_n2's 16 steps: theta_12 = 0.30 and
+    # theta_16 = 0.78 lie below it, theta_17 = 0.93 above
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2", k=k)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    split = outcome["lifted_state"]["split"]
+    assert (split["generator_applies"] == 0) is reused
+    assert (split["steps"], split["taylor_order"]) == (
+        (16, k) if reused else (7, 23))
 
 
 def test_solve_respects_param_overrides(tmp_path):
@@ -544,6 +601,33 @@ def test_nondissipative_overrides_rederive_the_recipe():
     assert logged["k"] == 3
 
 
+def test_uncoupled_dissipative_log_names_the_formulas_it_used():
+    # linear_n1 has G1 = 0, so R_p = 0: the recipe takes nu = sqrt(2)
+    # |e^(iu0)|_2 (1 + 1e-6), N = max(1, K), and gamma = |e^(iu0)|_2/nu in
+    # place of R_p; the log names those, not mu0/|G1|_row_q and log(1/R_p)
+    ode, readout, run = _parsed("linear_n1")
+    ps = cli.select_params(ode, readout, run, {})
+    assert ps.regime == "dissipative" and ps.g1_row_q == 0 and ps.r_p == 0
+    texts = {entry: formula for entry, formula, _v in ps.derivation_log}
+    assert not [text for text in texts.values() if "R_p" in text or "G1" in text]
+    assert texts["nu"] == "sqrt(2) |e^(i u0)|_2 (1+1e-6)"
+    assert ps.nu == pytest.approx(
+        math.sqrt(2) * np.linalg.norm(np.exp(1j * ode.u0)) * (1 + 1e-6),
+        rel=1e-15)
+    assert texts["N"] == "max(1, K)" and ps.order == max(1, readout.degree)
+    # the gamma formulas evaluate to the logged values
+    d, s, m, eps, g = ps.d_norm2, ps.s, ps.steps, ps.epsilon, ps.gamma
+    spread = g / math.sqrt(1 - g ** 2)
+    for entry, expected in (
+            ("c1", eps * math.sqrt(m) / (4 * d * s) / spread),
+            ("delta", eps / (math.sqrt(m) * d * s) / spread),
+            ("z", d * s * math.sqrt(ps.alpha) * spread)):
+        assert "gamma" in texts[entry]
+        assert getattr(ps, entry) == pytest.approx(expected, rel=1e-14)
+    assert "gamma" in texts["k"]
+    assert texts["s"] == "max(nu, nu^K) with nu = sqrt(2) |e^(i u0)|_2 (1+1e-6)"
+
+
 @pytest.mark.parametrize("name,nu,layer", [
     # below the non-dissipative window, and without coupling below
     # |e^{iu0}|_2 = 1
@@ -851,6 +935,30 @@ def test_estimate_window_uses_the_recipe_default_nu(tmp_path):
     assert 0.1 < nd["t_max"] < run["T"]
 
 
+def test_estimate_window_takes_the_recipe_inputs(tmp_path, monkeypatch):
+    # the failure detail reads nu and alpha from the helper the recipe
+    # reads, so the two cannot disagree about the window
+    from carleman_fourier import params
+
+    recipe_inputs = params.nondissipative_inputs
+
+    def doubled(*args, **kwargs):
+        nu, alpha = recipe_inputs(*args, **kwargs)
+        return 2 * nu, 2 * alpha
+
+    for module in (params, cli):
+        monkeypatch.setattr(module, "nondissipative_inputs", doubled)
+    assert run_cli("estimate", CONFIGS / "dissipative_n2.json",
+                   "--out", tmp_path) == 0
+    nd = json.loads((tmp_path / "estimate.json").read_text())["nondissipative"]
+    ode, readout, run = _parsed("dissipative_n2")
+    nu, alpha = doubled(ode, run["r"], run["p"])
+    assert "error" in nd
+    assert nd["t_max"] == cf.t_max_nondissipative(
+        cf.rescale(ode, readout, nu), run["r"], run["p"], alpha)
+    assert nu == 2 * default_nu(ode, run["r"], run["p"])
+
+
 def test_estimate_refuses_r_equal_e(tmp_path):
     cfg = json.loads((CONFIGS / "nondissipative_n2.json").read_text())
     cfg["run"]["r"] = math.e
@@ -940,12 +1048,11 @@ def test_manifest_records_the_lifted_state(tmp_path):
         "monomial_dim": 35,
         "generator_applies": params["steps"] * params["taylor_order"] * 2,
     }
-    # the Koopman/Taylor split: Taylor steps of exp(L T) psi0, no verify pass
-    ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
-    op = cf.LinearOperatorLN.from_rescaled(cf.rescale(ode, readout, ps.nu), ps.order)
-    grid = action_config(op, run["T"])
-    assert split == {"steps": grid.m, "taylor_order": grid.k,
-                     "generator_applies": grid.m * grid.k}
+    # the Koopman/Taylor split reads exp(L T) psi0 off the run's own steps,
+    # which meet the exponential's bound: no generator apply of its own
+    assert split == {"steps": params["steps"],
+                     "taylor_order": params["taylor_order"],
+                     "generator_applies": 0}
     assert manifest["wall_times_s"]["dense_check_s"] > 0
 
 
