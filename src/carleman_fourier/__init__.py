@@ -20,8 +20,8 @@ from .linearize import (LiftedState, LinearOperatorLN, MonomialBasis, apply_LN,
                         lift_initial, lift_point, monomial_basis)
 from .norms import (conjugate_exponent, gamma_growth_bound, log_norm_2,
                     op_norm, row_q_norm, vector_p_norm)
-from .oracle import (Trajectory, closed_form_1d, exact_lifted, integrate,
-                     measure_eta, measure_eta_vector, propagate)
+from .oracle import (Trajectory, closed_form_1d, exact_lifted, final_state,
+                     integrate, measure_eta, measure_eta_vector, propagate)
 from .params import (ErrorBudget, ParamSet, end_to_end_error_budget,
                      select_dissipative, select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,

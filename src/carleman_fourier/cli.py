@@ -38,7 +38,7 @@ from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
                         generator_entries, lift_point, monomial_basis,
                         size_within)
 from .norms import op_norm, vector_p_norm
-from .oracle import (Trajectory, action_config, action_step_bound, integrate,
+from .oracle import (action_config, action_step_bound, final_state, integrate,
                      propagate)
 from .params import (ParamSet, derive_grid, end_to_end_error_budget,
                      nondissipative_inputs, select_dissipative,
@@ -324,14 +324,16 @@ def parse_overrides(overrides: dict, degree: int, text: str = "") -> dict:
 # ------------------------------------------------------------ pipeline run
 
 def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                 ps: ParamSet, traj: Trajectory | None = None,
+                 ps: ParamSet, u_final: np.ndarray | None = None,
                  basis: MonomialBasis | None = None) -> dict:
-    """rescale -> lift -> step -> read out -> compare to the oracle.  `traj`
-    is integrate(ode, run["T"], tol=run["oracle_tol"]) and `basis` is
-    monomial_basis(ode.n, N) for an N >= ps.order when the caller already
-    has them (a sweep builds each once for all rows); the run lifts and
-    steps on the basis' leading section of order ps.order, or on
-    monomial_basis(ode.n, ps.order) built here."""
+    """rescale -> lift -> step -> read out -> compare to the oracle.
+    `u_final` is the oracle's x(T), final_state(ode, run["T"],
+    tol=run["oracle_tol"]) or bit for bit the same state of a trajectory
+    that integrate returned, and `basis` is monomial_basis(ode.n, N) for an
+    N >= ps.order, when the caller already has them (a sweep builds each
+    once for all rows); the run lifts and steps on the basis' leading
+    section of order ps.order, or on monomial_basis(ode.n, ps.order) built
+    here."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
@@ -346,9 +348,8 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     timings["solve_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if traj is None:
-        traj = integrate(ode, run["T"], tol=run["oracle_tol"])
-    u_final = traj.state_at(run["T"])
+    if u_final is None:
+        u_final = final_state(ode, run["T"], tol=run["oracle_tol"])
     reference = eval_readout(readout, u_final)
     timings["oracle_s"] = time.perf_counter() - t0
 
@@ -393,7 +394,6 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "split": split,
         },
         "u_final": u_final,  # the oracle's state at run.T
-        "oracle_global_error": traj.est_global_error,
         "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
         "timings": timings,
         "rescaled": rescaled,
@@ -435,7 +435,11 @@ def cmd_solve(args) -> int:
     report = _checked_report(ode, run)
     ps = _pinned(select_regime(ode, readout, _with_nu(run, overrides),
                                report=report), overrides)
-    outcome = run_pipeline(ode, readout, run, ps)
+    t0 = time.perf_counter()
+    u_final, oracle_error = _oracle_reading(ode, run)
+    oracle_s = time.perf_counter() - t0
+    outcome = run_pipeline(ode, readout, run, ps, u_final)
+    outcome["timings"]["oracle_s"] += oracle_s
     bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
     resource = None
@@ -465,7 +469,7 @@ def cmd_solve(args) -> int:
             "koopman": outcome["koopman_error"],
             "taylor": outcome["taylor_error"],
             "solver_residual": outcome["residual"],
-            "oracle_global_error": outcome["oracle_global_error"],
+            "oracle_global_error": oracle_error,
             "within_epsilon": outcome["within_epsilon"],
         },
         "bounds": bound_vals,
@@ -506,6 +510,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _oracle_reading(ode: FourierOde, run: dict) -> tuple:
+    """x(T) and the global-error estimate of integrate's two passes, which
+    the solve manifest writes.  The trajectory, its samples and its dense
+    output, is dropped here, before the run steps, so it adds nothing to
+    the run's peak memory."""
+    traj = integrate(ode, run["T"], tol=run["oracle_tol"])
+    return traj.state_at(run["T"]), traj.est_global_error
+
+
 def cmd_sweep(args) -> int:
     cfg, ode, readout, run = _inputs(args)
     axis = args.axis
@@ -519,10 +532,10 @@ def cmd_sweep(args) -> int:
                "estimate_re", "estimate_im", "reference_re", "reference_im",
                "runtime_s", "error"]
     # no sweep axis changes the ODE, run.T, run.p or oracle_tol: one oracle
-    # and one dissipativity report serve every row
+    # state and one dissipativity report serve every row
     shared_error = None
     try:
-        traj = integrate(ode, run["T"], tol=run["oracle_tol"])
+        u_final = final_state(ode, run["T"], tol=run["oracle_tol"])
         report = _checked_report(ode, run)
     except CflError as exc:
         shared_error = _error_text(exc)
@@ -560,7 +573,7 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()  # runtime_s is the row's own run
         try:
             fits = basis is not None and ps.order <= basis.order
-            row.update(_sweep_row(ode, readout, row_run, ps, report, traj,
+            row.update(_sweep_row(ode, readout, row_run, ps, report, u_final,
                                   basis if fits else None))
         except CflError as exc:
             row["error"] = _error_text(exc)
@@ -590,8 +603,8 @@ def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value,
     return run, overrides
 
 
-def _sweep_row(ode, readout, run, ps, report, traj, basis) -> dict:
-    outcome = run_pipeline(ode, readout, run, ps, traj, basis)
+def _sweep_row(ode, readout, run, ps, report, u_final, basis) -> dict:
+    outcome = run_pipeline(ode, readout, run, ps, u_final, basis)
     bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
     eta1_measured = None

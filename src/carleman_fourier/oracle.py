@@ -22,11 +22,18 @@ a*b and b*a can differ in the last bit.  Keeping the integrator in the
 package keeps scipy.integrate, and the optimizer and quadrature code it
 loads, off the import path.
 
-A global-error estimate comes from a verification pass at a tolerance two
-orders tighter: the largest gap between the two passes' samples.  It is a
-loose upper estimate of the coarse pass's error, not the error of the fine
-pass whose trajectory is returned; when an oracle value backs a bound
-check, its error budget is therefore far below the bound under test.
+integrate runs two passes: a coarse one at tol and a fine one two orders
+tighter, each sampled on an even grid.  Its global-error estimate is the
+largest gap between the two passes' samples.  It is a loose upper estimate
+of the coarse pass's error, not the error of the fine pass whose trajectory
+is returned; when an oracle value backs a bound check, its error budget is
+therefore far below the bound under test.  final_state runs the fine pass
+alone on no sample grid and returns its x(T), bit for bit the state that
+integrate's trajectory reads at T.  Who pays for which pass: `cfl solve`
+calls integrate, since its manifest writes the estimate, and `cfl oracle`
+calls it for the samples it writes; cli.run_pipeline (given no state) and
+`cfl sweep` (once for all rows) read only x(T) and call final_state, at
+about half of integrate's cost.
 
 For n = 1 there is a closed form: with w = e^{ix} the equation becomes the
 Riccati-type dw/dt = i f0 w + i f1 w^2, and z = 1/w satisfies the linear
@@ -275,32 +282,48 @@ def _coefficients(problem) -> tuple:
     raise ConfigError(f"integrate: unsupported problem type {type(problem)!r}")
 
 
-def integrate(problem, horizon: float, tol: float = 1e-11,
-              samples: int = 65) -> Trajectory:
-    """Adaptive RK 5(4) reference solution of dx/dt = F0 + F1 e^{ix},
-    sampled at `samples` evenly spaced times over [0, horizon].  A sample
-    grid of more than DEFAULT_STATE_BUDGET entries is refused with
-    BudgetError before anything is allocated."""
+def _field(problem, horizon: float, tol: float) -> tuple:
+    """The checked initial state x0 of `problem` and its right-hand side
+    rhs(t, x, out=None), which writes dx/dt into `out` (a fresh array when
+    None); horizon and tol are checked as integrate documents them."""
     if horizon < 0:
         raise ConfigError("integrate: horizon must be >= 0")
     if not 1e-13 <= tol <= 1e-3:
         raise ConfigError("integrate: tol must lie in [1e-13, 1e-3]")
+    f0, f1, x0 = _coefficients(problem)
+
+    def rhs(_t, x, out=None):
+        # ndarray.dot is the gemv of f1 @ w at about half the call cost
+        out = f1.dot(np.exp(1j * x), out=out)
+        out += f0
+        return out
+
+    return np.asarray(x0, dtype=complex), rhs
+
+
+def _fine_tol(tol: float) -> float:
+    """The fine pass's tolerance: two orders tighter than the coarse pass,
+    floored at the solver's rtol cap."""
+    return max(tol * 1e-2, 2.3e-14)
+
+
+def integrate(problem, horizon: float, tol: float = 1e-11,
+              samples: int = 65) -> Trajectory:
+    """Adaptive RK 5(4) reference solution of dx/dt = F0 + F1 e^{ix},
+    sampled at `samples` evenly spaced times over [0, horizon], from both
+    passes: the coarse one at tol and the fine one at _fine_tol(tol), whose
+    samples and interpolant the trajectory holds.  horizon must be >= 0 and
+    tol lie in [1e-13, 1e-3].  A sample grid of more than
+    DEFAULT_STATE_BUDGET entries is refused with BudgetError before
+    anything is allocated."""
+    x0, rhs = _field(problem, horizon, tol)
     if samples < 2:
         raise ConfigError(f"integrate: samples must be >= 2, got {samples}")
-    f0, f1, x0 = _coefficients(problem)
-    x0 = np.asarray(x0, dtype=complex)
     if samples * x0.size > DEFAULT_STATE_BUDGET:
         raise BudgetError(
             f"integrate: {samples} samples of {x0.size} components exceed "
             f"the state budget of {DEFAULT_STATE_BUDGET} entries"
         )
-
-    def rhs(_t, x, out=None):
-        # dx/dt into `out` (a fresh array when None); ndarray.dot is the
-        # gemv of f1 @ w at about half the call cost
-        out = f1.dot(np.exp(1j * x), out=out)
-        out += f0
-        return out
 
     if horizon == 0:
         times = np.array([0.0])
@@ -311,11 +334,23 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
     t_eval = np.linspace(0.0, horizon, samples)
     # the coarse pass's samples only: its interpolant is dropped at once
     coarse = _dopri45(rhs, horizon, x0, tol, t_eval)[0]
-    # verification pass two orders tighter, floored at the solver's rtol cap
-    fine, dense = _dopri45(rhs, horizon, x0, max(tol * 1e-2, 2.3e-14), t_eval)
+    fine, dense = _dopri45(rhs, horizon, x0, _fine_tol(tol), t_eval)
     err = float(np.max(np.abs(coarse - fine)))
     return Trajectory(times=t_eval, states=fine, est_global_error=err,
                       _interpolant=dense)
+
+
+def final_state(problem, horizon: float, tol: float = 1e-11) -> np.ndarray:
+    """x(horizon) from integrate's fine pass alone, on no sample grid: bit
+    for bit integrate(problem, horizon, tol).state_at(horizon), since the
+    samples never change a step and both read the last step's interpolant
+    at horizon.  horizon and tol are checked as integrate checks them."""
+    x0, rhs = _field(problem, horizon, tol)
+    if horizon == 0:
+        return x0.copy()
+    horizon = float(horizon)
+    dense = _dopri45(rhs, horizon, x0, _fine_tol(tol), np.empty(0))[1]
+    return dense(horizon)
 
 
 def _phi1(s: complex) -> complex:

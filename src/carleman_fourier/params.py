@@ -35,7 +35,8 @@ from .taylor import step_count_for
 
 E = math.e
 
-# selection refuses Taylor orders above this instead of silently clamping
+# derive_grid refuses Taylor orders above this, derived or pinned, instead
+# of silently clamping
 TAYLOR_ORDER_CAP = 500
 
 
@@ -110,16 +111,6 @@ def _ceil_log2(x: float) -> int:
     if x <= 0:
         raise ConfigError("ceil(log2) of a non-positive value")
     return max(0, math.ceil(math.log2(x)))
-
-
-def _taylor_order(primary: float, steps: int) -> int:
-    k = max(_ceil_log2(primary), _ceil_log2(steps * E ** 2), 1)
-    if k > TAYLOR_ORDER_CAP:
-        raise ConfigError(
-            f"selected Taylor order k={k} exceeds cap {TAYLOR_ORDER_CAP}; "
-            "the accuracy demand is out of desk-scale range"
-        )
-    return k
 
 
 def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
@@ -317,7 +308,8 @@ _LOG["uncoupled"] = tuple((name, key, _UNCOUPLED.get(name, formula))
 def derive_grid(ps: ParamSet, pins: dict | None = None) -> ParamSet:
     """ps with N -> m -> Gamma -> k -> c1, c2, tau, sigma, delta, z derived
     from its recipe inputs, each by its formula unless `pins` gives it (N, k
-    or m by name); ps.pinned keeps a pinned nu and records these.  The
+    or m by name); ps.pinned keeps a pinned nu and records these.  A k
+    above TAYLOR_ORDER_CAP, derived or pinned, is a ConfigError.  The
     regimes differ in N's formula and in two factors, each 1 in the other:
     the dissipative bound R_p/sqrt(1 - R_p^2) on the initial lifted state
     (gamma/sqrt(1 - gamma^2) without coupling) and the envelope Gamma."""
@@ -345,8 +337,19 @@ def derive_grid(ps: ParamSet, pins: dict | None = None) -> ParamSet:
         order, horizon, ps.nu, ps.g1_row_q, ps.mu0)
     growth = 1.0 if dissipative else gamma_env
     if taylor_order is None:
-        taylor_order = _taylor_order(
-            4 * E ** 3 / eps * s * d_norm2 * steps * spread * growth, steps)
+        taylor_order = max(_ceil_log2(
+            4 * E ** 3 / eps * s * d_norm2 * steps * spread * growth),
+            _ceil_log2(steps * E ** 2), 1)
+    if taylor_order > TAYLOR_ORDER_CAP:
+        if "k" in pins:
+            raise ConfigError(
+                f"pinned Taylor order k={taylor_order} exceeds cap "
+                f"{TAYLOR_ORDER_CAP}; steps of that degree are out of "
+                "desk-scale range")
+        raise ConfigError(
+            f"selected Taylor order k={taylor_order} exceeds cap "
+            f"{TAYLOR_ORDER_CAP}; the accuracy demand is out of desk-scale "
+            "range")
     root = math.sqrt(taylor_order + 1)
     c1 = eps * math.sqrt(steps) / (4 * d_norm2 * s) / spread
     c2 = 8 * E ** 4 * steps ** 2 * root * growth ** 2

@@ -91,3 +91,19 @@ def tensor_coeff_blocks(readout, rescaled, order):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rk45_passes(monkeypatch):
+    """(tol, sample count) of every RK45 pass the oracle runs in the test."""
+    import carleman_fourier.oracle as oracle
+
+    passes = []
+    dopri45 = oracle._dopri45
+
+    def counted(fun, t_bound, y0, tol, t_eval):
+        passes.append((tol, t_eval.size))
+        return dopri45(fun, t_bound, y0, tol, t_eval)
+
+    monkeypatch.setattr(oracle, "_dopri45", counted)
+    return passes

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -427,15 +428,38 @@ def test_oracle_divergence_exit_4(tmp_path):
 
 
 def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
-    # one step of h = T = 1.5 with degree 940 at N = 600: the Taylor sum of
-    # exp(-900) overflows on the last block
+    # one step of h = T = 1.5 with degree 500 (TAYLOR_ORDER_CAP) at N = 1200:
+    # the Taylor sum of exp(-1800) overflows on the last block
     code = run_cli("solve", CONFIGS / "linear_n1.json", "--param-overrides",
-                   "N=600,k=940,m=1", "--out", tmp_path)
+                   "N=1200,k=500,m=1", "--out", tmp_path)
     assert code == 4
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "DivergenceError"
     assert payload["step"] == 1
     assert payload["layer"] == "taylor.forward_solve"
+
+
+def test_pinned_taylor_order_above_the_cap_is_refused(tmp_path, capsys):
+    # a pinned k meets TAYLOR_ORDER_CAP as a derived one does, before any
+    # step: k = 10^8 would otherwise step for minutes
+    message = "pinned Taylor order k=100000000 exceeds cap 500"
+    code = run_cli("solve", CONFIGS / "dissipative_n2.json", "--param-overrides",
+                   "k=100000000", "--out", tmp_path / "solve")
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
+    code = run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "k",
+                   "--values", "4,100000000", "--out", tmp_path / "sweep")
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "sweep" / "result.csv")
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"].startswith(f"ConfigError: {message}")
+    # the cap itself is allowed
+    ode, readout, run, _ps = _pipeline_inputs("dissipative_n2")
+    assert cli.select_params(ode, readout, run, {"k": 500}).taylor_order == 500
+    with pytest.raises(cf.ConfigError, match="k=501 exceeds cap 500"):
+        cli.select_params(ode, readout, run, {"k": 501})
 
 
 def test_solve_hypothesis_violation_names_the_layer(tmp_path, capsys):
@@ -769,14 +793,22 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch):
-    calls = _count_calls(monkeypatch, cli, "integrate")
+def _sample_counts(passes):
+    return [samples for _tol, samples in passes]
+
+
+def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch, rk45_passes):
+    calls = _count_calls(monkeypatch, cli, "final_state")
+    trajectories = _count_calls(monkeypatch, cli, "integrate")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "N",
                    "--values", "4,5,6,7,8", "--out", tmp_path)
     monkeypatch.undo()
     assert code == 0
-    assert len(calls) == 1
-    # every numeric column matches a pipeline run with its own oracle
+    # one RK45 pass, with no sample grid, for all rows
+    assert (len(calls), len(trajectories)) == (1, 0)
+    assert _sample_counts(rk45_passes) == [0]
+    # every numeric column matches a pipeline run with its own oracle, whose
+    # reference is read off a whole integrate trajectory
     for row in read_csv_rows(tmp_path / "result.csv"):
         assert row["error"] == ""
         single = _single_run_columns("nondissipative_n2", N=int(row["N"]))
@@ -900,13 +932,59 @@ def test_sweep_oracle_failure_fills_every_row(tmp_path, monkeypatch):
     def diverge(*_args, **_kwargs):
         raise DivergenceError("integrate: step-size failure near t=0.1")
 
-    monkeypatch.setattr(cli, "integrate", diverge)
+    monkeypatch.setattr(cli, "final_state", diverge)
     code = run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "N",
                    "--values", "3,4,5", "--out", tmp_path)
     assert code == 0
     rows = read_csv_rows(tmp_path / "result.csv")
     assert len(rows) == 3
     assert all(row["error"].startswith("DivergenceError: integrate") for row in rows)
+
+
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_run_pipeline_integrates_one_pass_without_samples(name, rk45_passes):
+    ode, readout, run, ps = _pipeline_inputs(name)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    assert _sample_counts(rk45_passes) == [0]
+    assert "oracle_global_error" not in outcome
+    # a given state is read as it is: no pass, the same outcome
+    rk45_passes.clear()
+    traj = cf.integrate(ode, run["T"], tol=run["oracle_tol"])
+    given = cli.run_pipeline(ode, readout, run, ps, traj.state_at(run["T"]))
+    assert _sample_counts(rk45_passes) == [65, 65]
+    assert given["u_final"].tobytes() == outcome["u_final"].tobytes()
+    for key in ("estimate", "reference", "total_error", "koopman_error",
+                "taylor_error"):
+        assert given[key] == outcome[key]
+
+
+@pytest.mark.parametrize("command,samples", [("solve", 65), ("oracle", 101)])
+def test_solve_and_oracle_integrate_both_passes(tmp_path, rk45_passes,
+                                                command, samples):
+    assert run_cli(command, CONFIGS / "dissipative_n2.json",
+                   "--out", tmp_path) == 0
+    assert _sample_counts(rk45_passes) == [samples, samples]
+
+
+def test_solve_writes_both_passes_of_its_oracle(tmp_path, monkeypatch):
+    # oracle_global_error is integrate's gap between the passes, the
+    # reference reads its trajectory, and oracle_s times integrate too
+    ode, readout, run, _ps = _pipeline_inputs("dissipative_n2")
+    traj = cf.integrate(ode, run["T"], tol=run["oracle_tol"])
+    integrate = cli.integrate
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", slow)
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["errors"]["oracle_global_error"] == traj.est_global_error
+    reference = cf.eval_readout(readout, traj.state_at(run["T"]))
+    assert manifest["reference"] == [reference.real, reference.imag]
+    assert manifest["wall_times_s"]["oracle_s"] >= 0.05
 
 
 # ----------------------------------------------------------------- estimate

@@ -165,6 +165,83 @@ def test_integrate_starts_as_scipy_when_the_first_step_estimate_overflows():
     assert traj.est_global_error == err
 
 
+# -------------------------------------------------------------- final_state
+
+def _state_bytes_agree(problem, horizon, tol=1e-11):
+    """final_state against the state that integrate's trajectory reads."""
+    expected = cf.integrate(problem, horizon, tol=tol).state_at(horizon)
+    actual = cf.final_state(problem, horizon, tol=tol)
+    return actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_final_state_is_integrate_at_the_horizon_on_configs(name):
+    cfg = cli.load_config(CONFIG_DIR / f"{name}.json")
+    ode, run = cli.parse_ode(cfg), cli.parse_run(cfg)
+    assert _state_bytes_agree(ode, run["T"], run["oracle_tol"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_final_state_is_integrate_at_the_horizon_on_dissipative_problems(seed):
+    from conftest import make_dissipative_ode
+
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        ode = make_dissipative_ode(rng, n)
+        horizon = float(rng.uniform(0.1, 3.0))
+        assert _state_bytes_agree(ode, horizon)
+        assert _state_bytes_agree(make_rescaled(rng, n), horizon, tol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.01, 2.0), st.floats(-13.0, -3.0))
+def test_final_state_is_integrate_at_the_horizon(n, seed, horizon, log_tol):
+    # the fields of test_integrate_is_bitwise_scipy_rk45, whose step control
+    # rejects steps often; a draw that blows up fails in both
+    rng = np.random.default_rng(seed)
+    ode = cf.FourierOde(n=n, g0=complex_uniform(rng, n, scale=5.0) + 1j,
+                        g1=complex_uniform(rng, (n, n), scale=rng.uniform(0, 3)),
+                        u0=complex_uniform(rng, n, scale=0.5))
+    tol = 10.0 ** log_tol
+    try:
+        expected = cf.integrate(ode, horizon, tol=tol).state_at(horizon)
+    except DivergenceError:
+        with pytest.raises(DivergenceError):
+            cf.final_state(ode, horizon, tol=tol)
+        return
+    assert cf.final_state(ode, horizon, tol=tol).tobytes() == expected.tobytes()
+
+
+def test_final_state_at_zero_is_the_initial_state(rng):
+    rp = make_rescaled(rng, 3)
+    state = cf.final_state(rp, 0.0)
+    assert state.tobytes() == cf.integrate(rp, 0.0).state_at(0.0).tobytes()
+    assert state.tobytes() == rp.x0.astype(complex).tobytes()
+    state[0] += 1.0  # a copy, not the problem's own array
+    assert state.tobytes() != rp.x0.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("horizon,tol", [(-0.5, 1e-11), (1.0, 1e-2),
+                                         (1.0, 1e-14), (1.0, math.nan)])
+def test_final_state_refuses_what_integrate_refuses(rng, horizon, tol):
+    rp = make_rescaled(rng, 2)
+    with pytest.raises(ConfigError) as expected:
+        cf.integrate(rp, horizon, tol=tol)
+    with pytest.raises(ConfigError) as actual:
+        cf.final_state(rp, horizon, tol=tol)
+    assert str(actual.value) == str(expected.value)
+
+
+def test_final_state_runs_the_fine_pass_alone(rng, rk45_passes):
+    rp = make_rescaled(rng, 2)
+    cf.final_state(rp, 1.0, tol=1e-9)
+    assert rk45_passes == [(1e-9 * 1e-2, 0)]
+    rk45_passes.clear()
+    cf.integrate(rp, 1.0, tol=1e-9)
+    assert rk45_passes == [(1e-9, 65), (1e-9 * 1e-2, 65)]
+
+
 def _run_python(code: str):
     import os
     import subprocess
