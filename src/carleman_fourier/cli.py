@@ -22,8 +22,12 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import io
+import itertools
 import json
+import locale
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -50,6 +54,13 @@ from .tensor import dense_LN
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
 OVERRIDE_KEYS = ("N", "k", "m", "nu")
+
+# pieces of an output joined into one write (_write_output): the JSON
+# encoder yields some 400 short pieces per manifest, a CSV one per row.
+# A solve's peak memory grows with the batch: 64 pieces held about 2 KB
+# more than 32, and 256 kept only about a third of the gain over writing
+# one joined text
+WRITE_BATCH = 32
 
 # the Koopman/Taylor error split and eta measurement of solve and sweep, and
 # the 2-norm check of estimate, run only up to this tensor size.  The split
@@ -478,8 +489,9 @@ def cmd_solve(args) -> int:
         "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
-    _write_output(outdir / "manifest.json",
-                  json.dumps(manifest, indent=2, default=_json_default))
+    # the pieces json.dumps(manifest, indent=2) joins, written as formatted
+    _write_output(outdir / "manifest.json", json.JSONEncoder(
+        indent=2, default=_json_default).iterencode(manifest))
     columns = [
         ("regime", ps.regime),
         ("N", ps.order), ("k", ps.taylor_order), ("m", ps.steps),
@@ -684,9 +696,9 @@ def cmd_oracle(args) -> int:
     header = ["t"]
     for i in range(ode.n):
         header += [f"re(x_{i + 1})", f"im(x_{i + 1})"]
-    _write_csv(outdir / "trajectory.csv", [header, *(
+    _write_csv(outdir / "trajectory.csv", itertools.chain([header], (
         [t, *(part for val in state for part in (val.real, val.imag))]
-        for t, state in zip(traj.times, traj.states))])
+        for t, state in zip(traj.times, traj.states))))
     print(f"wrote {outdir / 'trajectory.csv'} "
           f"(est. global error {traj.est_global_error:.3e})")
     return 0
@@ -698,8 +710,12 @@ def _error_text(exc: CflError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _write_output(path: Path, text: str) -> None:
-    """Write text to a new file at path, removing any old one first.
+def _write_output(path: Path, text) -> None:
+    """Write text, a str or an iterable of str pieces, to a new file at
+    path, removing any old one first.  The file holds the bytes
+    Path.write_text writes for the pieces joined, but the pieces are joined
+    and written WRITE_BATCH at a time, so an output is never held whole: a
+    manifest's JSON as its encoder yields it, a CSV row by row.
 
     Rewriting a file whose data already sits on disk in place can cost tens
     of milliseconds on some file systems (ext4 mounted with discard), where
@@ -708,13 +724,37 @@ def _write_output(path: Path, text: str) -> None:
     written through.
     """
     path.unlink(missing_ok=True)
-    path.write_text(text)
+    pieces = iter([text] if isinstance(text, str) else text)
+    encoding = _text_encoding()
+    with open(path, "wb", buffering=0) as out:
+        while batch := list(itertools.islice(pieces, WRITE_BATCH)):
+            # one name for the pieces, their text and its bytes, so that
+            # each is freed as soon as the next is made
+            batch = "".join(batch)
+            if os.linesep != "\n":
+                batch = batch.replace("\n", os.linesep)
+            batch = batch.encode(encoding)
+            written = out.write(batch)
+            while written < len(batch):  # an unbuffered write may be short
+                written += out.write(memoryview(batch)[written:])
+
+
+def _text_encoding() -> str:
+    """The encoding Path.write_text uses when given none: UTF-8 in Python's
+    UTF-8 mode, else the locale's."""
+    encoding = io.text_encoding(None)
+    if encoding != "locale":
+        return encoding
+    if hasattr(locale, "getencoding"):  # Python 3.11 on
+        return locale.getencoding()
+    return locale.getpreferredencoding(False)
 
 
 def _write_csv(path: Path, rows) -> None:
-    """Write rows of cells as CSV, each cell rendered by fmt."""
-    _write_output(path, "".join(",".join(fmt(cell) for cell in row) + "\n"
-                                for row in rows))
+    """Write rows of cells as CSV, each cell rendered by fmt, one row at a
+    time."""
+    _write_output(path, (",".join(fmt(cell) for cell in row) + "\n"
+                         for row in rows))
 
 
 def _json_default(obj):

@@ -332,7 +332,13 @@ def apply_LN(op: LinearOperatorLN | BlockOperator, x: np.ndarray) -> np.ndarray:
     # (n, M_<N): s is axis 0.  Fancy indexing is a few percent faster here
     # than take
     gathered = x[op.up_t]
-    gathered *= op.coupling
+    if gathered.size > 1:
+        gathered *= op.coupling
+    else:
+        # numpy rounds an in-place complex product of one element unlike
+        # the same product inside a wider array (the out-of-place one
+        # agrees), which would break block_operator's column equality
+        gathered = gathered * op.coupling
     # summed over s in place into row 0, in the order np.add.reduce takes
     # along axis 0, without its temporary
     summed = gathered[0]

@@ -326,16 +326,19 @@ def integrate(problem, horizon: float, tol: float = 1e-11,
         )
 
     if horizon == 0:
+        # x0 may be the problem's own u0: every read gets a copy of it
         times = np.array([0.0])
         states = x0[None, :].copy()
-        return Trajectory(times, states, 0.0, _interpolant=lambda _t: x0)
+        return Trajectory(times, states, 0.0,
+                          _interpolant=lambda _t: x0.copy())
 
     horizon = float(horizon)
     t_eval = np.linspace(0.0, horizon, samples)
-    # the coarse pass's samples only: its interpolant is dropped at once
+    # the coarse pass's samples only: its interpolant is dropped at once,
+    # and the gap to the fine pass is formed in its place
     coarse = _dopri45(rhs, horizon, x0, tol, t_eval)[0]
     fine, dense = _dopri45(rhs, horizon, x0, _fine_tol(tol), t_eval)
-    err = float(np.max(np.abs(coarse - fine)))
+    err = float(np.max(np.abs(np.subtract(coarse, fine, out=coarse))))
     return Trajectory(times=t_eval, states=fine, est_global_error=err,
                       _interpolant=dense)
 

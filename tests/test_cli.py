@@ -1078,6 +1078,74 @@ def test_oracle_trajectory_dump(tmp_path):
     assert float(rows[-1]["t"]) == pytest.approx(1.0)
 
 
+def test_oracle_peak_memory_does_not_hold_the_csv(tmp_path):
+    # 20,000 samples: 0.64 MB of states per pass and 1.9 MB of CSV text,
+    # written a batch of rows at a time
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    cfg["run"]["samples"] = 20000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        assert run_cli("oracle", path, "--out", tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "trajectory.csv").read_bytes().splitlines()) == 20001
+    assert peak < 3e6
+
+
+# ------------------------------------------------------------------- output
+
+def _written(write, path):
+    """The bytes write(path) leaves at path, or the type of the encoding
+    error it raises."""
+    try:
+        write(path)
+    except UnicodeEncodeError as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("pieces", [
+    [],
+    [""],
+    ["{", "\n  ", '"a"', ": ", "1.5", "\n", "}"],
+    # more than one batch, with a batch of empty pieces inside
+    [f"{i}," for i in range(100)] + [""] * (2 * cli.WRITE_BATCH) + ["end\n"],
+    ["ConfigError: cannot read '/data/r\u00e9sultats/\u03bd.json'\n"],
+])
+def test_write_output_writes_the_bytes_of_write_text(tmp_path, pieces):
+    text = "".join(pieces)
+    expected = _written(lambda p: p.write_text(text), tmp_path / "expected")
+    assert _written(lambda p: cli._write_output(p, text),
+                    tmp_path / "str") == expected
+    assert _written(lambda p: cli._write_output(p, iter(pieces)),
+                    tmp_path / "pieces") == expected
+
+
+def test_write_csv_writes_the_bytes_of_write_text(tmp_path):
+    # an error cell quotes a path that is not ASCII
+    rows = [["value", "total_error", "error"],
+            [4, 1.25e-7, ""],
+            [5, None, "ConfigError: cannot read /tmp/\u00e9t\u00e9.json"]]
+    text = "".join(",".join(cli.fmt(cell) for cell in row) + "\n"
+                   for row in rows)
+    expected = _written(lambda p: p.write_text(text), tmp_path / "expected")
+    assert _written(lambda p: cli._write_csv(p, iter(rows)),
+                    tmp_path / "rows") == expected
+
+
+@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
+                                  "linear_n1", "nondissipative_n2"])
+def test_solve_manifest_is_the_stdlib_json_format(tmp_path, name):
+    # the manifest is written as its encoder yields it, in the bytes
+    # json.dumps(..., indent=2) would join
+    assert run_cli("solve", CONFIGS / f"{name}.json", "--out", tmp_path) == 0
+    text = (tmp_path / "manifest.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
 # --------------------------------------------------------------------- main
 
 def test_main_parses_without_cycles_and_runs_the_current_command(monkeypatch):

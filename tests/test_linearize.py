@@ -233,11 +233,12 @@ def test_apply_ln_sums_the_couplings_as_add_reduce(rng, n, order):
     assert cf.apply_LN(op, x).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n, order", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3),
-                                      (4, 1), (4, 2)])
+@pytest.mark.parametrize("n, order", [(1, 1), (1, 2), (1, 5), (2, 1), (2, 4),
+                                      (3, 3), (4, 1), (4, 2)])
 def test_apply_ln_rows_equal_single_applies(rng, n, order):
     # B states as the columns of an (M, B) array, flattened, are one state of
-    # the B-fold operator; order 1 has no coupled monomials: up_t has width 0
+    # the B-fold operator; order 1 has no coupled monomials: up_t has width 0,
+    # and (1, 2) has a coupling table of one entry
     rp = make_rescaled(rng, n)
     op = cf.LinearOperatorLN.from_rescaled(rp, order)
     for width in (1, 2, 5):

@@ -12,8 +12,8 @@ from carleman_fourier.errors import BudgetError, ConfigError, DivergenceError
 from carleman_fourier.oracle import action_config
 from carleman_fourier.tensor import expand
 
-from conftest import (complex_uniform, make_nondissipative_rescaled,
-                      make_rescaled)
+from conftest import (complex_uniform, make_dissipative_ode,
+                      make_nondissipative_rescaled, make_rescaled)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 BUNDLED = sorted(path.stem for path in CONFIG_DIR.glob("*.json"))
@@ -220,6 +220,20 @@ def test_final_state_at_zero_is_the_initial_state(rng):
     assert state.tobytes() == rp.x0.astype(complex).tobytes()
     state[0] += 1.0  # a copy, not the problem's own array
     assert state.tobytes() != rp.x0.astype(complex).tobytes()
+
+
+def test_trajectory_at_zero_reads_copies_of_the_initial_state(rng):
+    # a complex u0 is the array _field hands the integrator: each read of the
+    # trajectory, like final_state, must leave the problem's own u0 alone
+    ode = make_dissipative_ode(rng, 2)
+    before = ode.u0.copy()
+    traj = cf.integrate(ode, 0.0)
+    state = traj.state_at(0.0)
+    assert state.tobytes() == before.tobytes()
+    state[0] += 1.0
+    traj.states[0, 1] += 1.0
+    assert ode.u0.tobytes() == before.tobytes()
+    assert traj.state_at(0.0).tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("horizon,tol", [(-0.5, 1e-11), (1.0, 1e-2),

@@ -233,6 +233,7 @@ def _per_step_solve(op, cfg, psi0):
     (2, 3, 15, [(63,), (63,), (9,)]),           # ends in a block of one
     (2, 3, 23, [(63,)] * 3 + [(18,)]),
     (2, 10, 3, [(65,)] * 3),                    # M above the cap
+    (1, 2, 40, [(64,), (16,)]),                 # a coupling table of one entry
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
                                                            order, m, blocks):
