@@ -19,7 +19,6 @@ violation, 4 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import io
@@ -36,20 +35,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import estimator as estimator_mod
-from .errors import (BudgetError, CflError, ConfigError, DivergenceError,
-                     HypothesisViolation)
-from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN, MonomialBasis,
-                        generator_entries, lift_point, monomial_basis,
-                        size_within)
-from .norms import op_norm, vector_p_norm
-from .oracle import (action_config, action_step_bound, final_state, integrate,
-                     propagate)
-from .params import (ParamSet, derive_grid, end_to_end_error_budget,
-                     nondissipative_inputs, select_dissipative,
-                     select_nondissipative)
-from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
-                      expand_coeff_vector, rescale)
-from .taylor import TaylorConfig, forward_solve, readout_value
+from .errors import CflError, ConfigError, HypothesisViolation
+from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN,
+                        generator_entries, monomial_basis, size_within)
+from .norms import op_norm
+from .oracle import integrate
+from .params import ParamSet, end_to_end_error_budget, nondissipative_inputs
+from .problem import FourierOde, ReadoutSpec, rescale
+from .study import DIAG_DENSE_CAP, Study, float_range, run_pipeline  # noqa: F401 (perfbench)
 from .tensor import dense_LN
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
@@ -61,14 +54,6 @@ OVERRIDE_KEYS = ("N", "k", "m", "nu")
 # more than 32, and 256 kept only about a third of the gain over writing
 # one joined text
 WRITE_BATCH = 32
-
-# the Koopman/Taylor error split and eta measurement of solve and sweep, and
-# the 2-norm check of estimate, run only up to this tensor size.  The split
-# needs no dense matrix: it is the run's own final state when the run's
-# steps meet oracle.action_step_bound, and otherwise the action of exp(L T)
-# on psi0, Taylor steps on the monomial generator (oracle.propagate), whose
-# extra generator applies are what the cap bounds.
-DIAG_DENSE_CAP = 1024
 
 
 def fmt(x) -> str:
@@ -223,6 +208,8 @@ def parse_run(cfg: dict) -> dict:
                           f"got {out['regime']!r}")
     if out["T"] < 0:
         raise ConfigError("run.T must be >= 0")
+    if out["p"] < 1:
+        raise ConfigError("run.p must be >= 1")
     if out["epsilon"] <= 0:
         raise ConfigError("run.epsilon must be positive")
     if out["nu"] is not None and out["nu"] <= 0:
@@ -234,74 +221,11 @@ def parse_run(cfg: dict) -> dict:
 
 # ------------------------------------------------------- parameter plumbing
 
-def _checked_report(ode: FourierOde, run: dict) -> bounds_mod.DissipativityReport:
-    """The dissipativity report at run.p, cross-checked against the run's
-    expected values."""
-    report = bounds_mod.check_dissipative(ode, run["p"])
-    for key, actual in (("expected_mu0", report.mu0), ("expected_r_p", report.r_p)):
-        expected = run.get(key)
-        if expected is not None and not math.isclose(
-                expected, actual, rel_tol=1e-9, abs_tol=1e-12):
-            raise ConfigError(
-                f"run.{key} = {expected} disagrees with recomputed value {actual}"
-            )
-    return report
-
-
 def select_params(ode: FourierOde, readout: ReadoutSpec, run: dict,
                   overrides: dict) -> ParamSet:
-    """The recipe of run.regime at the nu of an override, if any, with the
-    overrides of N, k and m pinned in its grid."""
+    """Study.params at the run section and the checked overrides."""
     overrides = parse_overrides(overrides, readout.degree)
-    return _pinned(select_regime(ode, readout, _with_nu(run, overrides),
-                                 report=_checked_report(ode, run)), overrides)
-
-
-def _with_nu(run: dict, overrides: dict) -> dict:
-    """The run section with an override of nu as run.nu: nu is a recipe
-    input, and the recipe derives everything after it."""
-    return dict(run, nu=overrides["nu"]) if "nu" in overrides else run
-
-
-def _pinned(ps: ParamSet, overrides: dict) -> ParamSet:
-    """ps with its grid derived again around the overrides of N, k and m
-    (params.derive_grid); ps itself when there are none."""
-    pins = {key: overrides[key] for key in ("N", "k", "m") if key in overrides}
-    if not pins:
-        return ps
-    with _float_range("parameter overrides"):
-        return derive_grid(ps, pins)
-
-
-def select_regime(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                  regime: str | None = None,
-                  report: bounds_mod.DissipativityReport | None = None) -> ParamSet:
-    """The parameter recipe of `regime` (run.regime when None), fed from the
-    run section; `report` is check_dissipative(ode, run["p"]) when the
-    caller holds it, and auto takes the regime the report admits."""
-    regime = regime or run["regime"]
-    if regime == "auto":
-        regime = "dissipative" if report.dissipative else "nondissipative"
-    with _float_range(f"{regime} parameter selection"):
-        if regime == "dissipative":
-            return select_dissipative(ode, readout, run["epsilon"], run["T"],
-                                      p=run["p"], alpha=run["alpha"],
-                                      beta=run["beta"], report=report,
-                                      nu=run["nu"])
-        return select_nondissipative(ode, readout, run["epsilon"], run["T"],
-                                     p=run["p"], alpha=run["alpha"],
-                                     beta=run["beta"], r=run["r"], nu=run["nu"])
-
-
-@contextlib.contextmanager
-def _float_range(layer: str):
-    """An overflow, a division by zero or a NaN cast to int inside `layer`
-    becomes a ConfigError naming it: the problem's numbers leave the double
-    range there (a coupling of 1e-300 pins nu near 1e300, say)."""
-    try:
-        yield
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"{layer}: a number left the floating-point range: {exc}") from exc
+    return Study(ode, readout, run).params(run, overrides)
 
 
 def parse_overrides(overrides: dict, degree: int, text: str = "") -> dict:
@@ -332,105 +256,6 @@ def parse_overrides(overrides: dict, degree: int, text: str = "") -> dict:
     return out
 
 
-# ------------------------------------------------------------ pipeline run
-
-def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
-                 ps: ParamSet, u_final: np.ndarray | None = None,
-                 basis: MonomialBasis | None = None) -> dict:
-    """rescale -> lift -> step -> read out -> compare to the oracle.
-    `u_final` is the oracle's x(T), final_state(ode, run["T"],
-    tol=run["oracle_tol"]) or bit for bit the same state of a trajectory
-    that integrate returned, and `basis` is monomial_basis(ode.n, N) for an
-    N >= ps.order, when the caller already has them (a sweep builds each
-    once for all rows); the run lifts and steps on the basis' leading
-    section of order ps.order, or on monomial_basis(ode.n, ps.order) built
-    here."""
-    timings = {}
-    t0 = time.perf_counter()
-    rescaled = rescale(ode, readout, ps.nu)
-    basis = (monomial_basis(ode.n, ps.order) if basis is None
-             else basis.leading(ps.order))
-    op = LinearOperatorLN(basis, rescaled.f0, rescaled.f1)
-    psi0 = lift_point(rescaled.w0, basis)
-    coeffs = expand_coeff_vector(readout, rescaled, ps.order)
-    cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
-    result = forward_solve(op, cfg, psi0)
-    estimate = readout_value(result, coeffs)
-    timings["solve_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if u_final is None:
-        u_final = final_state(ode, run["T"], tol=run["oracle_tol"])
-    reference = eval_readout(readout, u_final)
-    timings["oracle_s"] = time.perf_counter() - t0
-
-    total_error = abs(estimate - reference)
-    koopman_err = taylor_err = psi_lin = split = None
-    if size_within(op.n, op.order, DIAG_DENSE_CAP):
-        t0 = time.perf_counter()
-        norm = op.norm_1()
-        if norm * cfg.h <= action_step_bound(cfg.k):
-            # the run's own steps evaluate exp(L T) psi0 to the unit
-            # roundoff, and the verify pass only reads the Horner states:
-            # the final state is propagate(op, psi0, T, cfg) bit for bit
-            psi_lin = result.final
-            split = {"steps": cfg.m, "taylor_order": cfg.k,
-                     "generator_applies": 0}
-        else:
-            # a split the stepping budget refuses, or one that overflows, is
-            # reported as null; it never fails a run that stepped
-            with contextlib.suppress(BudgetError, DivergenceError):
-                grid = action_config(op, run["T"], norm)
-                psi_lin = propagate(op, psi0, run["T"], grid)
-                split = {"steps": grid.m, "taylor_order": grid.k,
-                         "generator_applies": grid.m * grid.k}
-        if psi_lin is not None:
-            lin_readout = complex(np.dot(coeffs, psi_lin.vector))
-            koopman_err = abs(lin_readout - reference)
-            taylor_err = abs(estimate - lin_readout)
-        timings["dense_check_s"] = time.perf_counter() - t0
-
-    return {
-        "estimate": estimate,
-        "reference": reference,
-        "total_error": total_error,
-        "koopman_error": koopman_err,
-        "taylor_error": taylor_err,
-        "residual": result.residual,
-        "lifted_state": {
-            "basis": "monomial",
-            "tensor_dim": op.size,
-            "monomial_dim": op.monomial_size,
-            "generator_applies": result.generator_applies,
-            "split": split,
-        },
-        "u_final": u_final,  # the oracle's state at run.T
-        "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
-        "timings": timings,
-        "rescaled": rescaled,
-        "operator": op,
-        "within_epsilon": bool(total_error <= ps.epsilon),
-    }
-
-
-def _bound_values(run: dict, ps: ParamSet, rescaled: RescaledProblem,
-                  report: bounds_mod.DissipativityReport) -> dict:
-    """Evaluate the truncation bounds that apply to this run; rescaled is
-    rescale(ode, readout, ps.nu), as run_pipeline returns it, and report is
-    check_dissipative(ode, ps.p)."""
-    out = {}
-    if report.dissipative:
-        for k in range(1, min(ps.degree, ps.order) + 1):
-            rep = bounds_mod.eta_bound_dissipative(report, rescaled, ps.order,
-                                                   k, ps.p)
-            out[f"eta_{k}_bound_inf_time"] = rep.value
-    if ps.regime == "nondissipative" and ps.r is not None:
-        rep = bounds_mod.eta_bound_finite_time(rescaled, ps.order, ps.r,
-                                               run["T"], ps.p)
-        out["eta_bound_finite_time"] = rep.value
-    return out
-
-
 # ---------------------------------------------------------------- commands
 
 def _inputs(args) -> tuple:
@@ -443,19 +268,17 @@ def cmd_solve(args) -> int:
     cfg, ode, readout, run = _inputs(args)
     overrides = parse_overrides(cfg["overrides"], readout.degree,
                                 args.param_overrides)
-    report = _checked_report(ode, run)
-    ps = _pinned(select_regime(ode, readout, _with_nu(run, overrides),
-                               report=report), overrides)
+    study = Study(ode, readout, run)
+    ps = study.params(run, overrides)
     t0 = time.perf_counter()
-    u_final, oracle_error = _oracle_reading(ode, run)
+    oracle_error = study.oracle_error()
     oracle_s = time.perf_counter() - t0
-    outcome = run_pipeline(ode, readout, run, ps, u_final)
+    outcome = study.outcome(ps, None)
     outcome["timings"]["oracle_s"] += oracle_s
-    bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
 
     resource = None
     try:
-        with _float_range("resource estimate"):
+        with float_range("resource estimate"):
             resource = estimator_mod.query_counts(ps)
     except CflError:
         pass
@@ -483,7 +306,7 @@ def cmd_solve(args) -> int:
             "oracle_global_error": oracle_error,
             "within_epsilon": outcome["within_epsilon"],
         },
-        "bounds": bound_vals,
+        "bounds": outcome["bounds"],
         "error_budget": None if budget is None else [list(l) for l in budget.lines],
         "resource_estimate": None if resource is None else resource.as_dict(),
         "lifted_state": outcome["lifted_state"],
@@ -506,7 +329,7 @@ def cmd_solve(args) -> int:
         ("solver_residual", outcome["residual"]),
         ("within_epsilon", outcome["within_epsilon"]),
     ]
-    for name, value in sorted(bound_vals.items()):
+    for name, value in sorted(outcome["bounds"].items()):
         columns.append((name, value))
     for name in ("alpha_LN", "alpha_Ainv", "encoding_error", "alpha_B",
                  "alpha_C", "queries_G", "queries_u0", "queries_d"):
@@ -520,15 +343,6 @@ def cmd_solve(args) -> int:
           f"(epsilon = {ps.epsilon:g}, within = {outcome['within_epsilon']})")
     print(f"wrote {outdir / 'manifest.json'} and {outdir / 'result.csv'}")
     return 0
-
-
-def _oracle_reading(ode: FourierOde, run: dict) -> tuple:
-    """x(T) and the global-error estimate of integrate's two passes, which
-    the solve manifest writes.  The trajectory, its samples and its dense
-    output, is dropped here, before the run steps, so it adds nothing to
-    the run's peak memory."""
-    traj = integrate(ode, run["T"], tol=run["oracle_tol"])
-    return traj.state_at(run["T"]), traj.est_global_error
 
 
 def cmd_sweep(args) -> int:
@@ -545,48 +359,56 @@ def cmd_sweep(args) -> int:
                "runtime_s", "error"]
     # no sweep axis changes the ODE, run.T, run.p or oracle_tol: one oracle
     # state and one dissipativity report serve every row
+    study = Study(ode, readout, run)
     shared_error = None
     try:
-        u_final = final_state(ode, run["T"], tol=run["oracle_tol"])
-        report = _checked_report(ode, run)
+        study.u_final()
+        study.report()
     except CflError as exc:
         shared_error = _error_text(exc)
-    rows, plans, recipes = [], [], {}
+    rows, plans = [], []
     for value in values:
         row = {"axis": axis, "value": value, "error": shared_error or "",
                "runtime_s": 0.0}
         rows.append(row)
         if shared_error:
             continue
+        # N, k and nu are overrides; epsilon and r set their run field
+        row_run, overrides = dict(run), dict(cfg["overrides"])
+        if axis in OVERRIDE_KEYS:
+            overrides[axis] = value
+        elif axis == "epsilon":
+            row_run["epsilon"] = value
+        else:
+            row_run.update(r=value, regime="nondissipative")
         try:
-            row_run, overrides = _sweep_inputs(run, cfg["overrides"], axis,
-                                               value, readout.degree)
-            # rows whose run sections print alike share one section and its
-            # recipe: all rows of an N or k sweep, which pin only the grid
-            key = repr(row_run)
-            if key not in recipes:
-                recipes[key] = row_run, select_regime(ode, readout, row_run,
-                                                      report=report)
-            row_run, recipe = recipes[key]
-            ps = _pinned(recipe, overrides)
+            plans.append((row, study.params(
+                row_run, parse_overrides(overrides, readout.degree))))
         except CflError as exc:
             row["error"] = _error_text(exc)
-            continue
-        plans.append((row, row_run, ps))
 
     # the monomial basis depends on (n, N) alone: one, at the largest order
     # among the rows that fits the state budget, serves every row as its
     # leading section; a row above the budget builds its own and fails as a
     # single run does
-    orders = [ps.order for _row, _run, ps in plans
+    orders = [ps.order for _row, ps in plans
               if generator_entries(ode.n, ps.order) <= DEFAULT_STATE_BUDGET]
     basis = monomial_basis(ode.n, max(orders)) if orders else None
-    for row, row_run, ps in plans:
+    for row, ps in plans:
         t0 = time.perf_counter()  # runtime_s is the row's own run
         try:
             fits = basis is not None and ps.order <= basis.order
-            row.update(_sweep_row(ode, readout, row_run, ps, report, u_final,
-                                  basis if fits else None))
+            outcome = study.outcome(ps, basis if fits else None)
+            row.update(
+                N=ps.order, k=ps.taylor_order, m=ps.steps, nu=ps.nu,
+                epsilon=ps.epsilon, eta_1_measured=outcome["eta_1_measured"],
+                eta_1_bound_inf_time=outcome["bounds"].get("eta_1_bound_inf_time"),
+                eta_bound_finite_time=outcome["bounds"].get("eta_bound_finite_time"),
+                total_error=outcome["total_error"],
+                estimate_re=outcome["estimate"].real,
+                estimate_im=outcome["estimate"].imag,
+                reference_re=outcome["reference"].real,
+                reference_im=outcome["reference"].imag)
         except CflError as exc:
             row["error"] = _error_text(exc)
         row["runtime_s"] = time.perf_counter() - t0
@@ -599,55 +421,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sweep_inputs(run: dict, base_overrides: dict, axis: str, value,
-                  degree: int) -> tuple:
-    """The run section and checked overrides of the row at value: N, k and
-    nu are overrides, epsilon and r set their run field."""
-    if axis in OVERRIDE_KEYS:
-        base_overrides = {**base_overrides, axis: value}
-    overrides = parse_overrides(base_overrides, degree)
-    run = dict(_with_nu(run, overrides))
-    if axis == "epsilon":
-        run["epsilon"] = float(value)
-    elif axis == "r":
-        run["r"] = float(value)
-        run["regime"] = "nondissipative"
-    return run, overrides
-
-
-def _sweep_row(ode, readout, run, ps, report, u_final, basis) -> dict:
-    outcome = run_pipeline(ode, readout, run, ps, u_final, basis)
-    bound_vals = _bound_values(run, ps, outcome["rescaled"], report)
-
-    eta1_measured = None
-    if outcome["psi_lin"] is not None:
-        # x = u + i ln(nu), so the exact Psi_1(T) = e^{i x(T)} = e^{i u(T)}/nu
-        eta1_measured = vector_p_norm(
-            np.exp(1j * outcome["u_final"]) / ps.nu
-            - outcome["psi_lin"].blocks[0], ps.p)
-
-    return {
-        "N": ps.order, "k": ps.taylor_order, "m": ps.steps, "nu": ps.nu,
-        "epsilon": ps.epsilon,
-        "eta_1_measured": eta1_measured,
-        "eta_1_bound_inf_time": bound_vals.get("eta_1_bound_inf_time"),
-        "eta_bound_finite_time": bound_vals.get("eta_bound_finite_time"),
-        "total_error": outcome["total_error"],
-        "estimate_re": outcome["estimate"].real,
-        "estimate_im": outcome["estimate"].imag,
-        "reference_re": outcome["reference"].real,
-        "reference_im": outcome["reference"].imag,
-    }
-
-
 def cmd_estimate(args) -> int:
-    _cfg, ode, readout, run = _inputs(args)
+    cfg, ode, readout, run = _inputs(args)
+    overrides = parse_overrides(cfg["overrides"], readout.degree)
+    study = Study(ode, readout, run)
+    study.report()  # both regimes' report: its failure is the command's
     out = {}
-    produced = 0
     for regime in ("dissipative", "nondissipative"):
         try:
-            ps = select_regime(ode, readout, run, regime)
-            with _float_range("resource estimate"):
+            ps = study.params(dict(run, regime=regime), overrides)
+            with float_range("resource estimate"):
                 resource = estimator_mod.query_counts(
                     ps, improved_encoding=args.improved_encoding)
             entry = {"params": ps.as_dict(),
@@ -661,14 +444,14 @@ def cmd_estimate(args) -> int:
                     resource.alpha_LN >= norm2 - 1e-9)
                 entry["dense_norm_2"] = norm2
             out[regime] = entry
-            produced += 1
         except CflError as exc:
-            detail = {"error": f"{type(exc).__name__}: {exc}"}
+            detail = {"error": _error_text(exc)}
             if regime == "nondissipative":
                 try:
                     # the window at the recipe's own nu and alpha
                     nu, alpha = nondissipative_inputs(
-                        ode, run["r"], run["p"], run["nu"], run["alpha"])
+                        ode, run["r"], run["p"], overrides.get("nu", run["nu"]),
+                        run["alpha"])
                     detail["t_max"] = bounds_mod.t_max_nondissipative(
                         rescale(ode, readout, nu), run["r"], run["p"], alpha)
                 except CflError:
@@ -679,7 +462,7 @@ def cmd_estimate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_output(outdir / "estimate.json", text)
     print(text)
-    if produced == 0:
+    if all("error" in entry for entry in out.values()):
         raise HypothesisViolation("no regime admits this problem; see output",
                                   layer="cli.cmd_estimate")
     return 0

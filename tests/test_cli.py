@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import carleman_fourier as cf
-from carleman_fourier import cli
+from carleman_fourier import cli, study
 from carleman_fourier.cli import main
 from carleman_fourier.errors import DivergenceError
 from carleman_fourier.linearize import monomial_basis
@@ -165,7 +165,7 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
     ode, readout, run = cli.parse_ode(cfg), cli.parse_readout(cfg), cli.parse_run(cfg)
     ps = cli.select_params(ode, readout, run, dict(cfg["overrides"]))
     calls = [_count_calls(monkeypatch, module, "monomial_basis")
-             for module in (linearize, cli)]
+             for module in (linearize, study)]
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     assert calls[0] + calls[1] == [(ode.n, ps.order)]
@@ -182,7 +182,7 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
 
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
     calls = [_count_calls(monkeypatch, module, "action_config")
-             for module in (oracle, cli)]
+             for module in (oracle, study)]
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     assert calls == [[], []]
@@ -224,7 +224,7 @@ def test_split_keeps_its_own_grid_where_the_run_steps_too_far(monkeypatch):
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2", k=3)
     norms = _count_calls(monkeypatch, cf.LinearOperatorLN, "norm_1")
     calls = [_count_calls(monkeypatch, module, "action_config")
-             for module in (oracle, cli)]
+             for module in (oracle, study)]
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     assert len(norms) == 1
@@ -299,6 +299,18 @@ def test_unreadable_config_exit_2(tmp_path, capsys, command, kind):
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_run_p_below_1_exits_2_in_every_command(tmp_path, capsys, command):
+    # p < 1 is no norm: the run section is refused as a bad epsilon or T is
+    path = _config_with(tmp_path, "dissipative_n2", "run", p=0.5)
+    capsys.readouterr()
+    code = run_cli(command, path, *COMMAND_ARGS[command], "--out", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in err] == [
+        {"error": "ConfigError", "message": "run.p must be >= 1"}]
 
 
 def test_config_digest_is_of_the_parsed_bytes(tmp_path):
@@ -798,8 +810,8 @@ def _sample_counts(passes):
 
 
 def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch, rk45_passes):
-    calls = _count_calls(monkeypatch, cli, "final_state")
-    trajectories = _count_calls(monkeypatch, cli, "integrate")
+    calls = _count_calls(monkeypatch, study, "final_state")
+    trajectories = _count_calls(monkeypatch, study, "integrate")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", "N",
                    "--values", "4,5,6,7,8", "--out", tmp_path)
     monkeypatch.undo()
@@ -831,14 +843,14 @@ def test_sweep_shares_the_recipe_and_the_operator(tmp_path, monkeypatch, axis,
                                                   values, recipes, bases):
     import carleman_fourier.linearize as linearize
 
-    recipe_calls = _count_calls(monkeypatch, cli, "select_regime")
+    recipe_calls = _count_calls(monkeypatch, study.Study, "select_regime")
     basis_calls = [_count_calls(monkeypatch, module, "monomial_basis")
-                   for module in (linearize, cli)]
+                   for module in (linearize, cli, study)]
     report_calls = _count_calls(monkeypatch, cli.bounds_mod, "check_dissipative")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", axis,
                    "--values", values, "--out", tmp_path)
     monkeypatch.undo()
-    basis_calls = basis_calls[0] + basis_calls[1]
+    basis_calls = basis_calls[0] + basis_calls[1] + basis_calls[2]
     assert code == 0
     assert (len(recipe_calls), len(basis_calls), len(report_calls)) == (
         recipes, bases, 1)
@@ -932,13 +944,56 @@ def test_sweep_oracle_failure_fills_every_row(tmp_path, monkeypatch):
     def diverge(*_args, **_kwargs):
         raise DivergenceError("integrate: step-size failure near t=0.1")
 
-    monkeypatch.setattr(cli, "final_state", diverge)
+    monkeypatch.setattr(study, "final_state", diverge)
     code = run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "N",
                    "--values", "3,4,5", "--out", tmp_path)
     assert code == 0
     rows = read_csv_rows(tmp_path / "result.csv")
     assert len(rows) == 3
     assert all(row["error"].startswith("DivergenceError: integrate") for row in rows)
+
+
+def _config_with(tmp_path, name, section, **values):
+    """A copy of a bundled config with `values` set in `section`."""
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg.setdefault(section, {}).update(values)
+    path = tmp_path / f"{name}-{section}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_sweep_cross_check_failure_fills_every_row(tmp_path):
+    path = _config_with(tmp_path, "dissipative_n2", "run", expected_mu0=99.0)
+    code = run_cli("sweep", path, "--axis", "N", "--values", "1,4,5",
+                   "--out", tmp_path / "out")
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "out" / "result.csv")
+    # the shared failure, even on the row whose own value is refused
+    assert [row["error"].split(" disagrees")[0] for row in rows] == [
+        "ConfigError: run.expected_mu0 = 99.0"] * 3
+    assert all(row["total_error"] == "" for row in rows)
+
+
+def test_shared_failures_of_the_oracle_and_the_report(tmp_path, capsys,
+                                                      monkeypatch):
+    # both x(T) and the report fail: a sweep computes x(T) first, a solve
+    # its parameters (and so the report) before its oracle
+    def diverge(*_args, **_kwargs):
+        raise DivergenceError("integrate: step-size failure near t=0.1")
+
+    for name in ("final_state", "integrate"):
+        monkeypatch.setattr(study, name, diverge)
+    path = _config_with(tmp_path, "dissipative_n2", "run", expected_mu0=99.0)
+    assert run_cli("sweep", path, "--axis", "N", "--values", "4,5",
+                   "--out", tmp_path / "sweep") == 0
+    rows = read_csv_rows(tmp_path / "sweep" / "result.csv")
+    assert all(row["error"].startswith("DivergenceError: integrate")
+               for row in rows)
+    capsys.readouterr()
+    assert run_cli("solve", path, "--out", tmp_path / "solve") == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("run.expected_mu0 = 99.0 disagrees")
 
 
 @pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
@@ -972,13 +1027,13 @@ def test_solve_writes_both_passes_of_its_oracle(tmp_path, monkeypatch):
     # reference reads its trajectory, and oracle_s times integrate too
     ode, readout, run, _ps = _pipeline_inputs("dissipative_n2")
     traj = cf.integrate(ode, run["T"], tol=run["oracle_tol"])
-    integrate = cli.integrate
+    integrate = study.integrate
 
     def slow(*args, **kwargs):
         time.sleep(0.05)
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "integrate", slow)
+    monkeypatch.setattr(study, "integrate", slow)
     assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["errors"]["oracle_global_error"] == traj.est_global_error
@@ -1050,6 +1105,50 @@ def test_estimate_refuses_r_equal_e(tmp_path):
     nd = data["nondissipative"]
     assert "error" in nd
     assert nd["t_max"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{"N": "abc"}, {"foo": 1}],
+                         ids=["N-text", "unknown-key"])
+def test_estimate_checks_the_overrides_as_solve_does(tmp_path, capsys, overrides):
+    path = _config_with(tmp_path, "dissipative_n2", "overrides", **overrides)
+    payloads = []
+    for command in ("solve", "estimate"):
+        capsys.readouterr()
+        assert run_cli(command, path, "--out", tmp_path / command) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payloads.append(json.loads(err[0]))
+    assert payloads[0]["error"] == "ConfigError"
+    assert payloads[1] == payloads[0]
+
+
+def test_estimate_runs_at_the_overrides_of_solve(tmp_path):
+    # N = 12 on nondissipative_n2: the recipe alone picks N = 8
+    path = _config_with(tmp_path, "nondissipative_n2", "overrides", N=12)
+    assert run_cli("solve", path, "--out", tmp_path / "solve") == 0
+    assert run_cli("estimate", path, "--out", tmp_path / "estimate") == 0
+    manifest = json.loads((tmp_path / "solve" / "manifest.json").read_text())
+    data = json.loads((tmp_path / "estimate" / "estimate.json").read_text())
+    entry = data["nondissipative"]
+    assert entry["params"]["order"] == manifest["params"]["order"] == 12
+    assert entry["params"] == manifest["params"]
+    assert entry["resource_estimate"] == manifest["resource_estimate"]
+    assert entry["resource_estimate"]["queries_G"] == pytest.approx(6.25e18, rel=1e-2)
+    assert "error" in data["dissipative"]
+
+
+def test_estimate_cross_check_mismatch_exit_2(tmp_path, capsys):
+    # the report both regimes share is checked first: its failure is a
+    # ConfigError, not "no regime admits this problem"
+    path = _config_with(tmp_path, "dissipative_n1", "run", expected_mu0=99.0)
+    capsys.readouterr()
+    assert run_cli("estimate", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("run.expected_mu0 = 99.0 disagrees")
+    assert not (tmp_path / "out" / "estimate.json").exists()
 
 
 def test_estimate_improved_encoding_factor(tmp_path):
