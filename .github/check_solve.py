@@ -8,12 +8,12 @@ lifted_state.generator_applies must be 2 * params.steps * params.taylor_order.
 A solve run without verify, or a verify pass that leaves steps out (a block
 dropped or cut short), fails the count.
 
-The split (lifted_state.split, null above the dense cap) either reuses the
-run's own steps, with 0 generator applies, or steps exp(L T) psi0 on a grid
-of its own.  A reused split must name the run's grid (params.steps and
-params.taylor_order) and report errors.taylor = 0 and errors.koopman =
-errors.total; a split on its own grid must count steps * taylor_order
-applies.
+The split (lifted_state.split, null when the stepping budget refuses it)
+either reuses the run's own steps, with 0 generator applies, or steps
+exp(L T) psi0 on a grid of its own.  A reused split must name the run's
+grid (params.steps and params.taylor_order) and report errors.taylor = 0
+and errors.koopman = errors.total; a split on its own grid must count
+steps * taylor_order applies.
 
     python .github/check_solve.py <manifest.json>...
 """

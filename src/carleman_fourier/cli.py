@@ -42,11 +42,14 @@ from .norms import op_norm
 from .oracle import integrate
 from .params import ParamSet, end_to_end_error_budget, nondissipative_inputs
 from .problem import FourierOde, ReadoutSpec, rescale
-from .study import DIAG_DENSE_CAP, Study, float_range, run_pipeline  # noqa: F401 (perfbench)
+from .study import Study, float_range, run_pipeline  # noqa: F401 (perfbench)
 from .tensor import dense_LN
 
 SWEEP_AXES = ("N", "k", "r", "nu", "epsilon")
 OVERRIDE_KEYS = ("N", "k", "m", "nu")
+# estimate's 2-norm check builds the dense tensor matrix of L and takes its
+# SVD: it runs only up to this many tensor entries
+DENSE_NORM_CAP = 1024
 
 # pieces of an output joined into one write (_write_output): the JSON
 # encoder yields some 400 short pieces per manifest, a CSV one per row.
@@ -436,7 +439,7 @@ def cmd_estimate(args) -> int:
             entry = {"params": ps.as_dict(),
                      "resource_estimate": resource.as_dict()}
             # dense diagnostic: the encoding factor must dominate ||L||_2
-            if size_within(ode.n, ps.order, DIAG_DENSE_CAP):
+            if size_within(ode.n, ps.order, DENSE_NORM_CAP):
                 rescaled = rescale(ode, readout, ps.nu)
                 op = LinearOperatorLN.from_rescaled(rescaled, ps.order)
                 norm2 = op_norm(dense_LN(op), 2)

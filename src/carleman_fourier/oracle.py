@@ -30,10 +30,11 @@ is returned; when an oracle value backs a bound check, its error budget is
 therefore far below the bound under test.  final_state runs the fine pass
 alone on no sample grid and returns its x(T), bit for bit the state that
 integrate's trajectory reads at T.  Who pays for which pass: `cfl solve`
-calls integrate, since its manifest writes the estimate, and `cfl oracle`
-calls it for the samples it writes; cli.run_pipeline (given no state) and
-`cfl sweep` (once for all rows) read only x(T) and call final_state, at
-about half of integrate's cost.
+calls integrate through Study.oracle_error, since its manifest writes the
+estimate, and `cfl oracle` calls it for the samples it writes;
+study.run_pipeline (given no state) and Study.u_final (once for all rows
+of `cfl sweep`) read only x(T) and call final_state, at about half of
+integrate's cost.
 
 For n = 1 there is a closed form: with w = e^{ix} the equation becomes the
 Riccati-type dw/dt = i f0 w + i f1 w^2, and z = 1/w satisfies the linear

@@ -14,7 +14,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (LinearOperatorLN, MonomialBasis, lift_point,
-                        monomial_basis, size_within)
+                        monomial_basis)
 from .norms import vector_p_norm
 from .oracle import (action_config, action_step_bound, final_state, integrate,
                      propagate)
@@ -23,14 +23,6 @@ from .params import (ParamSet, derive_grid, select_dissipative,
 from .problem import (FourierOde, ReadoutSpec, eval_readout,
                       expand_coeff_vector, rescale)
 from .taylor import TaylorConfig, forward_solve, readout_value
-
-# the Koopman/Taylor error split and eta measurement of solve and sweep, and
-# the 2-norm check of estimate, run only up to this tensor size.  The split
-# needs no dense matrix: it is the run's own final state when the run's
-# steps meet oracle.action_step_bound, and otherwise the action of exp(L T)
-# on psi0, Taylor steps on the monomial generator (oracle.propagate), whose
-# extra generator applies are what the cap bounds.
-DIAG_DENSE_CAP = 1024
 
 
 @contextlib.contextmanager
@@ -121,7 +113,8 @@ class Study:
     def outcome(self, ps: ParamSet, basis: MonomialBasis | None) -> dict:
         """run_pipeline at ps on the study's x(T) and `basis`, with the
         bounds that apply to it ("bounds") and block 1's measured truncation
-        error against exp(L T) psi0 ("eta_1_measured", None with no split)."""
+        error against exp(L T) psi0 ("eta_1_measured", None where the
+        stepping budget refuses the split or it overflows)."""
         out = run_pipeline(self.ode, self.readout, self.run, ps,
                            self.u_final(), basis)
         report, rescaled = self.report(), out["rescaled"]
@@ -168,30 +161,29 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     timings["oracle_s"] = time.perf_counter() - t0
 
     total_error = abs(estimate - reference)
+    # the Koopman/Taylor split, at the readout of exp(L T) psi0
     koopman_err = taylor_err = psi_lin = split = None
-    if size_within(op.n, op.order, DIAG_DENSE_CAP):
-        t0 = time.perf_counter()
-        norm = op.norm_1()
-        if norm * cfg.h <= action_step_bound(cfg.k):
-            # the run's own steps evaluate exp(L T) psi0 to the unit
-            # roundoff, and the verify pass only reads the Horner states:
-            # the final state is propagate(op, psi0, T, cfg) bit for bit
-            psi_lin = result.final
-            split = {"steps": cfg.m, "taylor_order": cfg.k,
-                     "generator_applies": 0}
-        else:
-            # a split the stepping budget refuses, or one that overflows, is
-            # reported as null; it never fails a run that stepped
-            with contextlib.suppress(BudgetError, DivergenceError):
-                grid = action_config(op, run["T"], norm)
-                psi_lin = propagate(op, psi0, run["T"], grid)
-                split = {"steps": grid.m, "taylor_order": grid.k,
-                         "generator_applies": grid.m * grid.k}
-        if psi_lin is not None:
-            lin_readout = complex(np.dot(coeffs, psi_lin.vector))
-            koopman_err = abs(lin_readout - reference)
-            taylor_err = abs(estimate - lin_readout)
-        timings["dense_check_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    norm = op.norm_1()
+    if norm * cfg.h <= action_step_bound(cfg.k):
+        # the run's own steps evaluate exp(L T) psi0 to the unit roundoff,
+        # and the verify pass only reads the Horner states: the final state
+        # is propagate(op, psi0, T, cfg) bit for bit
+        psi_lin = result.final
+        split = {"steps": cfg.m, "taylor_order": cfg.k, "generator_applies": 0}
+    else:
+        # a split the stepping budget refuses, or one that overflows, is
+        # reported as null; it never fails a run that stepped
+        with contextlib.suppress(BudgetError, DivergenceError):
+            grid = action_config(op, run["T"], norm)
+            psi_lin = propagate(op, psi0, run["T"], grid)
+            split = {"steps": grid.m, "taylor_order": grid.k,
+                     "generator_applies": grid.m * grid.k}
+    if psi_lin is not None:
+        lin_readout = complex(np.dot(coeffs, psi_lin.vector))
+        koopman_err = abs(lin_readout - reference)
+        taylor_err = abs(estimate - lin_readout)
+    timings["dense_check_s"] = time.perf_counter() - t0
 
     return {
         "estimate": estimate,
@@ -208,7 +200,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "split": split,
         },
         "u_final": u_final,  # the oracle's state at run.T
-        "psi_lin": psi_lin,  # exp(L T) psi0, None above the cap
+        "psi_lin": psi_lin,  # exp(L T) psi0, None if refused or overflowed
         "timings": timings,
         "rescaled": rescaled,
         "operator": op,

@@ -16,7 +16,7 @@ from carleman_fourier.linearize import monomial_basis
 from carleman_fourier.params import default_nu
 from carleman_fourier.taylor import step_count_for
 
-from conftest import tensor_coeff_blocks
+from conftest import make_dissipative_ode, tensor_coeff_blocks
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -193,15 +193,19 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
             == outcome["psi_lin"].vector.tobytes())
 
 
-@pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",
-                                  "linear_n1", "nondissipative_n2"])
-def test_split_reuses_the_run_where_its_grid_meets_the_bound(name):
+@pytest.mark.parametrize("name,overrides", [
+    *(pytest.param(name, {}, id=name) for name in (
+        "dissipative_n1", "dissipative_n2", "linear_n1", "nondissipative_n2")),
+    # far above 1024 tensor entries: grids (26, 26) and (87, 27)
+    pytest.param("dissipative_n2", {"N": 12}, id="dissipative_n2-N12"),
+    pytest.param("dissipative_n2", {"N": 40}, id="dissipative_n2-N40")])
+def test_split_reuses_the_run_where_its_grid_meets_the_bound(name, overrides):
     # every bundled run steps within min(theta_k, 2): exp(L T) psi0 is the
     # run's final state, so the Taylor part reads 0 and the lifting part is
     # the whole error
     from carleman_fourier.oracle import action_step_bound
 
-    ode, readout, run, ps = _pipeline_inputs(name)
+    ode, readout, run, ps = _pipeline_inputs(name, **overrides)
     outcome = cli.run_pipeline(ode, readout, run, ps)
     op = outcome["operator"]
     assert op.norm_1() * ps.step_size <= action_step_bound(ps.taylor_order)
@@ -237,6 +241,38 @@ def test_split_keeps_its_own_grid_where_the_run_steps_too_far(monkeypatch):
             == outcome["psi_lin"].vector.tobytes())
     assert outcome["taylor_error"] == pytest.approx(1.29e-5, rel=1e-3)
     assert outcome["koopman_error"] < 1e-7
+
+
+def test_split_keeps_its_own_grid_at_order_40():
+    # k = 3 at N = 40, 2^41 - 2 tensor entries: the split steps on its own
+    # grid of 42 steps of degree 23
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n2", k=3, N=40)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    assert outcome["lifted_state"]["split"] == {
+        "steps": 42, "taylor_order": 23, "generator_applies": 966}
+    op = outcome["operator"]
+    psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
+    assert (cf.propagate(op, psi0, run["T"]).vector.tobytes()
+            == outcome["psi_lin"].vector.tobytes())
+    assert outcome["taylor_error"] == pytest.approx(7.29e-8, rel=1e-3)
+    assert outcome["koopman_error"] < 1e-7
+
+
+def test_split_reuses_the_run_on_a_ladder_size_problem():
+    # a seeded dissipative problem at n = 3, N = 8: 9840 tensor entries, 165
+    # monomials; the run's own steps give exp(L T) psi0
+    ode = make_dissipative_ode(np.random.default_rng(0), 3)
+    readout = cf.ReadoutSpec(degree=1, coeffs={(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
+    run = cli.parse_run({"run": {"T": 1.0, "epsilon": 1e-6,
+                                 "regime": "dissipative"}})
+    ps = cli.select_params(ode, readout, run, {"N": 8})
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    assert outcome["lifted_state"]["tensor_dim"] == 9840
+    assert outcome["psi_lin"] is not None
+    assert outcome["lifted_state"]["split"] == {
+        "steps": ps.steps, "taylor_order": ps.taylor_order,
+        "generator_applies": 0}
+    assert outcome["koopman_error"] == outcome["total_error"]
 
 
 @pytest.mark.parametrize("k,reused", [(12, False), (16, False), (17, True)])
@@ -829,6 +865,17 @@ def test_sweep_integrates_the_oracle_once(tmp_path, monkeypatch, rk45_passes):
         assert {key: row[key] for key in single} == single
 
 
+def test_sweep_measures_eta_1_above_1024_tensor_entries(tmp_path):
+    # dissipative_n2 at N = 10 and 12: 2046 and 8190 tensor entries
+    assert run_cli("sweep", CONFIGS / "dissipative_n2.json", "--axis", "N",
+                   "--values", "10,12", "--out", tmp_path) == 0
+    for row in read_csv_rows(tmp_path / "result.csv"):
+        assert row["error"] == ""
+        single = _single_run_columns("dissipative_n2", N=int(row["N"]))
+        assert single["eta_1_measured"] != ""
+        assert {key: row[key] for key in single} == single
+
+
 @pytest.mark.parametrize("axis,values,recipes,bases", [
     # one basis, at the largest order, serves every row as its leading
     # section; each row builds its own operator on it
@@ -1316,6 +1363,17 @@ def test_split_over_the_stepping_budget_is_null(tmp_path):
     assert manifest["errors"]["koopman"] is None
     assert manifest["errors"]["taylor"] is None
     assert manifest["lifted_state"]["split"] is None
+    assert manifest["error_budget"] is None
+
+
+def test_split_refused_by_the_budget_at_order_40_is_null(tmp_path):
+    # at nu = 1e10 ||L T||_1 asks more steps than the stepping budget: the
+    # split is null and the solve still succeeds
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--out", tmp_path,
+                   "--param-overrides", "nu=1e10,N=40") == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["lifted_state"]["split"] is None
+    assert manifest["errors"]["koopman"] is None
     assert manifest["error_budget"] is None
 
 
