@@ -3,8 +3,11 @@ on every step, and a Koopman/Taylor split whose grid agrees with its cost.
 
 The verify pass re-evaluates each Taylor step term by term.  Its residual,
 errors.solver_residual, must be finite and at most 1e-12.  forward_solve
-counts k generator applies per step taken and k per step re-evaluated, so
-lifted_state.generator_applies must be 2 * params.steps * params.taylor_order.
+counts k generator applies per step re-evaluated, k per step taken by
+Horner, and k per column of the propagator by which a state of M monomials
+steps when M * M <= 64 and M < m.  So lifted_state.generator_applies must
+be k * m + k * stepped, with k = params.taylor_order, m = params.steps, M =
+lifted_state.monomial_dim and stepped = min(m, M) if M * M <= 64, else m.
 A solve run without verify, or a verify pass that leaves steps out (a block
 dropped or cut short), fails the count.
 
@@ -12,8 +15,9 @@ The split (lifted_state.split, null when the stepping budget refuses it)
 either reuses the run's own steps, with 0 generator applies, or steps
 exp(L T) psi0 on a grid of its own.  A reused split must name the run's
 grid (params.steps and params.taylor_order) and report errors.taylor = 0
-and errors.koopman = errors.total; a split on its own grid must count
-steps * taylor_order applies.
+and errors.koopman = errors.total; a split on its own grid of steps and
+taylor_order must count taylor_order * stepped applies, with stepped as
+above for m = steps.
 
     python .github/check_solve.py <manifest.json>...
 """
@@ -23,6 +27,12 @@ import math
 import sys
 
 failed = False
+
+
+def stepped(steps, monomials):
+    """The steps whose generator applies forward_solve counts: Horner's m,
+    or the M columns of the propagator."""
+    return min(steps, monomials) if monomials * monomials <= 64 else steps
 
 
 def fail(path, message):
@@ -37,28 +47,31 @@ for path in sys.argv[1:]:
     errors = manifest["errors"]
     residual = errors["solver_residual"]
     applies = manifest["lifted_state"]["generator_applies"]
+    monomials = manifest["lifted_state"]["monomial_dim"]
     params = manifest["params"]
-    expected = 2 * params["steps"] * params["taylor_order"]
+    steps, order = params["steps"], params["taylor_order"]
+    expected = order * (steps + stepped(steps, monomials))
     if not (isinstance(residual, (int, float)) and math.isfinite(residual)
             and residual <= 1e-12):
         fail(path, f"solver_residual {residual!r} is not finite and <= 1e-12")
     if applies != expected:
-        fail(path, f"{applies} generator applies, expected 2 * "
-                   f"{params['steps']} steps * {params['taylor_order']} "
-                   f"stages = {expected}")
+        fail(path, f"{applies} generator applies, expected {order} stages * "
+                   f"({steps} steps re-evaluated + "
+                   f"{stepped(steps, monomials)} stepped) = {expected}")
     split = manifest["lifted_state"]["split"]
     if split is None:
         continue
     grid = (split["steps"], split["taylor_order"])
     if split["generator_applies"] == 0:
-        if grid != (params["steps"], params["taylor_order"]):
+        if grid != (steps, order):
             fail(path, f"split reuses the run with grid {grid}, expected "
-                       f"({params['steps']}, {params['taylor_order']})")
+                       f"({steps}, {order})")
         if errors["taylor"] != 0 or errors["koopman"] != errors["total"]:
             fail(path, f"split reuses the run but taylor = {errors['taylor']!r}, "
                        f"koopman = {errors['koopman']!r}, total = "
                        f"{errors['total']!r}")
-    elif split["generator_applies"] != grid[0] * grid[1]:
+    elif split["generator_applies"] != stepped(grid[0], monomials) * grid[1]:
         fail(path, f"split spends {split['generator_applies']} generator "
-                   f"applies, expected {grid[0]} steps * {grid[1]} stages")
+                   f"applies, expected {stepped(grid[0], monomials)} stepped "
+                   f"* {grid[1]} stages")
 sys.exit(1 if failed else 0)

@@ -16,8 +16,7 @@ from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (LinearOperatorLN, MonomialBasis, lift_point,
                         monomial_basis)
 from .norms import vector_p_norm
-from .oracle import (action_config, action_step_bound, final_state, integrate,
-                     propagate)
+from .oracle import action_config, action_step_bound, final_state, integrate
 from .params import (ParamSet, derive_grid, select_dissipative,
                      select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, eval_readout,
@@ -176,9 +175,11 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         # reported as null; it never fails a run that stepped
         with contextlib.suppress(BudgetError, DivergenceError):
             grid = action_config(op, run["T"], norm)
-            psi_lin = propagate(op, psi0, run["T"], grid)
+            # propagate(op, psi0, T, grid), with the applies it spends
+            lin = forward_solve(op, grid, psi0, verify=False)
+            psi_lin = lin.final
             split = {"steps": grid.m, "taylor_order": grid.k,
-                     "generator_applies": grid.m * grid.k}
+                     "generator_applies": lin.generator_applies}
     if psi_lin is not None:
         lin_readout = complex(np.dot(coeffs, psi_lin.vector))
         koopman_err = abs(lin_readout - reference)

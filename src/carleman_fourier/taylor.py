@@ -1,22 +1,27 @@
 """Truncated-Taylor time stepping for the lifted linear ODE.
 
 The propagator over one step h is approximated by the degree-k Taylor
-polynomial V_k of exp(L h), applied by Horner evaluation to the monomial
-coordinates of the lifted state (one generator apply per stage).  The
+polynomial V_k of exp(L h).  A state of M monomials with M M <=
+VERIFY_BLOCK_ENTRIES, stepped more than M times, steps by V_k itself, held
+as an (M, M) matrix (propagator): its columns are Horner on the unit
+vectors, k applies of the verify block's operator, and each step is one
+matrix-vector product.  Every other state applies V_k by Horner
+evaluation to its monomial coordinates, one generator apply per stage.  The
 whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
 exactly, so the returned residual only detects implementation drift.  The
-verify pass behind it re-evaluates up to VERIFY_BLOCK_ENTRIES // M
-consecutive steps in one apply per stage: their states, laid out as
-columns and flattened, are one state of the block-diagonal operator of
-linearize.block_operator.  Each step reads only the one before it and the
-readout reads only Phi_m, so one state is held at a time, besides the few
-of a verify block; the trailing copy rows, which mirror the register layout
-of the linear-system formulation, repeat Phi_m and have zero residual by
-construction.  The same stepper evaluates the action of exp(L T) on psi0
-for the Koopman/Taylor error split: a run whose steps meet
-oracle.action_step_bound already holds it as Phi_m, and any other run's
-split steps on the grid that oracle.action_config picks (oracle.propagate).
+verify pass behind it re-evaluates every step term by term, on the states,
+up to VERIFY_BLOCK_ENTRIES // M consecutive steps in one apply per stage:
+their states, laid out as columns and flattened, are one state of the
+block-diagonal operator of linearize.block_operator.  Each step reads only
+the one before it and the readout reads only Phi_m, so one state is held at
+a time, besides the few of a verify block and the propagator; the trailing
+copy rows, which mirror the register layout of the linear-system
+formulation, repeat Phi_m and have zero residual by construction.  The same
+stepper evaluates the action of exp(L T) on psi0 for the Koopman/Taylor
+error split: a run whose steps meet oracle.action_step_bound already holds
+it as Phi_m, and any other run's split steps on the grid that
+oracle.action_config picks (oracle.propagate).
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from .norms import vector_p_norm
 # VERIFY_BLOCK_ENTRIES // M consecutive steps share one apply of the
 # block-diagonal operator, so a state above half this many monomials is
 # verified one step at a time.  A larger cap raises the peak memory of
-# solves at 27-44 monomials (n = 2, N = 6-8), for little more speed
+# solves at 27-44 monomials (n = 2, N = 6-8), for little more speed.  The
+# propagator of a state of M monomials holds M M entries, so it is formed
+# only within the same cap (M <= 8)
 VERIFY_BLOCK_ENTRIES = 64
 
 
@@ -59,17 +66,20 @@ class TaylorConfig:
 @dataclass
 class SolveResult:
     """The final state Phi_m in monomial coordinates, the verified system
-    residual and the number of generator applies spent."""
+    residual and the number of generator applies spent: k per column of a
+    propagator, k per step taken by Horner and k per step re-evaluated (an
+    apply of the B-fold operator counts B)."""
 
     final: LiftedState
     residual: float
     generator_applies: int = 0
 
 
-def apply_Vk(op: LinearOperatorLN, cfg: TaylorConfig, x: np.ndarray) -> np.ndarray:
+def apply_Vk(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
+             x: np.ndarray) -> np.ndarray:
     """Degree-k Taylor polynomial of exp(L h) applied to monomial coordinates
-    x, by Horner: u <- x; for i = k..1: u <- x + (h/i) L u.  x itself is
-    left untouched."""
+    x, by Horner: u <- x; for i = k..1: u <- x + (h/i) L u.  x is one state
+    of op, as for apply_LN, and is left untouched."""
     u = x
     for i in range(cfg.k, 0, -1):
         # apply_LN returns a fresh vector, so it is updated in place
@@ -92,6 +102,21 @@ def _apply_Vk_direct(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
         term *= cfg.h / i
         acc += term
     return acc
+
+
+def propagator(fold: BlockOperator, cfg: TaylorConfig,
+               size: int) -> np.ndarray | None:
+    """V_k(hL) as an (M, M) matrix, M = size, from k applies of `fold`, the
+    B-fold operator of op for some B >= M (block_operator): its one state
+    holds the unit vectors e_b as its first M columns and zeros after them,
+    so column b is apply_Vk(op, cfg, e_b) bit for bit.  None when an entry
+    is not finite."""
+    units = np.zeros((size, fold.diagonal.size // size), dtype=complex)
+    np.fill_diagonal(units, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = apply_Vk(fold, cfg, units.ravel()).reshape(units.shape)
+    matrix = np.ascontiguousarray(columns[:, :size])
+    return matrix if np.isfinite(matrix).all() else None
 
 
 def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
@@ -122,20 +147,26 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                   psi0: LiftedState, verify: bool = True) -> SolveResult:
     """Exact forward substitution on the block-bidiagonal time-step system:
     Phi_0 = psi0 and Phi_{j+1} = V_k Phi_j; the current Phi_j is kept, plus
-    the states of one verify block.
+    the states of one verify block and, for a small state, the propagator.
 
     Stepping is in psi0's monomial coordinates, and psi0 is left untouched.
     A grid of (m + 1) states over more than DEFAULT_STATE_BUDGET entries in
     all is refused with BudgetError before any step, which bounds the
-    stepping work.  Any non-finite intermediate aborts with the first
-    offending step.  When verify is set, each step is re-evaluated with a
-    different summation order and the worst relative discrepancy, in the
-    tensor 2-norm, is reported as the residual.  The re-evaluation runs on
-    up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps at once: their
+    stepping work.  A state of M monomials with M M <= VERIFY_BLOCK_ENTRIES
+    and M < m steps by the matrix that propagator forms once, on the B-fold
+    operator below (B >= M), at k M applies, fewer than the k m of Horner;
+    every other state, and one whose propagator is not finite, steps by
+    apply_Vk.  Any non-finite intermediate aborts with the first offending
+    step, as a DivergenceError that names the grid.  When verify is set,
+    each step is re-evaluated term by term from its start state and the
+    worst relative discrepancy, in the tensor 2-norm, is reported as the
+    residual.  The re-evaluation runs
+    on up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps at once: their
     start states are written into the columns of one (M, B) buffer as the
     steps are taken, and its flat layout is one state of the B-fold
-    operator, built once per solve.  generator_applies counts k per step
-    taken and k per step re-evaluated.
+    operator, built once per solve.  generator_applies counts k per column
+    of the propagator, k per step taken by Horner and k per step
+    re-evaluated.
     """
     if not isinstance(psi0, LiftedState):
         raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
@@ -145,23 +176,33 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     if not psi0.all_finite():
         raise DivergenceError("forward_solve: initial state is not finite",
                               step=0, layer="taylor.forward_solve")
-    if (cfg.m + 1) * op.monomial_size > DEFAULT_STATE_BUDGET:
+    size = op.monomial_size
+    if (cfg.m + 1) * size > DEFAULT_STATE_BUDGET:
         raise BudgetError(
-            f"forward_solve: m={cfg.m} steps of {op.monomial_size} monomials "
+            f"forward_solve: m={cfg.m} steps of {size} monomials "
             f"(n={op.n}, N={op.order}) exceed the stepping budget of "
             f"{DEFAULT_STATE_BUDGET} state entries"
         )
-    block = max(1, min(cfg.m, VERIFY_BLOCK_ENTRIES // op.monomial_size))
+    block = max(1, min(cfg.m, VERIFY_BLOCK_ENTRIES // size))
+    # a state within the cap steps by its propagator when that costs fewer
+    # applies than Horner; then M <= block and block > 1, so the verify
+    # block's operator forms it
+    small = size * size <= VERIFY_BLOCK_ENTRIES and size < cfg.m
     fold = op
-    if verify and block > 1:
+    if block > 1 and (verify or small):
         fold = block_operator(op, block)
-        starts = np.empty((op.monomial_size, block), dtype=complex)
+    if verify and block > 1:
+        starts = np.empty((size, block), dtype=complex)
+    applies = 0
+    matrix = None
+    if small:
+        matrix = propagator(fold, cfg, size)
+        applies += cfg.k * size
     cur = psi0.vector
     weights = op.basis.weights
     # steps taken and not yet verified
     pending = 0
     residual = 0.0
-    applies = 0
     for j in range(cfg.m):
         if verify:
             # the start state of the step, as column `pending` of the block;
@@ -173,14 +214,19 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             pending += 1
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            cur = apply_Vk(op, cfg, cur)
+            cur = apply_Vk(op, cfg, cur) if matrix is None else matrix.dot(cur)
         if not np.isfinite(cur).all():
             raise DivergenceError(
                 f"forward_solve: non-finite values at step {j + 1} "
-                f"(t = {(j + 1) * cfg.h:g}); parameters are unstable",
+                f"(t = {(j + 1) * cfg.h:g}) of m={cfg.m} steps of h={cfg.h:g} "
+                f"at Taylor order k={cfg.k} on M={size} monomials (n={op.n}, "
+                f"N={op.order}), stepped by "
+                f"{'Horner' if matrix is None else 'the propagator'}; "
+                f"parameters are unstable",
                 step=j + 1, layer="taylor.forward_solve",
             )
-        applies += cfg.k
+        if matrix is None:
+            applies += cfg.k
         if pending == block or (pending and j + 1 == cfg.m):
             if pending < block:
                 # the last block is shorter: an operator of its width

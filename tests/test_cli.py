@@ -258,6 +258,21 @@ def test_split_keeps_its_own_grid_at_order_40():
     assert outcome["koopman_error"] < 1e-7
 
 
+def test_split_on_its_own_grid_counts_the_propagator_applies():
+    # k = 3 on dissipative_n1 (M = 7): the split's grid of 10 steps of degree
+    # 23 steps by the propagator, at 23 * 7 applies instead of 23 * 10
+    ode, readout, run, ps = _pipeline_inputs("dissipative_n1", k=3)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    assert outcome["lifted_state"]["split"] == {
+        "steps": 10, "taylor_order": 23, "generator_applies": 161}
+    # the run steps 22 times at k = 3 by its propagator, and verifies each
+    assert outcome["lifted_state"]["generator_applies"] == 3 * (7 + 22)
+    op = outcome["operator"]
+    psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
+    assert (cf.propagate(op, psi0, run["T"]).vector.tobytes()
+            == outcome["psi_lin"].vector.tobytes())
+
+
 def test_split_reuses_the_run_on_a_ladder_size_problem():
     # a seeded dissipative problem at n = 3, N = 8: 9840 tensor entries, 165
     # monomials; the run's own steps give exp(L T) psi0
@@ -485,6 +500,10 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
     assert payload["error"] == "DivergenceError"
     assert payload["step"] == 1
     assert payload["layer"] == "taylor.forward_solve"
+    # the message names the grid, stepped by Horner above 8 monomials
+    assert ("at step 1 (t = 1.5) of m=1 steps of h=1.5 at Taylor order k=500 "
+            "on M=1200 monomials (n=1, N=1200), stepped by Horner"
+            in payload["message"])
 
 
 def test_pinned_taylor_order_above_the_cap_is_refused(tmp_path, capsys):

@@ -4,16 +4,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier import cli, taylor
 from carleman_fourier.errors import ConfigError, DivergenceError
+from carleman_fourier.linearize import BlockOperator, block_operator
+from carleman_fourier.problem import monomial_count
 from carleman_fourier.taylor import step_count_for
 from carleman_fourier.tensor import dense_Vk, expand
 
 from conftest import complex_uniform, make_rescaled
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# every (n, N) whose state of M monomials has M M <= VERIFY_BLOCK_ENTRIES,
+# the states that step by their propagator once m > M: n = 1 with N <= 8,
+# n = 2 with N <= 2 and n = 3..8 with N = 1
+SMALL_STATES = [(n, order) for n in range(1, 10) for order in range(1, 10)
+                if monomial_count(n, order) ** 2 <= taylor.VERIFY_BLOCK_ENTRIES]
 
 
 def stable_operator(rng, n, order, r_target=0.5):
@@ -195,29 +204,82 @@ def test_forward_solve_residual_small(rng):
     assert res.residual <= 1e-12
 
 
-def test_forward_solve_divergence_error():
-    # M = 1, so the verify pass takes 64 steps per block, and the overflow
-    # falls inside the first one
-    op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [-100j], [[0.0]])
-    cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
-    psi0 = cf.LiftedState(op.basis, [1.0 + 0j])
+def _first_non_finite_step(op, cfg, psi0):
+    # the first step of the apply_Vk chain whose state is not finite
     chain, first = psi0.vector, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(chain).all():
             chain, first = cf.apply_Vk(op, cfg, chain), first + 1
+    return first
+
+
+def test_forward_solve_divergence_error():
+    # M = 1, so the state steps by its propagator and the verify pass takes
+    # 64 steps per block, and the overflow falls inside the first one
+    op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [-100j], [[0.0]])
+    cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
+    psi0 = cf.LiftedState(op.basis, [1.0 + 0j])
+    first = _first_non_finite_step(op, cfg, psi0)
     assert 1 < first < taylor.VERIFY_BLOCK_ENTRIES
     with pytest.raises(DivergenceError) as err:
         cf.forward_solve(op, cfg, psi0)
     assert err.value.step == first
     assert err.value.layer == "taylor.forward_solve"
+    assert (f"at step {first} (t = {first:g}) of m=200 steps of h=1 at Taylor "
+            f"order k=3 on M=1 monomials (n=1, N=1), stepped by the "
+            f"propagator") in str(err.value)
+
+
+def test_forward_solve_divergence_on_the_horner_path_names_the_grid():
+    # M = 9 monomials (n = 2, N = 3), above the propagator's 8: Horner steps
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), [-100j, -50j],
+                             np.zeros((2, 2)))
+    cfg = cf.TaylorConfig(m=200, h=0.5, k=3)
+    psi0 = cf.LiftedState(op.basis, np.ones(op.monomial_size, dtype=complex))
+    first = _first_non_finite_step(op, cfg, psi0)
+    assert 1 < first < cfg.m
+    with pytest.raises(DivergenceError) as err:
+        cf.forward_solve(op, cfg, psi0)
+    assert err.value.step == first
+    assert (f"at step {first} (t = {first * 0.5:g}) of m=200 steps of h=0.5 "
+            f"at Taylor order k=3 on M=9 monomials (n=2, N=3), stepped by "
+            f"Horner") in str(err.value)
+
+
+def test_overflowing_propagator_falls_back_to_horner():
+    # n = 1, N = 2 with F1 = 0: the diagonal is 1e200 and 2e200, so column 2
+    # of V = I + hL overflows at h = 1e108 while a state with no block-2
+    # entry stays finite for one more step.  The matrix would turn that step
+    # into inf * 0 = nan; Horner names the apply_Vk chain's step
+    op = cf.LinearOperatorLN(cf.monomial_basis(1, 2), [-1e200j], [[0.0]])
+    cfg = cf.TaylorConfig(m=5, h=1e108, k=1)
+    assert taylor.propagator(block_operator(op, 2), cfg, 2) is None
+    psi0 = cf.LiftedState(op.basis, [0.5 + 0j, 0j])
+    first = _first_non_finite_step(op, cfg, psi0)
+    assert first == 2
+    with pytest.raises(DivergenceError) as err:
+        cf.forward_solve(op, cfg, psi0)
+    assert err.value.step == first
+    assert "on M=2 monomials (n=1, N=2), stepped by Horner" in str(err.value)
+
+
+def _stepping_matrix(op, cfg):
+    # V_k(hL) column by column, where forward_solve steps by its propagator
+    size = op.monomial_size
+    if size * size > taylor.VERIFY_BLOCK_ENTRIES or size >= cfg.m:
+        return None
+    return np.stack([cf.apply_Vk(op, cfg, unit)
+                     for unit in np.eye(size, dtype=complex)], axis=1)
 
 
 def _per_step_solve(op, cfg, psi0):
-    # the verify pass one step at a time, as a 1-D re-evaluation per step
+    # the verify pass one step at a time, as a 1-D re-evaluation per step,
+    # on the states of Horner's chain or of the propagator's
     cur, residual = psi0.vector, 0.0
     weights = op.basis.weights
+    matrix = _stepping_matrix(op, cfg)
     for _ in range(cfg.m):
-        nxt = cf.apply_Vk(op, cfg, cur)
+        nxt = cf.apply_Vk(op, cfg, cur) if matrix is None else matrix.dot(cur)
         ref = taylor._apply_Vk_direct(op, cfg, cur)
         ratio = (cf.vector_p_norm(nxt - ref, 2, weights)
                  / max(cf.vector_p_norm(cur, 2, weights), 1e-300))
@@ -229,11 +291,13 @@ def _per_step_solve(op, cfg, psi0):
 
 @pytest.mark.parametrize("n, order, m, blocks", [
     (1, 4, 1, [(4,)]),                          # M = 4, a single step
-    (1, 4, 40, [(64,), (64,), (32,)]),          # ends in a partial block
+    (1, 4, 40, [(64,), (64,), (32,)]),          # ends in a partial block;
+                                                # steps by the propagator
     (2, 3, 15, [(63,), (63,), (9,)]),           # ends in a block of one
     (2, 3, 23, [(63,)] * 3 + [(18,)]),
     (2, 10, 3, [(65,)] * 3),                    # M above the cap
-    (1, 2, 40, [(64,), (16,)]),                 # a coupling table of one entry
+    (1, 2, 40, [(64,), (16,)]),                 # a coupling table of one
+                                                # entry; the propagator
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
                                                            order, m, blocks):
@@ -255,7 +319,83 @@ def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
     assert shapes == blocks
     assert res.final.vector.tobytes() == final.tobytes()
     assert res.residual == residual
-    assert res.generator_applies == 2 * m * cfg.k
+    stepping = m if _stepping_matrix(op, cfg) is None else op.monomial_size
+    assert res.generator_applies == (m + stepping) * cfg.k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SMALL_STATES), st.integers(0, 2 ** 32 - 1), st.data())
+def test_propagator_matches_the_horner_chain(shape, seed, data):
+    # the gate for stepping by the propagator: on a dissipative generator,
+    # m in (M, 40], k in 1..30 and ||L||_1 h <= 2, the final state agrees
+    # with the apply_Vk chain to 1e-13 relative, in the tensor 2-norm, times
+    # the mean condition of a step: ||V_k(h|L|) |x_j| || / ||x_{j+1}||.  It
+    # is 1 for a state that neither decays nor cancels, and it grows where
+    # the Taylor sum's terms exceed its value (exp(-2) against exp(2) at
+    # h L = -2, |1 + h L| near 0 at k = 1); the Horner chain loses the same
+    # digits there
+    n, order = shape
+    rng = np.random.default_rng(seed)
+    rp, op = stable_operator(rng, n, order)
+    size = op.monomial_size
+    m = data.draw(st.integers(size + 1, 40), label="m")
+    k = data.draw(st.integers(1, 30), label="k")
+    cfg = cf.TaylorConfig(m=m, h=data.draw(st.floats(1e-6, 1.0), label="share")
+                          * 2 / op.norm_1(), k=k)
+    psi0 = cf.lift_point(complex_uniform(rng, n), op.basis)
+    res = cf.forward_solve(op, cfg, psi0)
+    assert res.generator_applies == k * (size + m)
+    assert res.residual <= 1e-12
+    absolute = BlockOperator(np.abs(op.diagonal), np.abs(op.coupling), op.up_t)
+    chain, condition = psi0.vector, 0.0
+    for _ in range(m):
+        nxt = cf.apply_Vk(op, cfg, chain)
+        condition += (cf.LiftedState(op.basis, cf.apply_Vk(
+            absolute, cfg, np.abs(chain).astype(complex))).norm()
+            / cf.LiftedState(op.basis, nxt).norm())
+        chain = nxt
+    gap = cf.LiftedState(op.basis, res.final.vector - chain).norm()
+    assert gap <= 1e-13 * condition / m * cf.LiftedState(op.basis, chain).norm()
+
+
+@pytest.mark.parametrize("n, order, m, matrix", [
+    (2, 3, 20, False),      # M = 9: M M = 81 above the cap
+    (1, 8, 8, False),       # m <= M: Horner spends no more applies
+    (1, 1, 1, False),
+    (1, 8, 9, True),
+    (1, 1, 2, True),
+])
+def test_forward_solve_selects_the_propagator(rng, monkeypatch, n, order, m,
+                                              matrix):
+    rp, op = stable_operator(rng, n, order)
+    cfg = cf.TaylorConfig(m=m, h=0.07, k=6)
+    psi0 = cf.lift_initial(rp, order)
+    formed = []
+    propagator = taylor.propagator
+
+    def recording(fold, cfg, size):
+        formed.append(size)
+        return propagator(fold, cfg, size)
+
+    monkeypatch.setattr(taylor, "propagator", recording)
+    res = cf.forward_solve(op, cfg, psi0)
+    assert formed == ([op.monomial_size] if matrix else [])
+    if not matrix:
+        chain = psi0.vector
+        for _ in range(m):
+            chain = cf.apply_Vk(op, cfg, chain)
+        assert res.final.vector.tobytes() == chain.tobytes()
+
+
+def test_forward_solve_counts_the_propagator_applies(rng):
+    # M = 7 monomials stepped 22 times at k = 25, as dissipative_n1: k M
+    # applies for the propagator instead of k m, and k m for the verify pass
+    rp, op = stable_operator(rng, 1, 7)
+    cfg = cf.TaylorConfig(m=22, h=0.01, k=25)
+    psi0 = cf.lift_initial(rp, 7)
+    assert cf.forward_solve(op, cfg, psi0).generator_applies == 25 * (7 + 22)
+    assert cf.forward_solve(op, cfg, psi0,
+                            verify=False).generator_applies == 25 * 7
 
 
 # ------------------------------------------------------------- readout_value
