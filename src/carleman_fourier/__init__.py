@@ -22,8 +22,8 @@ from .norms import (conjugate_exponent, gamma_growth_bound, log_norm_2,
                     op_norm, row_q_norm, vector_p_norm)
 from .oracle import (Trajectory, closed_form_1d, exact_lifted, final_state,
                      integrate, measure_eta, measure_eta_vector, propagate)
-from .params import (ErrorBudget, ParamSet, end_to_end_error_budget,
-                     select_dissipative, select_nondissipative)
+from .params import (ParamSet, end_to_end_error_budget, select_dissipative,
+                     select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, RescaledProblem, eval_readout,
                       expand_coeff_vector, monomial_count, monomial_index,
                       rescale)

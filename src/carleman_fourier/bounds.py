@@ -4,7 +4,9 @@ certificates and time-horizon formulas.
 Every evaluator returns a BoundReport carrying the value, whether the
 analytic hypotheses hold, and a log of (condition, value, threshold)
 triples so downstream CSVs are self-documenting.  Hypothesis failures are
-reported, not raised: the value becomes +inf and hypotheses_met is False.
+reported, not raised: hypotheses_met is False, eta_bound_dissipative's
+value becomes +inf, eta_bound_finite_time keeps its formula (sweeps plot
+it) and stability_certificate keeps mu2.
 """
 
 from __future__ import annotations
@@ -74,9 +76,8 @@ def check_dissipative(ode: FourierOde, p: float) -> DissipativityReport:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value plus its recomputable hypothesis log."""
+    """A bound value plus its recomputable hypothesis log."""
 
-    name: str
     value: float
     hypotheses_met: bool
     hypothesis_log: list = field(default_factory=list)
@@ -88,9 +89,9 @@ class BoundReport:
         raise KeyError(condition)
 
 
-def _report(name, value, log):
+def _report(value, log):
     met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(name=name, value=value if met else math.inf,
+    return BoundReport(value=value if met else math.inf,
                        hypotheses_met=met, hypothesis_log=log)
 
 
@@ -126,7 +127,7 @@ def eta_bound_dissipative(report: DissipativityReport,
         # underflows and (||F1||_row,q / mu0)^(N+1-k) alone overflows
         with contextlib.suppress(OverflowError):
             value = r_rescaled ** (order + 1 - k) * gamma_p ** k
-    return _report(f"eta_{k}_bound_inf_time", value, log)
+    return _report(value, log)
 
 
 def upper_bounded_time(rescaled: RescaledProblem, r: float, p: float) -> float:
@@ -188,8 +189,7 @@ def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
     except OverflowError:
         value = math.inf
     met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(name="eta_bound_finite_time", value=value,
-                       hypotheses_met=met, hypothesis_log=log)
+    return BoundReport(value=value, hypotheses_met=met, hypothesis_log=log)
 
 
 def taylor_remainder_bound(j: int, k: int) -> float:
@@ -221,8 +221,7 @@ def stability_certificate(op: LinearOperatorLN) -> BoundReport:
         ("gershgorin >= mu2", envelope, mu2, envelope >= mu2 - 1e-12),
     ]
     met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(name="stability_mu2", value=mu2,
-                       hypotheses_met=met, hypothesis_log=log)
+    return BoundReport(value=mu2, hypotheses_met=met, hypothesis_log=log)
 
 
 def t_max_nondissipative(rescaled: RescaledProblem, r: float, p: float,

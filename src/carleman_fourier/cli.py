@@ -69,10 +69,7 @@ def fmt(x) -> str:
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    value = float(x)
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
+    return f"{float(x):.17g}"
 
 
 # ----------------------------------------------------------------- config
@@ -262,9 +259,14 @@ def parse_overrides(overrides: dict, degree: int, text: str = "") -> dict:
 # ---------------------------------------------------------------- commands
 
 def _inputs(args) -> tuple:
-    """The config at args.config and its ode, readout and run sections."""
+    """The config at args.config and its ode, readout and run sections; a
+    readout of another dimension than the ODE's is refused before any work."""
     cfg = load_config(args.config)
-    return cfg, parse_ode(cfg), parse_readout(cfg), parse_run(cfg)
+    ode, readout, run = parse_ode(cfg), parse_readout(cfg), parse_run(cfg)
+    if readout.n != ode.n:
+        raise ConfigError(f"readout.coeffs: multi-indices of length {readout.n} "
+                          f"do not match ode.n = {ode.n}")
+    return cfg, ode, readout, run
 
 
 def cmd_solve(args) -> int:
@@ -310,14 +312,14 @@ def cmd_solve(args) -> int:
             "within_epsilon": outcome["within_epsilon"],
         },
         "bounds": outcome["bounds"],
-        "error_budget": None if budget is None else [list(l) for l in budget.lines],
+        "error_budget": None if budget is None else [list(l) for l in budget],
         "resource_estimate": None if resource is None else resource.as_dict(),
         "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
     # the pieces json.dumps(manifest, indent=2) joins, written as formatted
-    _write_output(outdir / "manifest.json", json.JSONEncoder(
-        indent=2, default=_json_default).iterencode(manifest))
+    _write_output(outdir / "manifest.json",
+                  json.JSONEncoder(indent=2).iterencode(manifest))
     columns = [
         ("regime", ps.regime),
         ("N", ps.order), ("k", ps.taylor_order), ("m", ps.steps),
@@ -351,8 +353,6 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, ode, readout, run = _inputs(args)
     axis = args.axis
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = parse_values_arg(args.values, axis)
 
     columns = ["axis", "value", "N", "k", "m", "nu", "epsilon",
@@ -460,7 +460,7 @@ def cmd_estimate(args) -> int:
                 except CflError:
                     pass
             out[regime] = detail
-    text = json.dumps(out, indent=2, default=_json_default)
+    text = json.dumps(out, indent=2)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_output(outdir / "estimate.json", text)
@@ -541,18 +541,6 @@ def _write_csv(path: Path, rows) -> None:
     time."""
     _write_output(path, (",".join(fmt(cell) for cell in row) + "\n"
                          for row in rows))
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def parse_values_arg(text, axis) -> list:

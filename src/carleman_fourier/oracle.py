@@ -75,7 +75,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n)
     est_global_error: float
-    _interpolant: object = field(repr=False, default=None)
+    _interpolant: object = field(repr=False)
 
     @property
     def horizon(self) -> float:
@@ -88,8 +88,6 @@ class Trajectory:
                 f"trajectory query at t={t} outside [0, {self.horizon}]"
             )
         t = min(max(t, 0.0), self.horizon)
-        if self._interpolant is None:
-            raise ConfigError("trajectory has no dense interpolant")
         return np.asarray(self._interpolant(t), dtype=complex).ravel()
 
 
@@ -126,7 +124,6 @@ _P = np.array([
     dtype=complex)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error order 4 + 1)
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 def _rms(x: np.ndarray) -> float:
@@ -202,8 +199,6 @@ def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
     One deliberate difference from scipy: a NaN step size (the field is
     NaN at the start) is a step-size failure, where scipy never stops."""
     rtol = atol = tol
-    if rtol < _RTOL_FLOOR:
-        rtol = _RTOL_FLOOR
     t, y = 0.0, y0
     K = np.empty((7, y.size), dtype=complex)
     # K[0] holds the derivative at the start of the step being taken
@@ -481,14 +476,13 @@ def action_config(op: LinearOperatorLN, t: float,
     return TaylorConfig(m=steps, h=t / steps, k=order)
 
 
-def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float,
-              grid: TaylorConfig | None = None) -> LiftedState:
+def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:
     """exp(L t) psi0 on monomial coordinates, as the action of the
     exponential on one vector (Al-Mohy & Higham 2011): forward_solve on the
     grid of action_config, without the verify pass, so its stepping budget
-    and divergence checks apply.  t = 0 returns a copy of psi0.  A caller
-    that has computed action_config(op, t) already passes it as `grid`."""
-    cfg = action_config(op, t) if grid is None else grid
+    and divergence checks apply.  t = 0 returns a copy of psi0.  On a grid
+    of the caller's: forward_solve(op, grid, psi0, verify=False).final."""
+    cfg = action_config(op, t)
     if cfg is None:
         return LiftedState(op.basis, psi0.vector.copy())
     return forward_solve(op, cfg, psi0, verify=False).final

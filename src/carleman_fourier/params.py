@@ -364,18 +364,10 @@ def derive_grid(ps: ParamSet, pins: dict | None = None) -> ParamSet:
         pinned=nu_pin + tuple(pins))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """epsilon/4 budget lines for the four error components."""
-
-    epsilon: float
-    lines: tuple  # (name, budget, measured | None, within)
-
-
-def end_to_end_error_budget(paramset: ParamSet, measured: dict) -> ErrorBudget:
-    """Attribute a completed run's measured error to the two classical
-    components and report the two circuit-side components as analytic
-    epsilon/4 budget lines without measurement.
+def end_to_end_error_budget(paramset: ParamSet, measured: dict) -> tuple:
+    """The epsilon/4 budget lines (name, budget, measured | None, within):
+    a completed run's measured error attributed to the two classical
+    components, and the two circuit-side components without measurement.
 
     `measured` maps 'koopman' and 'taylor' to measured absolute errors.
     """
@@ -388,4 +380,4 @@ def end_to_end_error_budget(paramset: ParamSet, measured: dict) -> ErrorBudget:
         lines.append((name, quarter, value, value <= quarter))
     lines.append(("block_encoding", quarter, None, True))
     lines.append(("expectation_estimation", quarter, None, True))
-    return ErrorBudget(epsilon=paramset.epsilon, lines=tuple(lines))
+    return tuple(lines)

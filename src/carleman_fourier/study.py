@@ -167,7 +167,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     if norm * cfg.h <= action_step_bound(cfg.k):
         # the run's own steps evaluate exp(L T) psi0 to the unit roundoff,
         # and the verify pass only reads the Horner states: the final state
-        # is propagate(op, psi0, T, cfg) bit for bit
+        # is forward_solve(op, cfg, psi0, verify=False).final bit for bit
         psi_lin = result.final
         split = {"steps": cfg.m, "taylor_order": cfg.k, "generator_applies": 0}
     else:
@@ -175,7 +175,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
         # reported as null; it never fails a run that stepped
         with contextlib.suppress(BudgetError, DivergenceError):
             grid = action_config(op, run["T"], norm)
-            # propagate(op, psi0, T, grid), with the applies it spends
+            # propagate(op, psi0, T) bit for bit, with the applies it spends
             lin = forward_solve(op, grid, psi0, verify=False)
             psi_lin = lin.final
             split = {"steps": grid.m, "taylor_order": grid.k,

@@ -72,7 +72,7 @@ class SolveResult:
 
     final: LiftedState
     residual: float
-    generator_applies: int = 0
+    generator_applies: int
 
 
 def apply_Vk(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,

@@ -189,7 +189,7 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     op = outcome["operator"]
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
     grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
-    assert (cf.propagate(op, psi0, run["T"], grid).vector.tobytes()
+    assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
 
@@ -216,7 +216,7 @@ def test_split_reuses_the_run_where_its_grid_meets_the_bound(name, overrides):
         "generator_applies": 0}
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
     grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
-    assert (cf.propagate(op, psi0, run["T"], grid).vector.tobytes()
+    assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
 
@@ -413,6 +413,72 @@ def test_malformed_numbers_exit_2_with_one_json_error(tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("edit,extra,field", [
+    (lambda cfg: cfg.pop("run"), [], "'run'"),
+    (_with("readout", "coeffs", []), [], "readout.coeffs"),
+    (_with("readout", "coeffs", [{"d": [1, 0]}]), [], "'j'"),
+    (_with("run", "regime", "chaotic"), [], "run.regime"),
+    (_with("run", "T", -0.5), [], "run.T"),
+    (_with("run", "epsilon", 0), [], "run.epsilon"),
+    (_with("run", "T", "1e999"), [], "run.T"),
+    (None, ["--param-overrides", "N"], "override"),
+    (_with("ode", "n", 0), [], "n must be >= 1"),
+    (lambda cfg: cfg["ode"]["g0"].pop(), [], "G0"),
+    (lambda cfg: cfg["ode"]["g1"].pop(), [], "G1"),
+    (lambda cfg: cfg["ode"]["u0"].pop(), [], "u0"),
+    (_with("readout", "K", 0), [], "degree K"),
+    (lambda cfg: cfg["readout"]["coeffs"][0]["j"].append(0), [], "multi-index lengths"),
+    (lambda cfg: cfg["readout"]["coeffs"][0].update(d=["1e999", 0]), [], "coefficient"),
+], ids=["missing-section", "coeffs-empty", "coeff-without-j", "regime-unknown",
+        "T-negative", "epsilon-zero", "T-not-finite", "override-without-equals",
+        "n-zero", "g0-shape", "g1-shape", "u0-shape", "K-zero",
+        "mixed-multi-index-lengths", "coeff-not-finite"])
+def test_malformed_configs_exit_2_naming_the_field(tmp_path, capsys, edit, extra,
+                                                   field):
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    if edit is not None:
+        edit(cfg)
+    path = tmp_path / "bad.json"
+    # "1e999" stands for the JSON number literal, which parses as inf
+    path.write_text(json.dumps(cfg).replace('"1e999"', "1e999"))
+    capsys.readouterr()
+    assert run_cli("solve", path, *extra, "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert field in payload["message"]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("solve", []), ("estimate", []), ("sweep", ["--axis", "N", "--values", "4,5"])],
+    ids=["solve", "estimate", "sweep"])
+def test_readout_of_another_dimension_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, command, extra):
+    # n = 2 with multi-indices of length 3: a config error of the CLI, not a
+    # regime that admits nothing (estimate), a failed row (sweep) or a
+    # failure after the oracle ran (solve)
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    for item in cfg["readout"]["coeffs"]:
+        item["j"].append(0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "Study", refuse)
+    capsys.readouterr()
+    assert run_cli(command, path, *extra, "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert "readout.coeffs" in payload["message"]
+    assert "ode.n" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def _scalar(g0, g1, u0, coeffs, run):

@@ -224,10 +224,10 @@ def test_error_budget_lines():
     ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
     ps = cf.select_dissipative(ode, ro, 1e-2, 1.0)
     budget = cf.end_to_end_error_budget(ps, {"koopman": 1e-4, "taylor": 2e-4})
-    assert all(within for (_name, _budget, _measured, within) in budget.lines)
-    assert sum(line[1] for line in budget.lines) == pytest.approx(ps.epsilon)
-    assert len(budget.lines) == 4
-    names = [line[0] for line in budget.lines]
+    assert all(within for (_name, _budget, _measured, within) in budget)
+    assert sum(line[1] for line in budget) == pytest.approx(ps.epsilon)
+    assert len(budget) == 4
+    names = [line[0] for line in budget]
     assert names == ["koopman", "taylor", "block_encoding",
                      "expectation_estimation"]
 
@@ -237,7 +237,7 @@ def test_error_budget_flags_violation():
     ro = cf.ReadoutSpec(degree=1, coeffs={(1,): 1.0})
     ps = cf.select_dissipative(ode, ro, 1e-2, 1.0)
     budget = cf.end_to_end_error_budget(ps, {"koopman": 1.0, "taylor": 0.0})
-    assert not all(within for (_name, _budget, _measured, within) in budget.lines)
+    assert not all(within for (_name, _budget, _measured, within) in budget)
 
 
 def test_error_budget_requires_components():
