@@ -1,10 +1,13 @@
 """Exit 1 unless every row of a `cfl sweep` result.csv reads the oracle's
-reference as `cfl solve` does, bit for bit.
+reference and the estimate as `cfl solve` does, bit for bit.
 
 A sweep takes x(T) from the oracle's fine pass alone (oracle.final_state)
 and a solve from the whole trajectory (oracle.integrate); the two must give
-the same reference.  For the row of `--axis <axis>` at value v, the solve
-is the one run with `--param-overrides <axis>=v --out <solve root>/<v>`.
+the same reference.  A sweep runs its rows largest order first, each on the
+leading section of one shared monomial basis, and a solve on a basis of its
+own; the two must give the same estimate.  For the row of `--axis <axis>`
+at value v, the solve is the one run with `--param-overrides <axis>=v
+--out <solve root>/<v>`.
 
     python .github/check_sweep_reference.py <sweep result.csv> <solve root>
 """
@@ -20,7 +23,7 @@ with open(sweep_csv, newline="") as handle:
 for row in rows:
     with open(solve_root / row["value"] / "result.csv", newline="") as handle:
         (solve,) = csv.DictReader(handle)
-    for column in ("reference_re", "reference_im"):
+    for column in ("estimate_re", "estimate_im", "reference_re", "reference_im"):
         swept, solved = (float(row[column]).hex(), float(solve[column]).hex())
         if swept != solved:
             print(f"{sweep_csv}: row {row['axis']}={row['value']}: {column} "

@@ -36,8 +36,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import estimator as estimator_mod
 from .errors import CflError, ConfigError, HypothesisViolation
-from .linearize import (DEFAULT_STATE_BUDGET, LinearOperatorLN,
-                        generator_entries, monomial_basis, size_within)
+from .linearize import LinearOperatorLN, size_within
 from .norms import op_norm
 from .oracle import integrate
 from .params import ParamSet, end_to_end_error_budget, nondissipative_inputs
@@ -203,6 +202,10 @@ def parse_run(cfg: dict) -> dict:
         "expected_mu0": real("expected_mu0"),
         "expected_r_p": real("expected_r_p"),
     }
+    unknown = set(run) - set(out)
+    if unknown:
+        raise ConfigError(f"unknown run keys {sorted(unknown)}; "
+                          f"allowed: {sorted(out)}")
     if out["regime"] not in ("auto", "dissipative", "nondissipative"):
         raise ConfigError(f"run.regime must be auto|dissipative|nondissipative, "
                           f"got {out['regime']!r}")
@@ -278,7 +281,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     oracle_error = study.oracle_error()
     oracle_s = time.perf_counter() - t0
-    outcome = study.outcome(ps, None)
+    outcome = study.outcome(ps)
     outcome["timings"]["oracle_s"] += oracle_s
 
     resource = None
@@ -294,7 +297,6 @@ def cmd_solve(args) -> int:
                  "taylor": outcome["taylor_error"]})
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_digest": cfg["_digest"],
         "config_path": cfg["_path"],
@@ -390,18 +392,12 @@ def cmd_sweep(args) -> int:
         except CflError as exc:
             row["error"] = _error_text(exc)
 
-    # the monomial basis depends on (n, N) alone: one, at the largest order
-    # among the rows that fits the state budget, serves every row as its
-    # leading section; a row above the budget builds its own and fails as a
-    # single run does
-    orders = [ps.order for _row, ps in plans
-              if generator_entries(ode.n, ps.order) <= DEFAULT_STATE_BUDGET]
-    basis = monomial_basis(ode.n, max(orders)) if orders else None
-    for row, ps in plans:
+    # largest order first, so the study's first basis serves every row
+    # within the state budget; rows are written in the order given
+    for row, ps in sorted(plans, key=lambda plan: -plan[1].order):
         t0 = time.perf_counter()  # runtime_s is the row's own run
         try:
-            fits = basis is not None and ps.order <= basis.order
-            outcome = study.outcome(ps, basis if fits else None)
+            outcome = study.outcome(ps)
             row.update(
                 N=ps.order, k=ps.taylor_order, m=ps.steps, nu=ps.nu,
                 epsilon=ps.epsilon, eta_1_measured=outcome["eta_1_measured"],
@@ -417,7 +413,6 @@ def cmd_sweep(args) -> int:
         row["runtime_s"] = time.perf_counter() - t0
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "result.csv",
                [columns, *([row.get(col) for col in columns] for row in rows)])
     print(f"wrote {outdir / 'result.csv'} ({len(rows)} rows)")
@@ -462,7 +457,6 @@ def cmd_estimate(args) -> int:
             out[regime] = detail
     text = json.dumps(out, indent=2)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_output(outdir / "estimate.json", text)
     print(text)
     if all("error" in entry for entry in out.values()):
@@ -478,7 +472,6 @@ def cmd_oracle(args) -> int:
     traj = integrate(ode, run["T"], tol=run["oracle_tol"],
                      samples=run["samples"])
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     header = ["t"]
     for i in range(ode.n):
         header += [f"re(x_{i + 1})", f"im(x_{i + 1})"]
@@ -507,22 +500,26 @@ def _write_output(path: Path, text) -> None:
     of milliseconds on some file systems (ext4 mounted with discard), where
     creating a file costs well under one.  After a crash the output may be
     missing rather than stale, and a symlink at path is replaced, not
-    written through.
-    """
-    path.unlink(missing_ok=True)
+    written through.  A missing directory is made; an OSError is a
+    ConfigError naming path."""
     pieces = iter([text] if isinstance(text, str) else text)
     encoding = _text_encoding()
-    with open(path, "wb", buffering=0) as out:
-        while batch := list(itertools.islice(pieces, WRITE_BATCH)):
-            # one name for the pieces, their text and its bytes, so that
-            # each is freed as soon as the next is made
-            batch = "".join(batch)
-            if os.linesep != "\n":
-                batch = batch.replace("\n", os.linesep)
-            batch = batch.encode(encoding)
-            written = out.write(batch)
-            while written < len(batch):  # an unbuffered write may be short
-                written += out.write(memoryview(batch)[written:])
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.unlink(missing_ok=True)
+        with open(path, "wb", buffering=0) as out:
+            while batch := list(itertools.islice(pieces, WRITE_BATCH)):
+                # one name for the pieces, their text and its bytes, so that
+                # each is freed as soon as the next is made
+                batch = "".join(batch)
+                if os.linesep != "\n":
+                    batch = batch.replace("\n", os.linesep)
+                batch = batch.encode(encoding)
+                written = out.write(batch)
+                while written < len(batch):  # an unbuffered write may be short
+                    written += out.write(memoryview(batch)[written:])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _text_encoding() -> str:

@@ -40,15 +40,15 @@ class FourierOde:
         object.__setattr__(self, "g1", np.atleast_2d(np.asarray(self.g1, dtype=complex)))
         object.__setattr__(self, "u0", np.asarray(self.u0, dtype=complex).ravel())
         if self.n < 1:
-            raise ConfigError("FourierOde: n must be >= 1")
+            raise ConfigError("FourierOde: ode.n must be >= 1")
         if self.g0.shape != (self.n,):
-            raise ConfigError(f"FourierOde: G0 must have length n={self.n}")
+            raise ConfigError(f"FourierOde: ode.g0 must have length ode.n = {self.n}")
         if self.g1.shape != (self.n, self.n):
-            raise ConfigError(f"FourierOde: G1 must be {self.n}x{self.n}")
+            raise ConfigError(f"FourierOde: ode.g1 must be ode.n x ode.n = {self.n}x{self.n}")
         if self.u0.shape != (self.n,):
-            raise ConfigError(f"FourierOde: u0 must have length n={self.n}")
+            raise ConfigError(f"FourierOde: ode.u0 must have length ode.n = {self.n}")
         if not all(np.isfinite(a).all() for a in (self.g0, self.g1, self.u0)):
-            raise ConfigError("FourierOde: G0, G1 and u0 must be finite")
+            raise ConfigError("FourierOde: ode.g0, ode.g1 and ode.u0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class ReadoutSpec:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ConfigError("ReadoutSpec: degree K must be >= 1")
+            raise ConfigError("ReadoutSpec: readout.K, the degree, must be >= 1")
         if not self.coeffs:
             raise ConfigError("ReadoutSpec: need at least one coefficient")
         clean = {}

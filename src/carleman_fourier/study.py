@@ -38,11 +38,13 @@ def float_range(layer: str):
 class Study:
     """The runs on one problem: ode, readout and a cli.parse_run section
     whose T, p and oracle_tol no run changes.  The report, x(T) and each
-    recipe are kept once computed; a failure is raised again at next use."""
+    recipe are kept once computed; a failure is raised again at next use.
+    So is the largest monomial basis built: runs step on its leading
+    section, so runs taken largest order first build one basis."""
 
     def __init__(self, ode: FourierOde, readout: ReadoutSpec, run: dict):
         self.ode, self.readout, self.run = ode, readout, run
-        self._report = self._u_final = None
+        self._report = self._u_final = self._basis = None
         self._recipes = {}
 
     def report(self) -> bounds_mod.DissipativityReport:
@@ -109,13 +111,16 @@ class Study:
                 self.ode, self.readout, run["epsilon"], run["T"], p=run["p"],
                 alpha=run["alpha"], beta=run["beta"], r=run["r"], nu=run["nu"])
 
-    def outcome(self, ps: ParamSet, basis: MonomialBasis | None) -> dict:
-        """run_pipeline at ps on the study's x(T) and `basis`, with the
+    def outcome(self, ps: ParamSet) -> dict:
+        """run_pipeline at ps on the study's x(T) and basis, with the
         bounds that apply to it ("bounds") and block 1's measured truncation
         error against exp(L T) psi0 ("eta_1_measured", None where the
-        stepping budget refuses the split or it overflows)."""
+        stepping budget refuses the split or it overflows).  A basis is
+        built only above the kept one's order."""
+        if self._basis is None or ps.order > self._basis.order:
+            self._basis = monomial_basis(self.ode.n, ps.order)
         out = run_pipeline(self.ode, self.readout, self.run, ps,
-                           self.u_final(), basis)
+                           self.u_final(), self._basis)
         report, rescaled = self.report(), out["rescaled"]
         out["bounds"] = bounds = {}
         if report.dissipative:

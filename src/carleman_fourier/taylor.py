@@ -11,9 +11,10 @@ whole time grid is one lower block-bidiagonal system (identity diagonal,
 -V_k subdiagonal, m trailing copy rows); forward substitution solves it
 exactly, so the returned residual only detects implementation drift.  The
 verify pass behind it re-evaluates every step term by term, on the states,
-up to VERIFY_BLOCK_ENTRIES // M consecutive steps in one apply per stage:
-their states, laid out as columns and flattened, are one state of the
-block-diagonal operator of linearize.block_operator.  Each step reads only
+up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps in one apply per
+stage: their states, laid out as columns and flattened, are one state of the
+B-fold block-diagonal operator of linearize.block_operator, one per solve (a
+shorter last block fills its leading columns).  Each step reads only
 the one before it and the readout reads only Phi_m, so one state is held at
 a time, besides the few of a verify block and the propagator; the trailing
 copy rows, which mirror the register layout of the linear-system
@@ -120,21 +121,22 @@ def propagator(fold: BlockOperator, cfg: TaylorConfig,
 
 
 def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
-                  starts: np.ndarray, end: np.ndarray,
+                  starts: np.ndarray, steps: int, end: np.ndarray,
                   weights: np.ndarray) -> float:
-    """Largest relative discrepancy, in the tensor 2-norm, between each step
-    of a block and its term-by-term re-evaluation; a non-finite ratio is
-    skipped.  starts holds the B start states as the columns of a C-ordered
-    (M, B) array, and op is the B-fold operator of its flat layout (op
-    itself for B = 1).  Step b ends at column b + 1, the last at `end`."""
-    width = starts.shape[1]
+    """Largest relative discrepancy, in the tensor 2-norm, between each of
+    `steps` steps and its term-by-term re-evaluation; a non-finite ratio is
+    skipped.  starts is a C-ordered (M, B) array whose leading `steps`
+    columns hold the start states, and op is the B-fold operator of its
+    flat layout (op itself for B = 1).  The columns after them are
+    evaluated but not read: each column of a B-fold apply equals a single
+    apply bit for bit.  Step b ends at column b + 1, the last at `end`."""
     # on the way to a detected divergence, intermediate magnitudes can
     # overflow inside the norm as well
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _apply_Vk_direct(op, cfg, starts.reshape(-1)).reshape(starts.shape)
         worst = 0.0
-        for b in range(width):
-            nxt = starts[:, b + 1] if b + 1 < width else end
+        for b in range(steps):
+            nxt = starts[:, b + 1] if b + 1 < steps else end
             num = vector_p_norm(nxt - ref[:, b], 2, weights)
             den = max(vector_p_norm(starts[:, b], 2, weights), 1e-300)
             ratio = num / den
@@ -160,13 +162,14 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     step, as a DivergenceError that names the grid.  When verify is set,
     each step is re-evaluated term by term from its start state and the
     worst relative discrepancy, in the tensor 2-norm, is reported as the
-    residual.  The re-evaluation runs
-    on up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps at once: their
-    start states are written into the columns of one (M, B) buffer as the
-    steps are taken, and its flat layout is one state of the B-fold
-    operator, built once per solve.  generator_applies counts k per column
-    of the propagator, k per step taken by Horner and k per step
-    re-evaluated.
+    residual.  The re-evaluation runs on up to B = VERIFY_BLOCK_ENTRIES // M
+    consecutive steps at once: their start states are written into the
+    columns of one (M, B) buffer as the steps are taken, and its flat layout
+    is one state of the B-fold operator, built once per solve.  A shorter
+    last block fills the buffer's leading columns; the rest still hold the
+    block before it, a full one, and are evaluated but not read.
+    generator_applies is k M for a propagator, plus k m when Horner steps
+    (a propagator that is not finite included) and k m when verify is set.
     """
     if not isinstance(psi0, LiftedState):
         raise ConfigError("forward_solve: psi0 must be a LiftedState; lift it "
@@ -193,11 +196,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
         fold = block_operator(op, block)
     if verify and block > 1:
         starts = np.empty((size, block), dtype=complex)
-    applies = 0
-    matrix = None
-    if small:
-        matrix = propagator(fold, cfg, size)
-        applies += cfg.k * size
+    matrix = propagator(fold, cfg, size) if small else None
     cur = psi0.vector
     weights = op.basis.weights
     # steps taken and not yet verified
@@ -225,17 +224,12 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                 f"parameters are unstable",
                 step=j + 1, layer="taylor.forward_solve",
             )
-        if matrix is None:
-            applies += cfg.k
         if pending == block or (pending and j + 1 == cfg.m):
-            if pending < block:
-                # the last block is shorter: an operator of its width
-                fold = block_operator(op, pending)
-                starts = np.ascontiguousarray(starts[:, :pending])
-            residual = max(residual,
-                           _verify_block(fold, cfg, starts, cur, weights))
-            applies += cfg.k * pending
+            residual = max(residual, _verify_block(fold, cfg, starts, pending,
+                                                   cur, weights))
             pending = 0
+    applies = cfg.k * ((size if small else 0) + (cfg.m if matrix is None else 0)
+                       + (cfg.m if verify else 0))
     return SolveResult(final=LiftedState(op.basis, cur), residual=residual,
                        generator_applies=applies)
 

@@ -424,11 +424,11 @@ def test_malformed_numbers_exit_2_with_one_json_error(tmp_path, capsys,
     (_with("run", "epsilon", 0), [], "run.epsilon"),
     (_with("run", "T", "1e999"), [], "run.T"),
     (None, ["--param-overrides", "N"], "override"),
-    (_with("ode", "n", 0), [], "n must be >= 1"),
-    (lambda cfg: cfg["ode"]["g0"].pop(), [], "G0"),
-    (lambda cfg: cfg["ode"]["g1"].pop(), [], "G1"),
-    (lambda cfg: cfg["ode"]["u0"].pop(), [], "u0"),
-    (_with("readout", "K", 0), [], "degree K"),
+    (_with("ode", "n", 0), [], "ode.n must be >= 1"),
+    (lambda cfg: cfg["ode"]["g0"].pop(), [], "ode.g0"),
+    (lambda cfg: cfg["ode"]["g1"].pop(), [], "ode.g1"),
+    (lambda cfg: cfg["ode"]["u0"].pop(), [], "ode.u0"),
+    (_with("readout", "K", 0), [], "readout.K"),
     (lambda cfg: cfg["readout"]["coeffs"][0]["j"].append(0), [], "multi-index lengths"),
     (lambda cfg: cfg["readout"]["coeffs"][0].update(d=["1e999", 0]), [], "coefficient"),
 ], ids=["missing-section", "coeffs-empty", "coeff-without-j", "regime-unknown",
@@ -450,6 +450,49 @@ def test_malformed_configs_exit_2_naming_the_field(tmp_path, capsys, edit, extra
     payload = json.loads(lines[0])
     assert payload["error"] == "ConfigError"
     assert field in payload["message"]
+
+
+def test_unknown_run_keys_exit_2_naming_them(tmp_path, capsys):
+    # a misspelt key is refused, not ignored: ignored, the run would take
+    # the default epsilon of 1e-3 and report within = True
+    cfg = json.loads((CONFIGS / "dissipative_n2.json").read_text())
+    cfg["run"]["epsilom"] = 1e-9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("solve", path, "--out", tmp_path / "out") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert "['epsilom']" in payload["message"]
+    assert "'epsilon'" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command,extra", [
+    ("solve", []),
+    ("sweep", ["--axis", "N", "--values", "4"]),
+    ("estimate", []),
+    ("oracle", []),
+])
+def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys, command,
+                                                    extra, below):
+    # --out names a file, or a directory below one: the command's output
+    # cannot be written, and the file is left as it was
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / "out" if below else blocker
+    capsys.readouterr()
+    assert run_cli(command, CONFIGS / "linear_n1.json", *extra,
+                   "--out", out) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert str(out) in payload["message"]
+    assert blocker.read_text() == "kept"
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -977,12 +1020,12 @@ def test_sweep_shares_the_recipe_and_the_operator(tmp_path, monkeypatch, axis,
 
     recipe_calls = _count_calls(monkeypatch, study.Study, "select_regime")
     basis_calls = [_count_calls(monkeypatch, module, "monomial_basis")
-                   for module in (linearize, cli, study)]
+                   for module in (linearize, study)]
     report_calls = _count_calls(monkeypatch, cli.bounds_mod, "check_dissipative")
     code = run_cli("sweep", CONFIGS / "nondissipative_n2.json", "--axis", axis,
                    "--values", values, "--out", tmp_path)
     monkeypatch.undo()
-    basis_calls = basis_calls[0] + basis_calls[1] + basis_calls[2]
+    basis_calls = basis_calls[0] + basis_calls[1]
     assert code == 0
     assert (len(recipe_calls), len(basis_calls), len(report_calls)) == (
         recipes, bases, 1)
@@ -1024,6 +1067,29 @@ def test_run_pipeline_on_a_larger_operator_matches_its_own():
                 "taylor_error", "residual", "lifted_state"):
         assert shared[key] == own[key]
     assert shared["psi_lin"].vector.tobytes() == own["psi_lin"].vector.tobytes()
+
+
+def test_study_builds_one_basis_for_runs_taken_largest_order_first(
+        monkeypatch):
+    # N = 8, then N = 5 on the leading section of its basis: each outcome is
+    # bit for bit run_pipeline's on a basis of its own
+    import carleman_fourier.linearize as linearize
+
+    ode, readout, run, _ps = _pipeline_inputs("dissipative_n2")
+    lab = study.Study(ode, readout, run)
+    params = [lab.params(run, {"N": order}) for order in (8, 5)]
+    calls = [_count_calls(monkeypatch, module, "monomial_basis")
+             for module in (linearize, study)]
+    outcomes = [lab.outcome(ps) for ps in params]
+    monkeypatch.undo()
+    assert calls[0] + calls[1] == [(ode.n, 8)]
+    for ps, outcome in zip(params, outcomes):
+        own = cli.run_pipeline(ode, readout, run, ps)
+        assert outcome["operator"].order == ps.order
+        assert outcome["estimate"] == own["estimate"]
+        assert outcome["residual"] == own["residual"]
+        assert (outcome["psi_lin"].vector.tobytes()
+                == own["psi_lin"].vector.tobytes())
 
 
 def test_run_pipeline_refuses_an_operator_of_another_problem():

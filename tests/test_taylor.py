@@ -291,12 +291,13 @@ def _per_step_solve(op, cfg, psi0):
 
 @pytest.mark.parametrize("n, order, m, blocks", [
     (1, 4, 1, [(4,)]),                          # M = 4, a single step
-    (1, 4, 40, [(64,), (64,), (32,)]),          # ends in a partial block;
+    (1, 4, 40, [(64,)] * 3),                    # ends in a partial block,
+                                                # on the full-width operator;
                                                 # steps by the propagator
-    (2, 3, 15, [(63,), (63,), (9,)]),           # ends in a block of one
-    (2, 3, 23, [(63,)] * 3 + [(18,)]),
+    (2, 3, 15, [(63,)] * 3),                    # ends in a block of one
+    (2, 3, 23, [(63,)] * 4),
     (2, 10, 3, [(65,)] * 3),                    # M above the cap
-    (1, 2, 40, [(64,), (16,)]),                 # a coupling table of one
+    (1, 2, 40, [(64,)] * 2),                    # a coupling table of one
                                                 # entry; the propagator
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
@@ -385,6 +386,23 @@ def test_forward_solve_selects_the_propagator(rng, monkeypatch, n, order, m,
         for _ in range(m):
             chain = cf.apply_Vk(op, cfg, chain)
         assert res.final.vector.tobytes() == chain.tobytes()
+
+
+def test_forward_solve_builds_one_block_operator(rng, monkeypatch):
+    # M = 7 stepped 22 times verifies blocks of 9, 9 and 4 steps: the last,
+    # shorter block fills the leading columns of the one 9-fold operator
+    rp, op = stable_operator(rng, 1, 7)
+    cfg = cf.TaylorConfig(m=22, h=0.01, k=25)
+    psi0 = cf.lift_initial(rp, 7)
+    widths = []
+
+    def recording(op, width):
+        widths.append(width)
+        return block_operator(op, width)
+
+    monkeypatch.setattr(taylor, "block_operator", recording)
+    cf.forward_solve(op, cfg, psi0)
+    assert widths == [9]
 
 
 def test_forward_solve_counts_the_propagator_applies(rng):
