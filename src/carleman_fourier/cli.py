@@ -592,14 +592,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that is an existing file other than a directory, or
+    lies under one, as a ConfigError naming it, before any work is done and
+    without creating anything.  A path that cannot be examined, or a
+    directory that cannot be written, fails when the command writes."""
+    for path in (out, *out.parents):
+        try:
+            if path.is_dir():
+                return
+            if path.exists():
+                raise ConfigError(f"cannot write {out}: {path} is not a "
+                                  f"directory")
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]
     try:
+        _check_out(Path(args.out))
         return command(args)
     except CflError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        for key in ("step", "layer"):
+        for key in ("step", "layer", "grid"):
             if getattr(exc, key, None) is not None:
                 payload[key] = getattr(exc, key)
         print(json.dumps(payload), file=sys.stderr)

@@ -31,14 +31,17 @@ class HypothesisViolation(CflError):
 class DivergenceError(CflError):
     """Non-finite values encountered while time stepping.  `step` is the
     first offending step and `layer` the function that stepped, as
-    module.function, when known."""
+    module.function, when known.  `grid`, when known, is the time grid that
+    stepped, as a dict of plain values (taylor.forward_solve gives m, h, k,
+    M, n, N and the stepping path)."""
 
     exit_code = 4
 
-    def __init__(self, message, step=None, layer=None):
+    def __init__(self, message, step=None, layer=None, grid=None):
         super().__init__(message)
         self.step = step
         self.layer = layer
+        self.grid = grid
 
 
 class BudgetError(ConfigError):

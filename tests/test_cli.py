@@ -477,13 +477,21 @@ def test_unknown_run_keys_exit_2_naming_them(tmp_path, capsys):
     ("estimate", []),
     ("oracle", []),
 ])
-def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys, command,
+def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys,
+                                                    monkeypatch, command,
                                                     extra, below):
     # --out names a file, or a directory below one: the command's output
-    # cannot be written, and the file is left as it was
+    # cannot be written, so it is refused before the study or the oracle
+    # runs, and the file is left as it was
     blocker = tmp_path / "blocker"
     blocker.write_text("kept")
     out = blocker / "out" if below else blocker
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "Study", refuse)
+    monkeypatch.setattr(cli, "integrate", refuse)
     capsys.readouterr()
     assert run_cli(command, CONFIGS / "linear_n1.json", *extra,
                    "--out", out) == 2
@@ -613,6 +621,9 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
     assert ("at step 1 (t = 1.5) of m=1 steps of h=1.5 at Taylor order k=500 "
             "on M=1200 monomials (n=1, N=1200), stepped by Horner"
             in payload["message"])
+    # and carries the grid as a field of its own
+    assert payload["grid"] == {"m": 1, "h": 1.5, "k": 500, "M": 1200, "n": 1,
+                               "N": 1200, "path": "Horner"}
 
 
 def test_pinned_taylor_order_above_the_cap_is_refused(tmp_path, capsys):

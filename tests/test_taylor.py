@@ -23,6 +23,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # n = 2 with N <= 2 and n = 3..8 with N = 1
 SMALL_STATES = [(n, order) for n in range(1, 10) for order in range(1, 10)
                 if monomial_count(n, order) ** 2 <= taylor.VERIFY_BLOCK_ENTRIES]
+# every (n, N) with n <= 9 whose state of M monomials has 33 <= M <= 64, the
+# states that step in lockstep with their re-evaluation when verified
+LOCKSTEP_STATES = [
+    (n, order) for n in range(1, 10) for order in range(1, 65)
+    if taylor.VERIFY_BLOCK_ENTRIES // 2 < monomial_count(n, order)
+    <= taylor.VERIFY_BLOCK_ENTRIES]
 
 
 def stable_operator(rng, n, order, r_target=0.5):
@@ -228,6 +234,8 @@ def test_forward_solve_divergence_error():
     assert (f"at step {first} (t = {first:g}) of m=200 steps of h=1 at Taylor "
             f"order k=3 on M=1 monomials (n=1, N=1), stepped by the "
             f"propagator") in str(err.value)
+    assert err.value.grid == {"m": 200, "h": 1.0, "k": 3, "M": 1, "n": 1,
+                              "N": 1, "path": "propagator"}
 
 
 def test_forward_solve_divergence_on_the_horner_path_names_the_grid():
@@ -244,6 +252,31 @@ def test_forward_solve_divergence_on_the_horner_path_names_the_grid():
     assert (f"at step {first} (t = {first * 0.5:g}) of m=200 steps of h=0.5 "
             f"at Taylor order k=3 on M=9 monomials (n=2, N=3), stepped by "
             f"Horner") in str(err.value)
+    assert err.value.grid == {"m": 200, "h": 0.5, "k": 3, "M": 9, "n": 2,
+                              "N": 3, "path": "Horner"}
+
+
+def test_forward_solve_divergence_in_lockstep_is_the_horner_loops():
+    # M = 35 monomials (n = 2, N = 7): the verified solve steps in lockstep,
+    # and overflows at the step, with the message and grid, of the Horner
+    # loop that an unverified solve runs alone
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 7), [-100j, -50j],
+                             np.zeros((2, 2)))
+    cfg = cf.TaylorConfig(m=200, h=0.5, k=3)
+    psi0 = cf.LiftedState(op.basis, np.ones(op.monomial_size, dtype=complex))
+    first = _first_non_finite_step(op, cfg, psi0)
+    assert 1 < first < cfg.m
+    errors = []
+    for verify in (True, False):
+        with pytest.raises(DivergenceError) as err:
+            cf.forward_solve(op, cfg, psi0, verify=verify)
+        errors.append(err.value)
+    lockstep, horner = errors
+    assert lockstep.step == horner.step == first
+    assert str(lockstep) == str(horner)
+    assert "on M=35 monomials (n=2, N=7), stepped by Horner" in str(lockstep)
+    assert lockstep.grid == horner.grid == {
+        "m": 200, "h": 0.5, "k": 3, "M": 35, "n": 2, "N": 7, "path": "Horner"}
 
 
 def test_overflowing_propagator_falls_back_to_horner():
@@ -299,6 +332,9 @@ def _per_step_solve(op, cfg, psi0):
     (2, 10, 3, [(65,)] * 3),                    # M above the cap
     (1, 2, 40, [(64,)] * 2),                    # a coupling table of one
                                                 # entry; the propagator
+    (2, 7, 5, []),                              # M = 35 and M = 54: Horner
+    (2, 9, 4, []),                              # and its re-evaluation in
+                                                # lockstep, no separate pass
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
                                                            order, m, blocks):
@@ -322,6 +358,28 @@ def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
     assert res.residual == residual
     stepping = m if _stepping_matrix(op, cfg) is None else op.monomial_size
     assert res.generator_applies == (m + stepping) * cfg.k
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(LOCKSTEP_STATES), st.integers(0, 2 ** 32 - 1), st.data())
+def test_lockstep_matches_a_per_step_loop(shape, seed, data):
+    # a state of 33-64 monomials on a stable generator, m in 1..12, k in
+    # 1..30 and ||L||_1 h <= 2: the lockstep solve's final state, residual
+    # and generator_applies are the separate Horner and re-evaluation
+    # passes' bit for bit
+    n, order = shape
+    rng = np.random.default_rng(seed)
+    rp, op = stable_operator(rng, n, order)
+    m = data.draw(st.integers(1, 12), label="m")
+    k = data.draw(st.integers(1, 30), label="k")
+    cfg = cf.TaylorConfig(m=m, h=data.draw(st.floats(1e-6, 1.0), label="share")
+                          * 2 / op.norm_1(), k=k)
+    psi0 = cf.lift_point(complex_uniform(rng, n), op.basis)
+    final, residual = _per_step_solve(op, cfg, psi0)
+    res = cf.forward_solve(op, cfg, psi0)
+    assert res.final.vector.tobytes() == final.tobytes()
+    assert res.residual == residual
+    assert res.generator_applies == 2 * k * m
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,6 +461,34 @@ def test_forward_solve_builds_one_block_operator(rng, monkeypatch):
     monkeypatch.setattr(taylor, "block_operator", recording)
     cf.forward_solve(op, cfg, psi0)
     assert widths == [9]
+
+
+@pytest.mark.parametrize("verify, width", [(True, 2), (False, 1)])
+def test_lockstep_applies_one_2_fold_operator_per_stage(rng, monkeypatch,
+                                                        verify, width):
+    # M = 35 stepped twice at k = 25: verified, one 2-fold operator per solve
+    # and one apply of it per stage; unverified, no block operator and one
+    # single apply per stage
+    rp, op = stable_operator(rng, 2, 7)
+    cfg = cf.TaylorConfig(m=2, h=0.01, k=25)
+    psi0 = cf.lift_initial(rp, 7)
+    widths, sizes = [], []
+    build, apply = taylor.block_operator, taylor.apply_LN
+
+    def building(op, width):
+        widths.append(width)
+        return build(op, width)
+
+    def applying(op, x):
+        sizes.append(x.size)
+        return apply(op, x)
+
+    monkeypatch.setattr(taylor, "block_operator", building)
+    monkeypatch.setattr(taylor, "apply_LN", applying)
+    res = cf.forward_solve(op, cfg, psi0, verify=verify)
+    assert widths == ([width] if verify else [])
+    assert sizes == [35 * width] * 50
+    assert res.generator_applies == 25 * 2 * (2 if verify else 1)
 
 
 def test_forward_solve_counts_the_propagator_applies(rng):
