@@ -29,6 +29,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,11 @@ OVERRIDE_KEYS = ("N", "k", "m", "nu")
 # SVD: it runs only up to this many tensor entries
 DENSE_NORM_CAP = 1024
 
-# pieces of an output joined into one write (_write_output): the JSON
-# encoder yields some 400 short pieces per manifest, a CSV one per row.
-# A solve's peak memory grows with the batch: 64 pieces held about 2 KB
-# more than 32, and 256 kept only about a third of the gain over writing
-# one joined text
+# pieces of an output joined into one write (_write_output): _json_pieces
+# yields one per line of a manifest, some 170, a CSV one per row.  A
+# solve's peak memory grows with the batch: 64 of the stdlib encoder's
+# shorter pieces held about 2 KB more than 32, and 256 kept only about a
+# third of the gain over writing one joined text
 WRITE_BATCH = 32
 
 
@@ -319,9 +320,7 @@ def cmd_solve(args) -> int:
         "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
-    # the pieces json.dumps(manifest, indent=2) joins, written as formatted
-    _write_output(outdir / "manifest.json",
-                  json.JSONEncoder(indent=2).iterencode(manifest))
+    _write_output(outdir / "manifest.json", _json_pieces(manifest))
     columns = [
         ("regime", ps.regime),
         ("N", ps.order), ("k", ps.taylor_order), ("m", ps.steps),
@@ -455,7 +454,7 @@ def cmd_estimate(args) -> int:
                 except CflError:
                     pass
             out[regime] = detail
-    text = json.dumps(out, indent=2)
+    text = "".join(_json_pieces(out))
     outdir = Path(args.out)
     _write_output(outdir / "estimate.json", text)
     print(text)
@@ -489,12 +488,88 @@ def _error_text(exc: CflError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _json_pieces(value, indent="\n"):
+    """The text of json.dumps(value, indent=2) in pieces, about one per
+    line: a line's separator, indent, key and atom (str, None, bool, int or
+    float) make one piece.  Atoms are written as json.encoder writes them:
+    float.__repr__ with NaN and +-Infinity, int.__repr__, and strings and
+    keys through encode_basestring_ascii; any other object is a TypeError.
+    `indent` is the newline and indent of the line that holds value.
+
+    A nested container is a generator of its own, which refers only to its
+    items, so nothing is left for the cycle collector.  The stdlib's
+    pure-Python encoder, which indent selects, makes closures that refer
+    to each other: each manifest left about 3 KB of them."""
+    atom = _json_atom(value)
+    if atom is not None:
+        yield atom
+        return
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", zip(itertools.repeat(""), value)
+    elif isinstance(value, dict):
+        brackets, items = "{}", zip(map(_json_key, value), value.values())
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+    if not value:
+        yield brackets
+        return
+    inner = indent + "  "
+    head = brackets[0] + inner
+    for key, item in items:
+        atom = _json_atom(item)
+        if atom is None:
+            yield head + key
+            yield from _json_pieces(item, inner)
+        else:
+            yield head + key + atom
+        head = "," + inner
+    yield indent + brackets[1]
+
+
+def _json_atom(value):
+    """value as JSON text if it is no container, else None.  Floats, the
+    most frequent atoms of a manifest, are tried first: only bool and int
+    overlap, and bool is tried before int."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key and its separator as json.encoder writes them: a JSON
+    string, of the key's own JSON text when it is a float, int, bool or
+    None, and ": "."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _json_atom(key)
+    return encode_basestring_ascii(key) + ": "
+
+
 def _write_output(path: Path, text) -> None:
     """Write text, a str or an iterable of str pieces, to a new file at
     path, removing any old one first.  The file holds the bytes
     Path.write_text writes for the pieces joined, but the pieces are joined
     and written WRITE_BATCH at a time, so an output is never held whole: a
-    manifest's JSON as its encoder yields it, a CSV row by row.
+    manifest line by line as _json_pieces yields it, a CSV row by row.
 
     Rewriting a file whose data already sits on disk in place can cost tens
     of milliseconds on some file systems (ext4 mounted with discard), where
@@ -616,7 +691,7 @@ def main(argv=None) -> int:
         return command(args)
     except CflError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        for key in ("step", "layer", "grid"):
+        for key in ("step", "layer", "grid", "params"):
             if getattr(exc, key, None) is not None:
                 payload[key] = getattr(exc, key)
         print(json.dumps(payload), file=sys.stderr)

@@ -19,13 +19,17 @@ class ConfigError(CflError):
 
 class HypothesisViolation(CflError):
     """An analytic precondition of a bound or parameter recipe is not met.
-    `layer` is the function whose precondition failed, as module.function."""
+    `layer` is the function whose precondition failed, as module.function.
+    `params`, when known, holds the inputs that precondition tested, as a
+    dict of plain values (the recipes give regime, p and the quantities
+    compared, such as mu0 and R_p, or horizon and T_max)."""
 
     exit_code = 3
 
-    def __init__(self, message, layer=None):
+    def __init__(self, message, layer=None, params=None):
         super().__init__(message)
         self.layer = layer
+        self.params = params
 
 
 class DivergenceError(CflError):

@@ -144,6 +144,8 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
             f"{p} (mu0={report.mu0}, R_p={report.r_p}, "
             f"threshold={report.condition_2norm})",
             layer="params.select_dissipative",
+            params={"regime": "dissipative", "p": p, "mu0": report.mu0,
+                    "R_p": report.r_p, "threshold": report.condition_2norm},
         )
     mu0, g1_row_q = report.mu0, report.g1_row_q
     if alpha is None:
@@ -160,7 +162,9 @@ def select_dissipative(ode: FourierOde, readout: ReadoutSpec, epsilon: float,
     elif g1_row_q == 0 and eiu0_2 >= nu:
         raise HypothesisViolation(
             f"select_dissipative: without coupling nu = {nu} must exceed "
-            f"|e^(i u0)|_2 = {eiu0_2}", layer="params.select_dissipative")
+            f"|e^(i u0)|_2 = {eiu0_2}", layer="params.select_dissipative",
+            params={"regime": "dissipative", "p": p, "nu": nu,
+                    "eiu0_2": eiu0_2})
 
     return _derived_at(
         nu, eiu0_2, readout, report.q, regime="dissipative", p=p,
@@ -225,7 +229,9 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
         raise ConfigError("select_nondissipative: horizon must be positive")
     if r < E:
         raise HypothesisViolation(f"select_nondissipative: r must be >= e, got {r}",
-                                  layer="params.select_nondissipative")
+                                  layer="params.select_nondissipative",
+                                  params={"regime": "nondissipative", "p": p,
+                                          "r": r})
     q = conjugate_exponent(p)
     eiu0 = np.exp(1j * ode.u0)
     eiu0_p = vector_p_norm(eiu0, p)
@@ -238,6 +244,8 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
             f"select_nondissipative: nu = {nu} must exceed "
             f"max(r |e^(i u0)|_p, sqrt(2) |e^(i u0)|_2) = {nu_floor}",
             layer="params.select_nondissipative",
+            params={"regime": "nondissipative", "p": p, "r": r, "nu": nu,
+                    "nu_floor": nu_floor},
         )
     if alpha < np.max(np.abs(ode.g0)) - 1e-12:
         raise ConfigError("select_nondissipative: alpha must dominate max|G0_j|")
@@ -249,6 +257,8 @@ def select_nondissipative(ode: FourierOde, readout: ReadoutSpec,
             f"select_nondissipative: horizon {horizon} exceeds "
             f"T_max = {t_max}",
             layer="params.select_nondissipative",
+            params={"regime": "nondissipative", "p": p, "r": r, "nu": nu,
+                    "horizon": horizon, "T_max": t_max},
         )
 
     return _derived_at(

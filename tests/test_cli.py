@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier import cli, study
@@ -1103,6 +1105,30 @@ def test_study_builds_one_basis_for_runs_taken_largest_order_first(
                 == own["psi_lin"].vector.tobytes())
 
 
+@pytest.mark.parametrize("run,layer", [
+    ({"regime": "dissipative"}, "params.select_dissipative"),
+    ({"T": 1.0}, "params.select_nondissipative"),
+])
+def test_hypothesis_violation_carries_the_inputs_it_tested(tmp_path, capsys,
+                                                          run, layer):
+    # a non-dissipative problem forced into the dissipative recipe, and a
+    # horizon past the non-dissipative window (T_max about 0.094)
+    cfg = json.loads((CONFIGS / "nondissipative_n2.json").read_text())
+    cfg["run"].update(run)
+    path = tmp_path / "violation.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("solve", path, "--out", tmp_path / "out") == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (payload["error"], payload["layer"]) == ("HypothesisViolation", layer)
+    params = payload["params"]
+    assert (params["regime"], params["p"]) == (layer.split("_")[-1], 2.0)
+    if layer == "params.select_dissipative":
+        assert params["mu0"] == -0.3 and params["R_p"] == math.inf
+    else:
+        assert params["r"] == 5.0 and params["nu"] > 0
+        assert params["horizon"] == 1.0 > params["T_max"] > 0
+
+
 def test_run_pipeline_refuses_an_operator_of_another_problem():
     # a basis of another n, or of an order below the run's, is refused
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2", N=5)
@@ -1454,6 +1480,39 @@ def test_solve_manifest_is_the_stdlib_json_format(tmp_path, name):
     assert text == json.dumps(json.loads(text), indent=2)
 
 
+_JSON_VALUES = st.recursive(
+    st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+              st.floats().map(np.float64)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.floats(),
+                                  st.booleans(), st.none()),
+                        children, max_size=4)),
+    max_leaves=20)
+# json.dumps refuses these values, and a tuple as a key
+_JSON_REFUSED = st.one_of(st.complex_numbers(), st.binary(max_size=2),
+                          st.integers(0, 3).map(np.int64),
+                          st.booleans().map(np.bool_))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_pieces_are_the_bytes_of_json_dumps(value):
+    # str with non-ASCII and control characters, ints, floats with NaN,
+    # +-inf, -0.0 and subnormals, float subclasses, non-str keys
+    assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES, _JSON_REFUSED, st.tuples(st.integers()))
+def test_json_pieces_refuse_what_json_dumps_refuses(value, refused, key):
+    for bad in ({"a": [value, [refused]]}, [{"a": value, key: 0}]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            "".join(cli._json_pieces(bad))
+
+
 # --------------------------------------------------------------------- main
 
 def test_main_parses_without_cycles_and_runs_the_current_command(monkeypatch):
@@ -1472,6 +1531,27 @@ def test_main_parses_without_cycles_and_runs_the_current_command(monkeypatch):
         if enabled:
             gc.enable()
     assert seen == ["first", "second"]
+
+
+def test_commands_leave_nothing_for_the_cycle_collector(tmp_path, capsys):
+    # a process that runs many commands holds no garbage of earlier ones
+    # under its later peaks: no command leaves a reference cycle behind
+    config = CONFIGS / "dissipative_n2.json"
+    commands = [["solve", config], ["estimate", config],
+                ["sweep", config, "--axis", "N", "--values", "4,5"],
+                ["oracle", config]]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for command in commands:
+            for attempt in range(2):
+                assert run_cli(*command, "--out", tmp_path / f"{attempt}") == 0
+                assert gc.collect() == 0, command[0]
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_manifest_carries_budget_and_resources(tmp_path):

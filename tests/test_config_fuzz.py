@@ -4,8 +4,9 @@ traceback.
 
 Configs start from a well-formed small problem (n <= 2, T <= 0.3) and then
 have leaves, sections or the whole document replaced by other JSON values:
-NaN and infinities, wrong types, empty containers.  Replacement numbers stay
-within +-4, so that an accepted config is a small, fast run.
+NaN and infinities, wrong types, empty containers.  Replacement numbers lie
+within +-4, or are one of a few extreme magnitudes (+-1e6, +-1e12, +-1e300,
++-1e-300), which a run must refuse, or take at the cost of a small one.
 """
 
 import json
@@ -16,7 +17,11 @@ from hypothesis import strategies as st
 
 from carleman_fourier.cli import main
 
-NUMBER = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+NUMBER = st.one_of(
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+    st.sampled_from([sign * magnitude for magnitude in (1e6, 1e12, 1e300, 1e-300)
+                     for sign in (1, -1)]),
+)
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 4), NUMBER,
     st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -116,10 +121,11 @@ def test_any_config_exits_cleanly(tmp_path, capsys, cfg, command):
         lines = err.strip().splitlines()
         assert len(lines) == 1
         payload = json.loads(lines[0])
-        # a DivergenceError or HypothesisViolation also names its layer
+        # a DivergenceError or HypothesisViolation also names its layer,
+        # and may carry its time grid or the inputs its precondition tested
         assert isinstance(payload, dict)
-        assert {"error", "message"} <= set(payload) <= {"error", "message",
-                                                         "step", "layer"}
+        assert {"error", "message"} <= set(payload) <= {
+            "error", "message", "step", "layer", "grid", "params"}
         if "layer" in payload:
             assert payload["error"] in ("DivergenceError", "HypothesisViolation")
             assert payload["layer"].count(".") == 1

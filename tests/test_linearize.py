@@ -95,6 +95,27 @@ def test_budget_counts_generator_entries():
         cf.LinearOperatorLN(monomial_basis(2, 10 ** 11), np.ones(2), np.eye(2))
 
 
+def test_basis_integer_tables_are_narrow():
+    # counts fit every order the budget admits at n (2097152 at n = 1, 1671
+    # at n = 2, 183 at n = 3), so the dtypes depend on n alone
+    for n, order, counts in [(1, 7, np.uint32), (2, 12, np.uint16),
+                             (3, 8, np.uint8), (16, 2, np.uint8)]:
+        basis = monomial_basis(n, order)
+        assert basis.counts.dtype == counts
+        assert basis.parent.dtype == np.int32
+        assert basis.symbol.dtype == np.uint8
+        assert basis.up_t.dtype == np.intp
+    assert generator_entries(1, 2 ** 21) <= DEFAULT_STATE_BUDGET
+    assert generator_entries(2, 1671) <= DEFAULT_STATE_BUDGET
+    assert generator_entries(2, 1672) > DEFAULT_STATE_BUDGET
+    assert generator_entries(3, 183) <= DEFAULT_STATE_BUDGET
+    assert generator_entries(3, 256) > DEFAULT_STATE_BUDGET
+    # at the edge of the budget, 20348 monomials: int64 counts alone took
+    # 2.60 MB
+    basis = monomial_basis(16, 5)
+    assert sum(table.nbytes for table in basis[1:]) <= 1.3e6
+
+
 # ------------------------------------------------------------ flat layout
 
 def test_blocks_are_views_at_block_offsets(rng):
