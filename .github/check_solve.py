@@ -1,12 +1,19 @@
-"""Exit 1 unless each `cfl solve` manifest.json shows a verify pass that ran
-on every step, and a Koopman/Taylor split whose grid agrees with its cost.
+"""Exit 1 unless each `cfl solve` manifest.json shows a run stepped at the
+Taylor degree the package picks, a verify pass that ran on every step, and
+a Koopman/Taylor split whose grid agrees with its cost.
+
+The recipe's order k = params.taylor_order steps at the degree d =
+lifted_state.taylor_degree, which must not exceed k and must equal the
+installed package's oracle.step_degree at ||L||_1 h =
+lifted_state.generator_norm_1 * params.step_size: the least degree whose
+step bound holds ||L||_1 h when k meets it, and k otherwise.
 
 The verify pass re-evaluates each Taylor step term by term.  Its residual,
 errors.solver_residual, must be finite and at most 1e-12.  forward_solve
-counts k generator applies per step re-evaluated, k per step taken by
-Horner, and k per column of the propagator by which a state of M monomials
+counts d generator applies per step re-evaluated, d per step taken by
+Horner, and d per column of the propagator by which a state of M monomials
 steps when M * M <= 64 and M < m.  So lifted_state.generator_applies must
-be k * m + k * stepped, with k = params.taylor_order, m = params.steps, M =
+be d * m + d * stepped, with m = params.steps, M =
 lifted_state.monomial_dim and stepped = min(m, M) if M * M <= 64, else m.
 A solve run without verify, or a verify pass that leaves steps out (a block
 dropped or cut short), fails the count.
@@ -14,8 +21,8 @@ dropped or cut short), fails the count.
 The split (lifted_state.split, null when the stepping budget refuses it)
 either reuses the run's own steps, with 0 generator applies, or steps
 exp(L T) psi0 on a grid of its own.  A reused split must name the run's
-grid (params.steps and params.taylor_order) and report errors.taylor = 0
-and errors.koopman = errors.total; a split on its own grid of steps and
+grid (params.steps and the degree d) and report errors.taylor = 0 and
+errors.koopman = errors.total; a split on its own grid of steps and
 taylor_order must count taylor_order * stepped applies, with stepped as
 above for m = steps.
 
@@ -25,6 +32,8 @@ above for m = steps.
 import json
 import math
 import sys
+
+from carleman_fourier.oracle import step_degree
 
 failed = False
 
@@ -50,12 +59,20 @@ for path in sys.argv[1:]:
     monomials = manifest["lifted_state"]["monomial_dim"]
     params = manifest["params"]
     steps, order = params["steps"], params["taylor_order"]
-    expected = order * (steps + stepped(steps, monomials))
+    degree = manifest["lifted_state"]["taylor_degree"]
+    norm = manifest["lifted_state"]["generator_norm_1"]
+    if not degree <= order:
+        fail(path, f"taylor_degree {degree} exceeds taylor_order {order}")
+    if degree != step_degree(norm * params["step_size"], order):
+        fail(path, f"taylor_degree {degree}, but step_degree gives "
+                   f"{step_degree(norm * params['step_size'], order)} at "
+                   f"||L||_1 h = {norm * params['step_size']!r}, k = {order}")
+    expected = degree * (steps + stepped(steps, monomials))
     if not (isinstance(residual, (int, float)) and math.isfinite(residual)
             and residual <= 1e-12):
         fail(path, f"solver_residual {residual!r} is not finite and <= 1e-12")
     if applies != expected:
-        fail(path, f"{applies} generator applies, expected {order} stages * "
+        fail(path, f"{applies} generator applies, expected {degree} stages * "
                    f"({steps} steps re-evaluated + "
                    f"{stepped(steps, monomials)} stepped) = {expected}")
     split = manifest["lifted_state"]["split"]
@@ -63,9 +80,9 @@ for path in sys.argv[1:]:
         continue
     grid = (split["steps"], split["taylor_order"])
     if split["generator_applies"] == 0:
-        if grid != (steps, order):
+        if grid != (steps, degree):
             fail(path, f"split reuses the run with grid {grid}, expected "
-                       f"({steps}, {order})")
+                       f"({steps}, {degree})")
         if errors["taylor"] != 0 or errors["koopman"] != errors["total"]:
             fail(path, f"split reuses the run but taylor = {errors['taylor']!r}, "
                        f"koopman = {errors['koopman']!r}, total = "

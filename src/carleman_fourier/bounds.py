@@ -142,6 +142,7 @@ def upper_bounded_time(rescaled: RescaledProblem, r: float, p: float) -> float:
         raise HypothesisViolation(
             f"upper_bounded_time: ||Psi_1(0)||_p = {psi0} is not below 1/r = {1 / r}",
             layer="bounds.upper_bounded_time",
+            params={"p": p, "r": r, "psi1_0_norm_p": float(psi0)},
         )
     return t_r
 
@@ -244,6 +245,7 @@ def t_max_nondissipative(rescaled: RescaledProblem, r: float, p: float,
             f"t_max_nondissipative: nu = {nu} does not exceed "
             f"r ||e^(i u0)||_p = {r * eiu0_p}",
             layer="bounds.t_max_nondissipative",
+            params={"p": p, "r": r, "nu": nu, "eiu0_p": float(eiu0_p)},
         )
     rate = max(alpha, f1_row_q) * (1.0 + 1.0 / r)
     first = math.log(ratio) / rate if rate > 0 else math.inf

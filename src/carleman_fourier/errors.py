@@ -22,7 +22,8 @@ class HypothesisViolation(CflError):
     `layer` is the function whose precondition failed, as module.function.
     `params`, when known, holds the inputs that precondition tested, as a
     dict of plain values (the recipes give regime, p and the quantities
-    compared, such as mu0 and R_p, or horizon and T_max)."""
+    compared, such as mu0 and R_p, or horizon and T_max; the bounds and the
+    estimator give the quantities their precondition compares)."""
 
     exit_code = 3
 

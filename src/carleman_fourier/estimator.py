@@ -65,6 +65,7 @@ def scaling_alpha_Ainv(steps: int, c_of_l: float, sigma: float, tau: float,
         raise HypothesisViolation(
             f"scaling_alpha_Ainv: tau = {tau} exceeds 1/(4 e^2 m C sqrt(k+1)) = {cap}",
             layer="estimator.scaling_alpha_Ainv",
+            params={"m": steps, "C": c_of_l, "k": k, "tau": tau, "tau_cap": cap},
         )
     alpha = 8 * E ** 2 * steps * c_of_l
     error = sigma + 8 * E ** 4 * steps ** 2 * math.sqrt(k + 1) * tau * c_of_l ** 2
@@ -80,6 +81,7 @@ def scaling_alpha_B(gamma: float, order: int) -> float:
         raise HypothesisViolation(
             f"scaling_alpha_B: need 0 < gamma < 1 (rescale first), got {gamma}",
             layer="estimator.scaling_alpha_B",
+            params={"gamma": gamma},
         )
     if order < 1:
         raise ConfigError("scaling_alpha_B: order must be >= 1")

@@ -249,8 +249,11 @@ def lift_point(w: np.ndarray, basis: MonomialBasis) -> LiftedState:
     # numpy converts a narrow index table on every gather, at about 2 us
     # each: once here is cheaper than twice per block
     parent, symbol = basis.parent.astype(np.intp), basis.symbol.astype(np.intp)
-    for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
-        mono[lo:hi] = mono[parent[lo:hi]] * w[symbol[lo:hi]]
+    # a monomial past the double range is inf or nan; forward_solve's
+    # finiteness check on the initial state reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(basis.offsets[1:-1], basis.offsets[2:]):
+            mono[lo:hi] = mono[parent[lo:hi]] * w[symbol[lo:hi]]
     return LiftedState(basis, mono)
 
 

@@ -452,6 +452,19 @@ def action_step_bound(k: int) -> float:
     return min(_THETA[k - 1], ACTION_STEP_CAP)
 
 
+def step_degree(step_norm: float, k: int) -> int:
+    """The Taylor degree at which a run of degree k steps, for steps of
+    ||L h||_1 = step_norm: the least d with step_norm <= action_step_bound(d)
+    when k meets that bound, and k itself otherwise.  Every degree from d to
+    k evaluates exp(L h) with a backward error of at most the unit
+    roundoff, so the steps at d are those at k to rounding, at d / k of the
+    generator applies; a k that does not meet the bound is stepped as it
+    is."""
+    if not step_norm <= action_step_bound(k):
+        return k
+    return next(d for d in range(1, k + 1) if step_norm <= action_step_bound(d))
+
+
 def action_config(op: LinearOperatorLN, t: float,
                   norm_1: float | None = None) -> TaylorConfig | None:
     """The Taylor grid on which propagate evaluates exp(L t) psi0: s steps

@@ -126,19 +126,24 @@ def rescale(ode: FourierOde, readout: ReadoutSpec | None, nu: float) -> Rescaled
     if readout is not None and readout.n != ode.n:
         raise ConfigError("rescale: readout dimension does not match ODE")
     x0 = ode.u0 + 1j * np.log(nu)
-    w0 = np.exp(1j * ode.u0) / nu
     c_coeffs = {}
     if readout is not None:
         c_coeffs = {
             key: (nu ** sum(key)) * val for key, val in readout.coeffs.items()
         }
+    # a nu far outside the double range overflows w0, F1 or gamma to inf;
+    # the lift and the stepper's finiteness checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w0 = np.exp(1j * ode.u0) / nu
+        f1 = nu * ode.g1
+        gamma = float(np.linalg.norm(w0))
     return RescaledProblem(
         nu=float(nu),
         f0=ode.g0.copy(),
-        f1=nu * ode.g1,
+        f1=f1,
         x0=x0,
         w0=w0,
-        gamma=float(np.linalg.norm(w0)),
+        gamma=gamma,
         c_coeffs=c_coeffs,
     )
 

@@ -16,7 +16,8 @@ from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (LinearOperatorLN, MonomialBasis, lift_point,
                         monomial_basis)
 from .norms import vector_p_norm
-from .oracle import action_config, action_step_bound, final_state, integrate
+from .oracle import (action_config, action_step_bound, final_state, integrate,
+                     step_degree)
 from .params import (ParamSet, derive_grid, select_dissipative,
                      select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, eval_readout,
@@ -144,7 +145,9 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     tol=run["oracle_tol"]), or bit for bit that state of an integrate
     trajectory) and `basis` is monomial_basis(ode.n, N) for an N >= ps.order;
     each is made here when None.  The run steps on the basis' leading
-    section of order ps.order."""
+    section of order ps.order, at the Taylor degree oracle.step_degree
+    takes for ps.taylor_order at ||L||_1 ps.step_size; lifted_state records
+    that degree ("taylor_degree") and ||L||_1 ("generator_norm_1")."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
@@ -153,7 +156,11 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     op = LinearOperatorLN(basis, rescaled.f0, rescaled.f1)
     psi0 = lift_point(rescaled.w0, basis)
     coeffs = expand_coeff_vector(readout, rescaled, ps.order)
-    cfg = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    # the recipe's k steps at the least degree that evaluates exp(L h) as
+    # accurately; a k that does not meet action_step_bound steps as it is
+    norm = op.norm_1()
+    cfg = TaylorConfig(m=ps.steps, h=ps.step_size,
+                       k=step_degree(norm * ps.step_size, ps.taylor_order))
     result = forward_solve(op, cfg, psi0)
     estimate = readout_value(result, coeffs)
     timings["solve_s"] = time.perf_counter() - t0
@@ -168,7 +175,6 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     # the Koopman/Taylor split, at the readout of exp(L T) psi0
     koopman_err = taylor_err = psi_lin = split = None
     t0 = time.perf_counter()
-    norm = op.norm_1()
     if norm * cfg.h <= action_step_bound(cfg.k):
         # the run's own steps evaluate exp(L T) psi0 to the unit roundoff,
         # and the verify pass only reads the Horner states: the final state
@@ -202,6 +208,8 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "basis": "monomial",
             "tensor_dim": op.size,
             "monomial_dim": op.monomial_size,
+            "taylor_degree": cfg.k,
+            "generator_norm_1": norm,
             "generator_applies": result.generator_applies,
             "split": split,
         },

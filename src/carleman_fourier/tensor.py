@@ -139,11 +139,18 @@ def apply_B1(j: int, f1: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dense_B1(j: int, f1: np.ndarray) -> np.ndarray:
-    """Dense coupling block n^j x n^{j+1} via Kronecker assembly."""
+    """Dense coupling block n^j x n^{j+1} via Kronecker assembly.  At n = 1
+    every factor is 1 x 1, and the block is the j copies of tilde added one
+    after another, as the Kronecker terms are (bit for bit, for finite F1),
+    without the 2 j Kronecker products."""
     f1 = np.atleast_2d(np.asarray(f1, dtype=complex))
     n = f1.shape[0]
     tilde = 1j * dense_f1_tilde(f1)
     out = np.zeros((n ** j, n ** (j + 1)), dtype=complex)
+    if n == 1:
+        if j:
+            out += np.add.accumulate(np.full(j, tilde[0, 0]))[-1]
+        return out
     for a in range(j):
         term = np.kron(np.eye(n ** a), np.kron(tilde, np.eye(n ** (j - 1 - a))))
         out += term

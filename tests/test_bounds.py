@@ -149,6 +149,10 @@ def test_finite_time_threshold_is_upper_bounded_time(rng):
     with pytest.raises(HypothesisViolation) as err:
         cf.upper_bounded_time(outside, 5.0, 2)
     assert err.value.layer == "bounds.upper_bounded_time"
+    # the inputs its precondition compared, for the JSON error
+    psi0 = outside.w0_norm(2)
+    assert err.value.params == {"p": 2, "r": 5.0, "psi1_0_norm_p": psi0}
+    assert 5.0 * psi0 >= 1.0
 
 
 def test_finite_time_bound_computes_its_norms_once(rng, monkeypatch):
@@ -287,6 +291,11 @@ def test_t_max_requires_large_nu(rng):
     with pytest.raises(HypothesisViolation) as err:
         cf.t_max_nondissipative(rp, 5.0, 2, 1.0)
     assert err.value.layer == "bounds.t_max_nondissipative"
+    # the inputs its precondition compared, for the JSON error
+    params = err.value.params
+    assert params == {"p": 2, "r": 5.0, "nu": rp.nu,
+                      "eiu0_p": rp.nu * rp.w0_norm(2)}
+    assert params["nu"] <= params["r"] * params["eiu0_p"]
 
 
 def test_t_max_requires_r_at_least_e(rng):

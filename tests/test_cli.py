@@ -202,22 +202,28 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     pytest.param("dissipative_n2", {"N": 12}, id="dissipative_n2-N12"),
     pytest.param("dissipative_n2", {"N": 40}, id="dissipative_n2-N40")])
 def test_split_reuses_the_run_where_its_grid_meets_the_bound(name, overrides):
-    # every bundled run steps within min(theta_k, 2): exp(L T) psi0 is the
-    # run's final state, so the Taylor part reads 0 and the lifting part is
-    # the whole error
-    from carleman_fourier.oracle import action_step_bound
+    # every bundled run steps within min(theta_k, 2), and so at the least
+    # degree d that does: exp(L T) psi0 is the run's final state, so the
+    # Taylor part reads 0 and the lifting part is the whole error
+    from carleman_fourier.oracle import action_step_bound, step_degree
 
     ode, readout, run, ps = _pipeline_inputs(name, **overrides)
     outcome = cli.run_pipeline(ode, readout, run, ps)
     op = outcome["operator"]
-    assert op.norm_1() * ps.step_size <= action_step_bound(ps.taylor_order)
+    step_norm = op.norm_1() * ps.step_size
+    assert step_norm <= action_step_bound(ps.taylor_order)
+    degree = step_degree(step_norm, ps.taylor_order)
+    assert step_norm <= action_step_bound(degree)
+    assert degree == 1 or step_norm > action_step_bound(degree - 1)
+    assert degree < ps.taylor_order
+    assert outcome["lifted_state"]["taylor_degree"] == degree
+    assert outcome["lifted_state"]["generator_norm_1"] == op.norm_1()
     assert outcome["taylor_error"] == 0.0
     assert outcome["koopman_error"] == outcome["total_error"]
     assert outcome["lifted_state"]["split"] == {
-        "steps": ps.steps, "taylor_order": ps.taylor_order,
-        "generator_applies": 0}
+        "steps": ps.steps, "taylor_order": degree, "generator_applies": 0}
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
-    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=degree)
     assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
@@ -277,7 +283,10 @@ def test_split_on_its_own_grid_counts_the_propagator_applies():
 
 def test_split_reuses_the_run_on_a_ladder_size_problem():
     # a seeded dissipative problem at n = 3, N = 8: 9840 tensor entries, 165
-    # monomials; the run's own steps give exp(L T) psi0
+    # monomials; the run's own steps, at the least degree that meets the
+    # exponential's bound, give exp(L T) psi0
+    from carleman_fourier.oracle import step_degree
+
     ode = make_dissipative_ode(np.random.default_rng(0), 3)
     readout = cf.ReadoutSpec(degree=1, coeffs={(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
     run = cli.parse_run({"run": {"T": 1.0, "epsilon": 1e-6,
@@ -286,9 +295,12 @@ def test_split_reuses_the_run_on_a_ladder_size_problem():
     outcome = cli.run_pipeline(ode, readout, run, ps)
     assert outcome["lifted_state"]["tensor_dim"] == 9840
     assert outcome["psi_lin"] is not None
+    degree = step_degree(outcome["operator"].norm_1() * ps.step_size,
+                         ps.taylor_order)
+    assert outcome["lifted_state"]["taylor_degree"] == degree < ps.taylor_order
     assert outcome["lifted_state"]["split"] == {
-        "steps": ps.steps, "taylor_order": ps.taylor_order,
-        "generator_applies": 0}
+        "steps": ps.steps, "taylor_order": degree, "generator_applies": 0}
+    assert outcome["lifted_state"]["generator_applies"] == 2 * ps.steps * degree
     assert outcome["koopman_error"] == outcome["total_error"]
 
 
@@ -626,6 +638,27 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
     # and carries the grid as a field of its own
     assert payload["grid"] == {"m": 1, "h": 1.5, "k": 500, "M": 1200, "n": 1,
                                "N": 1200, "path": "Horner"}
+
+
+def test_overflowing_initial_state_writes_only_its_json_error(tmp_path):
+    # nu = 1e-200 puts w0 near 1e200: its norm in rescale and its powers in
+    # lift_point overflow silently, and forward_solve's finiteness check
+    # reports the state; stderr holds that one JSON line and no warning
+    import os
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-m", "carleman_fourier.cli", "solve",
+         str(CONFIGS / "dissipative_n2.json"), "--param-overrides",
+         "nu=1e-200", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert out.returncode == 4
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert (payload["error"], payload["step"]) == ("DivergenceError", 0)
 
 
 def test_pinned_taylor_order_above_the_cap_is_refused(tmp_path, capsys):
@@ -1574,18 +1607,25 @@ def test_manifest_records_the_lifted_state(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     params = manifest["params"]
     assert params["order"] == 7
-    # n = 2, N = 7: sum 2^j = 254 tensor entries, sum (j + 1) = 35 monomials
+    # n = 2, N = 7: sum 2^j = 254 tensor entries, sum (j + 1) = 35 monomials;
+    # ||L||_1 h = 0.82 lies between theta_16 = 0.78 and theta_17 = 0.93, so
+    # the recipe's k = 25 steps at degree 17
+    from carleman_fourier.oracle import step_degree
+
     split = manifest["lifted_state"].pop("split")
+    norm = manifest["lifted_state"].pop("generator_norm_1")
+    assert params["taylor_order"] == 25
+    assert step_degree(norm * params["step_size"], params["taylor_order"]) == 17
     assert manifest["lifted_state"] == {
         "basis": "monomial",
         "tensor_dim": 254,
         "monomial_dim": 35,
-        "generator_applies": params["steps"] * params["taylor_order"] * 2,
+        "taylor_degree": 17,
+        "generator_applies": params["steps"] * 17 * 2,
     }
     # the Koopman/Taylor split reads exp(L T) psi0 off the run's own steps,
     # which meet the exponential's bound: no generator apply of its own
-    assert split == {"steps": params["steps"],
-                     "taylor_order": params["taylor_order"],
+    assert split == {"steps": params["steps"], "taylor_order": 17,
                      "generator_applies": 0}
     assert manifest["wall_times_s"]["dense_check_s"] > 0
 
@@ -1651,3 +1691,18 @@ def test_sweep_k_axis(tmp_path):
     totals = [float(r["total_error"]) for r in rows]
     # more Taylor terms cannot hurt, and by k = 16 stepping error is gone
     assert totals[2] <= totals[0] + 1e-12
+
+
+def test_sweep_over_orders_that_meet_the_step_bound_writes_one_estimate(
+        tmp_path):
+    # ||L||_1 h on linear_n1's 4 steps lies within theta_13: every k from 13
+    # up steps at degree 13, so each row writes the same estimate and
+    # eta_1, bit for bit (stepped at k itself, k >= 16 read another last bit)
+    code = run_cli("sweep", CONFIGS / "linear_n1.json", "--axis", "k",
+                   "--values", "13,16,24,40", "--out", tmp_path)
+    assert code == 0
+    rows = read_csv_rows(tmp_path / "result.csv")
+    assert [row["k"] for row in rows] == ["13", "16", "24", "40"]
+    assert all(row["error"] == "" for row in rows)
+    assert len({(row["estimate_re"], row["estimate_im"], row["eta_1_measured"])
+                for row in rows}) == 1

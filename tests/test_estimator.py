@@ -65,6 +65,10 @@ def test_alpha_ainv_tau_precondition():
     with pytest.raises(HypothesisViolation) as err:
         cf.scaling_alpha_Ainv(10, 2.0, 0.0, 1.0, 4)
     assert err.value.layer == "estimator.scaling_alpha_Ainv"
+    # the inputs its precondition compared, for the JSON error
+    cap = 1.0 / (4 * math.e ** 2 * 10 * 2.0 * math.sqrt(5))
+    assert err.value.params == {"m": 10, "C": 2.0, "k": 4, "tau": 1.0,
+                                "tau_cap": cap}
 
 
 def test_alpha_b_examples():
@@ -90,6 +94,7 @@ def test_alpha_b_rejects_gamma_at_least_one():
     with pytest.raises(HypothesisViolation) as err:
         cf.scaling_alpha_B(1.4, 3)
     assert err.value.layer == "estimator.scaling_alpha_B"
+    assert err.value.params == {"gamma": 1.4}
 
 
 def test_alpha_c_examples():

@@ -207,6 +207,19 @@ def test_apply_b1_matches_dense_kron_all_positions(rng):
                                    rtol=1e-12, atol=1e-13)
 
 
+def test_dense_b1_at_n1_is_the_kron_sum_bit_for_bit(rng):
+    # at n = 1 the Kronecker terms are 1 x 1: the block is their sum, added
+    # in the same order without forming them
+    for _ in range(3):
+        f1 = complex_uniform(rng, (1, 1))
+        tilde = 1j * dense_f1_tilde(f1)
+        for j in range(31):
+            kron = np.zeros((1, 1), dtype=complex)
+            for a in range(j):
+                kron += np.kron(np.eye(1), np.kron(tilde, np.eye(1)))
+            assert dense_B1(j, f1).tobytes() == kron.tobytes()
+
+
 # ------------------------------------------------------------------ apply_LN
 
 def test_apply_ln_diagonal_when_uncoupled(rng):

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import carleman_fourier as cf
+from carleman_fourier import cli, study
 from carleman_fourier.linearize import total_size
+from carleman_fourier.oracle import action_step_bound, step_degree
 from carleman_fourier.tensor import dense_Vk, expand
 
 from conftest import (complex_uniform, make_dissipative_ode, random_readout,
@@ -115,3 +117,30 @@ def test_monomial_pipeline_matches_the_tensor_reference(n, order, seed):
     got = expand(cf.propagate(op, psi0, t)).vector
     expected = cf.propagate_dense(dense, cf.TensorState(n, order, tensor0), t).vector
     assert _relative_gap(got, expected) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_pipeline_steps_at_its_degree_as_forward_solve_at_the_recipes(
+        n, order, seed):
+    # a recipe's k that meets the exponential's step bound steps at the
+    # least degree that does: the estimate is forward_solve's at k to
+    # rounding
+    rng = np.random.default_rng(seed)
+    ode = make_dissipative_ode(rng, n)
+    readout = random_readout(rng, n, int(rng.integers(1, order + 1)))
+    run = cli.parse_run({"run": {"T": float(rng.uniform(0.1, 1.0)),
+                                 "epsilon": 1e-4, "regime": "dissipative"}})
+    ps = cli.select_params(ode, readout, run, {"N": order})
+    out = study.run_pipeline(ode, readout, run, ps)
+    op, rescaled = out["operator"], out["rescaled"]
+    step_norm = op.norm_1() * ps.step_size
+    assume(step_norm <= action_step_bound(ps.taylor_order))
+    degree = step_degree(step_norm, ps.taylor_order)
+    assert out["lifted_state"]["taylor_degree"] == degree <= ps.taylor_order
+    recipe = cf.forward_solve(
+        op, cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order),
+        cf.lift_point(rescaled.w0, op.basis))
+    expected = cf.readout_value(
+        recipe, cf.expand_coeff_vector(readout, rescaled, ps.order))
+    assert abs(out["estimate"] - expected) <= 1e-14 * abs(expected)
