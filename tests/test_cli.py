@@ -179,7 +179,8 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
 
 def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     # the run's own grid meets the exponential's bound on dissipative_n2
-    # (||L||_1 h = 0.82 at k = 25), so the split computes no grid of its own
+    # (||L||_1 h = 0.82 at k = 25, stepped at degree 17), so the split
+    # computes no grid of its own
     import carleman_fourier.oracle as oracle
 
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
@@ -190,7 +191,8 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     assert calls == [[], []]
     op = outcome["operator"]
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
-    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size,
+                           k=outcome["lifted_state"]["taylor_degree"])
     assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
