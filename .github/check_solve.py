@@ -12,9 +12,11 @@ The verify pass re-evaluates each Taylor step term by term.  Its residual,
 errors.solver_residual, must be finite and at most 1e-12.  forward_solve
 counts d generator applies per step re-evaluated, d per step taken by
 Horner, and d per column of the propagator by which a state of M monomials
-steps when M * M <= 64 and M < m.  So lifted_state.generator_applies must
-be d * m + d * stepped, with m = params.steps, M =
-lifted_state.monomial_dim and stepped = min(m, M) if M * M <= 64, else m.
+steps when M * M <= VERIFY_BLOCK_ENTRIES (the installed package's
+taylor.VERIFY_BLOCK_ENTRIES) and M < m.  So lifted_state.generator_applies
+must be d * m + d * stepped, with m = params.steps, M =
+lifted_state.monomial_dim and stepped = min(m, M) if M * M <=
+VERIFY_BLOCK_ENTRIES, else m.
 A solve run without verify, or a verify pass that leaves steps out (a block
 dropped or cut short), fails the count.
 
@@ -34,6 +36,7 @@ import math
 import sys
 
 from carleman_fourier.oracle import step_degree
+from carleman_fourier.taylor import VERIFY_BLOCK_ENTRIES
 
 failed = False
 
@@ -41,7 +44,9 @@ failed = False
 def stepped(steps, monomials):
     """The steps whose generator applies forward_solve counts: Horner's m,
     or the M columns of the propagator."""
-    return min(steps, monomials) if monomials * monomials <= 64 else steps
+    if monomials * monomials <= VERIFY_BLOCK_ENTRIES:
+        return min(steps, monomials)
+    return steps
 
 
 def fail(path, message):

@@ -443,6 +443,9 @@ def cmd_estimate(args) -> int:
             out[regime] = entry
         except CflError as exc:
             detail = {"error": _error_text(exc)}
+            # the inputs of a failed precondition, as the JSON error gives them
+            if getattr(exc, "params", None) is not None:
+                detail["params"] = exc.params
             if regime == "nondissipative":
                 try:
                     # the window at the recipe's own nu and alpha
@@ -669,12 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_out(out: Path) -> None:
     """Refuse an --out that is an existing file other than a directory, or
-    lies under one, as a ConfigError naming it, before any work is done and
-    without creating anything.  A path that cannot be examined, or a
-    directory that cannot be written, fails when the command writes."""
+    lies under one, or whose nearest existing directory cannot be written
+    and entered, as a ConfigError naming it, before any work is done and
+    without creating anything.  A path that cannot be examined fails when
+    the command writes."""
     for path in (out, *out.parents):
         try:
             if path.is_dir():
+                if not os.access(path, os.W_OK | os.X_OK):
+                    raise ConfigError(f"cannot write {out}: directory {path} "
+                                      f"is not writable")
                 return
             if path.exists():
                 raise ConfigError(f"cannot write {out}: {path} is not a "

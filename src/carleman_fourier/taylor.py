@@ -14,12 +14,9 @@ verify pass behind it re-evaluates every step term by term, on the states,
 up to B = VERIFY_BLOCK_ENTRIES // M consecutive steps in one apply per
 stage: their states, laid out as columns and flattened, are one state of the
 B-fold block-diagonal operator of linearize.block_operator, one per solve (a
-shorter last block fills its leading columns).  A state of 33-64 monomials
-has B = 1: it steps in lockstep instead, Horner and the term-by-term sum of
-each step as the two columns of one state of the 2-fold operator, one apply
-per stage for both.  Each step reads only
-the one before it and the readout reads only Phi_m, so one state is held at
-a time, besides the few of a verify block and the propagator; the trailing
+shorter last block fills its leading columns).  Each step reads only the
+one before it and the readout reads only Phi_m, so one state is held at a
+time, besides the few of a verify block and the propagator; the trailing
 copy rows, which mirror the register layout of the linear-system
 formulation, repeat Phi_m and have zero residual by construction.  The same
 stepper evaluates the action of exp(L T) on psi0 for the Koopman/Taylor
@@ -42,16 +39,16 @@ from .norms import vector_p_norm
 
 # monomial entries re-evaluated per call of the verify pass: up to
 # VERIFY_BLOCK_ENTRIES // M consecutive steps share one apply of the
-# block-diagonal operator, so a state above half this many monomials is
-# verified one step at a time.  A larger cap raises the peak memory of
-# solves at 27-44 monomials (n = 2, N = 6-8), for little more speed.  A
-# state of 33-64 monomials steps in lockstep with its re-evaluation, on
-# the 2-fold operator: one apply per stage instead of two.  Lockstep stops at
-# this cap: above it (the ladder's 90-209 monomials) its two-column
-# buffers raised a round's peak memory from 78 to 128 KB, for no faster
-# round.  The propagator of a state of M monomials holds M M entries, so
-# it is formed only within the same cap (M <= 8)
-VERIFY_BLOCK_ENTRIES = 64
+# block-diagonal operator (M = 7: 18 steps, 35: 3, 44: 2), so a state above
+# half this many monomials is verified one step at a time (65-128, and the
+# ladder's 90-209).  At a cap of 64, dissipative_n2 (35 monomials) and
+# nondissipative_n2 (44) would verify one step at a time and solve 9-35%
+# slower.  Caps of 132-160 raise the largest tracemalloc peak of a bundled
+# solve from 42 KB to 45-47 KB, against a round of all four at about 53 KB
+# (160 solves the three configs that verify in blocks 8-18% faster).  The
+# propagator of a state of M monomials holds M M entries, so it is formed
+# only within the same cap (M <= 11)
+VERIFY_BLOCK_ENTRIES = 128
 
 
 @dataclass(frozen=True)
@@ -127,25 +124,17 @@ def propagator(fold: BlockOperator, cfg: TaylorConfig,
     return matrix if np.isfinite(matrix).all() else None
 
 
-def _step_gap(end: np.ndarray, ref: np.ndarray, start: np.ndarray,
-              weights: np.ndarray) -> float:
-    """Relative discrepancy ||end - ref|| / ||start||, in the tensor 2-norm,
-    between a step from `start` and its term-by-term re-evaluation `ref`;
-    0 when it is not finite."""
-    ratio = (vector_p_norm(end - ref, 2, weights)
-             / max(vector_p_norm(start, 2, weights), 1e-300))
-    return ratio if math.isfinite(ratio) else 0.0
-
-
 def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
                   starts: np.ndarray, steps: int, end: np.ndarray,
                   weights: np.ndarray) -> float:
-    """Largest _step_gap of `steps` steps.  starts is a C-ordered (M, B)
-    array whose leading `steps` columns hold the start states, and op is
-    the B-fold operator of its flat layout (op itself for B = 1).  The
-    columns after them are evaluated but not read: each column of a B-fold
-    apply equals a single apply bit for bit.  Step b ends at column b + 1,
-    the last at `end`."""
+    """Largest relative discrepancy ||end - ref|| / ||start||, in the tensor
+    2-norm, between each of `steps` steps and its term-by-term
+    re-evaluation ref; a discrepancy that is not finite counts 0.  starts
+    is a C-ordered (M, B) array whose leading `steps` columns hold the
+    start states, and op is the B-fold operator of its flat layout (op
+    itself for B = 1).  The columns after them are evaluated but not read:
+    each column of a B-fold apply equals a single apply bit for bit.  Step
+    b ends at column b + 1, the last at `end`."""
     # on the way to a detected divergence, intermediate magnitudes can
     # overflow inside the norm as well
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,35 +142,11 @@ def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
         worst = 0.0
         for b in range(steps):
             nxt = starts[:, b + 1] if b + 1 < steps else end
-            worst = max(worst, _step_gap(nxt, ref[:, b], starts[:, b],
-                                         weights))
+            ratio = (vector_p_norm(nxt - ref[:, b], 2, weights)
+                     / max(vector_p_norm(starts[:, b], 2, weights), 1e-300))
+            if math.isfinite(ratio):
+                worst = max(worst, ratio)
     return worst
-
-
-def _lockstep(pair: BlockOperator, cfg: TaylorConfig, x: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """apply_Vk(op, cfg, x) and the step's _step_gap against
-    _apply_Vk_direct(op, cfg, x), both bit for bit, from k applies of
-    pair = block_operator(op, 2) instead of 2 k applies of op: column 0 of
-    its state runs Horner's stages i = k..1 and column 1 the direct terms
-    i = 1..k."""
-    acc = x.copy()
-    u = np.repeat(x, 2)
-    # the two stages' factors h / i, complex as numpy takes a real scalar
-    # into a complex product (a real pair would be cast on every stage)
-    scale = np.empty(2, dtype=complex)
-    for i in range(1, cfg.k + 1):
-        lu = apply_LN(pair, u)
-        scale[0] = cfg.h / (cfg.k + 1 - i)
-        scale[1] = cfg.h / i
-        pairs = lu.reshape(-1, 2)
-        pairs *= scale
-        pairs[:, 0] += x
-        acc += pairs[:, 1]
-        u = lu
-    # a copy, so that the next step holds M entries, not the 2 M of u
-    end = u[0::2].copy()
-    return end, _step_gap(end, acc, x, weights)
 
 
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
@@ -208,12 +173,8 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     is one state of the B-fold operator, built once per solve.  A shorter
     last block fills the buffer's leading columns; the rest still hold the
     block before it, a full one, and are evaluated but not read.  A state
-    of 33-64 monomials, whose block would hold a single step, steps in
-    lockstep (_lockstep): each stage applies the 2-fold operator, built
-    once per solve, to Horner's state and the step's term together, so a
-    stage costs one apply instead of two.  Its steps, residual and
-    generator_applies are those of the separate passes bit for bit.  Above
-    64 monomials the two passes stay apart; see VERIFY_BLOCK_ENTRIES.
+    above VERIFY_BLOCK_ENTRIES // 2 monomials has B = 1 and is re-evaluated
+    one step at a time on op itself.
     generator_applies is k M for a propagator, plus k m when Horner steps
     (a propagator that is not finite included) and k m when verify is set.
     """
@@ -237,13 +198,8 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     # applies than Horner; then M <= block and block > 1, so the verify
     # block's operator forms it
     small = size * size <= VERIFY_BLOCK_ENTRIES and size < cfg.m
-    # a state of 33-64 monomials, verified one step at a time, steps in
-    # lockstep with its re-evaluation on the 2-fold operator
-    lockstep = verify and VERIFY_BLOCK_ENTRIES // size == 1
     fold = op
-    if lockstep:
-        fold = block_operator(op, 2)
-    elif block > 1 and (verify or small):
+    if block > 1 and (verify or small):
         fold = block_operator(op, block)
     if verify and block > 1:
         starts = np.empty((size, block), dtype=complex)
@@ -254,7 +210,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
     pending = 0
     residual = 0.0
     for j in range(cfg.m):
-        if verify and not lockstep:
+        if verify:
             # the start state of the step, as column `pending` of the block;
             # a block of one step views cur itself
             if block == 1:
@@ -264,12 +220,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             pending += 1
         # overflow surfaces as inf/nan and is reported as DivergenceError
         with np.errstate(over="ignore", invalid="ignore"):
-            if lockstep:
-                cur, gap = _lockstep(fold, cfg, cur, weights)
-                residual = max(residual, gap)
-            else:
-                cur = (apply_Vk(op, cfg, cur) if matrix is None
-                       else matrix.dot(cur))
+            cur = apply_Vk(op, cfg, cur) if matrix is None else matrix.dot(cur)
         if not np.isfinite(cur).all():
             path = "Horner" if matrix is None else "propagator"
             raise DivergenceError(

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -517,6 +518,48 @@ def test_unwritable_out_exits_2_with_one_json_error(tmp_path, capsys,
     assert payload["error"] == "ConfigError"
     assert str(out) in payload["message"]
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["the-directory", "below-it"])
+@pytest.mark.parametrize("command,extra", [
+    ("solve", []),
+    ("sweep", ["--axis", "N", "--values", "4"]),
+    ("estimate", []),
+    ("oracle", []),
+])
+def test_out_in_a_read_only_directory_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, extra, below):
+    # the nearest existing directory of --out cannot be written: the command
+    # is refused before the study or the oracle runs, and nothing is made.
+    # os.access reports the directory read-only, as a user other than root
+    # would find it
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out" / "deeper" if below else locked
+    access = os.access
+
+    def read_only(path, mode, *args, **kwargs):
+        if Path(path) == locked and mode & os.W_OK:
+            return False
+        return access(path, mode, *args, **kwargs)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(os, "access", read_only)
+    monkeypatch.setattr(cli, "Study", refuse)
+    monkeypatch.setattr(cli, "integrate", refuse)
+    capsys.readouterr()
+    assert run_cli(command, CONFIGS / "linear_n1.json", *extra,
+                   "--out", out) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert str(out) in payload["message"]
+    assert str(locked) in payload["message"]
+    assert list(locked.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -1360,6 +1403,27 @@ def test_estimate_window_takes_the_recipe_inputs(tmp_path, monkeypatch):
     assert nd["t_max"] == cf.t_max_nondissipative(
         cf.rescale(ode, readout, nu), run["r"], run["p"], alpha)
     assert nu == 2 * default_nu(ode, run["r"], run["p"])
+
+
+@pytest.mark.parametrize("name, regime", [
+    ("dissipative_n1", "nondissipative"), ("dissipative_n2", "nondissipative"),
+    ("linear_n1", "nondissipative"), ("nondissipative_n2", "dissipative")])
+def test_estimate_writes_the_params_of_a_failed_regime(tmp_path, capsys, name,
+                                                       regime):
+    # every bundled config has one regime that does not admit it: its entry
+    # carries the error and the inputs of the failed precondition, the same
+    # dict that a solve pinned to that regime writes with its JSON error
+    assert run_cli("estimate", CONFIGS / f"{name}.json",
+                   "--out", tmp_path / "estimate") == 0
+    data = json.loads((tmp_path / "estimate" / "estimate.json").read_text())
+    detail = data[regime]
+    path = _config_with(tmp_path, name, "run", regime=regime)
+    capsys.readouterr()
+    assert run_cli("solve", path, "--out", tmp_path / "solve") == 3
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert detail["error"] == f"HypothesisViolation: {payload['message']}"
+    assert detail["params"] == payload["params"]
+    assert detail["params"]["regime"] == regime
 
 
 def test_estimate_refuses_r_equal_e(tmp_path):

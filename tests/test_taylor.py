@@ -19,16 +19,17 @@ from conftest import complex_uniform, make_rescaled
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # every (n, N) whose state of M monomials has M M <= VERIFY_BLOCK_ENTRIES,
-# the states that step by their propagator once m > M: n = 1 with N <= 8,
-# n = 2 with N <= 2 and n = 3..8 with N = 1
-SMALL_STATES = [(n, order) for n in range(1, 10) for order in range(1, 10)
+# the states that step by their propagator once m > M: n = 1 with N <= 11,
+# n = 2 with N <= 3, n = 3 with N <= 2 and n = 4..9 with N = 1
+SMALL_STATES = [(n, order) for n in range(1, 10) for order in range(1, 12)
                 if monomial_count(n, order) ** 2 <= taylor.VERIFY_BLOCK_ENTRIES]
-# every (n, N) with n <= 9 whose state of M monomials has 33 <= M <= 64, the
-# states that step in lockstep with their re-evaluation when verified
-LOCKSTEP_STATES = [
-    (n, order) for n in range(1, 10) for order in range(1, 65)
-    if taylor.VERIFY_BLOCK_ENTRIES // 2 < monomial_count(n, order)
-    <= taylor.VERIFY_BLOCK_ENTRIES]
+# every (n, N) with n <= 9 whose state has at most VERIFY_BLOCK_ENTRIES + 16
+# monomials: verify blocks of every width B = VERIFY_BLOCK_ENTRIES // M down
+# to one step, the propagator's states and a few just above the cap
+VERIFIED_STATES = [
+    (n, order) for n in range(1, 10)
+    for order in range(1, taylor.VERIFY_BLOCK_ENTRIES + 17)
+    if monomial_count(n, order) <= taylor.VERIFY_BLOCK_ENTRIES + 16]
 
 
 def stable_operator(rng, n, order, r_target=0.5):
@@ -221,7 +222,7 @@ def _first_non_finite_step(op, cfg, psi0):
 
 def test_forward_solve_divergence_error():
     # M = 1, so the state steps by its propagator and the verify pass takes
-    # 64 steps per block, and the overflow falls inside the first one
+    # 128 steps per block, and the overflow falls inside the first one
     op = cf.LinearOperatorLN(cf.monomial_basis(1, 1), [-100j], [[0.0]])
     cfg = cf.TaylorConfig(m=200, h=1.0, k=3)
     psi0 = cf.LiftedState(op.basis, [1.0 + 0j])
@@ -239,8 +240,9 @@ def test_forward_solve_divergence_error():
 
 
 def test_forward_solve_divergence_on_the_horner_path_names_the_grid():
-    # M = 9 monomials (n = 2, N = 3), above the propagator's 8: Horner steps
-    op = cf.LinearOperatorLN(cf.monomial_basis(2, 3), [-100j, -50j],
+    # M = 14 monomials (n = 2, N = 4), above the propagator's 11: Horner
+    # steps
+    op = cf.LinearOperatorLN(cf.monomial_basis(2, 4), [-100j, -50j],
                              np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=200, h=0.5, k=3)
     psi0 = cf.LiftedState(op.basis, np.ones(op.monomial_size, dtype=complex))
@@ -250,16 +252,16 @@ def test_forward_solve_divergence_on_the_horner_path_names_the_grid():
         cf.forward_solve(op, cfg, psi0)
     assert err.value.step == first
     assert (f"at step {first} (t = {first * 0.5:g}) of m=200 steps of h=0.5 "
-            f"at Taylor order k=3 on M=9 monomials (n=2, N=3), stepped by "
+            f"at Taylor order k=3 on M=14 monomials (n=2, N=4), stepped by "
             f"Horner") in str(err.value)
-    assert err.value.grid == {"m": 200, "h": 0.5, "k": 3, "M": 9, "n": 2,
-                              "N": 3, "path": "Horner"}
+    assert err.value.grid == {"m": 200, "h": 0.5, "k": 3, "M": 14, "n": 2,
+                              "N": 4, "path": "Horner"}
 
 
-def test_forward_solve_divergence_in_lockstep_is_the_horner_loops():
-    # M = 35 monomials (n = 2, N = 7): the verified solve steps in lockstep,
-    # and overflows at the step, with the message and grid, of the Horner
-    # loop that an unverified solve runs alone
+def test_verified_solve_diverges_as_the_unverified_one():
+    # M = 35 monomials (n = 2, N = 7): the verified solve re-evaluates its
+    # steps in blocks of 3, and overflows at the step, with the message and
+    # grid, of the Horner loop that an unverified solve runs alone
     op = cf.LinearOperatorLN(cf.monomial_basis(2, 7), [-100j, -50j],
                              np.zeros((2, 2)))
     cfg = cf.TaylorConfig(m=200, h=0.5, k=3)
@@ -271,11 +273,11 @@ def test_forward_solve_divergence_in_lockstep_is_the_horner_loops():
         with pytest.raises(DivergenceError) as err:
             cf.forward_solve(op, cfg, psi0, verify=verify)
         errors.append(err.value)
-    lockstep, horner = errors
-    assert lockstep.step == horner.step == first
-    assert str(lockstep) == str(horner)
-    assert "on M=35 monomials (n=2, N=7), stepped by Horner" in str(lockstep)
-    assert lockstep.grid == horner.grid == {
+    verified, horner = errors
+    assert verified.step == horner.step == first
+    assert str(verified) == str(horner)
+    assert "on M=35 monomials (n=2, N=7), stepped by Horner" in str(verified)
+    assert verified.grid == horner.grid == {
         "m": 200, "h": 0.5, "k": 3, "M": 35, "n": 2, "N": 7, "path": "Horner"}
 
 
@@ -307,10 +309,12 @@ def _stepping_matrix(op, cfg):
 
 def _per_step_solve(op, cfg, psi0):
     # the verify pass one step at a time, as a 1-D re-evaluation per step,
-    # on the states of Horner's chain or of the propagator's
+    # on the states of Horner's chain or of the propagator's; with the
+    # generator applies spent, k per stage of each polynomial evaluated
     cur, residual = psi0.vector, 0.0
     weights = op.basis.weights
     matrix = _stepping_matrix(op, cfg)
+    stepped = cfg.m if matrix is None else op.monomial_size
     for _ in range(cfg.m):
         nxt = cf.apply_Vk(op, cfg, cur) if matrix is None else matrix.dot(cur)
         ref = taylor._apply_Vk_direct(op, cfg, cur)
@@ -319,22 +323,27 @@ def _per_step_solve(op, cfg, psi0):
         if math.isfinite(ratio):
             residual = max(residual, ratio)
         cur = nxt
-    return cur, residual
+    return cur, residual, cfg.k * (stepped + cfg.m)
 
 
 @pytest.mark.parametrize("n, order, m, blocks", [
     (1, 4, 1, [(4,)]),                          # M = 4, a single step
-    (1, 4, 40, [(64,)] * 3),                    # ends in a partial block,
+    (1, 4, 40, [(128,)] * 2),                   # ends in a partial block,
                                                 # on the full-width operator;
                                                 # steps by the propagator
-    (2, 3, 15, [(63,)] * 3),                    # ends in a block of one
-    (2, 3, 23, [(63,)] * 4),
-    (2, 10, 3, [(65,)] * 3),                    # M above the cap
-    (1, 2, 40, [(64,)] * 2),                    # a coupling table of one
+    (2, 3, 15, [(126,)] * 2),                   # M = 9: ends in a block of
+                                                # one; the propagator
+    (2, 3, 23, [(126,)] * 2),
+    (2, 10, 3, [(65,)] * 3),                    # M above half the cap: one
+                                                # step at a time
+    (1, 2, 40, [(80,)]),                        # a coupling table of one
                                                 # entry; the propagator
-    (2, 7, 5, []),                              # M = 35 and M = 54: Horner
-    (2, 9, 4, []),                              # and its re-evaluation in
-                                                # lockstep, no separate pass
+    (2, 7, 5, [(105,)] * 2),                    # M = 35: blocks of 3 and 2
+    (2, 9, 4, [(108,)] * 2),                    # M = 54: blocks of 2
+    (2, 4, 23, [(126,)] * 3),                   # M = 14: Horner, blocks of 9
+    (2, 8, 3, [(88,)] * 2),                     # M = 44: blocks of 2 and 1
+    (1, 64, 3, [(128,)] * 2),                   # M = 64: the widest state
+                                                # with blocks of 2
 ])
 def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
                                                            order, m, blocks):
@@ -343,7 +352,7 @@ def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
     # a perturbed lift makes the two summation orders differ in the last bits
     psi0 = cf.LiftedState(op.basis, cf.lift_initial(rp, order).vector
                           + 1e-3 * complex_uniform(rng, op.monomial_size))
-    final, residual = _per_step_solve(op, cfg, psi0)
+    final, residual, applies = _per_step_solve(op, cfg, psi0)
     shapes = []
     direct = taylor._apply_Vk_direct
 
@@ -356,30 +365,29 @@ def test_forward_solve_verify_blocks_match_a_per_step_loop(rng, monkeypatch, n,
     assert shapes == blocks
     assert res.final.vector.tobytes() == final.tobytes()
     assert res.residual == residual
-    stepping = m if _stepping_matrix(op, cfg) is None else op.monomial_size
-    assert res.generator_applies == (m + stepping) * cfg.k
+    assert res.generator_applies == applies
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.sampled_from(LOCKSTEP_STATES), st.integers(0, 2 ** 32 - 1), st.data())
-def test_lockstep_matches_a_per_step_loop(shape, seed, data):
-    # a state of 33-64 monomials on a stable generator, m in 1..12, k in
-    # 1..30 and ||L||_1 h <= 2: the lockstep solve's final state, residual
-    # and generator_applies are the separate Horner and re-evaluation
-    # passes' bit for bit
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(VERIFIED_STATES), st.integers(0, 2 ** 32 - 1), st.data())
+def test_verify_blocks_match_a_per_step_loop(shape, seed, data):
+    # a stable generator, m in 1..40, k in 1..30 and ||L||_1 h <= 2: the
+    # verified solve's final state, residual and generator_applies, at every
+    # block width and on both stepping paths, are the per-step loop's bit
+    # for bit
     n, order = shape
     rng = np.random.default_rng(seed)
     rp, op = stable_operator(rng, n, order)
-    m = data.draw(st.integers(1, 12), label="m")
+    m = data.draw(st.integers(1, 40), label="m")
     k = data.draw(st.integers(1, 30), label="k")
     cfg = cf.TaylorConfig(m=m, h=data.draw(st.floats(1e-6, 1.0), label="share")
                           * 2 / op.norm_1(), k=k)
     psi0 = cf.lift_point(complex_uniform(rng, n), op.basis)
-    final, residual = _per_step_solve(op, cfg, psi0)
+    final, residual, applies = _per_step_solve(op, cfg, psi0)
     res = cf.forward_solve(op, cfg, psi0)
     assert res.final.vector.tobytes() == final.tobytes()
     assert res.residual == residual
-    assert res.generator_applies == 2 * k * m
+    assert res.generator_applies == applies
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,7 +426,10 @@ def test_propagator_matches_the_horner_chain(shape, seed, data):
 
 
 @pytest.mark.parametrize("n, order, m, matrix", [
-    (2, 3, 20, False),      # M = 9: M M = 81 above the cap
+    (1, 12, 20, False),     # M = 12: M M = 144 above the cap
+    (2, 4, 20, False),      # M = 14
+    (2, 3, 20, True),       # M = 9
+    (1, 11, 12, True),      # M = 11: M M = 121, the largest within the cap
     (1, 8, 8, False),       # m <= M: Horner spends no more applies
     (1, 1, 1, False),
     (1, 8, 9, True),
@@ -447,8 +458,8 @@ def test_forward_solve_selects_the_propagator(rng, monkeypatch, n, order, m,
 
 
 def test_forward_solve_builds_one_block_operator(rng, monkeypatch):
-    # M = 7 stepped 22 times verifies blocks of 9, 9 and 4 steps: the last,
-    # shorter block fills the leading columns of the one 9-fold operator
+    # M = 7 stepped 22 times verifies blocks of 18 and 4 steps: the last,
+    # shorter block fills the leading columns of the one 18-fold operator
     rp, op = stable_operator(rng, 1, 7)
     cfg = cf.TaylorConfig(m=22, h=0.01, k=25)
     psi0 = cf.lift_initial(rp, 7)
@@ -460,17 +471,16 @@ def test_forward_solve_builds_one_block_operator(rng, monkeypatch):
 
     monkeypatch.setattr(taylor, "block_operator", recording)
     cf.forward_solve(op, cfg, psi0)
-    assert widths == [9]
+    assert widths == [18]
 
 
-@pytest.mark.parametrize("verify, width", [(True, 2), (False, 1)])
-def test_lockstep_applies_one_2_fold_operator_per_stage(rng, monkeypatch,
-                                                        verify, width):
-    # M = 35 stepped twice at k = 25: verified, one 2-fold operator per solve
-    # and one apply of it per stage; unverified, no block operator and one
-    # single apply per stage
+@pytest.mark.parametrize("verify", [True, False])
+def test_verified_solve_builds_one_3_fold_operator(rng, monkeypatch, verify):
+    # M = 35 stepped 4 times at k = 25: verified, one 3-fold operator per
+    # solve, applied once per stage of each verify block (3 steps, then 1)
+    # after Horner's single applies; unverified, no block operator
     rp, op = stable_operator(rng, 2, 7)
-    cfg = cf.TaylorConfig(m=2, h=0.01, k=25)
+    cfg = cf.TaylorConfig(m=4, h=0.01, k=25)
     psi0 = cf.lift_initial(rp, 7)
     widths, sizes = [], []
     build, apply = taylor.block_operator, taylor.apply_LN
@@ -486,9 +496,10 @@ def test_lockstep_applies_one_2_fold_operator_per_stage(rng, monkeypatch,
     monkeypatch.setattr(taylor, "block_operator", building)
     monkeypatch.setattr(taylor, "apply_LN", applying)
     res = cf.forward_solve(op, cfg, psi0, verify=verify)
-    assert widths == ([width] if verify else [])
-    assert sizes == [35 * width] * 50
-    assert res.generator_applies == 25 * 2 * (2 if verify else 1)
+    assert widths == ([3] if verify else [])
+    block = [105] * 25 if verify else []
+    assert sizes == [35] * 75 + block + [35] * 25 + block
+    assert res.generator_applies == 25 * 4 * (2 if verify else 1)
 
 
 def test_forward_solve_counts_the_propagator_applies(rng):
