@@ -1,10 +1,10 @@
 """Numeric evaluation of the truncation-error bounds, stability
 certificates and time-horizon formulas.
 
-Every evaluator returns a BoundReport carrying the value, whether the
-analytic hypotheses hold, and a log of (condition, value, threshold)
-triples so downstream CSVs are self-documenting.  Hypothesis failures are
-reported, not raised: hypotheses_met is False, eta_bound_dissipative's
+Every evaluator returns a BoundReport carrying the value and a log of
+(condition, value, threshold, holds) entries so downstream CSVs are
+self-documenting; hypotheses_met is read from the log.  Hypothesis failures
+are reported, not raised: hypotheses_met is False, eta_bound_dissipative's
 value becomes +inf, eta_bound_finite_time keeps its formula (sweeps plot
 it) and stability_certificate keeps mu2.
 """
@@ -79,20 +79,18 @@ class BoundReport:
     """A bound value plus its recomputable hypothesis log."""
 
     value: float
-    hypotheses_met: bool
     hypothesis_log: list = field(default_factory=list)
+
+    @property
+    def hypotheses_met(self) -> bool:
+        """Whether every condition of the log holds."""
+        return all(ok for (_c, _v, _t, ok) in self.hypothesis_log)
 
     def entry(self, condition: str):
         for item in self.hypothesis_log:
             if item[0] == condition:
                 return item
         raise KeyError(condition)
-
-
-def _report(value, log):
-    met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(value=value if met else math.inf,
-                       hypotheses_met=met, hypothesis_log=log)
 
 
 def eta_bound_dissipative(report: DissipativityReport,
@@ -121,13 +119,13 @@ def eta_bound_dissipative(report: DissipativityReport,
          not math.isfinite(report.r_p)
          or abs(r_rescaled - report.r_p) <= 1e-9 * max(1.0, report.r_p)),
     ]
-    value = math.inf
-    if mu0 > 0.0:
+    bound = BoundReport(value=math.inf, hypothesis_log=log)
+    if bound.hypotheses_met:
         # grouped as R_p^(N+1-k) gamma_p^k: at large nu gamma_p^(N+1) alone
         # underflows and (||F1||_row,q / mu0)^(N+1-k) alone overflows
         with contextlib.suppress(OverflowError):
-            value = r_rescaled ** (order + 1 - k) * gamma_p ** k
-    return _report(value, log)
+            bound = BoundReport(r_rescaled ** (order + 1 - k) * gamma_p ** k, log)
+    return bound
 
 
 def upper_bounded_time(rescaled: RescaledProblem, r: float, p: float) -> float:
@@ -189,8 +187,7 @@ def eta_bound_finite_time(rescaled: RescaledProblem, order: int, r: float,
         value = (1.0 / r) * (math.exp(rate * t) / r) ** order
     except OverflowError:
         value = math.inf
-    met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(value=value, hypotheses_met=met, hypothesis_log=log)
+    return BoundReport(value=value, hypothesis_log=log)
 
 
 def taylor_remainder_bound(j: int, k: int) -> float:
@@ -221,8 +218,7 @@ def stability_certificate(op: LinearOperatorLN) -> BoundReport:
         ("mu2 <= 0", mu2, STABILITY_TOL, mu2 <= STABILITY_TOL),
         ("gershgorin >= mu2", envelope, mu2, envelope >= mu2 - 1e-12),
     ]
-    met = all(ok for (_c, _v, _t, ok) in log)
-    return BoundReport(value=mu2, hypotheses_met=met, hypothesis_log=log)
+    return BoundReport(value=mu2, hypothesis_log=log)
 
 
 def t_max_nondissipative(rescaled: RescaledProblem, r: float, p: float,

@@ -21,10 +21,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import itertools
 import json
-import locale
 import math
 import os
 import sys
@@ -285,12 +283,12 @@ def cmd_solve(args) -> int:
     outcome = study.outcome(ps)
     outcome["timings"]["oracle_s"] += oracle_s
 
-    resource = None
     try:
         with float_range("resource estimate"):
             resource = estimator_mod.query_counts(ps)
-    except CflError:
-        pass
+        resource_entry = resource.as_dict()
+    except CflError as exc:
+        resource, resource_entry = None, _error_entry(exc)
     budget = None
     if outcome["koopman_error"] is not None:
         budget = end_to_end_error_budget(
@@ -316,7 +314,7 @@ def cmd_solve(args) -> int:
         },
         "bounds": outcome["bounds"],
         "error_budget": None if budget is None else [list(l) for l in budget],
-        "resource_estimate": None if resource is None else resource.as_dict(),
+        "resource_estimate": resource_entry,
         "lifted_state": outcome["lifted_state"],
         "wall_times_s": outcome["timings"],
     }
@@ -442,10 +440,7 @@ def cmd_estimate(args) -> int:
                 entry["dense_norm_2"] = norm2
             out[regime] = entry
         except CflError as exc:
-            detail = {"error": _error_text(exc)}
-            # the inputs of a failed precondition, as the JSON error gives them
-            if getattr(exc, "params", None) is not None:
-                detail["params"] = exc.params
+            detail = _error_entry(exc)
             if regime == "nondissipative":
                 try:
                     # the window at the recipe's own nu and alpha
@@ -489,6 +484,15 @@ def cmd_oracle(args) -> int:
 
 def _error_text(exc: CflError) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+def _error_entry(exc: CflError) -> dict:
+    """A refused computation as an output records it: the error text and,
+    for a failed precondition, its inputs as the JSON error gives them."""
+    entry = {"error": _error_text(exc)}
+    if getattr(exc, "params", None) is not None:
+        entry["params"] = exc.params
+    return entry
 
 
 def _json_pieces(value, indent="\n"):
@@ -569,9 +573,9 @@ def _json_key(key) -> str:
 
 def _write_output(path: Path, text) -> None:
     """Write text, a str or an iterable of str pieces, to a new file at
-    path, removing any old one first.  The file holds the bytes
-    Path.write_text writes for the pieces joined, but the pieces are joined
-    and written WRITE_BATCH at a time, so an output is never held whole: a
+    path, removing any old one first.  The file holds the pieces joined in
+    UTF-8, as configs are read, with os.linesep newlines, but joined and
+    written WRITE_BATCH at a time, so an output is never held whole: a
     manifest line by line as _json_pieces yields it, a CSV row by row.
 
     Rewriting a file whose data already sits on disk in place can cost tens
@@ -581,7 +585,6 @@ def _write_output(path: Path, text) -> None:
     written through.  A missing directory is made; an OSError is a
     ConfigError naming path."""
     pieces = iter([text] if isinstance(text, str) else text)
-    encoding = _text_encoding()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.unlink(missing_ok=True)
@@ -592,23 +595,12 @@ def _write_output(path: Path, text) -> None:
                 batch = "".join(batch)
                 if os.linesep != "\n":
                     batch = batch.replace("\n", os.linesep)
-                batch = batch.encode(encoding)
+                batch = batch.encode("utf-8")
                 written = out.write(batch)
                 while written < len(batch):  # an unbuffered write may be short
                     written += out.write(memoryview(batch)[written:])
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _text_encoding() -> str:
-    """The encoding Path.write_text uses when given none: UTF-8 in Python's
-    UTF-8 mode, else the locale's."""
-    encoding = io.text_encoding(None)
-    if encoding != "locale":
-        return encoding
-    if hasattr(locale, "getencoding"):  # Python 3.11 on
-        return locale.getencoding()
-    return locale.getpreferredencoding(False)
 
 
 def _write_csv(path: Path, rows) -> None:

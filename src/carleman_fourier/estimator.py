@@ -114,42 +114,37 @@ def query_counts(ps: ParamSet, improved_encoding: bool = False) -> ResourceEstim
     n_f = float(ps.order)
     k_f = float(ps.taylor_order)
     eps = ps.epsilon
+    # a regime sets the horizon, prefactor (z or q~), coupling, log argument
+    # and C(L); the three counts are one formula each
     if ps.regime == "dissipative":
         if ps.z is None or ps.r_p is None:
             raise ConfigError("query_counts: dissipative ParamSet is incomplete")
         horizon = ps.horizon
-        z = ps.z
+        prefactor = ps.z
         coupling = ps.alpha + (
             ps.mu0 * ps.beta / ps.g1_row_q if ps.g1_row_q > 0 else 0.0
         )
-        inner = (n_f * horizon) ** 1.5 * ps.alpha * math.sqrt(k_f) * z / eps
-        queries_g = (
-            (1.0 / eps) * n_f ** 4.5 * k_f ** 3.5 * horizon ** 1.5 * z
-            * coupling * math.log(k_f) * _log2sq(inner)
-        ) if z > 0 else 0.0
-        queries_u0 = n_f ** 1.5 * math.sqrt(horizon) * z / eps
-        queries_d = math.sqrt(n_f * horizon) * z / eps
+        inner = (n_f * horizon) ** 1.5 * ps.alpha * math.sqrt(k_f) * prefactor / eps
         c_of_l = 1.0  # certified by the stability rescaling
     elif ps.regime == "nondissipative":
         if ps.gamma_bound is None or ps.t_max is None:
             raise ConfigError("query_counts: nondissipative ParamSet is incomplete")
         horizon = ps.t_max
         rate = ps.step_rate
-        q_tilde = ps.s * ps.d_norm2 * ps.gamma_bound * math.sqrt(rate)
-        inner = ((n_f * horizon) ** 1.5 * math.sqrt(k_f) * q_tilde * rate
+        prefactor = ps.s * ps.d_norm2 * ps.gamma_bound * math.sqrt(rate)
+        coupling = ps.alpha + ps.nu * ps.beta
+        inner = ((n_f * horizon) ** 1.5 * math.sqrt(k_f) * prefactor * rate
                  * ps.gamma_bound / eps)
-        queries_g = (
-            (1.0 / eps) * n_f ** 4.5 * k_f ** 3.5 * horizon ** 1.5 * q_tilde
-            * (ps.alpha + ps.nu * ps.beta) * math.log(k_f) * _log2sq(inner)
-        )
-        queries_u0 = n_f ** 1.5 * math.sqrt(horizon) * q_tilde / eps
-        queries_d = math.sqrt(horizon * n_f) * q_tilde / eps
         c_of_l = ps.gamma_bound
     else:
         raise ConfigError(f"query_counts: unknown regime {ps.regime!r}")
-
-    if improved_encoding:
-        queries_g /= n_f ** 3
+    queries_g = (
+        (1.0 / eps) * n_f ** 4.5 * k_f ** 3.5 * horizon ** 1.5 * prefactor
+        * coupling * math.log(k_f) * _log2sq(inner)
+        / (n_f ** 3 if improved_encoding else 1.0)
+    ) if prefactor > 0 else 0.0
+    queries_u0 = n_f ** 1.5 * math.sqrt(horizon) * prefactor / eps
+    queries_d = math.sqrt(n_f * horizon) * prefactor / eps
 
     alpha_ln = scaling_alpha_LN(ps.order, ps.alpha, ps.beta, ps.nu)
     alpha_ainv, enc_error = scaling_alpha_Ainv(

@@ -187,6 +187,10 @@ class _DenseOutput:
         return _interpolate(step, np.array([t]))[:, 0]
 
 
+# a trial step that is too long may overflow to inf or NaN, as a Taylor step
+# may in forward_solve: the step control rejects it, or a step-size failure
+# raises DivergenceError, so neither prints a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _dopri45(fun, t_bound: float, y0: np.ndarray, tol: float,
              t_eval: np.ndarray) -> tuple:
     """Adaptive RK 5(4) from t = 0 to t_bound > 0 with rtol = atol = tol,

@@ -2,8 +2,11 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -638,10 +641,33 @@ def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document,
     err = capsys.readouterr().err.strip().splitlines()
     if code == 0:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["resource_estimate"] is None
+        # the refusal as estimate.json records a failed regime
+        [(key, error)] = manifest["resource_estimate"].items()
+        assert key == "error" and error.startswith(
+            "ConfigError: resource estimate: a number left the floating-point range")
     else:
         assert len(err) == 1
         assert json.loads(err[0])["error"] in ("ConfigError", "BudgetError")
+
+
+_RESOURCE_COLUMNS = ("alpha_LN", "alpha_Ainv", "encoding_error", "alpha_B",
+                     "alpha_C", "queries_G", "queries_u0", "queries_d")
+
+
+def test_solve_records_a_refused_resource_estimate(tmp_path):
+    # at nu = 1.2 the rescaled initial state has gamma = 1.215, and the
+    # initial-state preparation alpha_B needs gamma < 1; the solve succeeds
+    assert run_cli("solve", CONFIGS / "dissipative_n2.json", "--param-overrides",
+                   "nu=1.2", "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    gamma = manifest["params"]["gamma"]
+    assert gamma == pytest.approx(1.215, abs=1e-3)
+    assert manifest["resource_estimate"] == {
+        "error": f"HypothesisViolation: scaling_alpha_B: need 0 < gamma < 1 "
+                 f"(rescale first), got {gamma!r}",
+        "params": {"gamma": gamma}}
+    row = read_csv_rows(tmp_path / "result.csv")[0]
+    assert [row[name] for name in _RESOURCE_COLUMNS] == [""] * 8
 
 
 def test_solve_hypothesis_violation_exit_3(tmp_path):
@@ -685,25 +711,21 @@ def test_solve_stepping_divergence_names_the_step(tmp_path, capsys):
                                "N": 1200, "path": "Horner"}
 
 
-def test_overflowing_initial_state_writes_only_its_json_error(tmp_path):
+def test_overflowing_initial_state_writes_only_its_json_error(tmp_path, capsys):
     # nu = 1e-200 puts w0 near 1e200: its norm in rescale and its powers in
     # lift_point overflow silently, and forward_solve's finiteness check
-    # reports the state; stderr holds that one JSON line and no warning
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-m", "carleman_fourier.cli", "solve",
-         str(CONFIGS / "dissipative_n2.json"), "--param-overrides",
-         "nu=1e-200", "--out", str(tmp_path)],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
-    assert out.returncode == 4
-    lines = out.stderr.splitlines()
+    # reports the state; stderr holds that one JSON line, and no warning is
+    # raised on the way
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", CONFIGS / "dissipative_n2.json",
+                       "--param-overrides", "nu=1e-200", "--out", tmp_path) == 4
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
-    assert (payload["error"], payload["step"]) == ("DivergenceError", 0)
+    assert (payload["error"], payload["step"], payload["layer"]) == (
+        "DivergenceError", 0, "taylor.forward_solve")
 
 
 def test_pinned_taylor_order_above_the_cap_is_refused(tmp_path, capsys):
@@ -1381,6 +1403,19 @@ def test_estimate_window_uses_the_recipe_default_nu(tmp_path):
     assert 0.1 < nd["t_max"] < run["T"]
 
 
+def test_estimate_without_a_window_below_r_e(tmp_path):
+    # r = 2 < e: the non-dissipative recipe refuses it, and so does the
+    # window its failure detail would report, which is left out
+    path = _config_with(tmp_path, "dissipative_n2", "run", r=2.0)
+    assert run_cli("estimate", path, "--out", tmp_path / "out") == 0
+    data = json.loads((tmp_path / "out" / "estimate.json").read_text())
+    assert "error" not in data["dissipative"]
+    nd = data["nondissipative"]
+    assert "t_max" not in nd
+    assert nd["error"].startswith("HypothesisViolation: ")
+    assert "r must be >= e" in nd["error"]
+
+
 def test_estimate_window_takes_the_recipe_inputs(tmp_path, monkeypatch):
     # the failure detail reads nu and alpha from the helper the recipe
     # reads, so the two cannot disagree about the window
@@ -1550,7 +1585,8 @@ def _written(write, path):
 ])
 def test_write_output_writes_the_bytes_of_write_text(tmp_path, pieces):
     text = "".join(pieces)
-    expected = _written(lambda p: p.write_text(text), tmp_path / "expected")
+    expected = _written(lambda p: p.write_text(text, encoding="utf-8"),
+                        tmp_path / "expected")
     assert _written(lambda p: cli._write_output(p, text),
                     tmp_path / "str") == expected
     assert _written(lambda p: cli._write_output(p, iter(pieces)),
@@ -1564,9 +1600,29 @@ def test_write_csv_writes_the_bytes_of_write_text(tmp_path):
             [5, None, "ConfigError: cannot read /tmp/\u00e9t\u00e9.json"]]
     text = "".join(",".join(cli.fmt(cell) for cell in row) + "\n"
                    for row in rows)
-    expected = _written(lambda p: p.write_text(text), tmp_path / "expected")
+    expected = _written(lambda p: p.write_text(text, encoding="utf-8"),
+                        tmp_path / "expected")
     assert _written(lambda p: cli._write_csv(p, iter(rows)),
                     tmp_path / "rows") == expected
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    # configs are read as UTF-8, whatever the locale, and so outputs are
+    # written: a sweep row's error quotes the config's non-ASCII override key
+    path = _config_with(tmp_path, "nondissipative_n2", "overrides",
+                        **{"\u65e5": 1})
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    out = subprocess.run(
+        [sys.executable, "-m", "carleman_fourier.cli", "sweep", str(path),
+         "--axis", "N", "--values", "4", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    row = (tmp_path / "out" / "result.csv").read_bytes().decode("utf-8")
+    assert row.splitlines()[1].endswith(
+        "ConfigError: unknown override keys ['\u65e5']; "
+        "allowed: ['N', 'k', 'm', 'nu']")
 
 
 @pytest.mark.parametrize("name", ["dissipative_n1", "dissipative_n2",

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,13 @@ def test_trajectory_rejects_extrapolation(rng):
         traj.state_at(1.5)
 
 
+def _fast_field(rng, n):
+    """A fast, strongly coupled field in n variables, drawn from rng."""
+    return cf.FourierOde(n=n, g0=complex_uniform(rng, n, scale=5.0) + 1j,
+                         g1=complex_uniform(rng, (n, n), scale=rng.uniform(0, 3)),
+                         u0=complex_uniform(rng, n, scale=0.5))
+
+
 def _solve_ivp_reference(ode, horizon, tol, samples=65):
     """integrate's two passes through scipy's RK45: the states at t_eval,
     the global-error estimate and the dense solution of the fine pass, or
@@ -112,9 +121,7 @@ def test_integrate_is_bitwise_scipy_rk45(n, seed, horizon, log_tol):
     # agree to the last bit.  Fast, strongly coupled fields make the step
     # control reject steps often; a draw that blows up must fail on both.
     rng = np.random.default_rng(seed)
-    ode = cf.FourierOde(n=n, g0=complex_uniform(rng, n, scale=5.0) + 1j,
-                        g1=complex_uniform(rng, (n, n), scale=rng.uniform(0, 3)),
-                        u0=complex_uniform(rng, n, scale=0.5))
+    ode = _fast_field(rng, n)
     tol = 10.0 ** log_tol
     reference = _solve_ivp_reference(ode, horizon, tol)
     if reference is None:
@@ -200,9 +207,7 @@ def test_final_state_is_integrate_at_the_horizon(n, seed, horizon, log_tol):
     # the fields of test_integrate_is_bitwise_scipy_rk45, whose step control
     # rejects steps often; a draw that blows up fails in both
     rng = np.random.default_rng(seed)
-    ode = cf.FourierOde(n=n, g0=complex_uniform(rng, n, scale=5.0) + 1j,
-                        g1=complex_uniform(rng, (n, n), scale=rng.uniform(0, 3)),
-                        u0=complex_uniform(rng, n, scale=0.5))
+    ode = _fast_field(rng, n)
     tol = 10.0 ** log_tol
     try:
         expected = cf.integrate(ode, horizon, tol=tol).state_at(horizon)
@@ -211,6 +216,44 @@ def test_final_state_is_integrate_at_the_horizon(n, seed, horizon, log_tol):
             cf.final_state(ode, horizon, tol=tol)
         return
     assert cf.final_state(ode, horizon, tol=tol).tobytes() == expected.tobytes()
+
+
+# draws of the test above whose too long trial steps overflow on the way to
+# x(1.98) at tol 9.9e-4: the step control rejects them and the run succeeds
+_OVERFLOWING_DRAWS = [(1, 1187), (2, 1648), (3, 1615)]
+
+
+@pytest.mark.parametrize("n,seed", _OVERFLOWING_DRAWS)
+def test_overflowing_trial_steps_warn_of_nothing(n, seed):
+    ode = _fast_field(np.random.default_rng(seed), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = cf.final_state(ode, 1.98, tol=9.9e-4)
+        traj = cf.integrate(ode, 1.98, tol=9.9e-4)
+    assert state.tobytes() == traj.state_at(1.98).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, err, _dense = _solve_ivp_reference(ode, 1.98, 9.9e-4)
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.est_global_error == err
+
+
+def test_cli_oracle_through_overflowing_trial_steps_prints_nothing_to_stderr(
+        tmp_path, capsys):
+    n, seed = _OVERFLOWING_DRAWS[1]
+    ode = _fast_field(np.random.default_rng(seed), n)
+    pairs = np.stack([ode.g1.real, ode.g1.imag], axis=-1)
+    config = {"ode": {"n": n, "g0": [[z.real, z.imag] for z in ode.g0],
+                      "g1": pairs.tolist(),
+                      "u0": [[z.real, z.imag] for z in ode.u0]},
+              "readout": {"K": 1, "coeffs": [{"j": [1, 0], "d": [1.0, 0.0]}]},
+              "run": {"T": 1.98, "oracle_tol": 9.9e-4}}
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_final_state_at_zero_is_the_initial_state(rng):
