@@ -138,13 +138,15 @@ def query_counts(ps: ParamSet, improved_encoding: bool = False) -> ResourceEstim
         c_of_l = ps.gamma_bound
     else:
         raise ConfigError(f"query_counts: unknown regime {ps.regime!r}")
-    queries_g = (
-        (1.0 / eps) * n_f ** 4.5 * k_f ** 3.5 * horizon ** 1.5 * prefactor
-        * coupling * math.log(k_f) * _log2sq(inner)
-        / (n_f ** 3 if improved_encoding else 1.0)
-    ) if prefactor > 0 else 0.0
-    queries_u0 = n_f ** 1.5 * math.sqrt(horizon) * prefactor / eps
-    queries_d = math.sqrt(n_f * horizon) * prefactor / eps
+    # a still field has prefactor 0 and t_max = inf: no 0 x inf = NaN
+    queries_g = queries_u0 = queries_d = 0.0
+    if prefactor > 0:
+        queries_g = (
+            (1.0 / eps) * n_f ** 4.5 * k_f ** 3.5 * horizon ** 1.5 * prefactor
+            * coupling * math.log(k_f) * _log2sq(inner)
+            / (n_f ** 3 if improved_encoding else 1.0))
+        queries_u0 = n_f ** 1.5 * math.sqrt(horizon) * prefactor / eps
+        queries_d = math.sqrt(n_f * horizon) * prefactor / eps
 
     alpha_ln = scaling_alpha_LN(ps.order, ps.alpha, ps.beta, ps.nu)
     alpha_ainv, enc_error = scaling_alpha_Ainv(

@@ -53,6 +53,7 @@ which measure_eta and measure_eta_vector measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
                         lift_point, monomial_basis)
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
-from .taylor import TaylorConfig, forward_solve
+from .taylor import TaylorConfig, forward_solve, solve_cost
 from .tensor import TensorState, expand
 
 
@@ -456,19 +457,6 @@ def action_step_bound(k: int) -> float:
     return min(_THETA[k - 1], ACTION_STEP_CAP)
 
 
-def step_degree(step_norm: float, k: int) -> int:
-    """The Taylor degree at which a run of degree k steps, for steps of
-    ||L h||_1 = step_norm: the least d with step_norm <= action_step_bound(d)
-    when k meets that bound, and k itself otherwise.  Every degree from d to
-    k evaluates exp(L h) with a backward error of at most the unit
-    roundoff, so the steps at d are those at k to rounding, at d / k of the
-    generator applies; a k that does not meet the bound is stepped as it
-    is."""
-    if not step_norm <= action_step_bound(k):
-        return k
-    return next(d for d in range(1, k + 1) if step_norm <= action_step_bound(d))
-
-
 def action_config(op: LinearOperatorLN, t: float,
                   norm_1: float | None = None) -> TaylorConfig | None:
     """The Taylor grid on which propagate evaluates exp(L t) psi0: s steps
@@ -486,11 +474,38 @@ def action_config(op: LinearOperatorLN, t: float,
             f"propagate: ||L t||_1 = {norm:.3g} needs more than "
             f"{DEFAULT_STATE_BUDGET} Taylor steps"
         )
-    steps, order = min(
-        ((max(1, math.ceil(norm / action_step_bound(k))), k)
-         for k in range(1, len(_THETA) + 1)),
-        key=lambda pair: (pair[0] * pair[1], pair[1]))
+    steps, order = min(_action_grids(norm),
+                       key=lambda pair: (pair[0] * pair[1], pair[1]))
     return TaylorConfig(m=steps, h=t / steps, k=order)
+
+
+def _action_grids(norm: float):
+    """(s, k): the fewest steps s of each degree k with ||L t||_1 = norm."""
+    return ((max(1, math.ceil(norm / action_step_bound(k))), k)
+            for k in range(1, len(_THETA) + 1))
+
+
+def step_config(recipe: TaylorConfig, horizon: float, size: int,
+                norm_1: float, steps_pinned: bool = False) -> TaylorConfig | None:
+    """The grid a run of the recipe's grid (m h = horizon, degree k) steps
+    on, for `size` monomials and ||L||_1 = norm_1; None when ||L||_1 h
+    exceeds action_step_bound(k).  Otherwise every grid within the bound
+    gives exp(L T) psi0 to the unit roundoff, and the least solve_cost
+    wins among the recipe's m at each degree and, unless m is pinned, the
+    fewest steps of each degree that the stepping budget admits; a tie
+    keeps the recipe's m."""
+    if not norm_1 * recipe.h <= action_step_bound(recipe.k):
+        return None
+    # generators, not lists: the grids held at once would stay traced on
+    # CPython's free lists and raise a round's tracemalloc peak
+    grids = itertools.chain(
+        ((recipe.m, k) for k in range(1, min(recipe.k, len(_THETA)) + 1)
+         if norm_1 * recipe.h <= action_step_bound(k)),
+        () if steps_pinned else (
+            (s, k) for s, k in _action_grids(norm_1 * horizon)
+            if (s + 1) * size <= DEFAULT_STATE_BUDGET))
+    steps, order = min(grids, key=lambda grid: solve_cost(size, *grid))
+    return TaylorConfig(m=steps, h=horizon / steps, k=order)
 
 
 def propagate(op: LinearOperatorLN, psi0: LiftedState, t: float) -> LiftedState:

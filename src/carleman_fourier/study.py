@@ -16,8 +16,7 @@ from .errors import BudgetError, ConfigError, DivergenceError
 from .linearize import (LinearOperatorLN, MonomialBasis, lift_point,
                         monomial_basis)
 from .norms import vector_p_norm
-from .oracle import (action_config, action_step_bound, final_state, integrate,
-                     step_degree)
+from .oracle import action_config, final_state, integrate, step_config
 from .params import (ParamSet, derive_grid, select_dissipative,
                      select_nondissipative)
 from .problem import (FourierOde, ReadoutSpec, eval_readout,
@@ -33,7 +32,10 @@ def float_range(layer: str):
     try:
         yield
     except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"{layer}: a number left the floating-point range: {exc}") from exc
+        # the text alone, not an OverflowError's (errno, text) pair
+        message = exc.args[-1] if exc.args else exc
+        raise ConfigError(f"{layer}: a number left the floating-point range: "
+                          f"{message}") from exc
 
 
 class Study:
@@ -145,9 +147,9 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     tol=run["oracle_tol"]), or bit for bit that state of an integrate
     trajectory) and `basis` is monomial_basis(ode.n, N) for an N >= ps.order;
     each is made here when None.  The run steps on the basis' leading
-    section of order ps.order, at the Taylor degree oracle.step_degree
-    takes for ps.taylor_order at ||L||_1 ps.step_size; lifted_state records
-    that degree ("taylor_degree") and ||L||_1 ("generator_norm_1")."""
+    section of order ps.order, on oracle.step_config's grid for the
+    recipe's (m, k), which the estimator prices; lifted_state records the
+    grid ("steps", "taylor_degree") and ||L||_1 ("generator_norm_1")."""
     timings = {}
     t0 = time.perf_counter()
     rescaled = rescale(ode, readout, ps.nu)
@@ -156,11 +158,11 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     op = LinearOperatorLN(basis, rescaled.f0, rescaled.f1)
     psi0 = lift_point(rescaled.w0, basis)
     coeffs = expand_coeff_vector(readout, rescaled, ps.order)
-    # the recipe's k steps at the least degree that evaluates exp(L h) as
-    # accurately; a k that does not meet action_step_bound steps as it is
     norm = op.norm_1()
-    cfg = TaylorConfig(m=ps.steps, h=ps.step_size,
-                       k=step_degree(norm * ps.step_size, ps.taylor_order))
+    recipe = TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    grid = step_config(recipe, ps.horizon, op.monomial_size, norm,
+                       "m" in ps.pinned)
+    cfg = recipe if grid is None else grid
     result = forward_solve(op, cfg, psi0)
     estimate = readout_value(result, coeffs)
     timings["solve_s"] = time.perf_counter() - t0
@@ -175,9 +177,9 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
     # the Koopman/Taylor split, at the readout of exp(L T) psi0
     koopman_err = taylor_err = psi_lin = split = None
     t0 = time.perf_counter()
-    if norm * cfg.h <= action_step_bound(cfg.k):
+    if grid is not None:
         # the run's own steps evaluate exp(L T) psi0 to the unit roundoff,
-        # and the verify pass only reads the Horner states: the final state
+        # and the verify pass only reads the stepped states: the final state
         # is forward_solve(op, cfg, psi0, verify=False).final bit for bit
         psi_lin = result.final
         split = {"steps": cfg.m, "taylor_order": cfg.k, "generator_applies": 0}
@@ -208,6 +210,7 @@ def run_pipeline(ode: FourierOde, readout: ReadoutSpec, run: dict,
             "basis": "monomial",
             "tensor_dim": op.size,
             "monomial_dim": op.monomial_size,
+            "steps": cfg.m,
             "taylor_degree": cfg.k,
             "generator_norm_1": norm,
             "generator_applies": result.generator_applies,

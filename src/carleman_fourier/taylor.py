@@ -18,11 +18,12 @@ shorter last block fills its leading columns).  Each step reads only the
 one before it and the readout reads only Phi_m, so one state is held at a
 time, besides the few of a verify block and the propagator; the trailing
 copy rows, which mirror the register layout of the linear-system
-formulation, repeat Phi_m and have zero residual by construction.  The same
-stepper evaluates the action of exp(L T) on psi0 for the Koopman/Taylor
-error split: a run whose steps meet oracle.action_step_bound already holds
-it as Phi_m, and any other run's split steps on the grid that
-oracle.action_config picks (oracle.propagate).
+formulation, repeat Phi_m and have zero residual by construction.  A run
+whose recipe's (m, k) meets oracle.action_step_bound steps on the grid of
+least solve_cost within that bound (oracle.step_config), while the
+estimator prices the recipe's (m, k); its Phi_m is then exp(L T) psi0 to
+the unit roundoff, the Koopman/Taylor split's reference.  Any other run
+steps on the recipe's grid, and its split on oracle.action_config's.
 """
 
 from __future__ import annotations
@@ -149,6 +150,24 @@ def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
     return worst
 
 
+def _layout(size: int, m: int) -> tuple:
+    """(B, small) for m steps of M = size monomials: verify blocks of B
+    steps, and whether the state steps by its propagator (within the cap,
+    and cheaper than Horner)."""
+    return (max(1, min(m, VERIFY_BLOCK_ENTRIES // size)),
+            size * size <= VERIFY_BLOCK_ENTRIES and size < m)
+
+
+def solve_cost(size: int, m: int, k: int, verify: bool = True) -> int:
+    """forward_solve's apply_LN calls on m steps of degree k of `size`
+    monomials, plus its propagator's products: k per Horner step, or k to
+    form the propagator and one product per step, and k per verify block
+    (a propagator that is not finite falls back to Horner uncounted)."""
+    block, small = _layout(size, m)
+    cost = k + m if small else k * m
+    return cost + k * -(-m // block) if verify else cost
+
+
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
                   psi0: LiftedState, verify: bool = True) -> SolveResult:
     """Exact forward substitution on the block-bidiagonal time-step system:
@@ -193,11 +212,9 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
             f"(n={op.n}, N={op.order}) exceed the stepping budget of "
             f"{DEFAULT_STATE_BUDGET} state entries"
         )
-    block = max(1, min(cfg.m, VERIFY_BLOCK_ENTRIES // size))
-    # a state within the cap steps by its propagator when that costs fewer
-    # applies than Horner; then M <= block and block > 1, so the verify
-    # block's operator forms it
-    small = size * size <= VERIFY_BLOCK_ENTRIES and size < cfg.m
+    # a state that steps by its propagator has M <= block and block > 1, so
+    # the verify block's operator forms it
+    block, small = _layout(size, cfg.m)
     fold = op
     if block > 1 and (verify or small):
         fold = block_operator(op, block)

@@ -182,9 +182,10 @@ def test_run_pipeline_builds_the_monomial_basis_once(monkeypatch):
 
 
 def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
-    # the run's own grid meets the exponential's bound on dissipative_n2
-    # (||L||_1 h = 0.82 at k = 25, stepped at degree 17), so the split
-    # computes no grid of its own
+    # the recipe's grid meets the exponential's bound on dissipative_n2
+    # (||L||_1 h = 0.82 at k = 25), so the run steps on the cheapest grid
+    # within it (7 steps of degree 23) and the split computes no grid of its
+    # own
     import carleman_fourier.oracle as oracle
 
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2")
@@ -193,10 +194,11 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     outcome = cli.run_pipeline(ode, readout, run, ps)
     monkeypatch.undo()
     assert calls == [[], []]
+    assert (outcome["lifted_state"]["steps"],
+            outcome["lifted_state"]["taylor_degree"]) == (7, 23)
     op = outcome["operator"]
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
-    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size,
-                           k=outcome["lifted_state"]["taylor_degree"])
+    grid = cf.TaylorConfig(m=7, h=ps.horizon / 7, k=23)
     assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
@@ -208,28 +210,27 @@ def test_run_pipeline_computes_the_split_grid_once(monkeypatch):
     pytest.param("dissipative_n2", {"N": 12}, id="dissipative_n2-N12"),
     pytest.param("dissipative_n2", {"N": 40}, id="dissipative_n2-N40")])
 def test_split_reuses_the_run_where_its_grid_meets_the_bound(name, overrides):
-    # every bundled run steps within min(theta_k, 2), and so at the least
-    # degree d that does: exp(L T) psi0 is the run's final state, so the
-    # Taylor part reads 0 and the lifting part is the whole error
-    from carleman_fourier.oracle import action_step_bound, step_degree
+    # every bundled run's recipe steps within min(theta_k, 2), so the run
+    # steps on the cheapest grid within that bound: exp(L T) psi0 is the
+    # run's final state, so the Taylor part reads 0 and the lifting part is
+    # the whole error
+    from carleman_fourier.oracle import action_step_bound, step_config
 
     ode, readout, run, ps = _pipeline_inputs(name, **overrides)
     outcome = cli.run_pipeline(ode, readout, run, ps)
     op = outcome["operator"]
-    step_norm = op.norm_1() * ps.step_size
-    assert step_norm <= action_step_bound(ps.taylor_order)
-    degree = step_degree(step_norm, ps.taylor_order)
-    assert step_norm <= action_step_bound(degree)
-    assert degree == 1 or step_norm > action_step_bound(degree - 1)
-    assert degree < ps.taylor_order
-    assert outcome["lifted_state"]["taylor_degree"] == degree
+    recipe = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    grid = step_config(recipe, ps.horizon, op.monomial_size, op.norm_1())
+    assert op.norm_1() * ps.step_size <= action_step_bound(ps.taylor_order)
+    assert op.norm_1() * grid.h <= action_step_bound(grid.k)
+    assert (outcome["lifted_state"]["steps"],
+            outcome["lifted_state"]["taylor_degree"]) == (grid.m, grid.k)
     assert outcome["lifted_state"]["generator_norm_1"] == op.norm_1()
     assert outcome["taylor_error"] == 0.0
     assert outcome["koopman_error"] == outcome["total_error"]
     assert outcome["lifted_state"]["split"] == {
-        "steps": ps.steps, "taylor_order": degree, "generator_applies": 0}
+        "steps": grid.m, "taylor_order": grid.k, "generator_applies": 0}
     psi0 = cf.lift_point(outcome["rescaled"].w0, op.basis)
-    grid = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=degree)
     assert (cf.forward_solve(op, grid, psi0, verify=False).final.vector.tobytes()
             == outcome["psi_lin"].vector.tobytes())
 
@@ -289,9 +290,9 @@ def test_split_on_its_own_grid_counts_the_propagator_applies():
 
 def test_split_reuses_the_run_on_a_ladder_size_problem():
     # a seeded dissipative problem at n = 3, N = 8: 9840 tensor entries, 165
-    # monomials; the run's own steps, at the least degree that meets the
+    # monomials; the run's own steps, on the cheapest grid within the
     # exponential's bound, give exp(L T) psi0
-    from carleman_fourier.oracle import step_degree
+    from carleman_fourier.oracle import step_config
 
     ode = make_dissipative_ode(np.random.default_rng(0), 3)
     readout = cf.ReadoutSpec(degree=1, coeffs={(1, 0, 0): 0.6, (0, 0, 1): 0.8j})
@@ -301,25 +302,108 @@ def test_split_reuses_the_run_on_a_ladder_size_problem():
     outcome = cli.run_pipeline(ode, readout, run, ps)
     assert outcome["lifted_state"]["tensor_dim"] == 9840
     assert outcome["psi_lin"] is not None
-    degree = step_degree(outcome["operator"].norm_1() * ps.step_size,
-                         ps.taylor_order)
-    assert outcome["lifted_state"]["taylor_degree"] == degree < ps.taylor_order
+    grid = step_config(
+        cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order),
+        ps.horizon, outcome["operator"].monomial_size,
+        outcome["operator"].norm_1())
+    assert (outcome["lifted_state"]["steps"],
+            outcome["lifted_state"]["taylor_degree"]) == (grid.m, grid.k)
     assert outcome["lifted_state"]["split"] == {
-        "steps": ps.steps, "taylor_order": degree, "generator_applies": 0}
-    assert outcome["lifted_state"]["generator_applies"] == 2 * ps.steps * degree
+        "steps": grid.m, "taylor_order": grid.k, "generator_applies": 0}
+    assert outcome["lifted_state"]["generator_applies"] == 2 * grid.m * grid.k
     assert outcome["koopman_error"] == outcome["total_error"]
 
 
 @pytest.mark.parametrize("k,reused", [(12, False), (16, False), (17, True)])
 def test_split_reuse_boundary_is_theta_k(k, reused):
     # ||L||_1 h = 0.82 on dissipative_n2's 16 steps: theta_12 = 0.30 and
-    # theta_16 = 0.78 lie below it, theta_17 = 0.93 above
+    # theta_16 = 0.78 lie below it, theta_17 = 0.93 above.  A run at k = 17
+    # steps on the cheapest grid within the bound, which is the split's own
+    # grid at k = 12 and 16
     ode, readout, run, ps = _pipeline_inputs("dissipative_n2", k=k)
     outcome = cli.run_pipeline(ode, readout, run, ps)
     split = outcome["lifted_state"]["split"]
     assert (split["generator_applies"] == 0) is reused
-    assert (split["steps"], split["taylor_order"]) == (
-        (16, k) if reused else (7, 23))
+    assert (split["steps"], split["taylor_order"]) == (7, 23)
+    assert (outcome["lifted_state"]["steps"],
+            outcome["lifted_state"]["taylor_degree"]) == (
+        (7, 23) if reused else (16, k))
+
+
+def _ladder_problem():
+    """perfbench's seeded ladder generator, loaded from its file."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.ladder_problem, module.LADDER
+
+
+def _least_degree(op, ps):
+    """The least degree d whose step bound holds the recipe's ||L||_1 h."""
+    from carleman_fourier.oracle import action_step_bound
+
+    step_norm = op.norm_1() * ps.step_size
+    return next(d for d in range(1, ps.taylor_order + 1)
+                if step_norm <= action_step_bound(d))
+
+
+def test_run_steps_on_a_grid_no_dearer_than_the_recipes():
+    # on the bundled configs and the ladder's seeds 0-7 every recipe meets
+    # the step bound, and the run steps on a grid that costs forward_solve
+    # no more than the recipe's m at its least degree d
+    from carleman_fourier.taylor import solve_cost
+
+    ladder_problem, ladder = _ladder_problem()
+    runs = [_pipeline_inputs(name) for name in (
+        "dissipative_n1", "dissipative_n2", "linear_n1", "nondissipative_n2")]
+    for seed in range(8):
+        for n, order in ladder:
+            p = ladder_problem(seed, n, order)
+            runs.append((p.ode, p.readout, p.run,
+                         cli.select_params(p.ode, p.readout, p.run, {})))
+    for ode, readout, run, ps in runs:
+        outcome = cli.run_pipeline(ode, readout, run, ps)
+        state = outcome["lifted_state"]
+        size = state["monomial_dim"]
+        recipe = solve_cost(size, ps.steps, _least_degree(outcome["operator"], ps))
+        assert solve_cost(size, state["steps"], state["taylor_degree"]) <= recipe
+        assert state["split"]["generator_applies"] == 0
+
+
+@pytest.mark.parametrize("name,overrides,grid", [
+    # one monomial: 4 propagator steps of degree 13 cost 26 calls and 4
+    # products, one Horner step of degree 21 costs 42 calls
+    ("linear_n1", {}, (4, 13)),
+    ("dissipative_n2", {}, (7, 23)),
+    ("dissipative_n2", {"k": 40}, (7, 23)),
+    ("dissipative_n1", {}, (18, 18)),
+    # a pinned m steps at the least degree that meets the bound, a k that
+    # does not meet it on the recipe's grid as it is
+    ("dissipative_n2", {"m": 20}, (20, "d")),
+    ("dissipative_n1", {"m": 30}, (30, "d")),
+    ("dissipative_n2", {"k": 3}, (16, 3)),
+    ("dissipative_n1", {"k": 3}, (22, 3)),
+])
+def test_run_steps_on_the_grid_the_rule_names(name, overrides, grid):
+    ode, readout, run, ps = _pipeline_inputs(name, **overrides)
+    outcome = cli.run_pipeline(ode, readout, run, ps)
+    if grid[1] == "d":
+        grid = (ps.steps, _least_degree(outcome["operator"], ps))
+    state = outcome["lifted_state"]
+    assert (state["steps"], state["taylor_degree"]) == grid
+    # the estimate is forward_solve's on that grid, bit for bit
+    op, rescaled = outcome["operator"], outcome["rescaled"]
+    result = cf.forward_solve(
+        op, cf.TaylorConfig(m=grid[0], h=ps.horizon / grid[0], k=grid[1]),
+        cf.lift_point(rescaled.w0, op.basis))
+    assert state["generator_applies"] == result.generator_applies
+    assert outcome["estimate"] == cf.readout_value(
+        result, cf.expand_coeff_vector(readout, rescaled, ps.order))
 
 
 def test_solve_respects_param_overrides(tmp_path):
@@ -645,6 +729,8 @@ def test_boundary_inputs_exit_with_one_json_error(tmp_path, capsys, document,
         [(key, error)] = manifest["resource_estimate"].items()
         assert key == "error" and error.startswith(
             "ConfigError: resource estimate: a number left the floating-point range")
+        # the OverflowError's text, without its errno tuple
+        assert "(34," not in error
     else:
         assert len(err) == 1
         assert json.loads(err[0])["error"] in ("ConfigError", "BudgetError")
@@ -668,6 +754,23 @@ def test_solve_records_a_refused_resource_estimate(tmp_path):
         "params": {"gamma": gamma}}
     row = read_csv_rows(tmp_path / "result.csv")[0]
     assert [row[name] for name in _RESOURCE_COLUMNS] == [""] * 8
+
+
+def test_still_field_prices_zero_queries(tmp_path):
+    # g0 = g1 = 0: the non-dissipative window is unbounded (t_max = inf) and
+    # the prefactor 0, so every query count is 0, not 0 x inf = NaN
+    config = tmp_path / "still.json"
+    config.write_text(json.dumps({
+        "ode": {"n": 1, "g0": [[0, 0]], "g1": [[[0, 0]]], "u0": [[0, 0]]},
+        "readout": {"K": 1, "coeffs": [{"j": [1], "d": [1.0, 0.0]}]},
+        "run": {"T": 0.01, "epsilon": 0.1}}))
+    assert run_cli("solve", config, "--out", tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["params"]["t_max"] == math.inf
+    counts = ("queries_G", "queries_u0", "queries_d")
+    assert [manifest["resource_estimate"][name] for name in counts] == [0.0] * 3
+    row = read_csv_rows(tmp_path / "out" / "result.csv")[0]
+    assert [float(row[name]) for name in counts] == [0.0] * 3
 
 
 def test_solve_hypothesis_violation_exit_3(tmp_path):
@@ -1730,25 +1833,26 @@ def test_manifest_records_the_lifted_state(tmp_path):
     params = manifest["params"]
     assert params["order"] == 7
     # n = 2, N = 7: sum 2^j = 254 tensor entries, sum (j + 1) = 35 monomials;
-    # ||L||_1 h = 0.82 lies between theta_16 = 0.78 and theta_17 = 0.93, so
-    # the recipe's k = 25 steps at degree 17
-    from carleman_fourier.oracle import step_degree
+    # the recipe's 16 steps of k = 25 meet the exponential's step bound
+    # (||L||_1 h = 0.82), so the run steps on the cheapest grid within it:
+    # 7 steps of degree 23 (||L T||_1 = 13.1 <= 7 theta_23 = 14)
+    from carleman_fourier.oracle import action_step_bound
 
     split = manifest["lifted_state"].pop("split")
     norm = manifest["lifted_state"].pop("generator_norm_1")
-    assert params["taylor_order"] == 25
-    assert step_degree(norm * params["step_size"], params["taylor_order"]) == 17
+    assert (params["steps"], params["taylor_order"]) == (16, 25)
+    assert norm * params["step_size"] <= action_step_bound(25)
     assert manifest["lifted_state"] == {
         "basis": "monomial",
         "tensor_dim": 254,
         "monomial_dim": 35,
-        "taylor_degree": 17,
-        "generator_applies": params["steps"] * 17 * 2,
+        "steps": 7,
+        "taylor_degree": 23,
+        "generator_applies": 7 * 23 * 2,
     }
     # the Koopman/Taylor split reads exp(L T) psi0 off the run's own steps,
     # which meet the exponential's bound: no generator apply of its own
-    assert split == {"steps": params["steps"], "taylor_order": 17,
-                     "generator_applies": 0}
+    assert split == {"steps": 7, "taylor_order": 23, "generator_applies": 0}
     assert manifest["wall_times_s"]["dense_check_s"] > 0
 
 

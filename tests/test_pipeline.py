@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import carleman_fourier as cf
 from carleman_fourier import cli, study
 from carleman_fourier.linearize import total_size
-from carleman_fourier.oracle import action_step_bound, step_degree
+from carleman_fourier.oracle import step_config
 from carleman_fourier.tensor import dense_Vk, expand
 
 from conftest import (complex_uniform, make_dissipative_ode, random_readout,
@@ -123,9 +123,9 @@ def test_monomial_pipeline_matches_the_tensor_reference(n, order, seed):
 @given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
 def test_pipeline_steps_at_its_degree_as_forward_solve_at_the_recipes(
         n, order, seed):
-    # a recipe's k that meets the exponential's step bound steps at the
-    # least degree that does: the estimate is forward_solve's at k to
-    # rounding
+    # a recipe's k that meets the exponential's step bound steps on the
+    # grid of least cost within that bound: the estimate is forward_solve's
+    # on the recipe's grid to rounding
     rng = np.random.default_rng(seed)
     ode = make_dissipative_ode(rng, n)
     readout = random_readout(rng, n, int(rng.integers(1, order + 1)))
@@ -134,13 +134,12 @@ def test_pipeline_steps_at_its_degree_as_forward_solve_at_the_recipes(
     ps = cli.select_params(ode, readout, run, {"N": order})
     out = study.run_pipeline(ode, readout, run, ps)
     op, rescaled = out["operator"], out["rescaled"]
-    step_norm = op.norm_1() * ps.step_size
-    assume(step_norm <= action_step_bound(ps.taylor_order))
-    degree = step_degree(step_norm, ps.taylor_order)
-    assert out["lifted_state"]["taylor_degree"] == degree <= ps.taylor_order
-    recipe = cf.forward_solve(
-        op, cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order),
-        cf.lift_point(rescaled.w0, op.basis))
+    recipe = cf.TaylorConfig(m=ps.steps, h=ps.step_size, k=ps.taylor_order)
+    grid = step_config(recipe, ps.horizon, op.monomial_size, op.norm_1())
+    assume(grid is not None)
+    assert (out["lifted_state"]["steps"],
+            out["lifted_state"]["taylor_degree"]) == (grid.m, grid.k)
+    recipe = cf.forward_solve(op, recipe, cf.lift_point(rescaled.w0, op.basis))
     expected = cf.readout_value(
         recipe, cf.expand_coeff_vector(readout, rescaled, ps.order))
     assert abs(out["estimate"] - expected) <= 1e-14 * abs(expected)

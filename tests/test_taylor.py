@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -511,6 +512,45 @@ def test_forward_solve_counts_the_propagator_applies(rng):
     assert cf.forward_solve(op, cfg, psi0).generator_applies == 25 * (7 + 22)
     assert cf.forward_solve(op, cfg, psi0,
                             verify=False).generator_applies == 25 * 7
+
+
+# every (n, N) with n <= 4 whose state has at most 209 monomials, the
+# ladder's largest: single states, verify blocks of every width and the
+# propagator's states
+COST_STATES = [(n, order) for n in range(1, 5) for order in range(1, 210)
+               if monomial_count(n, order) <= 209]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(COST_STATES), st.integers(1, 40), st.integers(1, 30),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_solve_cost_counts_what_forward_solve_spends(shape, m, k, verify, seed):
+    # solve_cost is the apply_LN calls forward_solve makes plus the
+    # matrix-vector products of its propagator, on either stepping path,
+    # with and without the verify pass
+    n, order = shape
+    rng = np.random.default_rng(seed)
+    rp, op = stable_operator(rng, n, order)
+    cfg = cf.TaylorConfig(m=m, h=float(rng.uniform(1e-6, 2.0)) / op.norm_1(),
+                          k=k)
+    psi0 = cf.lift_point(complex_uniform(rng, n), op.basis)
+    calls, matrices = [], []
+    apply, propagator = taylor.apply_LN, taylor.propagator
+
+    def applying(op, x):
+        calls.append(x.size)
+        return apply(op, x)
+
+    def forming(fold, cfg, size):
+        matrices.append(propagator(fold, cfg, size))
+        return matrices[-1]
+
+    with mock.patch.object(taylor, "apply_LN", applying), \
+            mock.patch.object(taylor, "propagator", forming):
+        cf.forward_solve(op, cfg, psi0, verify=verify)
+    products = m if matrices and matrices[0] is not None else 0
+    assert taylor.solve_cost(op.monomial_size, m, k, verify) == (
+        len(calls) + products)
 
 
 # ------------------------------------------------------------- readout_value
