@@ -9,7 +9,8 @@ package's oracle.step_config picks from the recipe's grid, params.horizon,
 M = lifted_state.monomial_dim, ||L||_1 = lifted_state.generator_norm_1 and
 whether the derivation log pins m: the recipe's grid itself when ||L||_1 h
 exceeds k's step bound, and otherwise the grid within the bound that costs
-forward_solve least (at the recipe's m when m is pinned).
+forward_solve least (at the recipe's m when m is pinned or the state is
+small enough to step by its propagator).
 
 The verify pass re-evaluates each Taylor step term by term.  Its residual,
 errors.solver_residual, must be finite and at most 1e-12.  forward_solve

@@ -65,7 +65,7 @@ from .linearize import (DEFAULT_STATE_BUDGET, LiftedState, LinearOperatorLN,
                         lift_point, monomial_basis)
 from .norms import vector_p_norm
 from .problem import FourierOde, RescaledProblem
-from .taylor import TaylorConfig, forward_solve, solve_cost
+from .taylor import TaylorConfig, forward_solve, propagator_fits, solve_cost
 from .tensor import TensorState, expand
 
 
@@ -491,9 +491,13 @@ def step_config(recipe: TaylorConfig, horizon: float, size: int,
     on, for `size` monomials and ||L||_1 = norm_1; None when ||L||_1 h
     exceeds action_step_bound(k).  Otherwise every grid within the bound
     gives exp(L T) psi0 to the unit roundoff, and the least solve_cost
-    wins among the recipe's m at each degree and, unless m is pinned, the
-    fewest steps of each degree that the stepping budget admits; a tie
-    keeps the recipe's m."""
+    wins among the recipe's m at each degree and the fewest steps of each
+    degree; a tie keeps the recipe's m.  A pinned m, and a state small
+    enough to step by its propagator, keep the recipe's m: on such a state
+    solve_cost, which counts a product as one apply, can pick more and
+    slower steps (nondissipative_n2 at N = 3: 10 propagator steps for one
+    Horner step, 1.7x the time), and the propagator's rounding moves the
+    estimate with its step count by up to 2.9e-15 relative."""
     if not norm_1 * recipe.h <= action_step_bound(recipe.k):
         return None
     # generators, not lists: the grids held at once would stay traced on
@@ -501,9 +505,8 @@ def step_config(recipe: TaylorConfig, horizon: float, size: int,
     grids = itertools.chain(
         ((recipe.m, k) for k in range(1, min(recipe.k, len(_THETA)) + 1)
          if norm_1 * recipe.h <= action_step_bound(k)),
-        () if steps_pinned else (
-            (s, k) for s, k in _action_grids(norm_1 * horizon)
-            if (s + 1) * size <= DEFAULT_STATE_BUDGET))
+        () if steps_pinned or propagator_fits(size)
+        else _action_grids(norm_1 * horizon))
     steps, order = min(grids, key=lambda grid: solve_cost(size, *grid))
     return TaylorConfig(m=steps, h=horizon / steps, k=order)
 

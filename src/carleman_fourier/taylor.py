@@ -20,7 +20,8 @@ time, besides the few of a verify block and the propagator; the trailing
 copy rows, which mirror the register layout of the linear-system
 formulation, repeat Phi_m and have zero residual by construction.  A run
 whose recipe's (m, k) meets oracle.action_step_bound steps on the grid of
-least solve_cost within that bound (oracle.step_config), while the
+least solve_cost within that bound (oracle.step_config; a pinned m, or a
+state within the propagator's cap, keeps the recipe's m), while the
 estimator prices the recipe's (m, k); its Phi_m is then exp(L T) psi0 to
 the unit roundoff, the Koopman/Taylor split's reference.  Any other run
 steps on the recipe's grid, and its split on oracle.action_config's.
@@ -150,22 +151,37 @@ def _verify_block(op: LinearOperatorLN | BlockOperator, cfg: TaylorConfig,
     return worst
 
 
+def propagator_fits(size: int) -> bool:
+    """Whether a state of `size` monomials is small enough to step by its
+    propagator, an (M, M) matrix within VERIFY_BLOCK_ENTRIES entries."""
+    return size * size <= VERIFY_BLOCK_ENTRIES
+
+
 def _layout(size: int, m: int) -> tuple:
     """(B, small) for m steps of M = size monomials: verify blocks of B
     steps, and whether the state steps by its propagator (within the cap,
     and cheaper than Horner)."""
     return (max(1, min(m, VERIFY_BLOCK_ENTRIES // size)),
-            size * size <= VERIFY_BLOCK_ENTRIES and size < m)
+            propagator_fits(size) and size < m)
 
 
-def solve_cost(size: int, m: int, k: int, verify: bool = True) -> int:
+def _over_budget(size: int, m: int) -> bool:
+    """Whether m steps of `size` monomials, (m + 1) states, exceed the
+    stepping budget of DEFAULT_STATE_BUDGET entries."""
+    return (m + 1) * size > DEFAULT_STATE_BUDGET
+
+
+def solve_cost(size: int, m: int, k: int) -> float:
     """forward_solve's apply_LN calls on m steps of degree k of `size`
     monomials, plus its propagator's products: k per Horner step, or k to
     form the propagator and one product per step, and k per verify block
-    (a propagator that is not finite falls back to Horner uncounted)."""
+    (a propagator that is not finite falls back to Horner uncounted).  A
+    grid over the stepping budget, which forward_solve refuses, costs
+    math.inf."""
+    if _over_budget(size, m):
+        return math.inf
     block, small = _layout(size, m)
-    cost = k + m if small else k * m
-    return cost + k * -(-m // block) if verify else cost
+    return (k + m if small else k * m) + k * -(-m // block)
 
 
 def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
@@ -206,7 +222,7 @@ def forward_solve(op: LinearOperatorLN, cfg: TaylorConfig,
         raise DivergenceError("forward_solve: initial state is not finite",
                               step=0, layer="taylor.forward_solve")
     size = op.monomial_size
-    if (cfg.m + 1) * size > DEFAULT_STATE_BUDGET:
+    if _over_budget(size, cfg.m):
         raise BudgetError(
             f"forward_solve: m={cfg.m} steps of {size} monomials "
             f"(n={op.n}, N={op.order}) exceed the stepping budget of "

@@ -376,12 +376,17 @@ def test_run_steps_on_a_grid_no_dearer_than_the_recipes():
 
 
 @pytest.mark.parametrize("name,overrides,grid", [
-    # one monomial: 4 propagator steps of degree 13 cost 26 calls and 4
-    # products, one Horner step of degree 21 costs 42 calls
-    ("linear_n1", {}, (4, 13)),
     ("dissipative_n2", {}, (7, 23)),
     ("dissipative_n2", {"k": 40}, (7, 23)),
-    ("dissipative_n1", {}, (18, 18)),
+    ("nondissipative_n2", {}, (2, 18)),
+    # a state small enough to step by its propagator (M M <= 128) keeps the
+    # recipe's m at the least degree that meets the bound: one monomial
+    # (linear_n1's 4 steps of degree 13), 7 (dissipative_n1) and 9
+    # (nondissipative_n2 at N = 3, whose cheapest grid would be 10
+    # propagator steps of degree 8 instead of one Horner step)
+    ("linear_n1", {}, (4, 13)),
+    ("dissipative_n1", {}, (22, "d")),
+    ("nondissipative_n2", {"N": 3}, (1, "d")),
     # a pinned m steps at the least degree that meets the bound, a k that
     # does not meet it on the recipe's grid as it is
     ("dissipative_n2", {"m": 20}, (20, "d")),

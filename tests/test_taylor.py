@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import carleman_fourier as cf
 from carleman_fourier import cli, taylor
-from carleman_fourier.errors import ConfigError, DivergenceError
-from carleman_fourier.linearize import BlockOperator, block_operator
+from carleman_fourier.errors import BudgetError, ConfigError, DivergenceError
+from carleman_fourier.linearize import (DEFAULT_STATE_BUDGET, BlockOperator,
+                                        block_operator)
 from carleman_fourier.problem import monomial_count
 from carleman_fourier.taylor import step_count_for
 from carleman_fourier.tensor import dense_Vk, expand
@@ -523,11 +524,11 @@ COST_STATES = [(n, order) for n in range(1, 5) for order in range(1, 210)
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(COST_STATES), st.integers(1, 40), st.integers(1, 30),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_solve_cost_counts_what_forward_solve_spends(shape, m, k, verify, seed):
+       st.integers(0, 2 ** 32 - 1))
+def test_solve_cost_counts_what_forward_solve_spends(shape, m, k, seed):
     # solve_cost is the apply_LN calls forward_solve makes plus the
     # matrix-vector products of its propagator, on either stepping path,
-    # with and without the verify pass
+    # verify pass included
     n, order = shape
     rng = np.random.default_rng(seed)
     rp, op = stable_operator(rng, n, order)
@@ -547,10 +548,23 @@ def test_solve_cost_counts_what_forward_solve_spends(shape, m, k, verify, seed):
 
     with mock.patch.object(taylor, "apply_LN", applying), \
             mock.patch.object(taylor, "propagator", forming):
-        cf.forward_solve(op, cfg, psi0, verify=verify)
+        cf.forward_solve(op, cfg, psi0)
     products = m if matrices and matrices[0] is not None else 0
-    assert taylor.solve_cost(op.monomial_size, m, k, verify) == (
+    assert taylor.solve_cost(op.monomial_size, m, k) == (
         len(calls) + products)
+
+
+def test_solve_cost_is_infinite_exactly_where_forward_solve_refuses(rng):
+    # (m + 1) M state entries against the stepping budget: the last m
+    # within it has a finite cost, the next one is refused before any step
+    rp, op = stable_operator(rng, 2, 3)
+    size = op.monomial_size
+    last = DEFAULT_STATE_BUDGET // size - 1
+    assert math.isfinite(taylor.solve_cost(size, last, 5))
+    assert taylor.solve_cost(size, last + 1, 5) == math.inf
+    with pytest.raises(BudgetError):
+        cf.forward_solve(op, cf.TaylorConfig(m=last + 1, h=1e-9, k=5),
+                         cf.lift_point(complex_uniform(rng, 2), op.basis))
 
 
 # ------------------------------------------------------------- readout_value
