@@ -491,20 +491,23 @@ def step_config(recipe: TaylorConfig, horizon: float, size: int,
     on, for `size` monomials and ||L||_1 = norm_1; None when ||L||_1 h
     exceeds action_step_bound(k).  Otherwise every grid within the bound
     gives exp(L T) psi0 to the unit roundoff, and the least solve_cost
-    wins among the recipe's m at each degree and the fewest steps of each
-    degree; a tie keeps the recipe's m.  A pinned m, and a state small
+    wins among the recipe's m at the least degree within the bound and the
+    fewest steps of each degree; a tie keeps the recipe's m.  A pinned m, and a state small
     enough to step by its propagator, keep the recipe's m: on such a state
     solve_cost, which counts a product as one apply, can pick more and
     slower steps (nondissipative_n2 at N = 3: 10 propagator steps for one
     Horner step, 1.7x the time), and the propagator's rounding moves the
     estimate with its step count by up to 2.9e-15 relative."""
-    if not norm_1 * recipe.h <= action_step_bound(recipe.k):
+    step_norm = norm_1 * recipe.h
+    if not step_norm <= action_step_bound(recipe.k):
         return None
-    # generators, not lists: the grids held at once would stay traced on
+    # at the recipe's m a higher degree only costs more than the least one
+    least = next(k for k in range(1, recipe.k + 1)
+                 if step_norm <= action_step_bound(k))
+    # a generator, not a list: the grids held at once would stay traced on
     # CPython's free lists and raise a round's tracemalloc peak
     grids = itertools.chain(
-        ((recipe.m, k) for k in range(1, min(recipe.k, len(_THETA)) + 1)
-         if norm_1 * recipe.h <= action_step_bound(k)),
+        ((recipe.m, least),),
         () if steps_pinned or propagator_fits(size)
         else _action_grids(norm_1 * horizon))
     steps, order = min(grids, key=lambda grid: solve_cost(size, *grid))
